@@ -19,6 +19,8 @@ Registered oracles
 ``kiss-roundtrip``      table → KISS2 text → table is the identity
 ``sim-equivalence``     interpreted vs compiled fault-simulator detect masks
 ``sim-ppsfp-vs-bigint`` PPSFP table engine vs compiled big-int detect masks
+``detectability-ppsfp-vs-cone``
+                        detectability read off PPSFP tables vs the cone oracle
 ``scan-vs-nonscan``     scan-test detection re-derived via the non-scan path
 ``synthesis-replay``    gate-level scan circuit replays equal table replays
 ``cache-replay``        warm artifact-cache replays bit-identical to cold runs
@@ -45,6 +47,8 @@ from repro.fsm.kiss import parse_kiss, table_to_kiss, write_kiss
 from repro.fsm.state_table import StateTable
 from repro.fuzz.generators import Fault, MachineSpec, random_gate_faults
 from repro.gatelevel.compiled import CompiledFaultSimulator
+from repro.gatelevel.detectability import assigned_pattern_mask, detectable_faults
+from repro.gatelevel.dispatch import detectable_mask, partition_by_mask
 from repro.gatelevel.fault_sim import detects as interpreted_detects
 from repro.gatelevel.ppsfp import PpsfpSimulator
 from repro.gatelevel.scan import ScanCircuit
@@ -344,6 +348,30 @@ def _sim_ppsfp_vs_bigint(case: FuzzCase) -> None:
 
 
 @_oracle(
+    "detectability-ppsfp-vs-cone",
+    "detectability read off PPSFP tables equals the masked cone oracle",
+)
+def _detectability_ppsfp_vs_cone(case: FuzzCase) -> None:
+    _gate_level_case(case)
+    circuit = case.scan_circuit()
+    faults = case.gate_faults()
+    _require(bool(faults), "empty gate-level fault universe")
+    # The split grading uses: the dispatch helper on a PPSFP simulator.
+    simulator = PpsfpSimulator(circuit, case.table, faults)
+    derived = partition_by_mask(faults, detectable_mask(simulator))
+    # The reference judges only patterns a scan test can establish.
+    mask = assigned_pattern_mask(circuit.encoding, circuit.n_primary_inputs)
+    reference = detectable_faults(circuit.netlist, faults, pattern_mask=mask)
+    if derived != reference:
+        ppsfp_only = sorted(fault.site() for fault in derived[0] - reference[0])
+        cone_only = sorted(fault.site() for fault in reference[0] - derived[0])
+        raise OracleFailure(
+            "PPSFP-derived detectability disagrees with the cone oracle: "
+            f"ppsfp-only={ppsfp_only[:4]} cone-only={cone_only[:4]}"
+        )
+
+
+@_oracle(
     "scan-vs-nonscan",
     "scan-test fault detection re-derived through the non-scan simulator",
 )
@@ -398,10 +426,6 @@ def _synthesis_replay(case: FuzzCase) -> None:
 )
 def _atpg_vs_faultsim(case: FuzzCase) -> None:
     from repro.atpg import STATUS_ABORTED, generate_structural_tests
-    from repro.gatelevel.detectability import (
-        assigned_pattern_mask,
-        detectable_faults,
-    )
     from repro.gatelevel.stuck_at import collapse_stuck_at
 
     _gate_level_case(case)

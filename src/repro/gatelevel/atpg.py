@@ -34,91 +34,18 @@ from repro.fsm.state_table import StateTable
 from repro.gatelevel.bridging import BridgingFault
 from repro.gatelevel.detectability import (
     _activation,
-    _seeds,
+    _with_cones,
     assigned_pattern_mask,
     fault_free_values,
+    output_difference_words,
 )
-from repro.gatelevel.netlist import GateType, Netlist, _evaluate_gate, unpack_bits
+from repro.gatelevel.netlist import Netlist, unpack_bits
 from repro.gatelevel.scan import ScanCircuit
 from repro.gatelevel.stuck_at import StuckAtFault
 
 __all__ = ["AtpgResult", "detection_words", "generate_stuck_at_atpg"]
 
 Fault = StuckAtFault | BridgingFault
-
-
-def _faulty_output_diff_words(
-    netlist: Netlist,
-    ff: np.ndarray,
-    fault: Fault,
-    dirty: list[int],
-) -> np.ndarray:
-    """Per-pattern word mask of output differences under ``fault``.
-
-    Full-width variant of the detectability chunk evaluation: instead of
-    an early-exit boolean it returns, for every pattern, whether any
-    observed output differs.
-    """
-    lo, hi = 0, ff.shape[1]
-    local: dict[int, np.ndarray] = {}
-    bridge_lines: dict[int, np.ndarray] = {}
-    if isinstance(fault, BridgingFault):
-        first = ff[fault.line1]
-        second = ff[fault.line2]
-        from repro.gatelevel.bridging import BridgeKind
-
-        bridged = first & second if fault.kind is BridgeKind.AND else first | second
-        bridge_lines[fault.line1] = bridged
-        bridge_lines[fault.line2] = bridged
-
-    def read(line: int, reader: int, pin: int) -> np.ndarray:
-        if line in bridge_lines:
-            return bridge_lines[line]
-        value = local.get(line)
-        if value is None:
-            value = ff[line]
-        if (
-            isinstance(fault, StuckAtFault)
-            and fault.pin is not None
-            and reader == fault.gate
-            and pin == fault.pin
-        ):
-            from repro.gatelevel.netlist import ALL_ONES
-
-            return np.full_like(value, ALL_ONES if fault.value else 0)
-        return value
-
-    forced_gate = (
-        fault.gate
-        if isinstance(fault, StuckAtFault) and fault.pin is None
-        else None
-    )
-    for index in dirty:
-        gate = netlist.gate(index)
-        if forced_gate == index:
-            from repro.gatelevel.netlist import ALL_ONES
-
-            local[index] = np.full(
-                hi - lo, ALL_ONES if fault.value else 0, dtype=np.uint64
-            )
-            continue
-        if gate.kind is GateType.INPUT:
-            local[index] = ff[index]
-            continue
-        local[index] = _evaluate_gate(
-            gate.kind,
-            [read(line, index, pin) for pin, line in enumerate(gate.fanins)],
-        )
-    difference = np.zeros(hi - lo, dtype=np.uint64)
-    for line in netlist.outputs:
-        if line in bridge_lines:
-            effective = bridge_lines[line]
-        else:
-            effective = local.get(line)
-            if effective is None:
-                continue
-        difference |= effective ^ ff[line]
-    return difference
 
 
 def detection_words(
@@ -131,22 +58,16 @@ def detection_words(
     if ff is None:
         ff = fault_free_values(netlist)
     result: dict[Fault, np.ndarray] = {}
-    closure_cache: dict[tuple[int, ...], list[int]] = {}
-    for fault in faults:
-        seeds = _seeds(netlist, fault)
-        dirty = closure_cache.get(seeds)
-        if dirty is None:
-            dirty = netlist.fanout_closure(seeds)
-            closure_cache[seeds] = dirty
+    for fault, dirty in _with_cones(netlist, faults):
         activation = _activation(ff, fault, netlist, 0, ff.shape[1])
         if pattern_mask is not None:
             activation = activation & pattern_mask
         if not np.any(activation):
             result[fault] = np.zeros(ff.shape[1], dtype=np.uint64)
             continue
-        words = _faulty_output_diff_words(netlist, ff, fault, dirty)
+        words = output_difference_words(netlist, ff, fault, dirty)
         if pattern_mask is not None:
-            words = words & pattern_mask
+            words &= pattern_mask
         result[fault] = words
     return result
 

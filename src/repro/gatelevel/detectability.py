@@ -9,12 +9,20 @@ that the <100% coverage rows are due to combinationally redundant faults.
 
 The check is pattern-parallel: the fault-free circuit is evaluated once over
 all ``2**n`` patterns (64 per machine word); each fault then re-evaluates
-only its fanout cone, chunk by chunk, stopping at the first difference.
+only its fanout cone (:func:`output_difference_words`), chunk by chunk,
+stopping at the first difference.  A scan test can only establish assigned
+state codes, so callers judge over :func:`assigned_pattern_mask`.
+
+This is the reference oracle.  Fault grading reads the same verdicts off
+the PPSFP behavioral tables it builds anyway
+(:meth:`repro.gatelevel.ppsfp.PpsfpSimulator.detectable_mask`) and runs
+this cone re-simulation only for universes simulated by the big-int engine
+(:func:`repro.gatelevel.dispatch.detectable_mask`).
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -30,8 +38,10 @@ from repro.gatelevel.netlist import (
 from repro.gatelevel.stuck_at import StuckAtFault
 
 __all__ = [
+    "assigned_pattern_mask",
     "detectable_faults",
     "fault_free_values",
+    "output_difference_words",
     "reachable_state_pattern_mask",
 ]
 
@@ -87,6 +97,19 @@ def _seeds(netlist: Netlist, fault: Fault) -> tuple[int, ...]:
     return tuple(sorted(set(fanouts[fault.line1]) | set(fanouts[fault.line2])))
 
 
+def _with_cones(
+    netlist: Netlist, faults: Iterable[Fault]
+) -> Iterator[tuple[Fault, list[int]]]:
+    """Each fault with its fanout cone (shared by faults with equal seeds)."""
+    closures: dict[tuple[int, ...], list[int]] = {}
+    for fault in faults:
+        seeds = _seeds(netlist, fault)
+        dirty = closures.get(seeds)
+        if dirty is None:
+            dirty = closures[seeds] = netlist.fanout_closure(seeds)
+        yield fault, dirty
+
+
 def _activation(ff: np.ndarray, fault: Fault, netlist: Netlist,
                 lo: int, hi: int) -> np.ndarray:
     """Word mask of patterns where the fault changes its site value."""
@@ -106,16 +129,26 @@ def _activation(ff: np.ndarray, fault: Fault, netlist: Netlist,
     return (first ^ bridged) | (second ^ bridged)
 
 
-def _fault_detected_in_chunk(
+def output_difference_words(
     netlist: Netlist,
     ff: np.ndarray,
     fault: Fault,
     dirty: Sequence[int],
-    lo: int,
-    hi: int,
-    mask: np.ndarray | None,
-) -> bool:
-    """Re-evaluate the fanout cone on one pattern chunk; any output diff?"""
+    lo: int = 0,
+    hi: int | None = None,
+) -> np.ndarray:
+    """Word mask of the patterns in words ``[lo, hi)`` where ``fault``
+    changes some output line.
+
+    ``dirty`` is the fault's fanout cone in topological order (see
+    :meth:`~repro.gatelevel.netlist.Netlist.fanout_closure`); only those
+    gates are re-evaluated, every other line is read from the fault-free
+    values ``ff``.  Output stuck-at forces the gate's value, pin stuck-at
+    forces the read of that one pin, and an AND/OR bridge replaces both
+    bridged lines by the wired function of their fault-free values.
+    """
+    if hi is None:
+        hi = ff.shape[1]
     local: dict[int, np.ndarray] = {}
     bridge_lines: dict[int, np.ndarray] = {}
     if isinstance(fault, BridgingFault):
@@ -161,6 +194,7 @@ def _fault_detected_in_chunk(
             read(line, index, pin) for pin, line in enumerate(gate.fanins)
         ]
         local[index] = _evaluate_gate(gate.kind, fanin_values)
+    difference = np.zeros(hi - lo, dtype=np.uint64)
     for line in netlist.outputs:
         if line in bridge_lines:
             effective = bridge_lines[line]
@@ -168,12 +202,8 @@ def _fault_detected_in_chunk(
             effective = local.get(line)
             if effective is None:
                 continue  # line untouched by the fault: cannot differ
-        difference = effective ^ ff[line, lo:hi]
-        if mask is not None:
-            difference = difference & mask[lo:hi]
-        if np.any(difference):
-            return True
-    return False
+        difference |= effective ^ ff[line, lo:hi]
+    return difference
 
 
 def detectable_faults(
@@ -187,9 +217,10 @@ def detectable_faults(
 
     ``chunk_words`` trades memory for early exit: most faults are proven
     detectable within the first chunk of 64*chunk_words patterns.
-    ``pattern_mask`` (see :func:`reachable_state_pattern_mask`) restricts
-    the judgement to the patterns a scan test can actually establish; pass
-    it for machines whose state count is not a power of two.
+    ``pattern_mask`` (see :func:`assigned_pattern_mask`) restricts the
+    judgement to the patterns a scan test can actually establish; without
+    it, patterns whose state code no state holds count too, which only
+    agrees when every code is assigned.
     """
     if chunk_words < 1:
         raise FaultSimulationError("chunk_words must be >= 1")
@@ -202,13 +233,7 @@ def detectable_faults(
         )
     detectable: set[Fault] = set()
     undetectable: set[Fault] = set()
-    closure_cache: dict[tuple[int, ...], list[int]] = {}
-    for fault in faults:
-        seeds = _seeds(netlist, fault)
-        dirty = closure_cache.get(seeds)
-        if dirty is None:
-            dirty = netlist.fanout_closure(seeds)
-            closure_cache[seeds] = dirty
+    for fault, dirty in _with_cones(netlist, faults):
         found = False
         for lo in range(0, n_words, chunk_words):
             hi = min(lo + chunk_words, n_words)
@@ -217,9 +242,10 @@ def detectable_faults(
                 activation = activation & pattern_mask[lo:hi]
             if not np.any(activation):
                 continue
-            if _fault_detected_in_chunk(
-                netlist, ff, fault, dirty, lo, hi, pattern_mask
-            ):
+            difference = output_difference_words(netlist, ff, fault, dirty, lo, hi)
+            if pattern_mask is not None:
+                difference &= pattern_mask[lo:hi]
+            if np.any(difference):
                 found = True
                 break
         (detectable if found else undetectable).add(fault)

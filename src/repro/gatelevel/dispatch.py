@@ -12,8 +12,13 @@ bit-identical masks — the dispatch decision only ever affects speed.
 
 The module exists so call sites (harness selections, the perf engine, the
 fuzz oracle) need neither import both engines nor re-implement the
-``auto`` heuristic; it imports only the two engines and the config, which
-keeps the package free of import cycles.
+``auto`` heuristic; it imports only the two engines, the detectability
+oracle and the config, which keeps the package free of import cycles.
+
+:func:`detectable_mask` answers the other question grading asks of a
+universe — which faults can any scan test detect — from whichever
+simulator was built: a PPSFP simulator reads it off its tables, a compiled
+one falls back to the cone-resimulation oracle.
 """
 
 from __future__ import annotations
@@ -23,12 +28,18 @@ from typing import Sequence, Union
 from repro.core.config import FaultSimConfig
 from repro.fsm.state_table import StateTable
 from repro.gatelevel.compiled import CompiledFaultSimulator
+from repro.gatelevel.detectability import assigned_pattern_mask, detectable_faults
 from repro.gatelevel.ppsfp import PpsfpSimulator
 from repro.gatelevel.scan import ScanCircuit
 from repro.gatelevel.stuck_at import StuckAtFault
 from repro.gatelevel.bridging import BridgingFault
 
-__all__ = ["make_fault_simulator", "FaultSimulator"]
+__all__ = [
+    "FaultSimulator",
+    "detectable_mask",
+    "make_fault_simulator",
+    "partition_by_mask",
+]
 
 Fault = Union[StuckAtFault, BridgingFault]
 FaultSimulator = Union[PpsfpSimulator, CompiledFaultSimulator]
@@ -68,3 +79,41 @@ def make_fault_simulator(
             return CompiledFaultSimulator(circuit, table, faults)
         return PpsfpSimulator(circuit, table, faults, config)
     return CompiledFaultSimulator(circuit, table, faults)
+
+
+def detectable_mask(simulator: FaultSimulator) -> int:
+    """Bit mask (over ``simulator.faults``) of the faults some scan test
+    detects, judged over the assigned state codes.
+
+    Chooses by the simulator actually built, never by re-running the
+    ``auto`` heuristic: a :class:`PpsfpSimulator` compares its tables with
+    the fault-free machine (no netlist evaluation); a
+    :class:`CompiledFaultSimulator` has no tables, so its universe goes
+    through the cone-resimulation oracle.  Both give the same verdicts.
+    """
+    if isinstance(simulator, PpsfpSimulator):
+        return simulator.detectable_mask()
+    circuit = simulator.circuit
+    detectable, _ = detectable_faults(
+        circuit.netlist,
+        simulator.faults,
+        pattern_mask=assigned_pattern_mask(
+            circuit.encoding, circuit.n_primary_inputs
+        ),
+    )
+    mask = 0
+    for bit, fault in enumerate(simulator.faults):
+        if fault in detectable:
+            mask |= 1 << bit
+    return mask
+
+
+def partition_by_mask(
+    faults: Sequence[Fault], mask: int
+) -> tuple[set[Fault], set[Fault]]:
+    """``(faults whose bit is set in mask, the rest)``."""
+    detectable: set[Fault] = set()
+    undetectable: set[Fault] = set()
+    for bit, fault in enumerate(faults):
+        (detectable if mask >> bit & 1 else undetectable).add(fault)
+    return detectable, undetectable

@@ -219,17 +219,12 @@ class Netlist:
         Includes the seeds themselves.
         """
         dirty = set(seeds)
-        fanouts = self.fanouts()
-        order: list[int] = []
-        for index in sorted(dirty):
-            order.append(index)
         # One forward sweep suffices because indices are topologically sorted.
         for gate in self._gates:
             if gate.index in dirty:
                 continue
             if any(fanin in dirty for fanin in gate.fanins):
                 dirty.add(gate.index)
-                order.append(gate.index)
         return sorted(dirty)
 
     def reaches(self, source: int, sink: int) -> bool:

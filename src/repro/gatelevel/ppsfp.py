@@ -20,7 +20,11 @@ steps all faulty machines simultaneously, compared against the fault-free
 reference from the functional state table — exactly the observation scheme
 of the big-int engines, so detection masks are bit-identical by
 construction (the test suite and the ``sim-ppsfp-vs-bigint`` fuzz oracle
-enforce this).
+enforce this).  The same tables say which faults any scan test can detect
+at all (:meth:`PpsfpSimulator.detectable_mask`): one vectorized comparison
+with the fault-free machine over the assigned state codes, checked against
+the cone-resimulation oracle by the ``detectability-ppsfp-vs-cone`` fuzz
+oracle.
 
 Injection mirrors :class:`repro.gatelevel.fault_sim._Batch` semantics with
 rows instead of bit masks:
@@ -69,6 +73,16 @@ Fault = StuckAtFault | BridgingFault
 SLAB_BYTES_BUDGET = 64 << 20
 
 
+#: Cells per fault-row block compared by :meth:`PpsfpSimulator.detectable_mask`,
+#: which bounds its temporaries.  Never affects results.
+DERIVE_BLOCK_CELLS = 1 << 20
+
+
+def _pack_mask(flags: np.ndarray) -> int:
+    """Python int whose bit ``i`` is ``flags[i]`` (the fault-bit order)."""
+    return int.from_bytes(np.packbits(flags, bitorder="little").tobytes(), "little")
+
+
 def _rows_array(rows: list[int]) -> np.ndarray:
     return np.asarray(rows, dtype=np.int64)
 
@@ -88,10 +102,10 @@ class PpsfpSimulator:
     """Scan-test fault simulation via exhaustive per-fault behavioral tables.
 
     Drop-in for :class:`repro.gatelevel.compiled.CompiledFaultSimulator`
-    (``detect_mask`` / ``detects`` / ``make_effective_simulator``), with two
-    extensions: an *empty* fault universe is allowed (every mask is 0), and
-    construction cost scales with ``faults x patterns`` instead of test
-    length.
+    (``detect_mask`` / ``detects`` / ``make_effective_simulator``), with
+    three extensions: an *empty* fault universe is allowed (every mask is
+    0), construction cost scales with ``faults x patterns`` instead of test
+    length, and :meth:`detectable_mask` reads detectability off the tables.
     """
 
     def __init__(
@@ -409,9 +423,7 @@ class PpsfpSimulator:
             if detected.all():
                 return self.ones
         detected |= codes != self._code_of[good_state]
-        return int.from_bytes(
-            np.packbits(detected, bitorder="little").tobytes(), "little"
-        )
+        return _pack_mask(detected)
 
     def detect_masks(self, tests: Sequence[ScanTest]) -> list[int]:
         """Detection masks for many tests in one vectorized stepping run.
@@ -419,9 +431,7 @@ class PpsfpSimulator:
         Equivalent to ``[self.detect_mask(t) for t in tests]`` but steps a
         ``(tests, faults)`` matrix per clock cycle, so per-call numpy
         overhead is paid once per *cycle* instead of once per (test, cycle).
-        Tests of different lengths are padded; padded cycles neither detect
-        nor advance state, and each test's final-state compare fires at its
-        own last cycle.
+        Each test's final-state compare fires at its own last cycle.
         """
         n_faults = len(self.faults)
         n_tests = len(tests)
@@ -440,31 +450,38 @@ class PpsfpSimulator:
         max_len = int(lengths[0])
         pi = self._pi
         step = self.table.step
-
-        # Fault-free trajectories (scalar; tiny next to the matrix work).
-        good_outs = np.zeros((max_len, n_tests), dtype=np.uint32)
+        # active[c] = how many tests run at cycle c (a prefix, by the sort).
+        active = np.searchsorted(-lengths, -(np.arange(max_len) + 1), "right")
+        # The per-cycle inputs and fault-free outputs are stored cycle-major
+        # and ragged: cycle c holds only its active[c] running tests, from
+        # starts[c] on, so memory tracks the sum of test lengths too.
+        starts = np.zeros(max_len + 1, dtype=np.int64)
+        np.cumsum(active, out=starts[1:])
+        combos = np.empty(int(starts[-1]), dtype=np.int64)
+        good_outs = np.empty(int(starts[-1]), dtype=np.uint32)
         final_codes = np.empty(n_tests, dtype=np.int64)
-        combos = np.zeros((max_len, n_tests), dtype=np.int64)
         codes = np.empty((n_tests, n_faults), dtype=np.int64)
         for t, position in enumerate(order):
             test = tests[position]
             state = test.initial_state
             codes[t] = self._code_of[state]
-            for c, combo in enumerate(test.inputs):
-                combos[c, t] = combo
+            outs = []
+            for combo in test.inputs:
                 state, out = step(state, combo)
-                good_outs[c, t] = out
+                outs.append(out)
+            cells = starts[: len(outs)] + t
+            combos[cells] = test.inputs
+            good_outs[cells] = outs
             final_codes[t] = self._code_of[state]
 
         detected = np.zeros((n_tests, n_faults), dtype=bool)
         base = self._rows_base[None, :]
         next_flat, out_flat = self._next_flat, self._out_flat
-        # active[c] = how many tests run at cycle c (a prefix, by the sort).
-        active = np.searchsorted(-lengths, -(np.arange(max_len) + 1), "right")
         for c in range(max_len):
             k = int(active[c])
-            index = base + (codes[:k] << pi) + combos[c, :k, None]
-            detected[:k] |= out_flat[index] != good_outs[c, :k, None]
+            lo = int(starts[c])
+            index = base + (codes[:k] << pi) + combos[lo : lo + k, None]
+            detected[:k] |= out_flat[index] != good_outs[lo : lo + k, None]
             codes[:k] = next_flat[index]
             k_next = int(active[c + 1]) if c + 1 < max_len else 0
             if k_next < k:  # tests ending this cycle: final-state compare
@@ -476,6 +493,36 @@ class PpsfpSimulator:
         for t, position in enumerate(order):
             masks[position] = int.from_bytes(packed[t].tobytes(), "little")
         return masks
+
+    def detectable_mask(self) -> int:
+        """Bit mask (over the fault universe) of the faults some scan test
+        detects.
+
+        Under full scan a test can load any assigned state code, apply any
+        input combination and observe the next state and the outputs, so a
+        fault is detectable exactly when its table differs from the
+        fault-free machine in some (assigned code, input) cell — the same
+        verdict as :func:`repro.gatelevel.detectability.detectable_faults`
+        under :func:`~repro.gatelevel.detectability.assigned_pattern_mask`.
+        The fault-free cells come from the state table, the reference every
+        detection mask is compared against.
+        """
+        n_faults = len(self.faults)
+        if n_faults == 0:
+            return 0
+        pi = self._pi
+        codes = self._code_of
+        columns = ((codes[:, None] << pi) | np.arange(1 << pi)).reshape(-1)
+        good_next = codes[np.asarray(self.table.next_state)].reshape(-1)
+        good_out = np.asarray(self.table.output).reshape(-1)
+        detectable = np.empty(n_faults, dtype=bool)
+        block = max(1, DERIVE_BLOCK_CELLS // columns.size)
+        for lo in range(0, n_faults, block):
+            hi = min(lo + block, n_faults)
+            differs = self._next[lo:hi, columns] != good_next
+            differs |= self._out[lo:hi, columns] != good_out
+            detectable[lo:hi] = differs.any(axis=1)
+        return _pack_mask(detectable)
 
     def detects(self, test: ScanTest) -> frozenset[Fault]:
         """The set of universe faults ``test`` detects."""

@@ -26,7 +26,11 @@ from repro.core.config import FaultSimConfig, GeneratorConfig
 from repro.core.generator import GenerationResult, generate_tests
 from repro.core.testset import baseline_clock_cycles
 from repro.gatelevel.bridging import BridgingFault, enumerate_bridging_faults
-from repro.gatelevel.dispatch import make_fault_simulator
+from repro.gatelevel.dispatch import (
+    FaultSimulator,
+    make_fault_simulator,
+    partition_by_mask,
+)
 from repro.gatelevel.scan import ScanCircuit
 from repro.gatelevel.stuck_at import StuckAtFault
 from repro.gatelevel.synthesis import SynthesisOptions
@@ -88,6 +92,7 @@ class CircuitStudy:
         self.name = name
         self.options = options or StudyOptions()
         self.spec = get_spec(name)
+        self._simulators: dict[str, FaultSimulator] = {}
 
     # ----------------------------------------------------------- functional
 
@@ -154,40 +159,79 @@ class CircuitStudy:
         """Representatives whose untestability has a verified certificate."""
         return frozenset(self.sca.untestable_representatives)
 
+    def _universe(self, model: str) -> list:
+        """The faults ``model`` simulates and judges.
+
+        Certificate-proved stuck-at representatives are left out: a
+        verified certificate already places them in the undetectable bin.
+        """
+        if model == "bridging":
+            return self.bridging_faults
+        proven = self.stuck_at_proven
+        return [f for f in self.stuck_at_faults if f not in proven]
+
+    def _simulator(self, model: str, *, release: bool = False) -> FaultSimulator:
+        """The fault simulator over ``model``'s universe.
+
+        Built once and shared by ``<model>_detectability`` and
+        ``<model>_selection``; selection, its last user, releases it, since
+        PPSFP tables can be large and studies live for the whole process.
+        """
+        simulator = self._simulators.pop(model, None)
+        if simulator is None:
+            simulator = make_fault_simulator(
+                self.scan_circuit, self.table, self._universe(model),
+                self.options.faultsim,
+                total_test_cycles=self.generation.total_length,
+            )
+        if not release:
+            self._simulators[model] = simulator
+        return simulator
+
+    def _detectability(self, model: str) -> tuple[set, set]:
+        """Detectable/undetectable split of ``model``'s universe: from the
+        artifact cache, else derived from the shared simulator."""
+        from repro.perf.artifacts import (
+            derive_detectability,
+            detectability_key,
+            lookup_detectability,
+            store_detectability,
+        )
+
+        faults = self._universe(model)
+        key = detectability_key(self.scan_circuit, faults)
+        split = lookup_detectability(key, circuit=self.name)
+        if split is None:
+            mask = derive_detectability(self._simulator(model), circuit=self.name)
+            split = partition_by_mask(faults, mask)
+            store_detectability(key, split)
+        return split
+
+    def _selection(
+        self, model: str, faults: list, undetectable: set
+    ) -> EffectiveSelection:
+        """Effective-test selection against ``model`` over ``faults``."""
+        with trace_span(
+            "faultsim.select", circuit=self.name, model=model,
+            n_faults=len(self._universe(model)),
+        ):
+            simulator = self._simulator(model, release=True)
+            return select_effective_tests(
+                self.generation.test_set,
+                simulator.make_effective_simulator(),
+                faults,
+                stop_when_exhausted=undetectable,
+            )
+
     @cached_property
     def stuck_at_detectability(self) -> tuple[set, set]:
-        from repro.perf.artifacts import cached_detectability
-
-        # Certificate-proved representatives skip the exhaustive oracle: a
-        # verified certificate already places them in the undetectable bin,
-        # so the merged partition equals grading the full list.
-        proven = self.stuck_at_proven
-        live = [f for f in self.stuck_at_faults if f not in proven]
-        detectable, undetectable = cached_detectability(
-            self.scan_circuit.netlist, live, circuit=self.name
-        )
-        return detectable, undetectable | set(proven)
+        detectable, undetectable = self._detectability("stuck_at")
+        return detectable, undetectable | set(self.stuck_at_proven)
 
     @cached_property
     def stuck_at_selection(self) -> EffectiveSelection:
         _, undetectable = self.stuck_at_detectability
-        live = [
-            f for f in self.stuck_at_faults if f not in self.stuck_at_proven
-        ]
-        with trace_span(
-            "faultsim.select", circuit=self.name, model="stuck_at",
-            n_faults=len(live),
-        ):
-            simulator = make_fault_simulator(
-                self.scan_circuit, self.table, live, self.options.faultsim,
-                total_test_cycles=self.generation.total_length,
-            )
-            return select_effective_tests(
-                self.generation.test_set,
-                simulator.make_effective_simulator(),
-                self.stuck_at_faults,
-                stop_when_exhausted=undetectable,
-            )
+        return self._selection("stuck_at", self.stuck_at_faults, undetectable)
 
     @property
     def stuck_at_split(self):
@@ -210,11 +254,7 @@ class CircuitStudy:
 
     @cached_property
     def bridging_detectability(self) -> tuple[set, set]:
-        from repro.perf.artifacts import cached_detectability
-
-        return cached_detectability(
-            self.scan_circuit.netlist, self.bridging_faults, circuit=self.name
-        )
+        return self._detectability("bridging")
 
     @cached_property
     def bridging_selection(self) -> EffectiveSelection:
@@ -223,21 +263,7 @@ class CircuitStudy:
             return select_effective_tests(
                 self.generation.test_set, lambda test, remaining: set(), ()
             )
-        with trace_span(
-            "faultsim.select", circuit=self.name, model="bridging",
-            n_faults=len(self.bridging_faults),
-        ):
-            simulator = make_fault_simulator(
-                self.scan_circuit, self.table, self.bridging_faults,
-                self.options.faultsim,
-                total_test_cycles=self.generation.total_length,
-            )
-            return select_effective_tests(
-                self.generation.test_set,
-                simulator.make_effective_simulator(),
-                self.bridging_faults,
-                stop_when_exhausted=undetectable,
-            )
+        return self._selection("bridging", self.bridging_faults, undetectable)
 
 
 _STUDIES: dict[tuple[str, StudyOptions], CircuitStudy] = {}

@@ -18,9 +18,10 @@ from __future__ import annotations
 from typing import Any
 
 from repro.perf.artifacts import (
-    cached_detectability,
     cached_scan_circuit,
     cached_uio_table,
+    lookup_detectability,
+    store_detectability,
 )
 from repro.perf.cache import (
     ARTIFACT_VERSIONS,
@@ -42,14 +43,15 @@ __all__ = [
     "active_cache",
     "artifact_key",
     "cache_enabled",
-    "cached_detectability",
     "cached_scan_circuit",
     "cached_uio_table",
     "compute_studies",
     "default_cache_dir",
+    "lookup_detectability",
     "run_bench",
     "set_active_cache",
     "stable_hash",
+    "store_detectability",
 ]
 
 _ENGINE_EXPORTS = {"StudyArtifacts", "compute_studies"}

@@ -62,7 +62,8 @@ class CacheError(ReproError):
 ARTIFACT_VERSIONS: dict[str, int] = {
     "uio": 1,
     "synthesis": 1,
-    "detectability": 1,
+    # 2: judged over the assigned state codes; the key adds the encoding.
+    "detectability": 2,
     # 2: stuck-at store forces are parenthesized before masking (inverting
     # gates mis-injected output stuck-at-0 under the old precedence).
     "simulator-source": 2,

@@ -3,9 +3,10 @@
 The engine decomposes the per-circuit pipeline into three phases:
 
 1. **Prepare** (one task per circuit): UIO table, functional test generation,
-   synthesis + verification, fault enumeration, and the exhaustive
-   detectability oracle.  The artifact cache serves UIO tables, synthesized
-   circuits, and detectability partitions across runs.
+   synthesis + verification, static analysis, fault enumeration, and a
+   cache lookup of each universe's detectability split.  The artifact cache
+   serves UIO tables, synthesized circuits, static analyses and
+   detectability splits across runs; nothing is derived here.
 2. **Simulate** (one task per fault chunk): every (circuit, fault model)
    universe is split into engine-aware chunks (one whole-universe chunk for
    PPSFP, adaptive big-int batches otherwise); each task builds the
@@ -13,9 +14,15 @@ The engine decomposes the per-circuit pipeline into three phases:
    per test.  Chunking is sound because detection of a fault never depends
    on which other faults share the batch — each bit/row is its own machine
    (see :mod:`repro.gatelevel.compiled`, :mod:`repro.gatelevel.ppsfp`).
-3. **Select** (main process): chunk masks are merged into per-test detected
-   sets, and :func:`~repro.core.compaction.select_effective_tests` replays
-   the paper's longest-first effective-test selection against them.
+   When the cache did not hold the universe's split, the task also returns
+   the chunk's detectable mask, read from the simulator it built
+   (:func:`repro.gatelevel.dispatch.detectable_mask`: a table comparison
+   for PPSFP, the cone oracle for big-int chunks); verdicts are as
+   chunk-independent as detections.
+3. **Select** (main process): missing splits are assembled from the chunk
+   masks and stored in the cache; chunk masks are merged into per-test
+   detected sets, and :func:`~repro.core.compaction.select_effective_tests`
+   replays the paper's longest-first effective-test selection against them.
 
 Parallel phases run on the **persistent worker pool**
 (:mod:`repro.perf.pool`): workers are forked once per process and reused
@@ -34,7 +41,7 @@ circuit order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable, Sequence
 
 from repro.benchmarks import load_circuit, load_kiss_machine
@@ -44,7 +51,7 @@ from repro.core.generator import GenerationResult, generate_tests
 from repro.core.testset import ScanTest
 from repro.fsm.state_table import StateTable
 from repro.gatelevel.bridging import enumerate_bridging_faults
-from repro.gatelevel.dispatch import make_fault_simulator
+from repro.gatelevel.dispatch import make_fault_simulator, partition_by_mask
 from repro.gatelevel.ppsfp import PpsfpSimulator
 from repro.gatelevel.scan import ScanCircuit
 from repro.harness.runtime import StageTimings, stopwatch
@@ -60,10 +67,13 @@ from repro.perf.artifacts import (
     STAGE_FAULT_SIM,
     STAGE_GENERATION,
     Fault,
-    cached_detectability,
     cached_scan_circuit,
     cached_sca,
     cached_uio_table,
+    derive_detectability,
+    detectability_key,
+    lookup_detectability,
+    store_detectability,
 )
 from repro.perf.cache import active_cache
 from repro.perf.pool import get_pool
@@ -186,6 +196,10 @@ def _selection_signature(selection: EffectiveSelection) -> dict[str, Any]:
 # ------------------------------------------------------------ phase 1: prep
 
 
+#: The two fault models every circuit is graded against, in grading order.
+MODELS = ("stuck_at", "bridging")
+
+
 @dataclass
 class _CircuitPrep:
     """Per-circuit result of phase 1 (picklable worker payload)."""
@@ -195,9 +209,7 @@ class _CircuitPrep:
     generation: GenerationResult
     scan_circuit: ScanCircuit | None
     stuck_at_faults: list[Fault] | None
-    stuck_at_detectability: tuple[set[Fault], set[Fault]] | None
     bridging_faults: list[Fault] | None
-    bridging_detectability: tuple[set[Fault], set[Fault]] | None
     #: tests in the exact order the effective-test selection simulates them
     tests: tuple[ScanTest, ...]
     timings: StageTimings
@@ -205,6 +217,14 @@ class _CircuitPrep:
     obs: ObsSnapshot | None = None
     #: stuck-at representatives with a verified untestability certificate
     stuck_at_proven: frozenset[Fault] = frozenset()
+    #: per fault model, the universe phase 2 simulates (certificate-proved
+    #: stuck-at faults left out), its detectability cache key, and its
+    #: cached detectability split (``None``: phase 2 derives it)
+    universes: dict[str, list[Fault]] = field(default_factory=dict)
+    detectability_keys: dict[str, str] = field(default_factory=dict)
+    cached_splits: dict[str, tuple[set[Fault], set[Fault]] | None] = field(
+        default_factory=dict
+    )
 
 
 def _prepare_task(snapshot: dict[str, Any], index: int) -> _CircuitPrep:
@@ -235,8 +255,7 @@ def _prepare_circuit_stages(
         # gate-level stages keeps serial and --jobs runs doing identical
         # work, which is what makes their ledger records jobs-invariant.
         return _CircuitPrep(
-            name, uio, generation, None, None, None, None, None,
-            tests, timings,
+            name, uio, generation, None, None, None, tests, timings
         )
     scan = cached_scan_circuit(
         load_kiss_machine(name), options.synthesis, table,
@@ -245,51 +264,61 @@ def _prepare_circuit_stages(
     sca = cached_sca(scan.netlist, circuit=name, timings=timings)
     stuck_at: list[Fault] = list(sca.universe.representatives)
     proven: frozenset[Fault] = frozenset(sca.untestable_representatives)
-    # Certificate-proved representatives skip the exhaustive oracle and the
-    # simulation chunks entirely: a verified certificate already places them
-    # in the undetectable bin, and equivalent faults share verdicts, so the
-    # merged partition is identical to grading the full representative list.
-    live = [fault for fault in stuck_at if fault not in proven]
-    detectable, undetectable = cached_detectability(
-        scan.netlist, live, circuit=name, timings=timings
-    )
-    stuck_at_detectability = (detectable, undetectable | set(proven))
+    # Certificate-proved representatives are neither simulated nor judged:
+    # a verified certificate already places them in the undetectable bin,
+    # and equivalent faults share verdicts, so the merged partition is
+    # identical to grading the full representative list.
     bridging: list[Fault] = list(
         enumerate_bridging_faults(
             scan.netlist, limit=options.bridging_pair_limit, seed=name
         )
     )
-    bridging_detectability = cached_detectability(
-        scan.netlist, bridging, circuit=name, timings=timings
-    )
-    return _CircuitPrep(
-        name,
-        uio,
-        generation,
-        scan,
-        stuck_at,
-        stuck_at_detectability,
-        bridging,
-        bridging_detectability,
-        tests,
-        timings,
+    prep = _CircuitPrep(
+        name, uio, generation, scan, stuck_at, bridging, tests, timings,
         stuck_at_proven=proven,
+        universes={
+            "stuck_at": [fault for fault in stuck_at if fault not in proven],
+            "bridging": bridging,
+        },
     )
+    # Only the cache is read here.  A split it does not hold is derived in
+    # phase 2 from the simulator that grades the universe anyway.
+    for model in MODELS:
+        key = detectability_key(scan, prep.universes[model])
+        prep.detectability_keys[model] = key
+        prep.cached_splits[model] = lookup_detectability(
+            key, circuit=name, timings=timings
+        )
+    return prep
 
 
 # -------------------------------------------------------- phase 2: simulate
 
 
-def _simulate_task(
-    snapshot: dict[str, Any], index: int
-) -> tuple[list[int], StageTimings, ObsSnapshot | None]:
+@dataclass
+class _ChunkResult:
+    """Phase-2 result of one fault chunk (picklable worker payload)."""
+
+    #: detection mask per test, over the chunk's fault-bit order
+    masks: list[int]
+    #: the chunk's detectable mask, when the task was asked to derive it
+    detectable: int | None
+    timings: StageTimings
+    obs: ObsSnapshot | None
+
+
+def _simulate_task(snapshot: dict[str, Any], index: int) -> _ChunkResult:
     """Detection mask per test for one fault chunk of one circuit.
 
     ``snapshot`` is the phase-primed artifact snapshot (see
     :func:`_run_phase`); ``index`` picks the chunk — the whole task message
-    is just that integer.
+    is just that integer.  When the chunk's universe had no cached
+    detectability split, the task also derives the chunk's detectable mask
+    from the simulator it built; each fault's verdict is independent of
+    the others in its chunk, so phase 3 assembles the universe's split from
+    the chunks.
     """
-    name, chunk = snapshot["chunks"][index]
+    name, chunk, derive = snapshot["chunks"][index]
     scan, table, tests = snapshot["circuits"][name]
     faultsim: FaultSimConfig = snapshot["faultsim"]
     timings = StageTimings()
@@ -297,6 +326,7 @@ def _simulate_task(
     hits = cache.hits if cache is not None else 0
     misses = cache.misses if cache is not None else 0
     total_cycles = sum(len(test.inputs) for test in tests)
+    detectable = None
     with trace_span(
         "sweep.chunk", circuit=name, n_faults=len(chunk), n_tests=len(tests)
     ):
@@ -307,11 +337,15 @@ def _simulate_task(
             masks = simulator.detect_masks(tests)
         timings.add(name, STAGE_FAULT_SIM, clock.elapsed_s)
         _report_chunk(chunk, masks, isinstance(simulator, PpsfpSimulator))
+        if derive:
+            detectable = derive_detectability(
+                simulator, circuit=name, timings=timings
+            )
     if cache is not None:
         # The only cache traffic here is the compiled simulator source.
         timings.cache_hits += cache.hits - hits
         timings.cache_misses += cache.misses - misses
-    return masks, timings, worker_snapshot()
+    return _ChunkResult(masks, detectable, timings, worker_snapshot())
 
 
 def _report_chunk(chunk: list[Fault], masks: list[int], ppsfp: bool) -> None:
@@ -374,7 +408,6 @@ def _select_from_masks(
     chunks: list[list[Fault]],
     chunk_masks: list[list[int]],
     undetectable: set[Fault],
-    use_stop: bool,
 ) -> EffectiveSelection:
     """Replay the serial effective-test selection from precomputed masks."""
     per_test: list[set[Fault]] = [set() for _ in prep.tests]
@@ -392,12 +425,26 @@ def _select_from_masks(
         # by_decreasing_length() order — the same order per_test follows.
         return next(iterator) & remaining
 
-    if use_stop:
-        return select_effective_tests(
-            prep.generation.test_set, simulate, faults,
-            stop_when_exhausted=undetectable,
+    return select_effective_tests(
+        prep.generation.test_set, simulate, faults,
+        stop_when_exhausted=undetectable,
+    )
+
+
+def _assemble_split(
+    chunks: list[list[Fault]], results: list[_ChunkResult]
+) -> tuple[set[Fault], set[Fault]]:
+    """A universe's detectability split from its chunks' detectable masks."""
+    detectable: set[Fault] = set()
+    undetectable: set[Fault] = set()
+    for chunk, result in zip(chunks, results):
+        assert result.detectable is not None, "chunk was not asked to derive"
+        chunk_detectable, chunk_undetectable = partition_by_mask(
+            chunk, result.detectable
         )
-    return select_effective_tests(prep.generation.test_set, simulate, faults)
+        detectable |= chunk_detectable
+        undetectable |= chunk_undetectable
+    return detectable, undetectable
 
 
 # ------------------------------------------------------------ the scheduler
@@ -495,7 +542,7 @@ def compute_studies(
         return artifacts_fn
 
     faultsim = options.faultsim
-    sim_chunks: list[tuple[str, list[Fault]]] = []
+    sim_chunks: list[tuple[str, list[Fault], bool]] = []
     sim_circuits: dict[str, tuple[ScanCircuit, StateTable, tuple[ScanTest, ...]]] = {}
     chunk_index: dict[tuple[str, str], list[int]] = {}
     chunk_lists: dict[tuple[str, str], list[list[Fault]]] = {}
@@ -505,20 +552,16 @@ def compute_studies(
         sim_circuits[prep.name] = (scan, table, prep.tests)
         pattern_bits = scan.n_state_variables + scan.n_primary_inputs
         total_cycles = sum(len(test.inputs) for test in prep.tests)
-        for model, faults in (
-            ("stuck_at", prep.stuck_at_faults or []),
-            ("bridging", prep.bridging_faults or []),
-        ):
-            if model == "stuck_at" and prep.stuck_at_proven:
-                # Certificate-proved faults are already in the undetectable
-                # bin; simulating them would only burn fault-sim cycles.
-                faults = [f for f in faults if f not in prep.stuck_at_proven]
-            chunks = _fault_chunks(faults, faultsim, pattern_bits, total_cycles)
+        for model in MODELS:
+            derive = prep.cached_splits[model] is None
+            chunks = _fault_chunks(
+                prep.universes[model], faultsim, pattern_bits, total_cycles
+            )
             chunk_lists[(prep.name, model)] = chunks
             positions: list[int] = []
             for chunk in chunks:
                 positions.append(len(sim_chunks))
-                sim_chunks.append((prep.name, chunk))
+                sim_chunks.append((prep.name, chunk, derive))
             chunk_index[(prep.name, model)] = positions
 
     with trace_span("sweep.simulate", chunks=len(sim_chunks), jobs=jobs):
@@ -527,48 +570,51 @@ def compute_studies(
             "chunks": sim_chunks,
             "faultsim": faultsim,
         }
-        sim_results: list[tuple[list[int], StageTimings, ObsSnapshot | None]] = (
-            _run_phase(
-                jobs, _simulate_task, simulate_snapshot, len(sim_chunks),
-                progress=progress_meter(
-                    "simulate", len(sim_chunks), circuits=names
-                ),
-            )
+        sim_results: list[_ChunkResult] = _run_phase(
+            jobs, _simulate_task, simulate_snapshot, len(sim_chunks),
+            progress=progress_meter("simulate", len(sim_chunks), circuits=names),
         )
         for result in sim_results:
-            absorb_snapshot(result[2])
+            absorb_snapshot(result.obs)
 
     artifacts: dict[str, StudyArtifacts] = {}
     with trace_span("sweep.select", circuits=len(names)):
         for prep in preps:
             if timings is not None:
                 timings.merge(prep.timings)
+            splits: dict[str, tuple[set[Fault], set[Fault]]] = {}
             selections: dict[str, EffectiveSelection] = {}
-            for model, faults, detectability in (
-                ("stuck_at", prep.stuck_at_faults or [],
-                 prep.stuck_at_detectability or (set(), set())),
-                ("bridging", prep.bridging_faults or [],
-                 prep.bridging_detectability or (set(), set())),
+            for model, faults in (
+                ("stuck_at", prep.stuck_at_faults or []),
+                ("bridging", prep.bridging_faults or []),
             ):
-                positions = chunk_index[(prep.name, model)]
-                chunk_masks = [sim_results[position][0] for position in positions]
+                chunks = chunk_lists[(prep.name, model)]
+                results = [
+                    sim_results[position]
+                    for position in chunk_index[(prep.name, model)]
+                ]
                 if timings is not None:
-                    for position in positions:
-                        timings.merge(sim_results[position][1])
+                    for result in results:
+                        timings.merge(result.timings)
+                split = prep.cached_splits[model]
+                if split is None:
+                    split = _assemble_split(chunks, results)
+                    store_detectability(prep.detectability_keys[model], split)
+                if model == "stuck_at":
+                    split = (split[0], split[1] | set(prep.stuck_at_proven))
+                splits[model] = split
                 if model == "bridging" and not faults:
                     # Mirror CircuitStudy: empty bridging universe selects nothing.
                     selections[model] = select_effective_tests(
                         prep.generation.test_set, lambda test, remaining: set(), ()
                     )
                     continue
-                _, undetectable = detectability
                 selections[model] = _select_from_masks(
                     prep,
                     faults,
-                    chunk_lists[(prep.name, model)],
-                    chunk_masks,
-                    set(undetectable),
-                    use_stop=True,
+                    chunks,
+                    [result.masks for result in results],
+                    split[1],
                 )
             artifacts[prep.name] = StudyArtifacts(
                 prep.name,
@@ -576,10 +622,10 @@ def compute_studies(
                 prep.generation,
                 prep.scan_circuit,
                 prep.stuck_at_faults,
-                prep.stuck_at_detectability,
+                splits["stuck_at"],
                 selections["stuck_at"],
                 prep.bridging_faults,
-                prep.bridging_detectability,
+                splits["bridging"],
                 selections["bridging"],
                 stuck_at_proven=prep.stuck_at_proven,
             )

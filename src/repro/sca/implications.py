@@ -21,8 +21,8 @@ against the netlist:
 Soundness notes
 ---------------
 Constants are proven over the full ``2**n`` pattern space, so they hold on
-any restricted pattern set (e.g. the reachable-state masks of
-:func:`repro.gatelevel.detectability.reachable_state_pattern_mask`).  The
+any restricted pattern set (e.g. the assigned-code masks of
+:func:`repro.gatelevel.detectability.assigned_pattern_mask`).  The
 blocking argument is inductive: a line outside the frontier computes its
 fault-free value on every pattern, hence a constant side input really is
 stuck at its controlling value even in the faulty circuit.  Both analyses

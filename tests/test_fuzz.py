@@ -199,6 +199,31 @@ class TestBrokenImplementationsAreCaught:
         with pytest.raises(OracleFailure, match="diverge"):
             get_oracle("sim-equivalence").run(case)
 
+    def test_detectability_catches_optimistic_derivation(self, monkeypatch):
+        case = small_case()
+        get_oracle("detectability-ppsfp-vs-cone").run(case)  # healthy first
+        monkeypatch.setattr(
+            oracles_mod, "detectable_mask", lambda simulator: simulator.ones
+        )
+        with pytest.raises(OracleFailure, match="disagrees"):
+            get_oracle("detectability-ppsfp-vs-cone").run(case)
+
+    def test_detectability_catches_a_lost_pattern_mask(self, monkeypatch):
+        # Three states on two state bits: code 3 is unassigned, and on this
+        # machine some faults are visible only through it.
+        spec = MachineSpec("dense", 3, 1, 1, 0)
+        case = FuzzCase(spec.label(), generate_machine(spec), spec=spec)
+        get_oracle("detectability-ppsfp-vs-cone").run(case)  # healthy first
+        real = oracles_mod.detectable_faults
+
+        def unmasked(netlist, faults, **kwargs):
+            kwargs.pop("pattern_mask", None)
+            return real(netlist, faults, **kwargs)
+
+        monkeypatch.setattr(oracles_mod, "detectable_faults", unmasked)
+        with pytest.raises(OracleFailure, match="disagrees"):
+            get_oracle("detectability-ppsfp-vs-cone").run(case)
+
     def test_scan_vs_nonscan_catches_blind_simulator(self, monkeypatch):
         case = small_case()
         get_oracle("scan-vs-nonscan").run(case)  # healthy first

@@ -2,21 +2,25 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import pickle
 
 import numpy as np
 import pytest
 
-from repro.benchmarks import load_circuit
+from repro.benchmarks import circuit_names, load_circuit
 from repro.core.config import (
     DEFAULT_BATCH_BITS_CAP,
     FaultSimConfig,
     adaptive_batch_bits,
 )
 from repro.errors import FaultSimulationError
+from repro.fsm.encoding import StateEncoding
 from repro.fsm.state_table import StateTable
 from repro.gatelevel import fault_sim
+from repro.gatelevel.detectability import assigned_pattern_mask, detectable_faults
+from repro.gatelevel.scan import ScanCircuit
 from repro.harness.experiments import CircuitStudy, StudyOptions, get_study, warm_studies
 from repro.harness.runtime import StageTimings
 from repro.perf.cache import (
@@ -28,6 +32,8 @@ from repro.perf.cache import (
     cache_enabled,
     stable_hash,
 )
+from repro.perf import engine as engine_module
+from repro.perf.artifacts import detectability_key
 from repro.perf.engine import _fault_chunks, compute_studies
 from repro.perf.pool import WorkerPool, get_pool, shutdown_pool
 from repro.uio.search import input_class_representatives
@@ -208,6 +214,86 @@ class TestParallelEngine:
         # Seeded cached_property: identical objects, no recomputation.
         assert study.stuck_at_selection is artifacts["lion"].stuck_at_selection
         assert study.generation is artifacts["lion"].generation
+
+
+# ------------------------------------------- detectability from simulators
+
+
+def _masked_cone_split(scan, faults):
+    mask = assigned_pattern_mask(scan.encoding, scan.n_primary_inputs)
+    return detectable_faults(scan.netlist, faults, pattern_mask=mask)
+
+
+class TestDetectabilityFromSimulators:
+    def test_bigint_engine_matches_auto(self):
+        """Forced big-int chunks take the cone fallback, chunk by chunk."""
+        names = ("lion", "bbtas")
+        auto = compute_studies(names, StudyOptions(), jobs=1)
+        bigint = compute_studies(
+            names, StudyOptions(faultsim=FaultSimConfig(engine="bigint")), jobs=1
+        )
+        assert _signatures(bigint) == _signatures(auto)
+        for name in names:
+            assert (
+                bigint[name].stuck_at_detectability
+                == auto[name].stuck_at_detectability
+            )
+            assert (
+                bigint[name].bridging_detectability
+                == auto[name].bridging_detectability
+            )
+
+    def test_splits_equal_the_masked_cone_oracle(self):
+        names = tuple(circuit_names("small")) + ("bbara",)
+        artifacts = compute_studies(names, StudyOptions(), jobs=1)
+        for name in names:
+            computed = artifacts[name]
+            study = CircuitStudy(name, StudyOptions())
+            scan = study.scan_circuit
+            stuck_at = _masked_cone_split(scan, computed.stuck_at_faults)
+            bridging = _masked_cone_split(scan, computed.bridging_faults)
+            assert computed.stuck_at_detectability == stuck_at, name
+            assert study.stuck_at_detectability == stuck_at, name
+            assert computed.bridging_detectability == bridging, name
+            assert study.bridging_detectability == bridging, name
+
+    def test_warm_run_reads_the_split_and_derives_nothing(
+        self, tmp_path, monkeypatch
+    ):
+        names = ("lion", "bbtas")
+        options = StudyOptions()
+        with cache_enabled(tmp_path):
+            cold = compute_studies(names, options, jobs=1)
+
+            def derive(*args, **kwargs):
+                raise AssertionError("a warm run derived detectability")
+
+            monkeypatch.setattr(engine_module, "derive_detectability", derive)
+            timings = StageTimings()
+            warm = compute_studies(names, options, jobs=1, timings=timings)
+        records = [r for r in timings.records if r.stage == "detectability"]
+        assert len(records) == 2 * len(names)  # one per fault model
+        assert all(r.cache == "hit" and r.seconds == 0.0 for r in records)
+        assert _signatures(warm) == _signatures(cold)
+        for name in names:
+            assert warm[name].stuck_at_detectability == cold[name].stuck_at_detectability
+            assert warm[name].bridging_detectability == cold[name].bridging_detectability
+
+    def test_key_covers_the_state_assignment(self, tmp_path):
+        scan = CircuitStudy("lion", StudyOptions()).scan_circuit
+        faults = CircuitStudy("lion", StudyOptions()).stuck_at_faults
+        encoding = scan.encoding
+        recoded = ScanCircuit(
+            dataclasses.replace(
+                scan.circuit,
+                encoding=StateEncoding(encoding.width, encoding.codes[::-1]),
+            ),
+            scan.name,
+        )
+        with cache_enabled(tmp_path):
+            key = detectability_key(scan, faults)
+            assert key and detectability_key(recoded, faults) != key
+        assert detectability_key(scan, faults) == ""  # no cache, no key
 
 
 # ------------------------------------------------------------------ bench

@@ -11,6 +11,7 @@ shape, or pattern width fails loudly.
 from __future__ import annotations
 
 import random
+import tracemalloc
 
 import pytest
 
@@ -24,8 +25,16 @@ from repro.core.generator import generate_tests
 from repro.core.testset import ScanTest
 from repro.errors import FaultSimulationError
 from repro.gatelevel.bridging import BridgeKind, BridgingFault, enumerate_bridging_faults
+from repro.fuzz import MachineSpec, generate_machine
+from repro.fuzz.generators import random_gate_faults
+from repro.gatelevel import ppsfp as ppsfp_module
 from repro.gatelevel.compiled import CompiledFaultSimulator
-from repro.gatelevel.dispatch import make_fault_simulator
+from repro.gatelevel.detectability import assigned_pattern_mask, detectable_faults
+from repro.gatelevel.dispatch import (
+    detectable_mask,
+    make_fault_simulator,
+    partition_by_mask,
+)
 from repro.gatelevel.ppsfp import PpsfpSimulator
 from repro.gatelevel.scan import ScanCircuit
 from repro.gatelevel.stuck_at import StuckAtFault, collapse_stuck_at
@@ -286,3 +295,85 @@ class TestPreflight:
         simulator = PpsfpSimulator(circuit, table, faults)
         assert list(simulator.faults) == faults
         assert simulator.ones == 0b111
+
+
+# ------------------------------------------- detectability from the tables
+
+
+def _masked_cone_split(circuit, faults):
+    mask = assigned_pattern_mask(circuit.encoding, circuit.n_primary_inputs)
+    return detectable_faults(circuit.netlist, faults, pattern_mask=mask)
+
+
+class TestDetectableMask:
+    @pytest.mark.parametrize("name", ["lion", "mc", "dk27", "shiftreg", "bbtas"])
+    def test_matches_masked_cone_oracle(self, name):
+        table, circuit = _synthesize(name)
+        faults = _mixed_universe(circuit, max_bridges=40)
+        simulator = PpsfpSimulator(circuit, table, faults)
+        derived = partition_by_mask(faults, detectable_mask(simulator))
+        assert derived == _masked_cone_split(circuit, faults)
+        assert derived[1]  # some faults are undetectable: not vacuous
+
+    def test_compiled_simulator_falls_back_to_the_cone_oracle(self):
+        table, circuit = _synthesize("lion")
+        faults = _mixed_universe(circuit)
+        ppsfp = PpsfpSimulator(circuit, table, faults)
+        compiled = CompiledFaultSimulator(circuit, table, faults)
+        assert detectable_mask(compiled) == detectable_mask(ppsfp)
+
+    def test_unassigned_codes_are_not_judged(self):
+        # Three states on two state bits: code 3 is unassigned, and on this
+        # machine some faults show only there.
+        table = generate_machine(MachineSpec("dense", 3, 1, 1, 0))
+        circuit = ScanCircuit.from_machine(table, SynthesisOptions(max_fanin=4))
+        assert circuit.n_state_variables == 2
+        faults = random_gate_faults(circuit, "unassigned")
+        masked = _masked_cone_split(circuit, faults)
+        unmasked = detectable_faults(circuit.netlist, faults)
+        assert masked != unmasked
+        simulator = PpsfpSimulator(circuit, table, faults)
+        assert partition_by_mask(faults, detectable_mask(simulator)) == masked
+
+    def test_empty_universe(self):
+        table, circuit = _synthesize("lion")
+        assert PpsfpSimulator(circuit, table, []).detectable_mask() == 0
+
+    def test_row_blocks_do_not_change_the_verdicts(self, monkeypatch):
+        table, circuit = _synthesize("bbtas")
+        faults = _mixed_universe(circuit, max_bridges=40)
+        simulator = PpsfpSimulator(circuit, table, faults)
+        whole = simulator.detectable_mask()
+        monkeypatch.setattr(ppsfp_module, "DERIVE_BLOCK_CELLS", 1)
+        assert simulator.detectable_mask() == whole
+
+
+# ------------------------------------------------ ragged batched stepping
+
+
+class TestDetectMasksMemory:
+    def test_one_long_test_and_many_short_ones(self):
+        """Memory tracks the sum of test lengths, not tests x longest."""
+        table, circuit = _synthesize("lion")
+        faults = _mixed_universe(circuit)
+        simulator = PpsfpSimulator(circuit, table, faults)
+        rng = random.Random("ragged")
+        combos = table.n_input_combinations
+        tests = []
+        for length in [6000] + [rng.randint(1, 3) for _ in range(1500)]:
+            initial = rng.randrange(table.n_states)
+            inputs = tuple(rng.randrange(combos) for _ in range(length))
+            tests.append(
+                ScanTest(initial, inputs, table.final_state(initial, inputs))
+            )
+        tracemalloc.start()
+        try:
+            masks = simulator.detect_masks(tests)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert masks == [simulator.detect_mask(test) for test in tests]
+        assert any(masks)
+        # Padding every test to the longest would hold 6000 x 1501 cells of
+        # inputs and outputs: over 100 MB.
+        assert peak < 16 << 20
