@@ -9,6 +9,7 @@ the script enforces the *proof discipline* the subsystem promises:
 * every reported constant net is backed by a derivation step concluding
   exactly that (no unproved constants — the CI analyze-smoke job fails
   otherwise);
+* every derivation step names a rule the certificate verifier replays;
 * every certificate names a known reason and is internally consistent;
 * the collapse block is arithmetically coherent (representatives <= faults,
   ratio = faults / representatives);
@@ -25,6 +26,7 @@ from pathlib import Path
 
 SCHEMA = "repro-fsatpg-sca/1"
 REASONS = {"unactivatable", "masked-pin", "unobservable"}
+RULES = {"const-gate", "controlling-fanin", "all-fanins-known"}
 REQUIRED = (
     "schema",
     "netlist",
@@ -77,6 +79,12 @@ def check_payload(payload: dict) -> list[str]:
         step.get("line"): step.get("value")
         for step in payload["constant_steps"]
     }
+    for index, step in enumerate(payload["constant_steps"]):
+        rule = step.get("rule")
+        if rule not in RULES:
+            problems.append(
+                f"constant step {index}: unknown derivation rule {rule!r}"
+            )
     for entry in payload["constants"]:
         line, value = entry.get("line"), entry.get("value")
         if value not in (0, 1):

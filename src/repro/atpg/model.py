@@ -28,7 +28,7 @@ from repro.atpg.values import (
     from_components,
 )
 from repro.errors import AtpgError
-from repro.gatelevel.netlist import GateType, Netlist
+from repro.gatelevel.netlist import CONTROLLING_VALUE, GateType, Netlist
 from repro.gatelevel.stuck_at import StuckAtFault
 
 __all__ = ["FaultedCircuit", "StateCodeConstraint", "input_closure"]
@@ -58,15 +58,6 @@ def input_closure(netlist: Netlist, line: int) -> tuple[int, ...]:
 _PAIRS_CONE = ((0, 0), (1, 1), (1, 0), (0, 1))
 #: Outside the cone both circuits agree, so only the diagonal is possible.
 _PAIRS_AGREE = ((0, 0), (1, 1))
-
-_FOLD_IDENTITY = {
-    GateType.AND: 1,
-    GateType.NAND: 1,
-    GateType.OR: 0,
-    GateType.NOR: 0,
-    GateType.XOR: 0,
-    GateType.XNOR: 0,
-}
 
 
 class FaultedCircuit:
@@ -192,38 +183,29 @@ class FaultedCircuit:
         fault = self.fault
         if kind is GateType.CONST0:
             pairs = {(0, 0)}
-        elif kind is GateType.CONST1:
-            pairs = {(1, 1)}
         elif kind is GateType.INPUT:
             raise AtpgError("input lines have no gate function")
         else:
             candidates = self._fanin_pairs(index, values)
-            if kind in (GateType.BUF, GateType.NOT):
-                pairs = set(candidates[0])
+            if kind is GateType.NOT:
+                pairs = {(1 - g, 1 - f) for g, f in candidates[0]}
             else:
-                identity = _FOLD_IDENTITY[kind]
+                # The non-controlling value is the fold's identity.
+                identity = 1 - CONTROLLING_VALUE[kind]
                 pairs = {(identity, identity)}
                 for pin_pairs in candidates:
-                    if kind in (GateType.AND, GateType.NAND):
+                    if kind is GateType.AND:
                         pairs = {
                             (ag & g, af & f)
                             for ag, af in pairs
                             for g, f in pin_pairs
                         }
-                    elif kind in (GateType.OR, GateType.NOR):
+                    else:
                         pairs = {
                             (ag | g, af | f)
                             for ag, af in pairs
                             for g, f in pin_pairs
                         }
-                    else:
-                        pairs = {
-                            (ag ^ g, af ^ f)
-                            for ag, af in pairs
-                            for g, f in pin_pairs
-                        }
-            if kind in (GateType.NOT, GateType.NAND, GateType.NOR, GateType.XNOR):
-                pairs = {(1 - g, 1 - f) for g, f in pairs}
         if fault.pin is None and index == fault.gate:
             return frozenset(
                 from_components(g, fault.value) for g, _ in pairs

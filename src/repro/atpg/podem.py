@@ -27,17 +27,9 @@ from repro.atpg.search import (
     SearchBudget,
     SearchOutcome,
 )
-from repro.atpg.values import (
-    CONTROLLING_INPUT,
-    GOOD,
-    INVERTING_KINDS,
-    UNKNOWN,
-    X3,
-    eval3,
-    is_deviation,
-)
+from repro.atpg.values import GOOD, UNKNOWN, X3, eval3, is_deviation
 from repro.errors import AtpgError
-from repro.gatelevel.netlist import GateType
+from repro.gatelevel.netlist import CONTROLLING_VALUE, GateType
 from repro.sca.scoap import ScoapMeasures
 
 __all__ = ["podem_search"]
@@ -174,18 +166,9 @@ class _Podem:
         unknown = [f for f in gate.fanins if values[f] == UNKNOWN]
         if not unknown:  # pragma: no cover - UNKNOWN output implies one
             return None
-        kind = gate.kind
-        control = CONTROLLING_INPUT.get(kind)
-        if control is not None:
-            value = 1 - control
-        else:
-            # XOR family: any side value sensitizes; aim for the cheaper.
-            cc0, cc1 = self.scoap.cc0, self.scoap.cc1
-            candidate = min(
-                unknown, key=lambda f: (min(cc0[f], cc1[f]), f)
-            )
-            value = 0 if cc0[candidate] <= cc1[candidate] else 1
-            return candidate, value
+        # Frontier gates are AND/OR (a NOT with a deviating input is known):
+        # sensitize by setting a side input to the non-controlling value.
+        value = 1 - CONTROLLING_VALUE[gate.kind]
         line = min(
             unknown,
             key=lambda f: (self.scoap.controllability(f, value), f),
@@ -202,45 +185,20 @@ class _Podem:
             kind = gate.kind
             if kind is GateType.INPUT:
                 return line, value
-            if kind in (GateType.BUF, GateType.NOT):
-                if kind is GateType.NOT:
-                    value = 1 - value
+            if kind is GateType.NOT:
+                value = 1 - value
                 line = gate.fanins[0]
                 continue
-            target = value
-            if kind in INVERTING_KINDS:
-                target = 1 - target
             unknown = [f for f in gate.fanins if values[f] == UNKNOWN]
             if not unknown:  # pragma: no cover - X lines have X fanins
                 raise AtpgError("backtrace stuck on a fully-known gate")
-            if kind in (GateType.AND, GateType.NAND):
-                if target == 1:
-                    # Every input must be 1: tackle the hardest first.
-                    line = max(unknown, key=lambda f: (cc1[f], -f))
-                    value = 1
-                else:
-                    line = min(unknown, key=lambda f: (cc0[f], f))
-                    value = 0
-            elif kind in (GateType.OR, GateType.NOR):
-                if target == 0:
-                    line = max(unknown, key=lambda f: (cc0[f], -f))
-                    value = 0
-                else:
-                    line = min(unknown, key=lambda f: (cc1[f], f))
-                    value = 1
-            else:  # XOR / XNOR
-                if len(unknown) == 1:
-                    parity = 0
-                    for f in gate.fanins:
-                        if values[f] != UNKNOWN:
-                            parity ^= GOOD[values[f]]
-                    line = unknown[0]
-                    value = target ^ parity
-                else:
-                    line = min(
-                        unknown, key=lambda f: (min(cc0[f], cc1[f]), f)
-                    )
-                    value = 0 if cc0[line] <= cc1[line] else 1
+            cost = cc1 if value else cc0
+            if value == CONTROLLING_VALUE[kind]:
+                # One controlling input suffices: take the easiest.
+                line = min(unknown, key=lambda f: (cost[f], f))
+            else:
+                # Every input must be non-controlling: tackle the hardest first.
+                line = max(unknown, key=lambda f: (cost[f], -f))
 
     # --------------------------------------------------------------- search
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 from typing import Sequence
 
 from repro.errors import AtpgError
-from repro.gatelevel.netlist import GateType
+from repro.gatelevel.netlist import CONTROLLING_VALUE, GateType
 
 __all__ = [
     "ZERO",
@@ -37,8 +37,6 @@ __all__ = [
     "invert5",
     "eval3",
     "eval5",
-    "CONTROLLING_INPUT",
-    "INVERTING_KINDS",
 ]
 
 #: Composite values.  ``ZERO``/``ONE`` double as plain bits on purpose so
@@ -58,20 +56,6 @@ X3 = 2
 #: ``FAULTY[D] == 0`` and so on; ``UNKNOWN`` projects to :data:`X3`.
 GOOD = (0, 1, X3, 1, 0)
 FAULTY = (0, 1, X3, 0, 1)
-
-#: Controlling input value per gate kind (a single input at this value
-#: fixes the output).  XOR-family gates have none.
-CONTROLLING_INPUT = {
-    GateType.AND: 0,
-    GateType.NAND: 0,
-    GateType.OR: 1,
-    GateType.NOR: 1,
-}
-
-#: Kinds whose output inverts the underlying AND/OR/XOR fold.
-INVERTING_KINDS = frozenset(
-    {GateType.NOT, GateType.NAND, GateType.NOR, GateType.XNOR}
-)
 
 
 def from_components(good: int, faulty: int) -> int:
@@ -118,40 +102,16 @@ def eval3(kind: GateType, values: Sequence[int]) -> int:
     """
     if kind is GateType.CONST0:
         return 0
-    if kind is GateType.CONST1:
-        return 1
-    if kind is GateType.BUF:
-        return values[0]
     if kind is GateType.NOT:
         return _not3(values[0])
-    if kind in (GateType.AND, GateType.NAND):
-        acc = 1
-        for v in values:
-            if v == 0:
-                acc = 0
-                break
-            if v == X3:
-                acc = X3
-    elif kind in (GateType.OR, GateType.NOR):
-        acc = 0
-        for v in values:
-            if v == 1:
-                acc = 1
-                break
-            if v == X3:
-                acc = X3
-    elif kind in (GateType.XOR, GateType.XNOR):
-        acc = 0
-        for v in values:
-            if v == X3:
-                acc = X3
-                break
-            acc ^= v
-    else:  # pragma: no cover - INPUT is handled by the callers
+    control = CONTROLLING_VALUE.get(kind)
+    if control is None:  # pragma: no cover - INPUT is handled by the callers
         raise AtpgError(f"cannot evaluate gate of kind {kind}")
-    if acc != X3 and kind in INVERTING_KINDS:
-        acc = 1 - acc
-    return acc
+    if control in values:
+        return control
+    if X3 in values:
+        return X3
+    return 1 - control
 
 
 def eval5(kind: GateType, values: Sequence[int]) -> int:

@@ -55,8 +55,7 @@ def adaptive_batch_bits(
     ``engine="ppsfp"`` sizes pattern blocks instead: ``n_faults`` is read
     as a *pattern* count and the result is rounded up to a multiple of 64
     (one uint64 lane holds 64 patterns), balanced the same way above the
-    cap.  The two axes are configured independently — see
-    :class:`FaultSimConfig`.
+    cap.
     """
     if engine not in ("bigint", "ppsfp"):
         raise FaultSimulationError(f"unknown fault-sim engine {engine!r}")
@@ -84,7 +83,7 @@ def adaptive_batch_bits(
 
 @dataclass(frozen=True)
 class FaultSimConfig:
-    """Knobs of the bit-parallel fault simulators.
+    """Engine choice of the bit-parallel fault simulators.
 
     ``engine`` selects the packing axis: ``"bigint"`` packs *faults* as
     bits of one arbitrary-precision word and walks the test cycle by cycle;
@@ -92,18 +91,11 @@ class FaultSimConfig:
     complete behavioral table in one exhaustive sweep, and replays tests as
     table lookups.  ``"auto"`` (the default) picks per universe from the
     pattern-space size and fault count (:meth:`select_engine`) — the choice
-    only ever affects speed, never results.
-
-    ``max_batch_bits`` caps faults per big-int word (bigint axis);
-    ``ppsfp_pattern_block`` caps patterns per sweep block (ppsfp axis,
-    multiples of 64).  The two caps are independent knobs of independent
-    engines.
+    only ever affects speed, never results.  Batch and block widths follow
+    :func:`adaptive_batch_bits`.
     """
 
     engine: str = "auto"
-    max_batch_bits: int = DEFAULT_BATCH_BITS_CAP
-    ppsfp_pattern_block: int = DEFAULT_PPSFP_PATTERN_BLOCK
-    ppsfp_cell_budget: int = DEFAULT_PPSFP_CELL_BUDGET
 
     def __post_init__(self) -> None:
         if self.engine not in FAULT_SIM_ENGINES:
@@ -111,26 +103,6 @@ class FaultSimConfig:
                 f"unknown fault-sim engine {self.engine!r}; "
                 f"expected one of {', '.join(FAULT_SIM_ENGINES)}"
             )
-        if self.max_batch_bits < 1:
-            raise FaultSimulationError("max_batch_bits must be >= 1")
-        if self.ppsfp_pattern_block < 64:
-            raise FaultSimulationError("ppsfp_pattern_block must be >= 64")
-        if self.ppsfp_pattern_block % 64:
-            raise FaultSimulationError(
-                "ppsfp_pattern_block must be a multiple of 64"
-            )
-        if self.ppsfp_cell_budget < 1:
-            raise FaultSimulationError("ppsfp_cell_budget must be >= 1")
-
-    def resolved_batch_bits(self, n_faults: int) -> int:
-        """The effective big-int batch width for ``n_faults`` faults."""
-        return adaptive_batch_bits(n_faults, self.max_batch_bits)
-
-    def resolved_pattern_block(self, n_patterns: int) -> int:
-        """The effective PPSFP pattern-block width for ``n_patterns``."""
-        return adaptive_batch_bits(
-            n_patterns, self.ppsfp_pattern_block, engine="ppsfp"
-        )
 
     def select_engine(
         self,
@@ -152,7 +124,7 @@ class FaultSimConfig:
         if n_faults == 0:
             return "ppsfp"
         n_patterns = 1 << n_pattern_bits
-        if n_faults * n_patterns > self.ppsfp_cell_budget:
+        if n_faults * n_patterns > DEFAULT_PPSFP_CELL_BUDGET:
             return "bigint"
         if total_test_cycles is not None:
             pattern_words = max(1, n_patterns // 64)

@@ -24,11 +24,7 @@ from repro.gatelevel.synthesis import SynthesisOptions, synthesize
 from repro.gatelevel.scan import ScanCircuit
 from repro.gatelevel.stuck_at import StuckAtFault, collapse_stuck_at, enumerate_stuck_at
 from repro.gatelevel.bridging import BridgingFault, BridgeKind, enumerate_bridging_faults
-from repro.gatelevel.detectability import (
-    assigned_pattern_mask,
-    detectable_faults,
-    reachable_state_pattern_mask,
-)
+from repro.gatelevel.detectability import assigned_pattern_mask, detectable_faults
 from repro.gatelevel.fault_sim import FaultSimResult, simulate_tests
 from repro.gatelevel.compiled import CompiledFaultSimulator
 from repro.gatelevel.delay import (
@@ -54,7 +50,6 @@ __all__ = [
     "enumerate_bridging_faults",
     "assigned_pattern_mask",
     "detectable_faults",
-    "reachable_state_pattern_mask",
     "FaultSimResult",
     "simulate_tests",
     "CompiledFaultSimulator",

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.errors import FaultSimulationError
-from repro.gatelevel.netlist import GateType, Netlist
+from repro.gatelevel.netlist import CONTROLLING_VALUE, Netlist
 
 __all__ = ["BridgeKind", "BridgingFault", "enumerate_bridging_faults"]
 
@@ -54,18 +54,10 @@ class BridgingFault:
 def _candidate_lines(netlist: Netlist) -> list[int]:
     """Outputs of multi-input gates that feed at least one gate."""
     fanouts = netlist.fanouts()
-    multi_input = (
-        GateType.AND,
-        GateType.NAND,
-        GateType.OR,
-        GateType.NOR,
-        GateType.XOR,
-        GateType.XNOR,
-    )
     return [
         gate.index
         for gate in netlist.gates
-        if gate.kind in multi_input
+        if gate.kind in CONTROLLING_VALUE
         and gate.n_fanins >= 2
         and fanouts[gate.index]
     ]

@@ -88,24 +88,14 @@ class CompiledFaultSimulator:
         return expression
 
     def _gate_expr(self, gate, masked_not: str) -> str:
-        kind = gate.kind
         reads = [
             self._read_expr(line, gate.index, pin)
             for pin, line in enumerate(gate.fanins)
         ]
-        if kind is GateType.BUF:
-            return reads[0]
-        if kind is GateType.NOT:
+        if gate.kind is GateType.NOT:
             return f"({reads[0]}) ^ {masked_not}"
-        if kind in (GateType.AND, GateType.NAND):
-            body = " & ".join(reads)
-        elif kind in (GateType.OR, GateType.NOR):
-            body = " | ".join(reads)
-        else:
-            body = " ^ ".join(reads)
-        if kind in (GateType.NAND, GateType.NOR, GateType.XNOR):
-            return f"({body}) ^ {masked_not}"
-        return f"({body})"
+        operator = " & " if gate.kind is GateType.AND else " | "
+        return f"({operator.join(reads)})"
 
     def _compile(self):
         """Compiled ``(_eff, _raw)`` functions, with source-level caching.
@@ -161,16 +151,13 @@ class CompiledFaultSimulator:
                 elif gate.kind is GateType.CONST0:
                     lines.append(f"    v{gate.index} = 0")
                     continue
-                elif gate.kind is GateType.CONST1:
-                    lines.append(f"    v{gate.index} = {ones}")
-                    continue
                 else:
                     expression = self._gate_expr(gate, str(ones))
                 forced = store.get(gate.index)
                 if forced:
                     so, sz = forced
-                    # Parenthesize the whole expression first: inverting
-                    # gates generate a trailing `^ mask`, and `&` binds
+                    # Parenthesize the whole expression first: NOT gates
+                    # generate a trailing `^ mask`, and `&` binds
                     # tighter than `^`, so an unwrapped `... ^ m & z` would
                     # mask the literal instead of the gate value.
                     if so:
@@ -186,13 +173,6 @@ class CompiledFaultSimulator:
                     )
                 lines.append(f"    v{gate.index} = {expression}")
             return lines
-
-        # Inputs that are also bridged lines would need forcing on v<input>;
-        # candidate bridge lines are multi-input gate outputs, so inputs
-        # never appear in `bridges` — asserted here for safety.
-        for line in self._bridge_lines:
-            if netlist.gate(line).kind is GateType.INPUT:  # pragma: no cover
-                raise FaultSimulationError("bridged primary input unsupported")
 
         returns = ", ".join(f"v{line}" for line in netlist.outputs)
         source = ["def _eff(a, r):"]

@@ -64,7 +64,7 @@ def enumerate_transition_delay_faults(netlist: Netlist) -> list[TransitionDelayF
     """Both delay faults on every non-constant line."""
     faults: list[TransitionDelayFault] = []
     for gate in netlist.gates:
-        if gate.kind in (GateType.CONST0, GateType.CONST1):
+        if gate.kind is GateType.CONST0:
             continue
         faults.append(TransitionDelayFault(gate.index, True))
         faults.append(TransitionDelayFault(gate.index, False))

@@ -42,7 +42,6 @@ __all__ = [
     "detectable_faults",
     "fault_free_values",
     "output_difference_words",
-    "reachable_state_pattern_mask",
 ]
 
 Fault = StuckAtFault | BridgingFault
@@ -53,32 +52,13 @@ def fault_free_values(netlist: Netlist) -> np.ndarray:
     return netlist.evaluate(exhaustive_pattern_words(netlist.n_inputs))
 
 
-def reachable_state_pattern_mask(
-    n_state_variables: int, n_primary_inputs: int, n_states: int
-) -> np.ndarray:
-    """Word mask selecting patterns whose state code is a real state.
-
-    The combinational pattern space is ``2**(sv + pi)`` with the state code
-    in the high bits.  For machines with fewer than ``2**sv`` states, scan
-    tests can only establish codes ``0 .. n_states-1``, so detectability
-    must be judged over those patterns only.  (The paper's benchmarks are
-    completed to ``2**sv`` states, where this mask selects everything.)
-    Assumes the natural encoding; see :func:`assigned_pattern_mask` for
-    arbitrary state assignments.
-    """
-    from repro.gatelevel.netlist import pack_bits
-
-    total = 1 << (n_state_variables + n_primary_inputs)
-    pattern_state = np.arange(total) >> n_primary_inputs
-    return pack_bits(pattern_state < n_states)
-
-
 def assigned_pattern_mask(encoding, n_primary_inputs: int) -> np.ndarray:
     """Word mask of patterns whose state code is assigned by ``encoding``.
 
-    Encoding-aware generalization of :func:`reachable_state_pattern_mask`
-    (a :class:`~repro.fsm.encoding.StateEncoding` may place its codes
-    anywhere in the ``2**width`` space, e.g. Gray assignments).
+    The combinational pattern space is ``2**(width + pi)`` with the state
+    code in the high bits; a scan test can only establish assigned codes,
+    which a :class:`~repro.fsm.encoding.StateEncoding` may place anywhere
+    in the ``2**width`` space (e.g. Gray assignments).
     """
     from repro.gatelevel.netlist import pack_bits
 

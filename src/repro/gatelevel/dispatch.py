@@ -71,13 +71,13 @@ def make_fault_simulator(
         total_test_cycles,
     )
     if not faults:
-        return PpsfpSimulator(circuit, table, faults, config)
+        return PpsfpSimulator(circuit, table, faults)
     if engine == "ppsfp":
         if config.engine == "auto" and circuit.n_primary_outputs > 32:
             # PPSFP tables hold output combos in uint32 cells; auto never
             # picks an engine that would refuse the circuit.
             return CompiledFaultSimulator(circuit, table, faults)
-        return PpsfpSimulator(circuit, table, faults, config)
+        return PpsfpSimulator(circuit, table, faults)
     return CompiledFaultSimulator(circuit, table, faults)
 
 

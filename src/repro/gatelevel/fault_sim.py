@@ -2,8 +2,8 @@
 
 Each bit position of a Python integer word is one faulty machine — and
 Python integers are arbitrary precision, so a "word" holds an entire batch
-(:data:`DEFAULT_BATCH_BITS` faults) and the bitwise operations run at C
-speed over all of them at once.  A scan
+(up to :data:`repro.core.config.DEFAULT_BATCH_BITS_CAP` faults) and the
+bitwise operations run at C speed over all of them at once.  A scan
 test is simulated clock by clock: the scan-in broadcasts the same initial
 state to every faulty machine, the combinational block is evaluated with the
 batch's fault effects injected, primary outputs are compared against the
@@ -32,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
-from repro.core.config import DEFAULT_BATCH_BITS_CAP, adaptive_batch_bits
+from repro.core.config import adaptive_batch_bits
 from repro.core.testset import ScanTest, TestSet
 from repro.errors import FaultSimulationError
 from repro.fsm.state_table import StateTable
@@ -46,17 +46,17 @@ __all__ = [
     "FaultSimResult",
     "simulate_tests",
     "detects",
+    "injection_sites",
     "make_simulator",
     "adaptive_batch_bits",
-    "DEFAULT_BATCH_BITS",
 ]
 
 Fault = StuckAtFault | BridgingFault
 
-#: Back-compat alias: the *cap* on faults packed per batch word.  The
-#: effective width now adapts to the universe size — see
-#: :func:`repro.core.config.adaptive_batch_bits`.
-DEFAULT_BATCH_BITS = DEFAULT_BATCH_BITS_CAP
+#: Fault indices injected at one stuck-at site: ``(stuck at 1, stuck at 0)``.
+StuckSplit = tuple[list[int], list[int]]
+#: Bridges touching one line: ``(fault index, partner line, is AND-type)``.
+BridgeRules = list[tuple[int, int, bool]]
 
 
 @dataclass
@@ -79,8 +79,56 @@ class FaultSimResult:
         return 100.0 * len(self.detected) / self.n_faults
 
 
+def injection_sites(
+    netlist: Netlist, faults: Sequence[Fault]
+) -> tuple[
+    dict[int, StuckSplit], dict[tuple[int, int], StuckSplit], dict[int, BridgeRules]
+]:
+    """Where each fault is injected, as ascending indices into ``faults``.
+
+    Returns ``(store, pins, bridges)``:
+
+    * ``store[line]`` — output stuck-at faults on ``line``, as
+      ``(indices stuck at 1, indices stuck at 0)``;
+    * ``pins[(gate, pin)]`` — pin stuck-at faults, split the same way;
+    * ``bridges[line]`` — ``(index, partner line, is AND-type)`` for every
+      bridge touching ``line`` (each bridge is listed under both lines).
+
+    Every engine folds these into its own representation: bit masks for
+    the big-int engines, row arrays for PPSFP.  Bridged lines must be gate
+    outputs; a bridged primary input is rejected here, once for all.
+    """
+    store: dict[int, StuckSplit] = {}
+    pins: dict[tuple[int, int], StuckSplit] = {}
+    bridges: dict[int, BridgeRules] = {}
+    for index, fault in enumerate(faults):
+        if isinstance(fault, StuckAtFault):
+            if fault.pin is None:
+                ones, zeros = store.setdefault(fault.gate, ([], []))
+            else:
+                ones, zeros = pins.setdefault((fault.gate, fault.pin), ([], []))
+            (ones if fault.value else zeros).append(index)
+            continue
+        for line in (fault.line1, fault.line2):
+            if netlist.gate(line).kind is GateType.INPUT:
+                raise FaultSimulationError(
+                    f"bridged primary input unsupported: {fault.site()}"
+                )
+        is_and = fault.kind is BridgeKind.AND
+        bridges.setdefault(fault.line1, []).append((index, fault.line2, is_and))
+        bridges.setdefault(fault.line2, []).append((index, fault.line1, is_and))
+    return store, pins, bridges
+
+
+def _bit_mask(indices: Iterable[int]) -> int:
+    mask = 0
+    for index in indices:
+        mask |= 1 << index
+    return mask
+
+
 class _Batch:
-    """A group of faults packed into one big-int word, with injection tables."""
+    """A group of faults packed into one big-int word, with injection masks."""
 
     def __init__(self, netlist: Netlist, faults: Sequence[Fault]) -> None:
         if not faults:
@@ -88,38 +136,22 @@ class _Batch:
         self.faults = list(faults)
         #: the all-ones word of this batch's width
         self.ones = (1 << len(self.faults)) - 1
-        # line -> (force_mask_1, force_mask_0) for stuck outputs
-        self.store_force: dict[int, tuple[int, int]] = {}
-        # (gate, pin) -> (force_mask_1, force_mask_0)
-        self.pin_force: dict[tuple[int, int], tuple[int, int]] = {}
-        # line -> list of (mask, partner_line, is_and)
-        self.bridges: dict[int, list[tuple[int, int, bool]]] = {}
-        for bit, fault in enumerate(self.faults):
-            mask = 1 << bit
-            if isinstance(fault, StuckAtFault):
-                if fault.pin is None:
-                    ones, zeros = self.store_force.get(fault.gate, (0, 0))
-                    if fault.value:
-                        ones |= mask
-                    else:
-                        zeros |= mask
-                    self.store_force[fault.gate] = (ones, zeros)
-                else:
-                    key = (fault.gate, fault.pin)
-                    ones, zeros = self.pin_force.get(key, (0, 0))
-                    if fault.value:
-                        ones |= mask
-                    else:
-                        zeros |= mask
-                    self.pin_force[key] = (ones, zeros)
-            else:
-                is_and = fault.kind is BridgeKind.AND
-                self.bridges.setdefault(fault.line1, []).append(
-                    (mask, fault.line2, is_and)
-                )
-                self.bridges.setdefault(fault.line2, []).append(
-                    (mask, fault.line1, is_and)
-                )
+        store, pins, bridges = injection_sites(netlist, self.faults)
+        #: line -> (force_mask_1, force_mask_0) for stuck outputs
+        self.store_force = {
+            line: (_bit_mask(ones), _bit_mask(zeros))
+            for line, (ones, zeros) in store.items()
+        }
+        #: (gate, pin) -> (force_mask_1, force_mask_0)
+        self.pin_force = {
+            key: (_bit_mask(ones), _bit_mask(zeros))
+            for key, (ones, zeros) in pins.items()
+        }
+        #: line -> list of (mask, partner_line, is_and)
+        self.bridges = {
+            line: [(1 << index, partner, is_and) for index, partner, is_and in rules]
+            for line, rules in bridges.items()
+        }
 
 
 def _forward(
@@ -166,32 +198,16 @@ def _forward(
             position += 1
         elif kind is GateType.CONST0:
             value = 0
-        elif kind is GateType.CONST1:
+        elif kind is GateType.NOT:
+            value = ~read(gate.fanins[0], gate.index, 0) & word
+        elif kind is GateType.AND:
             value = word
-        else:
-            fanins = gate.fanins
-            if kind is GateType.BUF:
-                value = read(fanins[0], gate.index, 0)
-            elif kind is GateType.NOT:
-                value = ~read(fanins[0], gate.index, 0) & word
-            elif kind in (GateType.AND, GateType.NAND):
-                value = word
-                for pin, line in enumerate(fanins):
-                    value &= read(line, gate.index, pin)
-                if kind is GateType.NAND:
-                    value = ~value & word
-            elif kind in (GateType.OR, GateType.NOR):
-                value = 0
-                for pin, line in enumerate(fanins):
-                    value |= read(line, gate.index, pin)
-                if kind is GateType.NOR:
-                    value = ~value & word
-            else:  # XOR / XNOR
-                value = 0
-                for pin, line in enumerate(fanins):
-                    value ^= read(line, gate.index, pin)
-                if kind is GateType.XNOR:
-                    value = ~value & word
+            for pin, line in enumerate(gate.fanins):
+                value &= read(line, gate.index, pin)
+        else:  # OR
+            value = 0
+            for pin, line in enumerate(gate.fanins):
+                value |= read(line, gate.index, pin)
         forced = store_force.get(gate.index)
         if forced:
             ones, zeros = forced
@@ -274,15 +290,13 @@ def detects(
     table: StateTable,
     test: ScanTest,
     faults: Iterable[Fault],
-    batch_bits: int | None = None,
 ) -> set[Fault]:
     """The subset of ``faults`` that ``test`` detects.
 
-    ``batch_bits=None`` (the default) sizes batches adaptively from the
-    fault count, capped at :data:`DEFAULT_BATCH_BITS`.
+    Batches are sized adaptively from the fault count
+    (:func:`repro.core.config.adaptive_batch_bits`); batch boundaries never
+    change the result.
     """
-    if batch_bits is not None and batch_bits < 1:
-        raise FaultSimulationError("batch_bits must be >= 1")
     # Structural preflight, memoized per netlist: combinational cycles,
     # undriven nets, and arity violations would silently corrupt the
     # forward sweep below, so they are rejected up front.
@@ -290,8 +304,7 @@ def detects(
 
     preflight_netlist(circuit.netlist, FaultSimulationError)
     fault_list = list(faults)
-    if batch_bits is None:
-        batch_bits = adaptive_batch_bits(len(fault_list))
+    batch_bits = adaptive_batch_bits(len(fault_list))
     found: set[Fault] = set()
     # Per-batch detection counts stay in a plain local list; the metrics
     # registry is consulted once per detects() call, after the hot loop.

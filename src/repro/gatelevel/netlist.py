@@ -26,6 +26,7 @@ Words = npt.NDArray[np.uint64]
 
 __all__ = [
     "GateType",
+    "CONTROLLING_VALUE",
     "Gate",
     "Netlist",
     "Words",
@@ -40,39 +41,30 @@ ALL_ONES = np.uint64(0xFFFF_FFFF_FFFF_FFFF)
 
 
 class GateType(enum.Enum):
-    """Supported gate functions."""
+    """Gate functions: exactly the kinds synthesis emits."""
 
     INPUT = "input"
     CONST0 = "const0"
-    CONST1 = "const1"
-    BUF = "buf"
     NOT = "not"
     AND = "and"
-    NAND = "nand"
     OR = "or"
-    NOR = "nor"
-    XOR = "xor"
-    XNOR = "xnor"
 
+
+#: Controlling input value of each multi-input kind: a single fanin at this
+#: value forces the output to that same value.  No multi-input kind inverts,
+#: so NOT is the only inverter in the library.
+CONTROLLING_VALUE: dict[GateType, int] = {GateType.AND: 0, GateType.OR: 1}
 
 _MIN_FANIN = {
     GateType.INPUT: 0,
     GateType.CONST0: 0,
-    GateType.CONST1: 0,
-    GateType.BUF: 1,
     GateType.NOT: 1,
     GateType.AND: 2,
-    GateType.NAND: 2,
     GateType.OR: 2,
-    GateType.NOR: 2,
-    GateType.XOR: 2,
-    GateType.XNOR: 2,
 }
 _MAX_FANIN = {
     GateType.INPUT: 0,
     GateType.CONST0: 0,
-    GateType.CONST1: 0,
-    GateType.BUF: 1,
     GateType.NOT: 1,
 }
 
@@ -95,26 +87,17 @@ def _evaluate_gate(kind: GateType, fanin_values: Sequence[Words]) -> Words:
     """Word-parallel value of one gate from its fanin values."""
     if kind is GateType.CONST0:
         return np.zeros(1, dtype=np.uint64)
-    if kind is GateType.CONST1:
-        return np.full(1, ALL_ONES, dtype=np.uint64)
-    if kind in (GateType.BUF,):
-        return fanin_values[0].copy()
     if kind is GateType.NOT:
         return ~fanin_values[0]
     acc = fanin_values[0].copy()
-    if kind in (GateType.AND, GateType.NAND):
+    if kind is GateType.AND:
         for value in fanin_values[1:]:
             acc &= value
-    elif kind in (GateType.OR, GateType.NOR):
+    elif kind is GateType.OR:
         for value in fanin_values[1:]:
             acc |= value
-    elif kind in (GateType.XOR, GateType.XNOR):
-        for value in fanin_values[1:]:
-            acc ^= value
     else:  # pragma: no cover - INPUT handled by the caller
         raise NetlistError(f"cannot evaluate gate of kind {kind}")
-    if kind in (GateType.NAND, GateType.NOR, GateType.XNOR):
-        acc = ~acc
     return acc
 
 

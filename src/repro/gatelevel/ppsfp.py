@@ -39,11 +39,11 @@ rows instead of bit masks:
   exact because a bridged line is never downstream of its own bridge
   (paper condition 3).
 
-The sweep is blocked along both axes: the pattern axis in
-``FaultSimConfig.ppsfp_pattern_block``-sized lanes (multiples of 64) and
-the fault axis in slabs sized to a fixed working-set budget.  Blocking
-never changes results — patterns are independent, and each fault row is
-its own machine.
+The sweep is blocked along both axes: the pattern axis in blocks of at
+most :data:`repro.core.config.DEFAULT_PPSFP_PATTERN_BLOCK` patterns
+(multiples of 64) and the fault axis in slabs sized to a fixed working-set
+budget.  Blocking never changes results — patterns are independent, and
+each fault row is its own machine.
 """
 
 from __future__ import annotations
@@ -52,20 +52,17 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from repro.core.config import FaultSimConfig
+from repro.core.config import adaptive_batch_bits
 from repro.core.testset import ScanTest
 from repro.errors import FaultSimulationError
 from repro.fsm.state_table import StateTable
-from repro.gatelevel.bridging import BridgeKind, BridgingFault
+from repro.gatelevel.fault_sim import Fault, StuckSplit, injection_sites
 from repro.gatelevel.netlist import ALL_ONES, GateType, exhaustive_pattern_words
 from repro.gatelevel.scan import ScanCircuit
-from repro.gatelevel.stuck_at import StuckAtFault
 from repro.obs.metrics import current_registry
 from repro.obs.trace import span as trace_span
 
 __all__ = ["PpsfpSimulator", "SLAB_BYTES_BUDGET"]
-
-Fault = StuckAtFault | BridgingFault
 
 #: Working-set budget (bytes) for one table-build slab: the transient
 #: ``(n_gates, slab_rows, block_words)`` value array must fit here, which
@@ -83,14 +80,10 @@ def _pack_mask(flags: np.ndarray) -> int:
     return int.from_bytes(np.packbits(flags, bitorder="little").tobytes(), "little")
 
 
-def _rows_array(rows: list[int]) -> np.ndarray:
-    return np.asarray(rows, dtype=np.int64)
-
-
 def _local_rows(rows: np.ndarray, lo: int, hi: int) -> np.ndarray:
     """Slab-local indices of the global fault rows falling in ``[lo, hi)``.
 
-    ``rows`` is sorted (injection tables are built in row order), so two
+    ``rows`` is sorted (injection sites list ascending fault indices), so two
     binary searches slice it — this runs once per (injection site, slab).
     """
     start = int(np.searchsorted(rows, lo))
@@ -113,7 +106,6 @@ class PpsfpSimulator:
         circuit: ScanCircuit,
         table: StateTable,
         faults: Sequence[Fault],
-        config: FaultSimConfig | None = None,
     ) -> None:
         from repro.lint.preflight import preflight_netlist
 
@@ -122,7 +114,6 @@ class PpsfpSimulator:
         self.table = table
         self.faults = list(faults)
         self.ones = (1 << len(self.faults)) - 1
-        self.config = config or FaultSimConfig()
         sv = circuit.n_state_variables
         pi = circuit.n_primary_inputs
         po = circuit.n_primary_outputs
@@ -160,36 +151,17 @@ class PpsfpSimulator:
 
     def _build_injection_tables(self) -> None:
         """Row-indexed injection tables (the `_Batch` masks, per row)."""
-        store: dict[int, tuple[list[int], list[int]]] = {}
-        pins: dict[tuple[int, int], tuple[list[int], list[int]]] = {}
-        bridges: dict[int, list[tuple[int, int, bool]]] = {}
-        for row, fault in enumerate(self.faults):
-            if isinstance(fault, StuckAtFault):
-                if fault.pin is None:
-                    ones, zeros = store.setdefault(fault.gate, ([], []))
-                else:
-                    ones, zeros = pins.setdefault((fault.gate, fault.pin), ([], []))
-                (ones if fault.value else zeros).append(row)
-            else:
-                is_and = fault.kind is BridgeKind.AND
-                bridges.setdefault(fault.line1, []).append(
-                    (row, fault.line2, is_and)
-                )
-                bridges.setdefault(fault.line2, []).append(
-                    (row, fault.line1, is_and)
-                )
-        netlist = self.circuit.netlist
-        for line in bridges:
-            if netlist.gate(line).kind is GateType.INPUT:  # pragma: no cover
-                raise FaultSimulationError("bridged primary input unsupported")
-        self._store_rows = {
-            line: (_rows_array(ones), _rows_array(zeros))
-            for line, (ones, zeros) in store.items()
-        }
-        self._pin_rows = {
-            key: (_rows_array(ones), _rows_array(zeros))
-            for key, (ones, zeros) in pins.items()
-        }
+        store, pins, bridges = injection_sites(self.circuit.netlist, self.faults)
+
+        def rows(split: StuckSplit) -> tuple[np.ndarray, np.ndarray]:
+            ones, zeros = split
+            return (
+                np.asarray(ones, dtype=np.int64),
+                np.asarray(zeros, dtype=np.int64),
+            )
+
+        self._store_rows = {line: rows(split) for line, split in store.items()}
+        self._pin_rows = {key: rows(split) for key, split in pins.items()}
         self._bridge_rules = bridges
 
     # ---------------------------------------------------------- table build
@@ -210,7 +182,7 @@ class PpsfpSimulator:
         input_pos = {line: k for k, line in enumerate(netlist.inputs)}
         pattern_words = exhaustive_pattern_words(self._sv + self._pi)
         n_words = pattern_words[0].shape[0] if pattern_words else 1
-        block_patterns = self.config.resolved_pattern_block(n_patterns)
+        block_patterns = adaptive_batch_bits(n_patterns, engine="ppsfp")
         block_words = max(1, min(n_words, block_patterns // 64))
         per_row_bytes = netlist.n_gates * block_words * 8
         slab_rows = max(1, min(n_faults, SLAB_BYTES_BUDGET // max(1, per_row_bytes)))
@@ -321,29 +293,18 @@ class PpsfpSimulator:
                 out[:] = pattern_words[input_pos[index]][word_lo:word_hi]
             elif kind is GateType.CONST0:
                 out[:] = 0
-            elif kind is GateType.CONST1:
-                out[:] = ALL_ONES
             else:
                 # All ufuncs write straight into the buffer row; a fanin is
                 # never its own gate (the netlist is a DAG), so no aliasing.
                 fanins = gate.fanins
                 first = read(fanins[0], index, 0)
-                if kind is GateType.BUF:
-                    np.copyto(out, first)
-                elif kind is GateType.NOT:
+                if kind is GateType.NOT:
                     np.invert(first, out=out)
                 else:
-                    if kind in (GateType.AND, GateType.NAND):
-                        op = np.bitwise_and
-                    elif kind in (GateType.OR, GateType.NOR):
-                        op = np.bitwise_or
-                    else:  # XOR / XNOR
-                        op = np.bitwise_xor
+                    op = np.bitwise_and if kind is GateType.AND else np.bitwise_or
                     op(first, read(fanins[1], index, 1), out=out)
                     for pin in range(2, len(fanins)):
                         op(out, read(fanins[pin], index, pin), out=out)
-                    if kind in (GateType.NAND, GateType.NOR, GateType.XNOR):
-                        np.invert(out, out=out)
             forced = store_local.get(index)
             if forced is not None:
                 ones, zeros = forced

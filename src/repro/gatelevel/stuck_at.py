@@ -10,8 +10,9 @@ differ from the stem fault when the driving line fans out to several gates.
 * a pin fault on a line with fanout 1 is equivalent to the driver's output
   fault of the same polarity;
 * a controlling-value pin fault is equivalent to the gate's output fault at
-  the controlled value (AND: in-0 ≡ out-0; NAND: in-0 ≡ out-1; OR: in-1 ≡
-  out-1; NOR: in-1 ≡ out-0; NOT/BUF: both polarities map through).
+  the same value (AND: in-0 ≡ out-0; OR: in-1 ≡ out-1);
+* a NOT gate's output faults are equivalent to the inverted output faults
+  of its driver when the driver has fanout 1.
 
 Collapsing changes only which representative is simulated, never coverage.
 """
@@ -21,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.errors import FaultSimulationError
-from repro.gatelevel.netlist import GateType, Netlist
+from repro.gatelevel.netlist import CONTROLLING_VALUE, GateType, Netlist
 
 __all__ = ["StuckAtFault", "enumerate_stuck_at", "collapse_stuck_at"]
 
@@ -68,7 +69,7 @@ def enumerate_stuck_at(netlist: Netlist, include_pins: bool = True) -> list[Stuc
     """
     faults: list[StuckAtFault] = []
     for gate in netlist.gates:
-        if gate.kind in (GateType.CONST0, GateType.CONST1):
+        if gate.kind is GateType.CONST0:
             continue  # constants have no observable stuck-at of their value
         for value in (0, 1):
             faults.append(StuckAtFault(gate.index, None, value))
@@ -77,15 +78,6 @@ def enumerate_stuck_at(netlist: Netlist, include_pins: bool = True) -> list[Stuc
                 for value in (0, 1):
                     faults.append(StuckAtFault(gate.index, pin, value))
     return faults
-
-
-# Controlling input value and the output value it forces, per gate kind.
-_CONTROLLING: dict[GateType, tuple[int, int]] = {
-    GateType.AND: (0, 0),
-    GateType.NAND: (0, 1),
-    GateType.OR: (1, 1),
-    GateType.NOR: (1, 0),
-}
 
 
 class _UnionFind:
@@ -125,21 +117,19 @@ def collapse_stuck_at(
     fanouts = netlist.fanouts()
     for gate in netlist.gates:
         # Controlling-value pin faults fold into the output fault.
-        rule = _CONTROLLING.get(gate.kind)
-        if rule is not None:
-            control, forced = rule
+        control = CONTROLLING_VALUE.get(gate.kind)
+        if control is not None:
+            out_fault = StuckAtFault(gate.index, None, control)
             for pin in range(gate.n_fanins):
                 pin_fault = StuckAtFault(gate.index, pin, control)
-                out_fault = StuckAtFault(gate.index, None, forced)
                 if pin_fault in universe and out_fault in universe:
                     uf.union(pin_fault, out_fault)
-        elif gate.kind in (GateType.BUF, GateType.NOT):
-            invert = gate.kind is GateType.NOT
+        elif gate.kind is GateType.NOT:
             for value in (0, 1):
                 # The single pin is the driver line itself when fanout is 1.
                 driver = gate.fanins[0]
                 driver_fault = StuckAtFault(driver, None, value)
-                out_fault = StuckAtFault(gate.index, None, value ^ invert)
+                out_fault = StuckAtFault(gate.index, None, value ^ 1)
                 if (
                     len(fanouts[driver]) == 1
                     and driver_fault in universe

@@ -174,15 +174,11 @@ def synthesize(
     def product_term(literals: list[tuple[int, bool]], name: str) -> int:
         key = tuple(literals)
         if key not in term_cache:
+            # Never empty: every term lists all (at least one) state bits.
             lines = [literal(line, positive) for line, positive in literals]
-            if not lines:
-                term_cache[key] = netlist.add_gate(GateType.BUF, (
-                    netlist.add_gate(GateType.CONST1, ()),
-                ))
-            else:
-                term_cache[key] = _tree(
-                    netlist, GateType.AND, lines, options.max_fanin, name
-                )
+            term_cache[key] = _tree(
+                netlist, GateType.AND, lines, options.max_fanin, name
+            )
         return term_cache[key]
 
     next_terms: list[list[int]] = [[] for _ in range(sv)]

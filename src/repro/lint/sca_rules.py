@@ -98,13 +98,13 @@ class ConstantNetRule(Rule):
         def findings() -> Iterator[Diagnostic]:
             for line, value in sorted(sca.constants.as_dict().items()):
                 kind = gates[line].kind
-                if kind in (GateType.CONST0, GateType.CONST1):
-                    continue  # constant generators are constant on purpose
+                if kind is GateType.CONST0:
+                    continue  # the constant generator is constant on purpose
                 yield self.diagnostic(
                     f"gate {context.gate_label(line)} is provably stuck at "
                     f"{value} on every input pattern",
                     location=f"gate {line}",
-                    hint=f"replace the gate with a CONST{value} generator "
+                    hint="replace the gate with a constant "
                     "or fix the logic that pins it",
                     artifact=context.name,
                 )

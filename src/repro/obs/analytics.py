@@ -889,7 +889,10 @@ def resolve_record(
     Selectors, tried in order:
 
     * ``last`` / ``prev`` — the newest / second-newest record;
-    * ``@N`` or a bare integer — ledger position (negative from the end);
+    * ``@N`` — ledger position (negative from the end);
+    * a bare integer — ledger position too, but only when in range: an
+      out-of-range one falls through to the prefix match, since an
+      all-digit hex prefix reads as an integer;
     * otherwise a hex prefix matched against record ids, then git SHAs,
       then args hashes — the *newest* matching record wins, so
       ``diff <old-sha> <new-sha>`` compares each revision's latest run.
@@ -898,21 +901,21 @@ def resolve_record(
         raise ValueError("the ledger is empty")
     text = selector.strip()
     alias = {"last": -1, "prev": -2}.get(text.lower())
-    if alias is not None:
-        text = str(alias)
-    body = text[1:] if text.startswith("@") else text
+    positional = alias is not None or text.startswith("@")
+    body = str(alias) if alias is not None else text.removeprefix("@")
     try:
         index = int(body)
     except ValueError:
         index = None
     if index is not None:
         position = index if index >= 0 else len(records) + index
-        if not 0 <= position < len(records):
+        if 0 <= position < len(records):
+            return position, dict(records[position])
+        if positional:
             raise ValueError(
                 f"index {selector!r} out of range for "
                 f"{len(records)} record(s)"
             )
-        return position, dict(records[position])
     for field in ("id", "git_sha", "args_hash"):
         for position in range(len(records) - 1, -1, -1):
             record = records[position]

@@ -46,7 +46,7 @@ from typing import TYPE_CHECKING, Any, Callable, Sequence
 
 from repro.benchmarks import load_circuit, load_kiss_machine
 from repro.core.compaction import EffectiveSelection, select_effective_tests
-from repro.core.config import FaultSimConfig
+from repro.core.config import FaultSimConfig, adaptive_batch_bits
 from repro.core.generator import GenerationResult, generate_tests
 from repro.core.testset import ScanTest
 from repro.fsm.state_table import StateTable
@@ -395,7 +395,7 @@ def _fault_chunks(
     engine = faultsim.select_engine(n, n_pattern_bits, total_test_cycles)
     if engine == "ppsfp":
         return [faults]
-    size = faultsim.resolved_batch_bits(n)
+    size = adaptive_batch_bits(n)
     return [faults[start : start + size] for start in range(0, n, size)]
 
 

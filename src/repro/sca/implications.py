@@ -36,7 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.errors import CertificateError
-from repro.gatelevel.netlist import Gate, GateType, Netlist
+from repro.gatelevel.netlist import CONTROLLING_VALUE, Gate, GateType, Netlist
 
 __all__ = [
     "ConstantAnalysis",
@@ -48,27 +48,13 @@ __all__ = [
     "verify_observability_blocks",
 ]
 
-#: Controlling input value per gate kind (a single input at this value
-#: forces the output regardless of every other input).
-_CONTROLLING_VALUE: dict[GateType, int] = {
-    GateType.AND: 0,
-    GateType.NAND: 0,
-    GateType.OR: 1,
-    GateType.NOR: 1,
-}
-
-#: Output value forced when a controlling input is present.
-_CONTROLLED_OUTPUT: dict[GateType, int] = {
-    GateType.AND: 0,
-    GateType.NAND: 1,
-    GateType.OR: 1,
-    GateType.NOR: 0,
-}
-
-
 def controlling_value(kind: GateType) -> int | None:
-    """The controlling input value of ``kind``, or ``None`` if it has none."""
-    return _CONTROLLING_VALUE.get(kind)
+    """The controlling input value of ``kind``, or ``None`` if it has none.
+
+    A controlling fanin forces the output to that same value (see
+    :data:`~repro.gatelevel.netlist.CONTROLLING_VALUE`).
+    """
+    return CONTROLLING_VALUE.get(kind)
 
 
 @dataclass(frozen=True)
@@ -79,17 +65,13 @@ class DerivationStep:
     justify the conclusion ``line = value`` under ``rule``:
 
     ``const-gate``
-        ``line`` is a CONST0/CONST1 generator; no premises.
+        ``line`` is the CONST0 generator; no premises.
     ``controlling-fanin``
         the single premise holds the gate's controlling value, forcing the
-        output.
+        output to that value.
     ``all-fanins-known``
         every fanin value is derived; the gate function evaluates to
         ``value``.
-    ``xor-identity``
-        XOR/XNOR whose unknown fanins cancel pairwise (``x ^ x = 0``); the
-        premises are the fanins with derived values, whose parity fixes the
-        output.
     """
 
     line: int
@@ -130,20 +112,11 @@ class ConstantAnalysis:
 
 def _evaluate_known(kind: GateType, bits: list[int]) -> int:
     """Gate function on fully known 0/1 fanin values."""
-    if kind is GateType.BUF:
-        return bits[0]
     if kind is GateType.NOT:
         return bits[0] ^ 1
-    if kind in (GateType.AND, GateType.NAND):
-        value = int(all(bits))
-        return value if kind is GateType.AND else value ^ 1
-    if kind in (GateType.OR, GateType.NOR):
-        value = int(any(bits))
-        return value if kind is GateType.OR else value ^ 1
-    parity = 0
-    for bit in bits:
-        parity ^= bit
-    return parity if kind is GateType.XOR else parity ^ 1
+    if kind is GateType.AND:
+        return int(all(bits))
+    return int(any(bits))
 
 
 def _derive_gate(
@@ -153,19 +126,14 @@ def _derive_gate(
     kind = gate.kind
     if kind is GateType.CONST0:
         return DerivationStep(gate.index, 0, "const-gate")
-    if kind is GateType.CONST1:
-        return DerivationStep(gate.index, 1, "const-gate")
     if kind is GateType.INPUT or not gate.fanins:
         return None
-    control = _CONTROLLING_VALUE.get(kind)
+    control = CONTROLLING_VALUE.get(kind)
     if control is not None:
         for fanin in gate.fanins:
             if values[fanin] == control:
                 return DerivationStep(
-                    gate.index,
-                    _CONTROLLED_OUTPUT[kind],
-                    "controlling-fanin",
-                    (fanin,),
+                    gate.index, control, "controlling-fanin", (fanin,)
                 )
     known = [values[fanin] for fanin in gate.fanins]
     if all(bit is not None for bit in known):
@@ -175,23 +143,6 @@ def _derive_gate(
             "all-fanins-known",
             tuple(gate.fanins),
         )
-    if kind in (GateType.XOR, GateType.XNOR):
-        parity = 0
-        premises: list[int] = []
-        unknown_counts: dict[int, int] = {}
-        for fanin in gate.fanins:
-            bit = values[fanin]
-            if bit is None:
-                unknown_counts[fanin] = unknown_counts.get(fanin, 0) + 1
-            else:
-                parity ^= bit
-                premises.append(fanin)
-        if all(count % 2 == 0 for count in unknown_counts.values()):
-            if kind is GateType.XNOR:
-                parity ^= 1
-            return DerivationStep(
-                gate.index, parity, "xor-identity", tuple(premises)
-            )
     return None
 
 
@@ -245,8 +196,6 @@ def _replay_step(
     if step.rule == "const-gate":
         if kind is GateType.CONST0:
             return 0
-        if kind is GateType.CONST1:
-            return 1
         raise CertificateError(
             f"line {step.line} is {kind.value}, not a constant generator"
         )
@@ -255,7 +204,7 @@ def _replay_step(
             raise CertificateError(
                 f"line {step.line}: premise is not a fanin of the gate"
             )
-        control = _CONTROLLING_VALUE.get(kind)
+        control = CONTROLLING_VALUE.get(kind)
         if control is None:
             raise CertificateError(
                 f"line {step.line}: {kind.value} has no controlling value"
@@ -265,9 +214,9 @@ def _replay_step(
                 f"line {step.line}: premise {step.premises[0]} is not a "
                 f"verified constant {control}"
             )
-        return _CONTROLLED_OUTPUT[kind]
+        return control
     if step.rule == "all-fanins-known":
-        if kind in (GateType.INPUT, GateType.CONST0, GateType.CONST1):
+        if kind in (GateType.INPUT, GateType.CONST0):
             raise CertificateError(
                 f"line {step.line}: {kind.value} has no fanins to evaluate"
             )
@@ -279,23 +228,6 @@ def _replay_step(
                 )
             bits.append(verified[fanin])
         return _evaluate_known(kind, bits)
-    if step.rule == "xor-identity":
-        if kind not in (GateType.XOR, GateType.XNOR):
-            raise CertificateError(
-                f"line {step.line}: xor-identity on a {kind.value} gate"
-            )
-        parity = 0
-        unknown_counts: dict[int, int] = {}
-        for fanin in gate.fanins:
-            if fanin in verified:
-                parity ^= verified[fanin]
-            else:
-                unknown_counts[fanin] = unknown_counts.get(fanin, 0) + 1
-        if any(count % 2 for count in unknown_counts.values()):
-            raise CertificateError(
-                f"line {step.line}: unknown fanins do not cancel pairwise"
-            )
-        return parity if kind is GateType.XOR else parity ^ 1
     raise CertificateError(f"unknown derivation rule {step.rule!r}")
 
 
@@ -321,7 +253,7 @@ def site_observability(
     for gate in netlist.gates[site + 1 :]:
         if not any(fanin in deviated for fanin in gate.fanins):
             continue
-        control = _CONTROLLING_VALUE.get(gate.kind)
+        control = CONTROLLING_VALUE.get(gate.kind)
         blocking_pin = None
         if control is not None:
             for pin, fanin in enumerate(gate.fanins):
@@ -385,7 +317,7 @@ def verify_observability_blocks(
             raise CertificateError(
                 f"block names nonexistent pin {pin} of gate {gate.index}"
             )
-        control = _CONTROLLING_VALUE.get(gate.kind)
+        control = CONTROLLING_VALUE.get(gate.kind)
         if control is None:
             raise CertificateError(
                 f"gate {gate.index} ({gate.kind.value}) has no controlling "

@@ -52,23 +52,6 @@ class ScoapMeasures:
         return _sat(self.co[line] + max(self.cc0[line], self.cc1[line]))
 
 
-def _xor_chain(
-    cc0: list[int], cc1: list[int], fanins: tuple[int, ...]
-) -> tuple[int, int]:
-    """(cost to even parity, cost to odd parity) over ``fanins``.
-
-    Dynamic program over the inputs: XOR output is 1 exactly when an odd
-    number of inputs are 1, so the cheapest assignment is tracked per
-    parity class.  Handles any arity.
-    """
-    even, odd = 0, INFINITY
-    for fanin in fanins:
-        new_even = min(_sat(even + cc0[fanin]), _sat(odd + cc1[fanin]))
-        new_odd = min(_sat(even + cc1[fanin]), _sat(odd + cc0[fanin]))
-        even, odd = new_even, new_odd
-    return even, odd
-
-
 def compute_scoap(netlist: Netlist) -> ScoapMeasures:
     """SCOAP CC0/CC1/CO for every line of ``netlist``.
 
@@ -85,36 +68,15 @@ def compute_scoap(netlist: Netlist) -> ScoapMeasures:
             cc0[gate.index] = cc1[gate.index] = 1
         elif kind is GateType.CONST0:
             cc0[gate.index] = 1
-        elif kind is GateType.CONST1:
-            cc1[gate.index] = 1
-        elif kind is GateType.BUF:
-            cc0[gate.index] = _sat(cc0[gate.fanins[0]] + 1)
-            cc1[gate.index] = _sat(cc1[gate.fanins[0]] + 1)
         elif kind is GateType.NOT:
             cc0[gate.index] = _sat(cc1[gate.fanins[0]] + 1)
             cc1[gate.index] = _sat(cc0[gate.fanins[0]] + 1)
-        elif kind in (GateType.AND, GateType.NAND):
-            all_ones = _sat(sum(cc1[f] for f in gate.fanins) + 1)
-            any_zero = _sat(min(cc0[f] for f in gate.fanins) + 1)
-            if kind is GateType.AND:
-                cc1[gate.index], cc0[gate.index] = all_ones, any_zero
-            else:
-                cc0[gate.index], cc1[gate.index] = all_ones, any_zero
-        elif kind in (GateType.OR, GateType.NOR):
-            all_zeros = _sat(sum(cc0[f] for f in gate.fanins) + 1)
-            any_one = _sat(min(cc1[f] for f in gate.fanins) + 1)
-            if kind is GateType.OR:
-                cc0[gate.index], cc1[gate.index] = all_zeros, any_one
-            else:
-                cc1[gate.index], cc0[gate.index] = all_zeros, any_one
-        else:  # XOR / XNOR
-            even, odd = _xor_chain(cc0, cc1, gate.fanins)
-            if kind is GateType.XOR:
-                cc0[gate.index] = _sat(even + 1)
-                cc1[gate.index] = _sat(odd + 1)
-            else:
-                cc0[gate.index] = _sat(odd + 1)
-                cc1[gate.index] = _sat(even + 1)
+        elif kind is GateType.AND:
+            cc1[gate.index] = _sat(sum(cc1[f] for f in gate.fanins) + 1)
+            cc0[gate.index] = _sat(min(cc0[f] for f in gate.fanins) + 1)
+        else:  # OR
+            cc0[gate.index] = _sat(sum(cc0[f] for f in gate.fanins) + 1)
+            cc1[gate.index] = _sat(min(cc1[f] for f in gate.fanins) + 1)
 
     co = [INFINITY] * n
     for line in netlist.outputs:
@@ -126,20 +88,16 @@ def compute_scoap(netlist: Netlist) -> ScoapMeasures:
         if not gate.fanins:
             continue
         out_co = co[gate.index]
-        if kind in (GateType.BUF, GateType.NOT):
+        if kind is GateType.NOT:
             fanin = gate.fanins[0]
             co[fanin] = min(co[fanin], _sat(out_co + 1))
             continue
+        # Side inputs must hold the non-controlling value.
+        side = cc1 if kind is GateType.AND else cc0
         for pin, fanin in enumerate(gate.fanins):
             side_cost = 0
             for other_pin, other in enumerate(gate.fanins):
-                if other_pin == pin:
-                    continue
-                if kind in (GateType.AND, GateType.NAND):
-                    side_cost = _sat(side_cost + cc1[other])
-                elif kind in (GateType.OR, GateType.NOR):
-                    side_cost = _sat(side_cost + cc0[other])
-                else:  # XOR / XNOR: any known side value sensitizes
-                    side_cost = _sat(side_cost + min(cc0[other], cc1[other]))
+                if other_pin != pin:
+                    side_cost = _sat(side_cost + side[other])
             co[fanin] = min(co[fanin], _sat(out_co + side_cost + 1))
     return ScoapMeasures(tuple(cc0), tuple(cc1), tuple(co))

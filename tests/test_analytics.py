@@ -305,6 +305,24 @@ class TestResolveRecord:
         assert index == 0
         assert record_id(found) == target
 
+    def test_all_digit_id_prefix_is_not_an_index(self):
+        """An id prefix made only of decimal digits still selects by id."""
+        records = two_records()
+        counter = 0
+        while True:
+            record = {"command": "table5", "counter": counter}
+            prefix = record_id(record)[:8]
+            if prefix.isdigit():
+                break
+            counter += 1
+        records.append(record)
+        assert int(prefix) >= len(records)  # an out-of-range position
+        index, found = resolve_record(records, prefix)
+        assert index == 2
+        assert found == record
+        with pytest.raises(ValueError, match="out of range"):
+            resolve_record(records, "@" + prefix)  # @N stays positional
+
     def test_args_hash_prefers_newest_match(self):
         records = two_records()
         # Both records share the args hash; the newest wins.

@@ -13,7 +13,7 @@ import pytest
 from repro.benchmarks import load_circuit, load_kiss_machine
 from repro.core.generator import generate_tests
 from repro.errors import SynthesisError
-from repro.fsm.encoding import gray_encoding, natural_encoding
+from repro.fsm.encoding import gray_encoding
 from repro.gatelevel.atpg import generate_stuck_at_atpg
 from repro.gatelevel.compiled import CompiledFaultSimulator
 from repro.gatelevel.detectability import assigned_pattern_mask, detectable_faults
@@ -121,11 +121,3 @@ class TestAssignedPatternMask:
         for pattern, selected in enumerate(bits):
             code = pattern >> lion.n_inputs
             assert bool(selected) == (code in encoding.codes)
-
-    def test_natural_mask_matches_legacy_helper(self, lion):
-        from repro.gatelevel.detectability import reachable_state_pattern_mask
-        import numpy as np
-
-        legacy = reachable_state_pattern_mask(2, lion.n_inputs, lion.n_states)
-        modern = assigned_pattern_mask(natural_encoding(lion), lion.n_inputs)
-        assert np.array_equal(legacy, modern)

@@ -89,13 +89,13 @@ class TestFaultDropping:
         kept = simulate_tests(circuit, table, tests, reps, drop_detected=False)
         assert dropped.detected == kept.detected
 
-    def test_small_batch_bits_equivalent(self, lion_setup):
+    def test_small_batch_bits_equivalent(self, lion_setup, monkeypatch):
         table, circuit, tests = lion_setup
         reps = sorted(set(collapse_stuck_at(circuit.netlist).values()))
         test = tests.by_decreasing_length()[0]
-        assert detects(circuit, table, test, reps, batch_bits=7) == detects(
-            circuit, table, test, reps
-        )
+        default = detects(circuit, table, test, reps)
+        monkeypatch.setattr("repro.core.config.DEFAULT_BATCH_BITS_CAP", 7)
+        assert detects(circuit, table, test, reps) == default
 
 
 class TestCompiledEquivalence:

@@ -14,10 +14,7 @@ from repro.core.generator import generate_tests
 from repro.fuzz.strategies import state_tables
 from repro.gatelevel.bridging import enumerate_bridging_faults
 from repro.gatelevel.compiled import CompiledFaultSimulator
-from repro.gatelevel.detectability import (
-    detectable_faults,
-    reachable_state_pattern_mask,
-)
+from repro.gatelevel.detectability import assigned_pattern_mask, detectable_faults
 from repro.gatelevel.fault_sim import detects, simulate_tests
 from repro.gatelevel.scan import ScanCircuit
 from repro.gatelevel.stuck_at import collapse_stuck_at
@@ -79,9 +76,7 @@ class TestFaultSimulationProperties:
         experimental setting.
         """
         circuit = ScanCircuit.from_machine(table, SynthesisOptions(max_fanin=4))
-        mask = reachable_state_pattern_mask(
-            circuit.n_state_variables, circuit.n_primary_inputs, table.n_states
-        )
+        mask = assigned_pattern_mask(circuit.encoding, circuit.n_primary_inputs)
         faults = sorted(set(collapse_stuck_at(circuit.netlist).values()))
         detectable, undetectable = detectable_faults(
             circuit.netlist, faults, pattern_mask=mask
@@ -98,9 +93,7 @@ class TestFaultSimulationProperties:
         baseline (which applies every reachable pattern with full
         observation) detects it."""
         circuit = ScanCircuit.from_machine(table)
-        mask = reachable_state_pattern_mask(
-            circuit.n_state_variables, circuit.n_primary_inputs, table.n_states
-        )
+        mask = assigned_pattern_mask(circuit.encoding, circuit.n_primary_inputs)
         faults = sorted(set(collapse_stuck_at(circuit.netlist).values()))
         detectable, _ = detectable_faults(circuit.netlist, faults, pattern_mask=mask)
         baseline = per_transition_tests(table)

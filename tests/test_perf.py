@@ -368,17 +368,7 @@ class TestAdaptiveBatchBits:
         with pytest.raises(FaultSimulationError):
             adaptive_batch_bits(10, cap=0)
 
-    def test_config_exposes_cap(self):
-        config = FaultSimConfig(max_batch_bits=8)
-        assert config.resolved_batch_bits(5) == 5
-        assert config.resolved_batch_bits(17) == 6
-        with pytest.raises(FaultSimulationError):
-            FaultSimConfig(max_batch_bits=0)
-
-    def test_default_batch_bits_alias(self):
-        assert fault_sim.DEFAULT_BATCH_BITS == DEFAULT_BATCH_BITS_CAP
-
-    def test_detects_adaptive_default_matches_fixed(self, lion):
+    def test_detects_adaptive_default_matches_fixed(self, lion, monkeypatch):
         from repro.core.generator import generate_tests
         from repro.gatelevel.scan import ScanCircuit
         from repro.gatelevel.stuck_at import collapse_stuck_at
@@ -392,7 +382,8 @@ class TestAdaptiveBatchBits:
         faults = sorted(set(collapse_stuck_at(circuit.netlist).values()))
         test = generate_tests(lion).test_set.tests[0]
         adaptive = fault_sim.detects(circuit, lion, test, faults)
-        fixed = fault_sim.detects(circuit, lion, test, faults, batch_bits=7)
+        monkeypatch.setattr("repro.core.config.DEFAULT_BATCH_BITS_CAP", 7)
+        fixed = fault_sim.detects(circuit, lion, test, faults)
         assert adaptive == fixed
 
 
@@ -479,7 +470,7 @@ class TestFaultChunks:
     def test_bigint_gets_adaptive_slices(self):
         faults = list(range(5000))
         config = FaultSimConfig(engine="bigint")
-        size = config.resolved_batch_bits(len(faults))
+        size = adaptive_batch_bits(len(faults))
         chunks = _fault_chunks(faults, config, 6, 100)
         assert [len(chunk) for chunk in chunks[:-1]] == [size] * (
             len(chunks) - 1

@@ -246,15 +246,6 @@ class TestSelectEngine:
         with pytest.raises(FaultSimulationError):
             FaultSimConfig(engine="magic")
 
-    def test_pattern_block_validation(self):
-        with pytest.raises(FaultSimulationError):
-            FaultSimConfig(ppsfp_pattern_block=100)  # not a multiple of 64
-        with pytest.raises(FaultSimulationError):
-            FaultSimConfig(ppsfp_pattern_block=0)
-        config = FaultSimConfig(ppsfp_pattern_block=128)
-        assert config.resolved_pattern_block(64) == 64
-        assert config.resolved_pattern_block(1 << 12) == 128
-
 
 class TestEngineAwareBatchBits:
     def test_ppsfp_batches_are_lane_aligned(self):

@@ -75,28 +75,18 @@ def blocked_netlist() -> Netlist:
 
 
 def masked_netlist() -> Netlist:
-    """OR with a CONST1 fanin: the gate is pinned, the other pin masked."""
+    """OR with a constant-1 fanin: the gate is pinned, the other pin masked."""
     net = Netlist("masked")
     a = net.add_input("a")                      # 0
-    one = net.add_gate(GateType.CONST1, ())     # 1
-    g = net.add_gate(GateType.OR, (a, one))     # 2: constant 1
-    out = net.add_gate(GateType.AND, (g, a))    # 3
+    zero = net.add_gate(GateType.CONST0, ())    # 1
+    one = net.add_gate(GateType.NOT, (zero,))   # 2: constant 1
+    g = net.add_gate(GateType.OR, (a, one))     # 3: constant 1
+    out = net.add_gate(GateType.AND, (g, a))    # 4
     net.set_outputs([out])
     return net
 
 
-def xor_cancel_netlist() -> Netlist:
-    """XOR(a, a, b-known): unknown fanins cancel pairwise."""
-    net = Netlist("xorid")
-    a = net.add_input("a")                      # 0
-    one = net.add_gate(GateType.CONST1, ())     # 1
-    x = net.add_gate(GateType.XOR, (a, a, one))  # 2: a^a^1 = 1
-    out = net.add_gate(GateType.AND, (x, a))    # 3
-    net.set_outputs([out])
-    return net
-
-
-REDUNDANT_NETLISTS = [blocked_netlist, masked_netlist, xor_cancel_netlist]
+REDUNDANT_NETLISTS = [blocked_netlist, masked_netlist]
 
 
 # ---------------------------------------------------- reference evaluation
@@ -114,8 +104,6 @@ def _eval_with_fault(
             position += 1
         elif gate.kind is GateType.CONST0:
             value = 0
-        elif gate.kind is GateType.CONST1:
-            value = 1
         else:
             fanin_bits = []
             for pin, line in enumerate(gate.fanins):
@@ -127,21 +115,12 @@ def _eval_with_fault(
                 ):
                     bit = fault.value
                 fanin_bits.append(bit)
-            if gate.kind is GateType.BUF:
-                value = fanin_bits[0]
-            elif gate.kind is GateType.NOT:
+            if gate.kind is GateType.NOT:
                 value = fanin_bits[0] ^ 1
-            elif gate.kind in (GateType.AND, GateType.NAND):
+            elif gate.kind is GateType.AND:
                 value = int(all(fanin_bits))
-                value ^= gate.kind is GateType.NAND
-            elif gate.kind in (GateType.OR, GateType.NOR):
-                value = int(any(fanin_bits))
-                value ^= gate.kind is GateType.NOR
             else:
-                value = 0
-                for bit in fanin_bits:
-                    value ^= bit
-                value ^= gate.kind is GateType.XNOR
+                value = int(any(fanin_bits))
         if fault is not None and fault.pin is None and fault.gate == gate.index:
             value = fault.value
         values[gate.index] = value
@@ -172,7 +151,7 @@ def test_levelize_chain_and_diamond():
     chain = Netlist("chain")
     a = chain.add_input()
     b = chain.add_gate(GateType.NOT, (a,))
-    c = chain.add_gate(GateType.BUF, (b,))
+    c = chain.add_gate(GateType.NOT, (b,))
     chain.set_outputs([c])
     assert levelize(chain) == [0, 1, 2]
 
@@ -236,16 +215,26 @@ def test_scoap_hand_computed_and_gate():
 
 
 def test_scoap_xor_parity_and_not():
+    """XOR as OR(AND(a, b'), AND(a', b)), then NOT: both parities cost the
+    same, and the NOT swaps CC0/CC1."""
     net = Netlist("xnot")
     a = net.add_input()
     b = net.add_input()
-    x = net.add_gate(GateType.XOR, (a, b))
+    na = net.add_gate(GateType.NOT, (a,))
+    nb = net.add_gate(GateType.NOT, (b,))
+    t1 = net.add_gate(GateType.AND, (a, nb))
+    t2 = net.add_gate(GateType.AND, (na, b))
+    x = net.add_gate(GateType.OR, (t1, t2))
     n = net.add_gate(GateType.NOT, (x,))
     net.set_outputs([n])
     scoap = compute_scoap(net)
-    assert scoap.cc0[x] == 3 and scoap.cc1[x] == 3
+    assert scoap.cc1[t1] == 4 and scoap.cc0[t1] == 2
+    assert scoap.cc0[x] == 5 and scoap.cc1[x] == 5  # all-zero sum; min one
     assert scoap.cc0[n] == scoap.cc1[x] + 1
+    assert scoap.cc1[n] == scoap.cc0[x] + 1
     assert scoap.controllability(n, 0) == scoap.cc0[n]
+    # Observing t1 through the OR needs t2 at 0, then the NOT.
+    assert scoap.co[t1] == scoap.co[x] + scoap.cc0[t2] + 1
 
 
 def test_scoap_dead_line_observability_saturates():
@@ -262,12 +251,13 @@ def test_scoap_dead_line_observability_saturates():
 def test_scoap_const_gates_cannot_take_other_value():
     net = Netlist("consts")
     zero = net.add_gate(GateType.CONST0, ())
-    one = net.add_gate(GateType.CONST1, ())
+    one = net.add_gate(GateType.NOT, (zero,))
     g = net.add_gate(GateType.OR, (zero, one))
     net.set_outputs([g])
     scoap = compute_scoap(net)
     assert scoap.cc0[zero] == 1 and scoap.cc1[zero] == INFINITY
-    assert scoap.cc1[one] == 1 and scoap.cc0[one] == INFINITY
+    assert scoap.cc1[one] == 2 and scoap.cc0[one] == INFINITY
+    assert scoap.cc0[g] == INFINITY  # the constant-1 fanin can never be 0
 
 
 # -------------------------------------------------------------- collapsing
@@ -368,18 +358,10 @@ def test_constant_steps_verify_and_reject_tampering():
         )
 
 
-def test_xor_identity_rule_proves_cancellation():
-    net = xor_cancel_netlist()
-    constants = propagate_constants(net)
-    assert constants.as_dict()[2] == 1  # a ^ a ^ 1
-    assert any(step.rule == "xor-identity" for step in constants.steps)
-    verify_constant_steps(net, constants.steps)
-
-
 def test_controlling_value_table():
     assert controlling_value(GateType.AND) == 0
-    assert controlling_value(GateType.NOR) == 1
-    assert controlling_value(GateType.XOR) is None
+    assert controlling_value(GateType.OR) == 1
+    assert controlling_value(GateType.NOT) is None
 
 
 # ----------------------------------------------------------- observability
@@ -597,7 +579,9 @@ def test_validate_sca_flags_shape_problems():
     payload = analyze(masked_netlist()).to_dict()
     payload["collapse"]["representatives"] = payload["collapse"]["faults"] + 1
     payload["certificates"][0]["reason"] = "because"
+    payload["constant_steps"][0]["rule"] = "xor-identity"  # no replay exists
     problems = validator.check_payload(payload)
     assert any("more representatives" in problem for problem in problems)
     assert any("unknown reason" in problem for problem in problems)
+    assert any("unknown derivation rule" in problem for problem in problems)
     assert validator.check_payload({}) != []

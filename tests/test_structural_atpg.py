@@ -304,20 +304,29 @@ class TestCertificateCrossValidation:
 
 
 def _deep_reconvergence_netlist(depth=6):
-    """Stacked reconvergent XOR/XNOR diamonds; justifying a value at the
-    sink forces the search to flip decisions deep in the stack, so even a
-    small backtrack budget is exhausted."""
+    """Stacked reconvergent XOR/XNOR diamonds, written in AND/OR/NOT;
+    justifying a value at the sink forces the search to flip decisions
+    deep in the stack, so even a small backtrack budget is exhausted."""
     netlist = Netlist("deep-reconv")
+
+    def gate(kind, *fanins):
+        return netlist.add_gate(kind, fanins)
+
     a = netlist.add_input("a")
     b = netlist.add_input("b")
     c = netlist.add_input("c")
     x, y = a, b
     for _ in range(depth):
-        p = netlist.add_gate(GateType.XOR, (x, y))
-        q = netlist.add_gate(GateType.XNOR, (x, y))
-        x = netlist.add_gate(GateType.NAND, (p, q))
-        y = netlist.add_gate(GateType.OR, (p, c))
-    out = netlist.add_gate(GateType.AND, (x, y))
+        nx, ny = gate(GateType.NOT, x), gate(GateType.NOT, y)
+        p = gate(  # x XOR y
+            GateType.OR, gate(GateType.AND, x, ny), gate(GateType.AND, nx, y)
+        )
+        q = gate(  # x XNOR y
+            GateType.OR, gate(GateType.AND, x, y), gate(GateType.AND, nx, ny)
+        )
+        x = gate(GateType.NOT, gate(GateType.AND, p, q))  # p NAND q
+        y = gate(GateType.OR, p, c)
+    out = gate(GateType.AND, x, y)
     netlist.set_outputs([out])
     return netlist, out
 

@@ -41,11 +41,12 @@ class TestEnumerate:
     def test_constants_excluded(self):
         netlist = Netlist()
         a = netlist.add_input()
-        c1 = netlist.add_gate(GateType.CONST1, ())
-        y = netlist.add_gate(GateType.AND, (a, c1))
+        c0 = netlist.add_gate(GateType.CONST0, ())
+        y = netlist.add_gate(GateType.OR, (a, c0))
         netlist.set_outputs([y])
         faults = enumerate_stuck_at(netlist)
-        assert all(fault.gate != c1 for fault in faults if fault.pin is None)
+        assert all(fault.gate != c0 for fault in faults if fault.pin is None)
+        assert StuckAtFault(y, 1, 1) in faults  # its reader's pin still counts
 
     def test_bad_value_rejected(self):
         with pytest.raises(FaultSimulationError):

@@ -6,10 +6,36 @@ import pytest
 
 from repro.benchmarks import circuit_names, load_circuit, load_kiss_machine
 from repro.errors import SynthesisError
+from repro.fsm.kiss import parse_kiss
+from repro.gatelevel.netlist import GateType
 from repro.gatelevel.scan import ScanCircuit
 from repro.gatelevel.synthesis import SynthesisOptions, synthesize
 
 SMALL = sorted(circuit_names("small"))
+
+#: A machine whose second output is 0 in every row: synthesis drives it
+#: from a CONST0 generator.
+UNDRIVEN_OUTPUT = """\
+.i 1
+.o 2
+.s 2
+0 a a 00
+1 a b 10
+0 b a 10
+1 b b 00
+"""
+
+
+def test_gate_library_is_what_synthesis_emits():
+    """Every gate kind is emitted by synthesis, and synthesis emits no
+    other: a kind nothing synthesizes would be code no pipeline runs."""
+    machines = [load_kiss_machine(name) for name in circuit_names()]
+    machines.append(parse_kiss(UNDRIVEN_OUTPUT, name="undriven"))
+    emitted = set()
+    for machine in machines:
+        netlist = synthesize(machine, SynthesisOptions(max_fanin=4)).netlist
+        emitted.update(gate.kind for gate in netlist.gates)
+    assert emitted == set(GateType)
 
 
 class TestSynthesize:
