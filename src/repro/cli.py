@@ -285,7 +285,7 @@ def _warm(args: argparse.Namespace, circuits: tuple[str, ...],
     command takes the same pipeline path regardless of job count and its
     ledger record is jobs-invariant by construction.  ``scope="functional"``
     stops after test generation for tables that never read gate-level
-    artifacts.  Returns the per-circuit ``StudyArtifacts`` mapping.
+    artifacts.  Returns the registered studies by circuit name.
     """
     jobs = getattr(args, "jobs", 1) or 1
     if not circuits:

@@ -30,7 +30,7 @@ synthesized netlist is verified against (see
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from repro.core.config import adaptive_batch_bits
 from repro.core.testset import ScanTest, TestSet
@@ -47,7 +47,6 @@ __all__ = [
     "simulate_tests",
     "detects",
     "injection_sites",
-    "make_simulator",
     "adaptive_batch_bits",
 ]
 
@@ -334,20 +333,6 @@ def _report_batches(n_faults: int, per_batch: list[int]) -> None:
     histogram = registry.histogram("faultsim.batch_detected")
     for count in per_batch:
         histogram.observe(count)
-
-
-def make_simulator(
-    circuit: ScanCircuit, table: StateTable
-) -> Callable[[ScanTest, frozenset[Fault]], set[Fault]]:
-    """A ``simulate(test, remaining)`` closure for
-    :func:`repro.core.compaction.select_effective_tests`."""
-
-    def simulate(test: ScanTest, remaining: frozenset[Fault]) -> set[Fault]:
-        # repr-keyed sort keeps batching deterministic even for mixed
-        # stuck-at / bridging universes (the dataclasses do not inter-compare).
-        return detects(circuit, table, test, sorted(remaining, key=repr))
-
-    return simulate
 
 
 def simulate_tests(

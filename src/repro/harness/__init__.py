@@ -2,9 +2,11 @@
 
 :class:`~repro.harness.experiments.CircuitStudy` lazily computes and caches
 everything one circuit needs (UIO table, generated tests, synthesized scan
-circuit, fault universes, effective-test selections); the ``tableN``
-functions assemble the paper's tables from studies and
-:mod:`repro.harness.tables` renders them as text.
+circuit, fault universes) and holds its grades — detectability splits and
+effective-test selections — which the sweep engine
+(:mod:`repro.perf.engine`) writes into it; the ``tableN`` functions
+assemble the paper's tables from studies and :mod:`repro.harness.tables`
+renders them as text.
 """
 
 from repro.harness.experiments import (

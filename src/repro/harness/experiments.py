@@ -17,27 +17,21 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Sequence
+from typing import Any, Sequence
 
 from repro.benchmarks import circuit_names, get_spec, load_circuit, load_kiss_machine
 from repro.benchmarks.paper_data import PAPER_TABLE8, PAPER_TABLE9
-from repro.core.compaction import EffectiveSelection, select_effective_tests
+from repro.core.compaction import EffectiveSelection
 from repro.core.config import FaultSimConfig, GeneratorConfig
 from repro.core.generator import GenerationResult, generate_tests
-from repro.core.testset import baseline_clock_cycles
+from repro.core.testset import ScanTest, baseline_clock_cycles
 from repro.gatelevel.bridging import BridgingFault, enumerate_bridging_faults
-from repro.gatelevel.dispatch import (
-    FaultSimulator,
-    make_fault_simulator,
-    partition_by_mask,
-)
 from repro.gatelevel.scan import ScanCircuit
 from repro.gatelevel.stuck_at import StuckAtFault
 from repro.gatelevel.synthesis import SynthesisOptions
 from repro.harness.runtime import StageTimings
 from repro.harness.tables import format_csv, format_table
 from repro.obs.log import get_logger
-from repro.obs.trace import span as trace_span
 from repro.uio.search import UioTable, compute_uio_table
 
 # NOTE: repro.perf is imported inside the methods that use it.
@@ -85,18 +79,38 @@ class StudyOptions:
         return SynthesisOptions(max_fanin=self.max_fanin)
 
 
+#: The two fault models every circuit is graded against, in grading order.
+MODELS = ("stuck_at", "bridging")
+
+#: A fault model's (detectable, undetectable) split of its universe.
+Split = tuple[set, set]
+
+
 class CircuitStudy:
-    """Cached per-circuit pipeline: machine → UIO → tests → fault grading."""
+    """Cached per-circuit pipeline: machine → UIO → tests → fault grading.
+
+    Every input is computed on first access and kept.  Grading goes through
+    the sweep engine (:mod:`repro.perf.engine`): a sweep prepares studies in
+    bulk and writes each one's grades into :attr:`grades`; a study whose
+    grading is read outside a sweep runs the engine's simulate and select
+    phases for itself, for the one fault model that was asked for.
+    """
 
     def __init__(self, name: str, options: StudyOptions | None = None) -> None:
         self.name = name
         self.options = options or StudyOptions()
         self.spec = get_spec(name)
-        self._simulators: dict[str, FaultSimulator] = {}
+        #: stage records of the work this study did; a sweep merges them
+        #: into the caller's timings
+        self.timings = StageTimings()
+        #: per fault model, the detectability split and the effective-test
+        #: selection, written by the engine's select phase
+        self.grades: dict[str, tuple[Split, EffectiveSelection]] = {}
+        self._stored_splits: dict[str, tuple[str, Split | None]] = {}
 
     # ----------------------------------------------------------- functional
 
-    @cached_property
+    @property
     def table(self):
         return load_circuit(self.name)
 
@@ -107,7 +121,8 @@ class CircuitStudy:
         config = self.options.config
         length = config.resolved_uio_length(self.table.n_state_variables)
         return cached_uio_table(
-            self.table, length, config.uio_node_budget, circuit=self.name
+            self.table, length, config.uio_node_budget,
+            circuit=self.name, timings=self.timings,
         )
 
     @property
@@ -120,7 +135,16 @@ class CircuitStudy:
 
     @cached_property
     def generation(self) -> GenerationResult:
-        return generate_tests(self.table, self.options.config, self.uio_table)
+        from repro.perf.artifacts import STAGE_GENERATION
+
+        table, uio = self.table, self.uio_table
+        with self.timings.stage(self.name, STAGE_GENERATION):
+            return generate_tests(table, self.options.config, uio)
+
+    @cached_property
+    def tests(self) -> tuple[ScanTest, ...]:
+        """The generated tests in the order grading simulates them."""
+        return tuple(self.generation.test_set.by_decreasing_length())
 
     @cached_property
     def baseline_cycles(self) -> int:
@@ -141,6 +165,7 @@ class CircuitStudy:
             self.options.synthesis,
             self.table,
             circuit=self.name,
+            timings=self.timings,
         )
 
     @cached_property
@@ -148,7 +173,9 @@ class CircuitStudy:
         """Static analysis of the synthesized netlist (cached per hash)."""
         from repro.perf.artifacts import cached_sca
 
-        return cached_sca(self.scan_circuit.netlist, circuit=self.name)
+        return cached_sca(
+            self.scan_circuit.netlist, circuit=self.name, timings=self.timings
+        )
 
     @cached_property
     def stuck_at_faults(self) -> list[StuckAtFault]:
@@ -159,79 +186,60 @@ class CircuitStudy:
         """Representatives whose untestability has a verified certificate."""
         return frozenset(self.sca.untestable_representatives)
 
-    def _universe(self, model: str) -> list:
-        """The faults ``model`` simulates and judges.
+    @cached_property
+    def bridging_faults(self) -> list[BridgingFault]:
+        return enumerate_bridging_faults(
+            self.scan_circuit.netlist,
+            limit=self.options.bridging_pair_limit,
+            seed=self.name,
+        )
+
+    def faults(self, model: str) -> list:
+        """``model``'s fault universe: every fault grading judges."""
+        return self.stuck_at_faults if model == "stuck_at" else self.bridging_faults
+
+    def simulated_faults(self, model: str) -> list:
+        """The faults of ``model`` that grading simulates.
 
         Certificate-proved stuck-at representatives are left out: a
-        verified certificate already places them in the undetectable bin.
+        verified certificate already places them in the undetectable bin,
+        and equivalent faults share verdicts, so the merged split is
+        identical to grading the full representative list.
         """
         if model == "bridging":
             return self.bridging_faults
         proven = self.stuck_at_proven
         return [f for f in self.stuck_at_faults if f not in proven]
 
-    def _simulator(self, model: str, *, release: bool = False) -> FaultSimulator:
-        """The fault simulator over ``model``'s universe.
+    def stored_split(self, model: str) -> tuple[str, Split | None]:
+        """The detectability cache key of ``model``'s simulated faults and
+        the split the artifact cache holds under it (``None``: grading
+        derives it).  Looked up once per study."""
+        if model not in self._stored_splits:
+            from repro.perf.artifacts import detectability_key, lookup_detectability
 
-        Built once and shared by ``<model>_detectability`` and
-        ``<model>_selection``; selection, its last user, releases it, since
-        PPSFP tables can be large and studies live for the whole process.
-        """
-        simulator = self._simulators.pop(model, None)
-        if simulator is None:
-            simulator = make_fault_simulator(
-                self.scan_circuit, self.table, self._universe(model),
-                self.options.faultsim,
-                total_test_cycles=self.generation.total_length,
+            key = detectability_key(self.scan_circuit, self.simulated_faults(model))
+            self._stored_splits[model] = key, lookup_detectability(
+                key, circuit=self.name, timings=self.timings
             )
-        if not release:
-            self._simulators[model] = simulator
-        return simulator
+        return self._stored_splits[model]
 
-    def _detectability(self, model: str) -> tuple[set, set]:
-        """Detectable/undetectable split of ``model``'s universe: from the
-        artifact cache, else derived from the shared simulator."""
-        from repro.perf.artifacts import (
-            derive_detectability,
-            detectability_key,
-            lookup_detectability,
-            store_detectability,
-        )
+    # -------------------------------------------------------------- grading
 
-        faults = self._universe(model)
-        key = detectability_key(self.scan_circuit, faults)
-        split = lookup_detectability(key, circuit=self.name)
-        if split is None:
-            mask = derive_detectability(self._simulator(model), circuit=self.name)
-            split = partition_by_mask(faults, mask)
-            store_detectability(key, split)
-        return split
+    def _graded(self, model: str) -> tuple[Split, EffectiveSelection]:
+        if model not in self.grades:
+            from repro.perf.engine import grade_studies
 
-    def _selection(
-        self, model: str, faults: list, undetectable: set
-    ) -> EffectiveSelection:
-        """Effective-test selection against ``model`` over ``faults``."""
-        with trace_span(
-            "faultsim.select", circuit=self.name, model=model,
-            n_faults=len(self._universe(model)),
-        ):
-            simulator = self._simulator(model, release=True)
-            return select_effective_tests(
-                self.generation.test_set,
-                simulator.make_effective_simulator(),
-                faults,
-                stop_when_exhausted=undetectable,
-            )
+            grade_studies([self], (model,))
+        return self.grades[model]
 
-    @cached_property
-    def stuck_at_detectability(self) -> tuple[set, set]:
-        detectable, undetectable = self._detectability("stuck_at")
-        return detectable, undetectable | set(self.stuck_at_proven)
+    @property
+    def stuck_at_detectability(self) -> Split:
+        return self._graded("stuck_at")[0]
 
-    @cached_property
+    @property
     def stuck_at_selection(self) -> EffectiveSelection:
-        _, undetectable = self.stuck_at_detectability
-        return self._selection("stuck_at", self.stuck_at_faults, undetectable)
+        return self._graded("stuck_at")[1]
 
     @property
     def stuck_at_split(self):
@@ -244,26 +252,72 @@ class CircuitStudy:
             self.stuck_at_proven,
         )
 
-    @cached_property
-    def bridging_faults(self) -> list[BridgingFault]:
-        return enumerate_bridging_faults(
-            self.scan_circuit.netlist,
-            limit=self.options.bridging_pair_limit,
-            seed=self.name,
-        )
+    @property
+    def bridging_detectability(self) -> Split:
+        return self._graded("bridging")[0]
 
-    @cached_property
-    def bridging_detectability(self) -> tuple[set, set]:
-        return self._detectability("bridging")
-
-    @cached_property
+    @property
     def bridging_selection(self) -> EffectiveSelection:
-        _, undetectable = self.bridging_detectability
-        if not self.bridging_faults:
-            return select_effective_tests(
-                self.generation.test_set, lambda test, remaining: set(), ()
-            )
-        return self._selection("bridging", self.bridging_faults, undetectable)
+        return self._graded("bridging")[1]
+
+    # ------------------------------------------------------------ summaries
+
+    def _headline(self) -> dict[str, Any]:
+        uio = self.uio_table
+        return {
+            "uio_found": uio.n_found,
+            "uio_max_len": uio.max_found_length,
+            "tests": self.generation.n_tests,
+            "test_length": self.generation.total_length,
+        }
+
+    def signature(self) -> dict[str, Any]:
+        """Timing-free summary used to compare runs for divergence.
+
+        Like :meth:`summary`, it covers only the fault models already
+        graded and never grades.
+        """
+        signature = self._headline()
+        for model in MODELS:
+            if model in self.grades:
+                signature[model] = _selection_signature(self.grades[model][1])
+        return signature
+
+    def summary(self) -> dict[str, Any]:
+        """Compact scalar summary for ledger records and bench results.
+
+        Unlike :meth:`signature` this never enumerates faults or tests —
+        it is the per-circuit block persisted in ``BENCH_perf.json`` and
+        the run ledger, so it must stay small and scheduling-invariant.
+        """
+        summary = self._headline()
+        summary["pct_length_one"] = round(self.generation.pct_length_one, 4)
+        for model in MODELS:
+            if model not in self.grades:
+                continue
+            n_faults = len(self.faults(model))
+            selection = self.grades[model][1]
+            detected = len(selection.detected)
+            summary[model] = {
+                "faults": n_faults,
+                "detected": detected,
+                "coverage": round(detected / n_faults, 6) if n_faults else 1.0,
+                "effective_tests": selection.n_effective,
+            }
+        return summary
+
+
+def _selection_signature(selection: EffectiveSelection) -> dict[str, Any]:
+    return {
+        "n_faults": selection.n_faults,
+        "n_effective": selection.n_effective,
+        "effective_length": selection.effective_length,
+        "detected": sorted(repr(fault) for fault in selection.detected),
+        "rows": [
+            (str(test), count, effective)
+            for test, count, effective in selection.rows
+        ],
+    }
 
 
 _STUDIES: dict[tuple[str, StudyOptions], CircuitStudy] = {}
@@ -285,15 +339,14 @@ def warm_studies(
     jobs: int = 1,
     timings: StageTimings | None = None,
     scope: str = "full",
-):
-    """Precompute study artifacts with the parallel engine.
+) -> dict[str, CircuitStudy]:
+    """Build studies with the sweep engine and register them.
 
     Runs :func:`repro.perf.engine.compute_studies` across ``jobs`` worker
-    processes and installs the results into the module-level study cache, so
-    subsequent ``tableN`` calls are pure lookups.  Results are bit-identical
-    to the serial path for any ``jobs``.  ``scope="functional"`` stops after
-    test generation — enough for tables 4/5.  Returns the per-circuit
-    :class:`~repro.perf.engine.StudyArtifacts` mapping.
+    processes and registers the studies it returns in the module-level
+    study cache, so subsequent ``tableN`` calls are pure lookups.
+    ``scope="functional"`` stops after test generation — enough for tables
+    4/5.  Returns the studies by circuit name.
     """
     from repro.perf.engine import compute_studies
 
@@ -301,12 +354,12 @@ def warm_studies(
     log.info(
         "warming studies", circuits=len(tuple(circuits)), jobs=jobs, scope=scope
     )
-    artifacts = compute_studies(
+    studies = compute_studies(
         circuits, options, jobs=jobs, timings=timings, scope=scope
     )
-    for name, computed in artifacts.items():
-        computed.install(get_study(name, options))
-    return artifacts
+    for study in studies.values():
+        _STUDIES[study.name, study.options] = study
+    return studies
 
 
 def _resolve(circuits: Sequence[str] | None) -> tuple[str, ...]:

@@ -206,23 +206,16 @@ class Observation:
 class ObsSnapshot:
     """Picklable spans + metrics + provenance drained from one process.
 
-    ``resources`` carries the worker's CPU delta since its previous drain
-    plus its RSS high-water mark (:class:`repro.obs.resources.ResourceUsage`
-    as a dict), merged into the parent's child-usage accumulator on absorb.
+    Worker CPU does not travel here: the pool sends it with every task
+    result, observability on or off (see :mod:`repro.perf.pool`).
     """
 
     spans: list[SpanRecord] = field(default_factory=list)
     metrics: dict[str, Any] = field(default_factory=dict)
     provenance: list[ProvenanceEvent] = field(default_factory=list)
-    resources: dict[str, Any] | None = None
 
     def __bool__(self) -> bool:
-        return (
-            bool(self.spans)
-            or bool(self.metrics)
-            or bool(self.provenance)
-            or self.resources is not None
-        )
+        return bool(self.spans) or bool(self.metrics) or bool(self.provenance)
 
 
 def enable() -> Observation:
@@ -288,7 +281,6 @@ def enable_in_worker() -> None:
     global _IN_WORKER
     _IN_WORKER = True
     enable()
-    reset_worker_usage()
 
 
 def in_worker() -> bool:
@@ -315,7 +307,6 @@ def worker_snapshot() -> ObsSnapshot | None:
         set_registry(MetricsRegistry())
     if provenance is not None:
         snapshot.provenance = provenance.snapshot(reset=True)
-    snapshot.resources = drain_worker_usage().to_dict()
     return snapshot
 
 
@@ -339,5 +330,3 @@ def absorb_snapshot(
     provenance = current_provenance()
     if provenance is not None and snapshot.provenance:
         provenance.absorb(snapshot.provenance)
-    if snapshot.resources is not None:
-        absorb_child_usage(ResourceUsage.from_dict(snapshot.resources))

@@ -68,6 +68,7 @@ __all__ = [
     "render_attribution",
     "RunDiff",
     "diff_records",
+    "flatten",
     "render_diff",
     "diff_payload",
     "validate_diff_payload",
@@ -999,11 +1000,12 @@ def _numeric_metrics(record: Mapping[str, Any]) -> dict[str, float]:
     return out
 
 
-def _flatten(prefix: str, value: Any, into: dict[str, Any]) -> None:
+def flatten(prefix: str, value: Any, into: dict[str, Any]) -> None:
+    """Store the leaves of nested dict ``value`` in ``into`` under dotted
+    keys (``prefix.key.subkey``), in sorted key order."""
     if isinstance(value, dict):
         for key in sorted(value):
-            _flatten(f"{prefix}.{key}" if prefix else str(key),
-                     value[key], into)
+            flatten(f"{prefix}.{key}" if prefix else str(key), value[key], into)
     else:
         into[prefix] = value
 
@@ -1052,8 +1054,8 @@ def diff_records(
     """
     base_flat: dict[str, Any] = {}
     other_flat: dict[str, Any] = {}
-    _flatten("", base.get("results", {}), base_flat)
-    _flatten("", other.get("results", {}), other_flat)
+    flatten("", base.get("results", {}), base_flat)
+    flatten("", other.get("results", {}), other_flat)
     results = [
         (key, base_flat.get(key, "<absent>"), other_flat.get(key, "<absent>"))
         for key in sorted(set(base_flat) | set(other_flat))

@@ -1,8 +1,9 @@
 """Append-only, schema-versioned run ledger (JSONL on disk).
 
 Every ledgered CLI invocation — the ``tableN`` commands, ``all``,
-``generate``, ``claims``, ``fuzz``, and ``bench`` — appends one JSON record
-to ``<ledger dir>/ledger.jsonl``.  The directory defaults to
+``generate``, ``claims``, ``fuzz``, ``analyze`` and ``atpg`` — appends one
+JSON record to ``<ledger dir>/ledger.jsonl``; ``bench`` writes its own
+record there.  The directory defaults to
 ``~/.local/state/repro-fsatpg/ledger`` and is overridden by the
 ``REPRO_LEDGER_DIR`` environment variable (set it to an empty string, or
 pass ``--no-ledger``, to disable recording entirely).

@@ -2,9 +2,9 @@
 
 ``repro-fsatpg regress --baseline BENCH_perf.json`` re-runs the baseline's
 workload (same circuits, same generator options) on the current tree and
-fails on either of two regression classes:
+fails on any of three regression classes:
 
-* **Stage time** — any pipeline stage (uio, generation, synthesis,
+* **Stage time** — any pipeline stage (uio, generation, synthesis, sca,
   detectability, fault-sim) slower than the baseline by more than
   ``--threshold`` percent (default 25).  Stages faster than
   ``--min-seconds`` in *both* runs are skipped: sub-100ms stages are
@@ -32,6 +32,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Mapping, Sequence
 
+from repro.obs.analytics import flatten
 from repro.obs.log import get_logger
 
 __all__ = [
@@ -138,14 +139,6 @@ def collect_current(
     }
 
 
-def _flatten(prefix: str, value: Any, into: dict[str, Any]) -> None:
-    if isinstance(value, dict):
-        for key in sorted(value):
-            _flatten(f"{prefix}.{key}" if prefix else str(key), value[key], into)
-    else:
-        into[prefix] = value
-
-
 def compare_reports(
     baseline: Mapping[str, Any],
     current: Mapping[str, Any],
@@ -242,8 +235,8 @@ def compare_reports(
             continue
         base_flat: dict[str, Any] = {}
         current_flat: dict[str, Any] = {}
-        _flatten("", base_results[circuit], base_flat)
-        _flatten("", current_results[circuit], current_flat)
+        flatten("", base_results[circuit], base_flat)
+        flatten("", current_results[circuit], current_flat)
         for key in sorted(set(base_flat) | set(current_flat)):
             left = base_flat.get(key, "<absent>")
             right = current_flat.get(key, "<absent>")

@@ -14,12 +14,12 @@ without the :mod:`resource` module (everything degrades to
 * **Cross-process merging** — persistent pool workers outlive any single
   sweep, so ``getrusage(RUSAGE_CHILDREN)`` in the parent only sees reaped
   processes and is useless mid-run.  Instead each worker drains a CPU
-  *delta* since its last drain (:func:`drain_worker_usage`) into its
-  :class:`~repro.obs.ObsSnapshot`, and the parent folds it into a
-  process-wide accumulator (:func:`absorb_child_usage`): CPU seconds sum,
-  max-RSS merges with ``max`` (each process reports its own high-water
-  mark; the fleet-wide peak is the largest single process, not the sum of
-  high-water marks that never coexisted).
+  *delta* since its last drain (:func:`drain_worker_usage`) into every
+  task result it sends, observability on or off, and the parent folds it
+  into a process-wide accumulator (:func:`absorb_child_usage`): CPU
+  seconds sum, max-RSS merges with ``max`` (each process reports its own
+  high-water mark; the fleet-wide peak is the largest single process, not
+  the sum of high-water marks that never coexisted).
 
 * **Deep memory** — per-span tracemalloc peaks.  ``tracemalloc`` costs
   real time (every allocation is traced), so this is *opt-in on top of*
@@ -125,7 +125,7 @@ _CHILD_MAX_RSS_KB = 0
 
 
 def absorb_child_usage(usage: ResourceUsage) -> None:
-    """Fold one worker snapshot's usage delta into the process-wide totals."""
+    """Fold one worker task's usage delta into the process-wide totals."""
     global _CHILD_CPU_USER, _CHILD_CPU_SYSTEM, _CHILD_MAX_RSS_KB
     _CHILD_CPU_USER += usage.cpu_user_s
     _CHILD_CPU_SYSTEM += usage.cpu_system_s
@@ -159,24 +159,19 @@ class UsageProbe:
 
 # -------------------------------------------------------- worker-side draining
 
-_WORKER_USER0: float | None = None
-_WORKER_SYSTEM0: float | None = None
+# Before the first drain or rebase, the window starts at process start.
+_WORKER_USER0 = 0.0
+_WORKER_SYSTEM0 = 0.0
 
 
 def drain_worker_usage() -> ResourceUsage:
-    """CPU delta since the last drain (workers persist across tasks)."""
+    """CPU delta since the last drain or rebase (workers persist across
+    tasks), plus this process's RSS high-water mark."""
     global _WORKER_USER0, _WORKER_SYSTEM0
     user_s, system_s = _cpu_seconds()
-    if _WORKER_USER0 is None or _WORKER_SYSTEM0 is None:
-        # First drain in this process: report usage since process start.
-        # Forked workers inherit the parent's counters, but the fork
-        # happens before any real work, so the inherited base is noise
-        # at the scale measured here.
-        delta = ResourceUsage(user_s, system_s, max_rss_kb())
-    else:
-        delta = ResourceUsage(
-            user_s - _WORKER_USER0, system_s - _WORKER_SYSTEM0, max_rss_kb()
-        )
+    delta = ResourceUsage(
+        user_s - _WORKER_USER0, system_s - _WORKER_SYSTEM0, max_rss_kb()
+    )
     _WORKER_USER0, _WORKER_SYSTEM0 = user_s, system_s
     return delta
 

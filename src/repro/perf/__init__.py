@@ -3,8 +3,9 @@
 Three pieces (see ``docs/performance.md``):
 
 * :mod:`repro.perf.cache` — content-addressed on-disk artifact cache;
-* :mod:`repro.perf.engine` — process-pool scheduler whose results are
-  bit-identical to the serial pipeline;
+* :mod:`repro.perf.engine` — the sweep engine that grades every
+  :class:`~repro.harness.experiments.CircuitStudy`, inline or across a
+  process pool, with identical results for any ``jobs`` value;
 * :mod:`repro.perf.bench` — the ``BENCH_perf.json`` benchmark harness.
 
 The cache and key helpers are imported eagerly; the engine and bench are
@@ -39,7 +40,6 @@ __all__ = [
     "ARTIFACT_VERSIONS",
     "ArtifactCache",
     "CacheError",
-    "StudyArtifacts",
     "active_cache",
     "artifact_key",
     "cache_enabled",
@@ -54,7 +54,7 @@ __all__ = [
     "store_detectability",
 ]
 
-_ENGINE_EXPORTS = {"StudyArtifacts", "compute_studies"}
+_ENGINE_EXPORTS = {"compute_studies"}
 _BENCH_EXPORTS = {"run_bench"}
 
 

@@ -9,9 +9,9 @@ so its cache lookup (:func:`lookup_detectability`) and store
 (:func:`store_detectability`) are separate steps around that derivation.
 Every wrapper optionally records a
 :class:`~repro.harness.runtime.StageRecord` into a
-:class:`~repro.harness.runtime.StageTimings`, which is how both
-:class:`~repro.harness.experiments.CircuitStudy` and the parallel sweep
-engine account their time.
+:class:`~repro.harness.runtime.StageTimings`, which is how a
+:class:`~repro.harness.experiments.CircuitStudy` accounts its time; the
+sweep engine merges each study's records into its caller's.
 
 Keying discipline: a key covers the *full* semantic input of the stage — the
 dense table / netlist contents, every option that changes the result, and
@@ -127,9 +127,8 @@ def _record(
     """Record an externally-measured stage (cache hits report 0.0s).
 
     ``StageTimings.add`` emits the matching completed span itself; without
-    a timings object the span is emitted directly so serial
-    :class:`~repro.harness.experiments.CircuitStudy` traces still show
-    cache-served stages.
+    a timings object the span is emitted directly so the traces of untimed
+    callers (``analyze``, ``atpg``) still show cache-served stages.
     """
     if timings is not None:
         timings.add(circuit, stage, seconds, cache_state)

@@ -20,8 +20,8 @@ collectors enabled and reports the tracing overhead under
 the cost of turning profiling on — and the near-zero cost of leaving it
 off — is tracked run over run.
 
-Every run's artifacts are reduced to a timing-free signature
-(:meth:`~repro.perf.engine.StudyArtifacts.signature`) and compared; any
+Every run's studies are reduced to a timing-free signature
+(:meth:`~repro.harness.experiments.CircuitStudy.signature`) and compared; any
 difference is reported under ``divergence`` and makes the CLI exit
 non-zero.  Timing numbers never fail the bench — only result divergence
 does — so CI can run this on noisy shared runners.
@@ -36,11 +36,12 @@ from dataclasses import asdict, replace
 from pathlib import Path
 from typing import Any, Sequence
 
+from repro.harness.experiments import CircuitStudy
 from repro.harness.runtime import StageTimings, stopwatch
 from repro.obs.log import get_logger, set_verbosity, verbosity_from_flags
 from repro.obs.resources import UsageProbe
 from repro.perf.cache import cache_enabled, default_cache_dir
-from repro.perf.engine import StudyArtifacts, compute_studies
+from repro.perf.engine import compute_studies
 
 __all__ = ["BENCH_SCHEMA", "default_bench_circuits", "run_bench", "main"]
 
@@ -76,18 +77,18 @@ def _run(
     circuits: Sequence[str],
     jobs: int,
     options: Any,
-) -> tuple[dict[str, StudyArtifacts], dict[str, Any]]:
+) -> tuple[dict[str, CircuitStudy], dict[str, Any]]:
     timings = StageTimings()
     probe = UsageProbe()
     with stopwatch() as clock:
-        artifacts = compute_studies(circuits, options, jobs=jobs, timings=timings)
+        studies = compute_studies(circuits, options, jobs=jobs, timings=timings)
     record = {"jobs": jobs, "wall_s": clock.elapsed_s}
     record.update(timings.to_dict())
-    # CPU is windowed over this run (workers included, via wait-reaped
-    # child rusage); peak RSS is a process high-water mark and can only
-    # grow monotonically across runs.
+    # CPU is windowed over this run (workers included: the pool sends each
+    # task's worker CPU with its result); peak RSS is a process high-water
+    # mark and can only grow monotonically across runs.
     record["resources"] = probe.sample().to_dict()
-    return artifacts, record
+    return studies, record
 
 
 def _pool_delta(
@@ -126,8 +127,8 @@ def _stage_speedups(
 
 
 def _compare(
-    reference: dict[str, StudyArtifacts],
-    candidate: dict[str, StudyArtifacts],
+    reference: dict[str, CircuitStudy],
+    candidate: dict[str, CircuitStudy],
     label: str,
 ) -> list[str]:
     problems: list[str] = []

@@ -1,12 +1,14 @@
-"""Parallel sweep engine: fan :class:`CircuitStudy` stages across processes.
+"""Sweep engine: the one pipeline that grades :class:`CircuitStudy` objects.
 
-The engine decomposes the per-circuit pipeline into three phases:
+The engine runs every circuit through three phases:
 
-1. **Prepare** (one task per circuit): UIO table, functional test generation,
-   synthesis + verification, static analysis, fault enumeration, and a
-   cache lookup of each universe's detectability split.  The artifact cache
-   serves UIO tables, synthesized circuits, static analyses and
-   detectability splits across runs; nothing is derived here.
+1. **Prepare** (one task per circuit): build the circuit's
+   :class:`~repro.harness.experiments.CircuitStudy` and ask it for its
+   inputs — UIO table, functional tests, synthesized and verified scan
+   circuit, static analysis, fault universes — plus a cache lookup of each
+   universe's detectability split.  The artifact cache serves UIO tables,
+   synthesized circuits, static analyses and detectability splits across
+   runs; nothing is derived here.
 2. **Simulate** (one task per fault chunk): every (circuit, fault model)
    universe is split into engine-aware chunks (one whole-universe chunk for
    PPSFP, adaptive big-int batches otherwise); each task builds the
@@ -21,39 +23,37 @@ The engine decomposes the per-circuit pipeline into three phases:
    chunk-independent as detections.
 3. **Select** (main process): missing splits are assembled from the chunk
    masks and stored in the cache; chunk masks are merged into per-test
-   detected sets, and :func:`~repro.core.compaction.select_effective_tests`
-   replays the paper's longest-first effective-test selection against them.
+   detected sets, :func:`~repro.core.compaction.select_effective_tests`
+   replays the paper's longest-first effective-test selection against
+   them, and both are written into the study's ``grades``.
+
+:func:`compute_studies` runs all three for a sweep.  A study whose grading
+is read outside a sweep runs phases 2 and 3 for itself through
+:func:`grade_studies`, for the one fault model that was asked for, so every
+grade in the repository comes from this module.
 
 Parallel phases run on the **persistent worker pool**
 (:mod:`repro.perf.pool`): workers are forked once per process and reused
 across phases and sweeps; each phase primes them with one shared read-only
 snapshot and then sends index-only task messages, so no per-task artifact
-pickling happens at all.
-
-Because phase 3 feeds the selection exactly the sets a full-universe
-simulator would have produced, the engine's results are **bit-identical** to
-the serial :class:`~repro.harness.experiments.CircuitStudy` path for any
-``jobs`` value — ``jobs=1`` runs the very same task functions inline, and a
-machine where workers cannot be forked degrades to the same inline path.
-Result ordering is deterministic: the returned mapping follows the caller's
+pickling happens at all.  ``jobs=1`` runs the very same task functions
+inline, and a machine where workers cannot be forked degrades to the same
+inline path, so results are identical for any ``jobs`` value.  Result
+ordering is deterministic: the returned mapping follows the caller's
 circuit order.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable, Sequence
 
-from repro.benchmarks import load_circuit, load_kiss_machine
 from repro.core.compaction import EffectiveSelection, select_effective_tests
 from repro.core.config import FaultSimConfig, adaptive_batch_bits
-from repro.core.generator import GenerationResult, generate_tests
 from repro.core.testset import ScanTest
-from repro.fsm.state_table import StateTable
-from repro.gatelevel.bridging import enumerate_bridging_faults
 from repro.gatelevel.dispatch import make_fault_simulator, partition_by_mask
 from repro.gatelevel.ppsfp import PpsfpSimulator
-from repro.gatelevel.scan import ScanCircuit
+from repro.harness.experiments import MODELS, CircuitStudy, Split, StudyOptions
 from repro.harness.runtime import StageTimings, stopwatch
 from repro.obs import (
     ObsSnapshot,
@@ -65,231 +65,39 @@ from repro.obs.progress import meter as progress_meter
 from repro.obs.trace import span as trace_span
 from repro.perf.artifacts import (
     STAGE_FAULT_SIM,
-    STAGE_GENERATION,
     Fault,
-    cached_scan_circuit,
-    cached_sca,
-    cached_uio_table,
     derive_detectability,
-    detectability_key,
-    lookup_detectability,
     store_detectability,
 )
 from repro.perf.cache import active_cache
 from repro.perf.pool import get_pool
-from repro.uio.search import UioTable
 
-if TYPE_CHECKING:  # imported lazily at runtime to avoid a module cycle
-    from repro.harness.experiments import CircuitStudy, StudyOptions
+if TYPE_CHECKING:
     from repro.obs.progress import ProgressMeter
 
-__all__ = ["StudyArtifacts", "compute_studies"]
-
-
-@dataclass
-class StudyArtifacts:
-    """Everything a :class:`CircuitStudy` lazily computes, fully materialized.
-
-    :meth:`install` seeds a study's ``cached_property`` slots so subsequent
-    table regeneration reuses the engine's results without recomputing.
-
-    ``scope="functional"`` runs stop after test generation: the gate-level
-    fields stay ``None`` and :meth:`install` leaves the corresponding study
-    properties lazy.
-    """
-
-    name: str
-    uio: tuple[UioTable, float]
-    generation: GenerationResult
-    scan_circuit: ScanCircuit | None = None
-    stuck_at_faults: list[Fault] | None = None
-    stuck_at_detectability: tuple[set[Fault], set[Fault]] | None = None
-    stuck_at_selection: EffectiveSelection | None = None
-    bridging_faults: list[Fault] | None = None
-    bridging_detectability: tuple[set[Fault], set[Fault]] | None = None
-    bridging_selection: EffectiveSelection | None = None
-    #: representatives proven untestable by a verified certificate; they are
-    #: never simulated, and the detectability partition already counts them
-    stuck_at_proven: frozenset[Fault] | None = None
-
-    def install(self, study: "CircuitStudy") -> None:
-        """Seed ``study``'s cached properties with these artifacts."""
-        values: dict[str, Any] = {
-            "_uio": self.uio,
-            "generation": self.generation,
-            "scan_circuit": self.scan_circuit,
-            "stuck_at_faults": self.stuck_at_faults,
-            "stuck_at_detectability": self.stuck_at_detectability,
-            "stuck_at_selection": self.stuck_at_selection,
-            "bridging_faults": self.bridging_faults,
-            "bridging_detectability": self.bridging_detectability,
-            "bridging_selection": self.bridging_selection,
-            "stuck_at_proven": self.stuck_at_proven,
-        }
-        # cached_property stores its result under the attribute name in the
-        # instance __dict__; pre-populating it is the documented way to seed.
-        # Functional-scope artifacts leave the gate-level slots unset so the
-        # study computes them lazily if something does ask.
-        study.__dict__.update(
-            {key: value for key, value in values.items() if value is not None}
-        )
-
-    def signature(self) -> dict[str, Any]:
-        """Timing-free summary used to compare runs for divergence."""
-        uio, _ = self.uio
-        signature: dict[str, Any] = {
-            "uio_found": uio.n_found,
-            "uio_max_len": uio.max_found_length,
-            "tests": self.generation.n_tests,
-            "test_length": self.generation.total_length,
-        }
-        if self.stuck_at_selection is not None:
-            signature["stuck_at"] = _selection_signature(self.stuck_at_selection)
-        if self.bridging_selection is not None:
-            signature["bridging"] = _selection_signature(self.bridging_selection)
-        return signature
-
-    def summary(self) -> dict[str, Any]:
-        """Compact scalar summary for ledger records and bench results.
-
-        Unlike :meth:`signature` this never enumerates faults or tests —
-        it is the per-circuit block persisted in ``BENCH_perf.json`` and
-        the run ledger, so it must stay small and scheduling-invariant.
-        """
-        uio, _ = self.uio
-        summary: dict[str, Any] = {
-            "uio_found": uio.n_found,
-            "uio_max_len": uio.max_found_length,
-            "tests": self.generation.n_tests,
-            "test_length": self.generation.total_length,
-            "pct_length_one": round(self.generation.pct_length_one, 4),
-        }
-        for model, faults, selection in (
-            ("stuck_at", self.stuck_at_faults, self.stuck_at_selection),
-            ("bridging", self.bridging_faults, self.bridging_selection),
-        ):
-            if faults is None or selection is None:
-                continue
-            detected = len(selection.detected)
-            summary[model] = {
-                "faults": len(faults),
-                "detected": detected,
-                "coverage": round(detected / len(faults), 6) if faults else 1.0,
-                "effective_tests": selection.n_effective,
-            }
-        return summary
-
-
-def _selection_signature(selection: EffectiveSelection) -> dict[str, Any]:
-    return {
-        "n_faults": selection.n_faults,
-        "n_effective": selection.n_effective,
-        "effective_length": selection.effective_length,
-        "detected": sorted(repr(fault) for fault in selection.detected),
-        "rows": [
-            (str(test), count, effective)
-            for test, count, effective in selection.rows
-        ],
-    }
+__all__ = ["compute_studies", "grade_studies"]
 
 
 # ------------------------------------------------------------ phase 1: prep
 
 
-#: The two fault models every circuit is graded against, in grading order.
-MODELS = ("stuck_at", "bridging")
-
-
-@dataclass
-class _CircuitPrep:
-    """Per-circuit result of phase 1 (picklable worker payload)."""
-
-    name: str
-    uio: tuple[UioTable, float]
-    generation: GenerationResult
-    scan_circuit: ScanCircuit | None
-    stuck_at_faults: list[Fault] | None
-    bridging_faults: list[Fault] | None
-    #: tests in the exact order the effective-test selection simulates them
-    tests: tuple[ScanTest, ...]
-    timings: StageTimings
-    #: spans + metrics drained from the worker (``None`` when run inline)
-    obs: ObsSnapshot | None = None
-    #: stuck-at representatives with a verified untestability certificate
-    stuck_at_proven: frozenset[Fault] = frozenset()
-    #: per fault model, the universe phase 2 simulates (certificate-proved
-    #: stuck-at faults left out), its detectability cache key, and its
-    #: cached detectability split (``None``: phase 2 derives it)
-    universes: dict[str, list[Fault]] = field(default_factory=dict)
-    detectability_keys: dict[str, str] = field(default_factory=dict)
-    cached_splits: dict[str, tuple[set[Fault], set[Fault]] | None] = field(
-        default_factory=dict
-    )
-
-
-def _prepare_task(snapshot: dict[str, Any], index: int) -> _CircuitPrep:
-    """Phase-1 task: fully prepare circuit ``snapshot["names"][index]``."""
-    name = snapshot["names"][index]
-    options, scope = snapshot["options"], snapshot["scope"]
+def _prepare_task(
+    snapshot: dict[str, Any], index: int
+) -> tuple[CircuitStudy, ObsSnapshot | None]:
+    """Phase-1 task: build the study of ``snapshot["names"][index]`` and
+    compute what grading reads — its tests and, for a full sweep, its fault
+    universes and their stored detectability splits."""
+    name, scope = snapshot["names"][index], snapshot["scope"]
     with trace_span("circuit.prepare", circuit=name, scope=scope):
-        prep = _prepare_circuit_stages(name, options, scope)
-    prep.obs = worker_snapshot()
-    return prep
-
-
-def _prepare_circuit_stages(
-    name: str, options: "StudyOptions", scope: str = "full"
-) -> _CircuitPrep:
-    timings = StageTimings()
-    table = load_circuit(name)
-    config = options.config
-    length = config.resolved_uio_length(table.n_state_variables)
-    uio = cached_uio_table(
-        table, length, config.uio_node_budget, circuit=name, timings=timings
-    )
-    with timings.stage(name, STAGE_GENERATION):
-        generation = generate_tests(table, config, uio[0])
-    tests = tuple(generation.test_set.by_decreasing_length())
-    if scope == "functional":
-        # Functional tables (4/5) only need UIO + generation; skipping the
-        # gate-level stages keeps serial and --jobs runs doing identical
-        # work, which is what makes their ledger records jobs-invariant.
-        return _CircuitPrep(
-            name, uio, generation, None, None, None, tests, timings
-        )
-    scan = cached_scan_circuit(
-        load_kiss_machine(name), options.synthesis, table,
-        circuit=name, timings=timings,
-    )
-    sca = cached_sca(scan.netlist, circuit=name, timings=timings)
-    stuck_at: list[Fault] = list(sca.universe.representatives)
-    proven: frozenset[Fault] = frozenset(sca.untestable_representatives)
-    # Certificate-proved representatives are neither simulated nor judged:
-    # a verified certificate already places them in the undetectable bin,
-    # and equivalent faults share verdicts, so the merged partition is
-    # identical to grading the full representative list.
-    bridging: list[Fault] = list(
-        enumerate_bridging_faults(
-            scan.netlist, limit=options.bridging_pair_limit, seed=name
-        )
-    )
-    prep = _CircuitPrep(
-        name, uio, generation, scan, stuck_at, bridging, tests, timings,
-        stuck_at_proven=proven,
-        universes={
-            "stuck_at": [fault for fault in stuck_at if fault not in proven],
-            "bridging": bridging,
-        },
-    )
-    # Only the cache is read here.  A split it does not hold is derived in
-    # phase 2 from the simulator that grades the universe anyway.
-    for model in MODELS:
-        key = detectability_key(scan, prep.universes[model])
-        prep.detectability_keys[model] = key
-        prep.cached_splits[model] = lookup_detectability(
-            key, circuit=name, timings=timings
-        )
-    return prep
+        study = CircuitStudy(name, snapshot["options"])
+        _ = study.tests
+        if scope == "full":
+            for model in MODELS:
+                study.stored_split(model)
+            # The universes are computed; the analysis behind them is most
+            # of a pickled study.
+            del study.sca
+    return study, worker_snapshot()
 
 
 # -------------------------------------------------------- phase 2: simulate
@@ -318,9 +126,8 @@ def _simulate_task(snapshot: dict[str, Any], index: int) -> _ChunkResult:
     the others in its chunk, so phase 3 assembles the universe's split from
     the chunks.
     """
-    name, chunk, derive = snapshot["chunks"][index]
-    scan, table, tests = snapshot["circuits"][name]
-    faultsim: FaultSimConfig = snapshot["faultsim"]
+    position, chunk, derive = snapshot["chunks"][index]
+    name, scan, table, tests, faultsim = snapshot["circuits"][position]
     timings = StageTimings()
     cache = active_cache()
     hits = cache.hits if cache is not None else 0
@@ -403,14 +210,14 @@ def _fault_chunks(
 
 
 def _select_from_masks(
-    prep: _CircuitPrep,
+    study: CircuitStudy,
     faults: list[Fault],
     chunks: list[list[Fault]],
     chunk_masks: list[list[int]],
     undetectable: set[Fault],
 ) -> EffectiveSelection:
-    """Replay the serial effective-test selection from precomputed masks."""
-    per_test: list[set[Fault]] = [set() for _ in prep.tests]
+    """Replay the effective-test selection from precomputed masks."""
+    per_test: list[set[Fault]] = [set() for _ in study.tests]
     for chunk, masks in zip(chunks, chunk_masks):
         for index, mask in enumerate(masks):
             detected = per_test[index]
@@ -426,14 +233,14 @@ def _select_from_masks(
         return next(iterator) & remaining
 
     return select_effective_tests(
-        prep.generation.test_set, simulate, faults,
+        study.generation.test_set, simulate, faults,
         stop_when_exhausted=undetectable,
     )
 
 
 def _assemble_split(
     chunks: list[list[Fault]], results: list[_ChunkResult]
-) -> tuple[set[Fault], set[Fault]]:
+) -> Split:
     """A universe's detectability split from its chunks' detectable masks."""
     detectable: set[Fault] = set()
     undetectable: set[Fault] = set()
@@ -445,6 +252,26 @@ def _assemble_split(
         detectable |= chunk_detectable
         undetectable |= chunk_undetectable
     return detectable, undetectable
+
+
+def _grade(
+    study: CircuitStudy,
+    model: str,
+    chunks: list[list[Fault]],
+    results: list[_ChunkResult],
+) -> tuple[Split, EffectiveSelection]:
+    """One model's detectability split and effective-test selection."""
+    key, split = study.stored_split(model)
+    if split is None:
+        split = _assemble_split(chunks, results)
+        store_detectability(key, split)
+    if model == "stuck_at":
+        split = (split[0], split[1] | set(study.stuck_at_proven))
+    selection = _select_from_masks(
+        study, study.faults(model), chunks,
+        [result.masks for result in results], split[1],
+    )
+    return split, selection
 
 
 # ------------------------------------------------------------ the scheduler
@@ -491,26 +318,80 @@ def _run_phase(
     return results
 
 
+def grade_studies(
+    studies: Sequence[CircuitStudy],
+    models: Sequence[str] = MODELS,
+    *,
+    jobs: int = 1,
+) -> None:
+    """Phases 2 and 3: grade every study against every one of ``models``.
+
+    Writes each model's detectability split and effective-test selection
+    into ``study.grades``, and each chunk's stage records into
+    ``study.timings``.
+    """
+    chunks: list[tuple[int, list[Fault], bool]] = []
+    circuits = []
+    plan: dict[tuple[int, str], tuple[list[list[Fault]], range]] = {}
+    for position, study in enumerate(studies):
+        scan, tests = study.scan_circuit, study.tests
+        faultsim: FaultSimConfig = study.options.faultsim
+        circuits.append((study.name, scan, study.table, tests, faultsim))
+        pattern_bits = scan.n_state_variables + scan.n_primary_inputs
+        total_cycles = sum(len(test.inputs) for test in tests)
+        for model in models:
+            derive = study.stored_split(model)[1] is None
+            model_chunks = _fault_chunks(
+                study.simulated_faults(model), faultsim, pattern_bits,
+                total_cycles,
+            )
+            plan[position, model] = (
+                model_chunks, range(len(chunks), len(chunks) + len(model_chunks))
+            )
+            chunks.extend((position, chunk, derive) for chunk in model_chunks)
+
+    with trace_span("sweep.simulate", chunks=len(chunks), jobs=jobs):
+        results: list[_ChunkResult] = _run_phase(
+            jobs, _simulate_task, {"circuits": circuits, "chunks": chunks},
+            len(chunks),
+            progress=progress_meter(
+                "simulate", len(chunks),
+                circuits=[study.name for study in studies],
+            ),
+        )
+        for result in results:
+            absorb_snapshot(result.obs)
+
+    with trace_span("sweep.select", circuits=len(studies)):
+        for position, study in enumerate(studies):
+            for model in models:
+                model_chunks, indices = plan[position, model]
+                model_results = [results[index] for index in indices]
+                for result in model_results:
+                    study.timings.merge(result.timings)
+                study.grades[model] = _grade(
+                    study, model, model_chunks, model_results
+                )
+
+
 def compute_studies(
     circuits: Sequence[str],
-    options: "StudyOptions | None" = None,
+    options: StudyOptions | None = None,
     *,
     jobs: int = 1,
     timings: StageTimings | None = None,
     scope: str = "full",
-) -> dict[str, StudyArtifacts]:
+) -> dict[str, CircuitStudy]:
     """Run the pipeline for ``circuits`` with ``jobs`` processes.
 
-    Returns one :class:`StudyArtifacts` per circuit, keyed and ordered by
-    the caller's circuit order.  ``timings``, when given, accumulates every
-    stage record (including worker-side cache hit/miss counts).
+    Returns one graded :class:`CircuitStudy` per circuit, keyed and ordered
+    by the caller's circuit order.  ``timings``, when given, accumulates
+    every stage record (including worker-side cache hit/miss counts).
 
     ``scope="functional"`` stops after test generation (no synthesis, fault
     enumeration, simulation, or selection) — what the functional tables
     (4/5) need, and cheap enough that serial runs afford it too.
     """
-    from repro.harness.experiments import StudyOptions
-
     if scope not in ("full", "functional"):
         raise ValueError(f"unknown scope {scope!r}")
     options = options or StudyOptions()
@@ -521,112 +402,19 @@ def compute_studies(
     # inline execution (jobs=1 / pool fallback) yields None snapshots because
     # those spans already live in the parent's log.
     with trace_span("sweep.prepare", circuits=len(names), jobs=jobs):
-        prepare_snapshot = {
-            "names": names, "options": options, "scope": scope,
-        }
-        preps: list[_CircuitPrep] = _run_phase(
-            jobs, _prepare_task, prepare_snapshot, len(names),
+        prepared = _run_phase(
+            jobs, _prepare_task,
+            {"names": names, "options": options, "scope": scope}, len(names),
             progress=progress_meter("prepare", len(names), circuits=names),
         )
-        for prep in preps:
-            absorb_snapshot(prep.obs)
+        studies: list[CircuitStudy] = []
+        for study, snapshot in prepared:
+            absorb_snapshot(snapshot)
+            studies.append(study)
 
-    if scope == "functional":
-        artifacts_fn: dict[str, StudyArtifacts] = {}
-        for prep in preps:
-            if timings is not None:
-                timings.merge(prep.timings)
-            artifacts_fn[prep.name] = StudyArtifacts(
-                prep.name, prep.uio, prep.generation
-            )
-        return artifacts_fn
-
-    faultsim = options.faultsim
-    sim_chunks: list[tuple[str, list[Fault], bool]] = []
-    sim_circuits: dict[str, tuple[ScanCircuit, StateTable, tuple[ScanTest, ...]]] = {}
-    chunk_index: dict[tuple[str, str], list[int]] = {}
-    chunk_lists: dict[tuple[str, str], list[list[Fault]]] = {}
-    for prep in preps:
-        table = load_circuit(prep.name)
-        scan = prep.scan_circuit
-        sim_circuits[prep.name] = (scan, table, prep.tests)
-        pattern_bits = scan.n_state_variables + scan.n_primary_inputs
-        total_cycles = sum(len(test.inputs) for test in prep.tests)
-        for model in MODELS:
-            derive = prep.cached_splits[model] is None
-            chunks = _fault_chunks(
-                prep.universes[model], faultsim, pattern_bits, total_cycles
-            )
-            chunk_lists[(prep.name, model)] = chunks
-            positions: list[int] = []
-            for chunk in chunks:
-                positions.append(len(sim_chunks))
-                sim_chunks.append((prep.name, chunk, derive))
-            chunk_index[(prep.name, model)] = positions
-
-    with trace_span("sweep.simulate", chunks=len(sim_chunks), jobs=jobs):
-        simulate_snapshot = {
-            "circuits": sim_circuits,
-            "chunks": sim_chunks,
-            "faultsim": faultsim,
-        }
-        sim_results: list[_ChunkResult] = _run_phase(
-            jobs, _simulate_task, simulate_snapshot, len(sim_chunks),
-            progress=progress_meter("simulate", len(sim_chunks), circuits=names),
-        )
-        for result in sim_results:
-            absorb_snapshot(result.obs)
-
-    artifacts: dict[str, StudyArtifacts] = {}
-    with trace_span("sweep.select", circuits=len(names)):
-        for prep in preps:
-            if timings is not None:
-                timings.merge(prep.timings)
-            splits: dict[str, tuple[set[Fault], set[Fault]]] = {}
-            selections: dict[str, EffectiveSelection] = {}
-            for model, faults in (
-                ("stuck_at", prep.stuck_at_faults or []),
-                ("bridging", prep.bridging_faults or []),
-            ):
-                chunks = chunk_lists[(prep.name, model)]
-                results = [
-                    sim_results[position]
-                    for position in chunk_index[(prep.name, model)]
-                ]
-                if timings is not None:
-                    for result in results:
-                        timings.merge(result.timings)
-                split = prep.cached_splits[model]
-                if split is None:
-                    split = _assemble_split(chunks, results)
-                    store_detectability(prep.detectability_keys[model], split)
-                if model == "stuck_at":
-                    split = (split[0], split[1] | set(prep.stuck_at_proven))
-                splits[model] = split
-                if model == "bridging" and not faults:
-                    # Mirror CircuitStudy: empty bridging universe selects nothing.
-                    selections[model] = select_effective_tests(
-                        prep.generation.test_set, lambda test, remaining: set(), ()
-                    )
-                    continue
-                selections[model] = _select_from_masks(
-                    prep,
-                    faults,
-                    chunks,
-                    [result.masks for result in results],
-                    split[1],
-                )
-            artifacts[prep.name] = StudyArtifacts(
-                prep.name,
-                prep.uio,
-                prep.generation,
-                prep.scan_circuit,
-                prep.stuck_at_faults,
-                splits["stuck_at"],
-                selections["stuck_at"],
-                prep.bridging_faults,
-                splits["bridging"],
-                selections["bridging"],
-                stuck_at_proven=prep.stuck_at_proven,
-            )
-    return artifacts
+    if scope == "full":
+        grade_studies(studies, jobs=jobs)
+    if timings is not None:
+        for study in studies:
+            timings.merge(study.timings)
+    return {study.name: study for study in studies}

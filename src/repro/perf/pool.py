@@ -20,6 +20,11 @@ This pool inverts that:
   messages; the worker applies ``fn(snapshot, index)``.  A task result
   travels back over the pipe; scheduling is dynamic (next index goes to
   the first worker that answers), so an unbalanced chunk list still packs.
+* **Worker CPU rides along.**  Every result carries the worker's CPU delta
+  since its previous result or prime
+  (:func:`~repro.obs.resources.drain_worker_usage`), and the parent
+  absorbs it on arrival, so a :class:`~repro.obs.resources.UsageProbe`
+  window counts worker CPU whether or not observability is on.
 
 Failure containment: a worker that dies mid-phase has its outstanding and
 remaining work finished inline by the parent (``fn`` on the parent's own
@@ -44,6 +49,11 @@ from repro.obs.metrics import (
     gauge_set,
     histogram_observe,
 )
+from repro.obs.resources import (
+    absorb_child_usage,
+    drain_worker_usage,
+    reset_worker_usage,
+)
 from repro.perf.cache import ArtifactCache, set_active_cache
 
 __all__ = ["WorkerPool", "get_pool", "shutdown_pool"]
@@ -63,7 +73,9 @@ def _worker_main(conn: Connection) -> None:
             break
         except Exception as error:  # unpicklable message: report, don't die
             try:
-                conn.send(("err", None, RuntimeError(repr(error))))
+                conn.send(
+                    ("err", None, RuntimeError(repr(error)), drain_worker_usage())
+                )
                 continue
             except Exception:
                 break
@@ -72,6 +84,9 @@ def _worker_main(conn: Connection) -> None:
             break
         if kind == "prime":
             _, cache_root, obs_on, snapshot = message
+            # Each result reports the worker CPU spent since this prime or
+            # the previous result.
+            reset_worker_usage()
             set_active_cache(ArtifactCache(cache_root) if cache_root else None)
             # Always reset collectors: the fork inherited the parent's
             # tracer, and a stale one would double-report or leak spans.
@@ -86,12 +101,13 @@ def _worker_main(conn: Connection) -> None:
         try:
             result = fn(snapshot, index)
         except BaseException as error:  # noqa: BLE001 — relayed to parent
+            usage = drain_worker_usage()
             try:
-                conn.send(("err", index, error))
+                conn.send(("err", index, error, usage))
             except Exception:
-                conn.send(("err", index, RuntimeError(repr(error))))
+                conn.send(("err", index, RuntimeError(repr(error)), usage))
             continue
-        conn.send(("ok", index, result))
+        conn.send(("ok", index, result, drain_worker_usage()))
 
 
 class _Worker:
@@ -238,6 +254,7 @@ class WorkerPool:
                     self._queue_peak = max(self._queue_peak, len(pending))
                     continue
                 self._busy_s[slot] += now - sent_at.get(slot, start)
+                absorb_child_usage(message[3])
                 if message[0] == "err":
                     # Drain the other in-flight tasks before raising so the
                     # pipes are clean for the next run; dispatch stops here.

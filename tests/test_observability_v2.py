@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import json
 import os
+import time
 
 import pytest
 
@@ -35,7 +36,7 @@ from repro.atpg.search import (
 from repro.cli import main
 from repro.core.config import FaultSimConfig
 from repro.harness.experiments import CircuitStudy, StudyOptions
-from repro.obs import ObsSnapshot, absorb_snapshot
+from repro.obs import absorb_snapshot, resources
 from repro.obs.ledger import build_record, normalized, validate_record
 from repro.obs.log import WARNING, set_verbosity
 from repro.obs.metrics import MetricsRegistry, set_registry
@@ -63,6 +64,7 @@ from repro.obs.trace import (
     to_jsonl,
     validate_chrome_trace,
 )
+from repro.perf import pool as pool_module
 from repro.perf.engine import compute_studies
 from repro.perf.pool import WorkerPool, get_pool, shutdown_pool
 
@@ -201,21 +203,52 @@ class TestSpanResources:
         assert stats["inner"].mem_peak_bytes >= 0
 
 
+def _burn_cpu_task(snapshot, index):
+    """Spin until this process has spent ``snapshot["cpu_s"]`` more CPU."""
+    deadline = time.process_time() + snapshot["cpu_s"]
+    while time.process_time() < deadline:
+        pass
+    return index
+
+
+def _keep_child_totals(monkeypatch):
+    """Restore the process-wide absorbed-usage totals after the test."""
+    for name in ("_CHILD_CPU_USER", "_CHILD_CPU_SYSTEM", "_CHILD_MAX_RSS_KB"):
+        monkeypatch.setattr(resources, name, getattr(resources, name))
+
+
 class TestWorkerResourceMerge:
-    def test_snapshot_resources_absorbed(self):
-        """Absorbed worker usage lands in probe windows (CPU sums,
-        RSS maxes), not in the parent's own rusage."""
-        snapshot = ObsSnapshot()
-        snapshot.resources = ResourceUsage(
-            cpu_user_s=1.25, cpu_system_s=0.5, max_rss_kb=10**9
-        ).to_dict()
-        probe = UsageProbe()
-        with obs.observing():
-            absorb_snapshot(snapshot)
-        sample = probe.sample()
-        assert sample.cpu_user_s >= 1.25
-        assert sample.cpu_system_s >= 0.5
-        assert sample.max_rss_kb >= 10**9
+    def test_pool_usage_sums_cpu_and_maxes_rss(self, monkeypatch):
+        """Worker usage the pool relays lands in probe windows: CPU sums
+        over tasks, RSS takes the maximum."""
+        _keep_child_totals(monkeypatch)
+        usage = ResourceUsage(cpu_user_s=1.25, cpu_system_s=0.5, max_rss_kb=10**9)
+        # Patched before the fork, so the workers report this per task.
+        monkeypatch.setattr(pool_module, "drain_worker_usage", lambda: usage)
+        pool = WorkerPool(2)
+        try:
+            pool.prime({})
+            probe = UsageProbe()
+            pool.run(_obs_pool_task, 2)
+            sample = probe.sample()
+        finally:
+            pool.shutdown()
+        assert sample.cpu_user_s >= 2.5
+        assert sample.cpu_system_s >= 1.0
+        assert sample.max_rss_kb == 10**9
+
+    def test_worker_cpu_counted_with_observability_off(self, monkeypatch):
+        _keep_child_totals(monkeypatch)
+        assert not obs.is_active()
+        pool = WorkerPool(2)
+        try:
+            pool.prime({"cpu_s": 0.3})
+            probe = UsageProbe()
+            pool.run(_burn_cpu_task, 2)
+            sample = probe.sample()
+        finally:
+            pool.shutdown()
+        assert sample.cpu_user_s + sample.cpu_system_s >= 0.5
 
 
 class TestLedgerResources:

@@ -21,6 +21,7 @@ from repro.fsm.state_table import StateTable
 from repro.gatelevel import fault_sim
 from repro.gatelevel.detectability import assigned_pattern_mask, detectable_faults
 from repro.gatelevel.scan import ScanCircuit
+from repro.harness import experiments as experiments_module
 from repro.harness.experiments import CircuitStudy, StudyOptions, get_study, warm_studies
 from repro.harness.runtime import StageTimings
 from repro.perf.cache import (
@@ -214,6 +215,77 @@ class TestParallelEngine:
         # Seeded cached_property: identical objects, no recomputation.
         assert study.stuck_at_selection is artifacts["lion"].stuck_at_selection
         assert study.generation is artifacts["lion"].generation
+
+
+def _refuse(what):
+    def refuse(*args, **kwargs):
+        raise AssertionError(what)
+
+    return refuse
+
+
+class TestOnePipeline:
+    """Every grade comes from the engine; a lazy study grades one model."""
+
+    def test_lazy_grading_runs_the_engine(self, monkeypatch):
+        calls = []
+        simulate = engine_module._simulate_task
+
+        def counting(snapshot, index):
+            calls.append(index)
+            return simulate(snapshot, index)
+
+        monkeypatch.setattr(engine_module, "_simulate_task", counting)
+        options = StudyOptions()
+        study = CircuitStudy("lion", options)
+        assert study.stuck_at_selection.n_effective > 0
+        assert calls, "lazy stuck-at grading bypassed the engine"
+        stuck_at_calls = len(calls)
+        assert study.bridging_selection.n_effective > 0
+        assert len(calls) > stuck_at_calls
+        swept = compute_studies(("lion",), options)["lion"]
+        assert study.signature() == swept.signature()
+        assert study.summary() == swept.summary()
+
+    def test_stuck_at_grading_never_enumerates_bridging_faults(
+        self, monkeypatch
+    ):
+        monkeypatch.setattr(
+            experiments_module, "enumerate_bridging_faults",
+            _refuse("stuck-at grading enumerated bridging faults"),
+        )
+        study = CircuitStudy("bbtas", StudyOptions())
+        detectable, _ = study.stuck_at_detectability
+        assert study.stuck_at_selection.detected == frozenset(detectable)
+        assert list(study.grades) == ["stuck_at"]
+
+    def test_functional_studies_summarize_without_grading(self, monkeypatch):
+        studies = compute_studies(
+            ("lion", "mc"), StudyOptions(), scope="functional"
+        )
+        monkeypatch.setattr(
+            engine_module, "make_fault_simulator",
+            _refuse("a functional study built a fault simulator"),
+        )
+        for study in studies.values():
+            summary, signature = study.summary(), study.signature()
+            for model in ("stuck_at", "bridging"):
+                assert model not in summary and model not in signature
+            assert study.grades == {}
+
+    def test_warm_studies_registers_the_computed_studies(self):
+        options = StudyOptions(bridging_pair_limit=40)
+        studies = warm_studies(("lion", "mc"), options, jobs=1)
+        for name, study in studies.items():
+            assert isinstance(study, CircuitStudy)
+            assert get_study(name, options) is study
+
+    def test_prepared_study_leaves_the_static_analysis_behind(self):
+        snapshot = {"names": ["bbara"], "options": StudyOptions(), "scope": "full"}
+        study, _ = engine_module._prepare_task(snapshot, 0)
+        assert "sca" not in vars(study)
+        assert study.stuck_at_faults and study.bridging_faults
+        assert set(study.stuck_at_proven) <= set(study.stuck_at_faults)
 
 
 # ------------------------------------------- detectability from simulators
