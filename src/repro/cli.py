@@ -1578,7 +1578,7 @@ _LEDGER_COMMANDS = frozenset(
 #: Span names that are pipeline stages (see ``repro.perf.artifacts``).
 _STAGE_SPAN_NAMES = frozenset(
     {"uio", "synthesis", "generation", "detectability", "fault-sim", "sca",
-     "atpg"}
+     "bridging", "atpg"}
 )
 
 

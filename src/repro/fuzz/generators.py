@@ -39,6 +39,7 @@ from repro.gatelevel.scan import ScanCircuit
 from repro.gatelevel.stuck_at import StuckAtFault, collapse_stuck_at
 
 __all__ = [
+    "BRIDGING_LIMIT",
     "MACHINE_VARIANTS",
     "MachineSpec",
     "generate_machine",
@@ -144,10 +145,14 @@ def spec_stream(
         )
 
 
+#: Bridging pairs sampled into each case's gate-level fault universe.
+BRIDGING_LIMIT = 16
+
+
 def random_gate_faults(
     circuit: ScanCircuit,
     seed: int | str,
-    bridging_limit: int = 16,
+    bridging_limit: int = BRIDGING_LIMIT,
 ) -> list[Fault]:
     """A deterministic mixed stuck-at + bridging universe for ``circuit``.
 

@@ -25,10 +25,13 @@ Registered oracles
 ``synthesis-replay``    gate-level scan circuit replays equal table replays
 ``cache-replay``        warm artifact-cache replays bit-identical to cold runs
 ``atpg-vs-faultsim``    structural ATPG verdicts match exhaustive detectability
+``bridging-conditions`` bridging universe equals the pairwise three-condition
+                        reference, in full and sampled
 """
 
 from __future__ import annotations
 
+import random
 import tempfile
 from dataclasses import dataclass
 from typing import Any, Callable, Sequence
@@ -45,11 +48,22 @@ from repro.core.generator import GenerationResult, generate_tests
 from repro.errors import FuzzError, StateTableError
 from repro.fsm.kiss import parse_kiss, table_to_kiss, write_kiss
 from repro.fsm.state_table import StateTable
-from repro.fuzz.generators import Fault, MachineSpec, random_gate_faults
+from repro.fuzz.generators import (
+    BRIDGING_LIMIT,
+    Fault,
+    MachineSpec,
+    random_gate_faults,
+)
+from repro.gatelevel.bridging import (
+    BridgeKind,
+    BridgingFault,
+    enumerate_bridging_faults,
+)
 from repro.gatelevel.compiled import CompiledFaultSimulator
 from repro.gatelevel.detectability import assigned_pattern_mask, detectable_faults
 from repro.gatelevel.dispatch import detectable_mask, partition_by_mask
 from repro.gatelevel.fault_sim import detects as interpreted_detects
+from repro.gatelevel.netlist import CONTROLLING_VALUE, Netlist
 from repro.gatelevel.ppsfp import PpsfpSimulator
 from repro.gatelevel.scan import ScanCircuit
 from repro.gatelevel.synthesis import SynthesisOptions
@@ -65,6 +79,7 @@ __all__ = [
     "OracleSkip",
     "get_oracle",
     "oracle_names",
+    "pairwise_bridging_faults",
     "resolve_oracles",
 ]
 
@@ -462,6 +477,77 @@ def _atpg_vs_faultsim(case: FuzzCase) -> None:
             raise OracleFailure(
                 f"{algorithm} disagrees with exhaustive detectability: "
                 f"missed={false_negative[:4]} phantom={false_positive[:4]}"
+            )
+
+
+def pairwise_bridging_faults(
+    netlist: Netlist, limit: int | None = None, seed: int | str = 0
+) -> list[BridgingFault]:
+    """The paper's bridging universe, decided one line pair at a time.
+
+    The reference for
+    :func:`~repro.gatelevel.bridging.enumerate_bridging_faults`: condition
+    1 from the gate kinds, condition 2 from the two consumer sets,
+    condition 3 from a depth-first search along fanouts, and a ``limit``
+    sample drawn from the list of qualifying pairs itself.
+    """
+    fanouts = netlist.fanouts()
+    candidates = [
+        gate.index
+        for gate in netlist.gates
+        if gate.kind in CONTROLLING_VALUE
+        and gate.n_fanins >= 2
+        and fanouts[gate.index]
+    ]
+
+    def descendants(line: int) -> set[int]:
+        seen, stack = {line}, [line]
+        while stack:
+            for reader in fanouts[stack.pop()]:
+                if reader not in seen:
+                    seen.add(reader)
+                    stack.append(reader)
+        return seen
+
+    below = {line: descendants(line) for line in candidates}
+    pairs = [
+        (line1, line2)
+        for i, line1 in enumerate(candidates)
+        for line2 in candidates[i + 1 :]
+        if not set(fanouts[line1]) & set(fanouts[line2])
+        and line2 not in below[line1]
+        and line1 not in below[line2]
+    ]
+    if limit is not None and 0 <= limit < len(pairs):
+        rng = random.Random(f"repro-bridging:{seed}")
+        pairs = sorted(rng.sample(pairs, limit))
+    return [
+        BridgingFault(line1, line2, kind)
+        for line1, line2 in pairs
+        for kind in (BridgeKind.AND, BridgeKind.OR)
+    ]
+
+
+@_oracle(
+    "bridging-conditions",
+    "bridging universe equals the pairwise three-condition reference",
+)
+def _bridging_conditions(case: FuzzCase) -> None:
+    _gate_level_case(case)
+    netlist = case.scan_circuit().netlist
+    for limit in (None, BRIDGING_LIMIT):
+        enumerated = enumerate_bridging_faults(
+            netlist, limit=limit, seed=case.content_seed
+        )
+        reference = pairwise_bridging_faults(
+            netlist, limit=limit, seed=case.content_seed
+        )
+        if enumerated != reference:
+            extra = sorted(f.site() for f in set(enumerated) - set(reference))
+            missing = sorted(f.site() for f in set(reference) - set(enumerated))
+            raise OracleFailure(
+                f"bridging universe (limit={limit}) differs from the pairwise "
+                f"reference: extra={extra[:4]} missing={missing[:4]}"
             )
 
 

@@ -1,7 +1,8 @@
 """Hypothesis strategies over the fuzzer's machine generators.
 
 The property-test suites and the differential fuzzer draw from the same
-pool of machines: a Hypothesis strategy here is just ``st.builds`` over
+pool of machines (:func:`netlists` adds raw gate-level DAGs for the
+structural passes): a Hypothesis strategy here is just ``st.builds`` over
 :class:`repro.fuzz.generators.MachineSpec`, mapped through
 :func:`repro.fuzz.generators.generate_machine`.  Because the spec is a
 handful of integers, Hypothesis shrinks failures toward small variants,
@@ -18,8 +19,9 @@ from __future__ import annotations
 from hypothesis import strategies as st
 
 from repro.fuzz.generators import MACHINE_VARIANTS, MachineSpec, generate_machine
+from repro.gatelevel.netlist import GateType, Netlist
 
-__all__ = ["machine_specs", "state_tables"]
+__all__ = ["machine_specs", "netlists", "state_tables"]
 
 
 def machine_specs(
@@ -62,3 +64,32 @@ def state_tables(
         min_states, max_states, min_inputs, max_inputs, min_outputs, max_outputs,
         variants,
     ).map(generate_machine)
+
+
+@st.composite
+def netlists(draw: st.DrawFn, max_gates: int = 24) -> Netlist:
+    """Strategy over random netlists of the synthesized gate library.
+
+    One to four inputs; every other gate is CONST0, NOT, or a 2–4-input
+    AND/OR over distinct earlier lines, so the DAG has reconvergent
+    fanout, dangling lines, and proven constants; one to four lines are
+    outputs.
+    """
+    netlist = Netlist()
+    for _ in range(draw(st.integers(1, 4))):
+        netlist.add_input()
+    kinds = [GateType.CONST0, GateType.NOT, GateType.AND, GateType.OR]
+    for _ in range(draw(st.integers(0, max_gates))):
+        kind = draw(st.sampled_from(kinds))
+        lines = st.integers(0, netlist.n_gates - 1)
+        if kind is GateType.CONST0:
+            fanins: list[int] = []
+        elif kind is GateType.NOT or netlist.n_gates < 2:
+            kind, fanins = GateType.NOT, [draw(lines)]
+        else:
+            width = min(4, netlist.n_gates)
+            fanins = draw(st.lists(lines, min_size=2, max_size=width, unique=True))
+        netlist.add_gate(kind, fanins)
+    lines = st.integers(0, netlist.n_gates - 1)
+    netlist.set_outputs(draw(st.lists(lines, min_size=1, max_size=4, unique=True)))
+    return netlist

@@ -63,6 +63,32 @@ def _candidate_lines(netlist: Netlist) -> list[int]:
     ]
 
 
+def _candidate_matrices(
+    netlist: Netlist, candidates: list[int]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Boolean ``candidates × candidates`` matrices of conditions 2 and 3.
+
+    ``shared[i, j]``: candidates ``i`` and ``j`` feed a common gate;
+    ``path[i, j]``: candidate ``i`` reaches candidate ``j``, read off the
+    netlist's reachability bitset one byte per entry.  Candidates ascend
+    and gate order is topological, so for ``i < j`` the only possible path
+    between the two runs from ``i`` to ``j``.
+    """
+    m = len(candidates)
+    position = {line: i for i, line in enumerate(candidates)}
+    shared = np.zeros((m, m), dtype=bool)
+    for gate in netlist.gates:
+        fed = [position[f] for f in gate.fanins if f in position]
+        if len(fed) > 1:
+            shared[np.ix_(fed, fed)] = True
+    lines = np.asarray(candidates, dtype=np.intp)
+    # In little-endian bytes, bit ``j`` of a row is bit ``j % 8`` of byte
+    # ``j // 8``.
+    reach = netlist.reachability_matrix().astype("<u8", copy=False).view(np.uint8)
+    entries = reach[np.ix_(lines, lines // 8)] >> (lines % 8).astype(np.uint8)
+    return shared, (entries & 1).astype(bool)
+
+
 def enumerate_bridging_faults(
     netlist: Netlist,
     limit: int | None = None,
@@ -73,31 +99,25 @@ def enumerate_bridging_faults(
     ``limit`` caps the number of *line pairs*; each kept pair contributes
     both an AND-type and an OR-type fault.  Sampling is reproducible from
     ``seed`` and independent of ``limit`` ordering.
+
+    Qualifying pairs are the ``i < j`` entries of the candidate matrix
+    that neither condition excludes, numbered in row-major order — the
+    lexicographic order of ``(line1, line2)``.  A sample draws pair
+    *numbers*: ``Random.sample`` chooses positions from the population's
+    length alone, so sampling ``range(n_pairs)`` keeps exactly the pairs
+    that sampling the list of pairs would.
     """
     candidates = _candidate_lines(netlist)
-    fanouts = netlist.fanouts()
-    consumer_sets = {line: frozenset(fanouts[line]) for line in candidates}
-    reach = netlist.reachability_matrix()
-
-    def reaches(src: int, dst: int) -> bool:
-        return bool(
-            (reach[src, dst // 64] >> np.uint64(dst % 64)) & np.uint64(1)
-        )
-
-    pairs: list[tuple[int, int]] = []
-    for i, line1 in enumerate(candidates):
-        set1 = consumer_sets[line1]
-        for line2 in candidates[i + 1 :]:
-            if set1 & consumer_sets[line2]:
-                continue  # condition 2: a common consumer gate
-            if reaches(line1, line2) or reaches(line2, line1):
-                continue  # condition 3: a path between the lines
-            pairs.append((line1, line2))
-    if limit is not None and limit >= 0 and len(pairs) > limit:
+    shared, path = _candidate_matrices(netlist, candidates)
+    qualifying = np.triu(~(shared | path), 1)
+    numbers = np.flatnonzero(qualifying)
+    if limit is not None and 0 <= limit < numbers.size:
         rng = random.Random(f"repro-bridging:{seed}")
-        pairs = sorted(rng.sample(pairs, limit))
+        numbers = numbers[sorted(rng.sample(range(numbers.size), limit))]
+    firsts, seconds = np.divmod(numbers, len(candidates))
     faults: list[BridgingFault] = []
-    for line1, line2 in pairs:
+    for first, second in zip(firsts.tolist(), seconds.tolist()):
+        line1, line2 = candidates[first], candidates[second]
         faults.append(BridgingFault(line1, line2, BridgeKind.AND))
         faults.append(BridgingFault(line1, line2, BridgeKind.OR))
     return faults

@@ -114,6 +114,18 @@ class Netlist:
         self._inputs: list[int] = []
         self._outputs: list[int] = []
         self._fanouts: list[list[int]] | None = None
+        self._reach: Words | None = None
+
+    def __getstate__(self) -> dict:
+        # The reachability memo is n²/8 bytes and cheap to rebuild; keep it
+        # out of pickled cache entries and worker-pool snapshots.
+        state = self.__dict__.copy()
+        del state["_reach"]
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self._reach = None
 
     # --------------------------------------------------------- construction
 
@@ -122,6 +134,7 @@ class Netlist:
         self._gates.append(Gate(index, GateType.INPUT, (), name or f"in{index}"))
         self._inputs.append(index)
         self._fanouts = None
+        self._reach = None
         return index
 
     def add_gate(self, kind: GateType, fanins: Iterable[int], name: str = "") -> int:
@@ -148,6 +161,7 @@ class Netlist:
                 )
         self._gates.append(Gate(index, kind, fanin_tuple, name or f"g{index}"))
         self._fanouts = None
+        self._reach = None
         return index
 
     def set_outputs(self, outputs: Iterable[int]) -> None:
@@ -199,37 +213,41 @@ class Netlist:
     def fanout_closure(self, seeds: Iterable[int]) -> list[int]:
         """Gates affected when any seed line changes, in topological order.
 
-        Includes the seeds themselves.
+        Includes the seeds themselves: the union of the seeds' rows of
+        :meth:`reachability_matrix`.
         """
-        dirty = set(seeds)
-        # One forward sweep suffices because indices are topologically sorted.
-        for gate in self._gates:
-            if gate.index in dirty:
-                continue
-            if any(fanin in dirty for fanin in gate.fanins):
-                dirty.add(gate.index)
-        return sorted(dirty)
+        rows = self.reachability_matrix()[list(seeds)]
+        cone = np.bitwise_or.reduce(rows, axis=0)
+        # Little-endian bytes keep bit ``i`` at unpacked position ``i``.
+        packed = cone.astype("<u8", copy=False).view(np.uint8)
+        return np.flatnonzero(np.unpackbits(packed, bitorder="little")).tolist()
 
     def reaches(self, source: int, sink: int) -> bool:
         """Is there a combinational path from ``source`` to ``sink``?"""
-        if source == sink:
-            return True
-        return sink in self.fanout_closure([source])
+        word = self.reachability_matrix()[source, sink // 64]
+        return bool((int(word) >> (sink % 64)) & 1)
 
     def reachability_matrix(self) -> Words:
         """Bitset matrix ``R``: bit ``j`` of ``R[i]`` word ``j//64`` says
         line ``j`` is combinationally reachable from line ``i`` (reflexive).
+
+        Built once per netlist and kept until the next ``add_input`` or
+        ``add_gate``; the returned array is read-only and shared by every
+        caller.
         """
-        n = self.n_gates
-        words = (n + 63) // 64
-        matrix = np.zeros((n, words), dtype=np.uint64)
-        for index in range(n):
-            matrix[index, index // 64] |= np.uint64(1) << np.uint64(index % 64)
-        # Reverse sweep: everything a gate reaches flows back to its fanins.
-        for gate in reversed(self._gates):
-            for fanin in gate.fanins:
-                matrix[fanin] |= matrix[gate.index]
-        return matrix
+        if self._reach is None:
+            n = self.n_gates
+            words = (n + 63) // 64
+            matrix = np.zeros((n, words), dtype=np.uint64)
+            for index in range(n):
+                matrix[index, index // 64] |= np.uint64(1) << np.uint64(index % 64)
+            # Reverse sweep: everything a gate reaches flows back to its fanins.
+            for gate in reversed(self._gates):
+                for fanin in gate.fanins:
+                    matrix[fanin] |= matrix[gate.index]
+            matrix.flags.writeable = False
+            self._reach = matrix
+        return self._reach
 
     def check(self) -> None:
         """Structural sanity check; raises :class:`NetlistError` on trouble.

@@ -188,11 +188,15 @@ class CircuitStudy:
 
     @cached_property
     def bridging_faults(self) -> list[BridgingFault]:
-        return enumerate_bridging_faults(
-            self.scan_circuit.netlist,
-            limit=self.options.bridging_pair_limit,
-            seed=self.name,
-        )
+        from repro.perf.artifacts import STAGE_BRIDGING
+
+        netlist = self.scan_circuit.netlist  # synthesis is its own stage
+        with self.timings.stage(self.name, STAGE_BRIDGING):
+            return enumerate_bridging_faults(
+                netlist,
+                limit=self.options.bridging_pair_limit,
+                seed=self.name,
+            )
 
     def faults(self, model: str) -> list:
         """``model``'s fault universe: every fault grading judges."""

@@ -44,6 +44,7 @@ from repro.uio.search import UioTable, compute_uio_table
 
 __all__ = [
     "STAGE_ATPG",
+    "STAGE_BRIDGING",
     "STAGE_DETECTABILITY",
     "STAGE_FAULT_SIM",
     "STAGE_GENERATION",
@@ -73,6 +74,7 @@ STAGE_GENERATION = "generation"
 STAGE_DETECTABILITY = "detectability"
 STAGE_FAULT_SIM = "fault-sim"
 STAGE_SCA = "sca"
+STAGE_BRIDGING = "bridging"
 STAGE_ATPG = "atpg"
 
 

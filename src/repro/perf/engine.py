@@ -216,21 +216,39 @@ def _select_from_masks(
     chunk_masks: list[list[int]],
     undetectable: set[Fault],
 ) -> EffectiveSelection:
-    """Replay the effective-test selection from precomputed masks."""
-    per_test: list[set[Fault]] = [set() for _ in study.tests]
+    """Replay the effective-test selection from precomputed masks.
+
+    The chunks' per-test masks are shifted into one mask per test over
+    the simulated faults in chunk order.  ``live`` holds the simulated
+    faults outside ``undetectable`` that no earlier test reported, which
+    is ``remaining`` restricted to the simulated faults, so only
+    ``mask & live`` needs decoding.
+    """
+    simulated = [fault for chunk in chunks for fault in chunk]
+    per_test = [0] * len(study.tests)
+    offset = 0
     for chunk, masks in zip(chunks, chunk_masks):
         for index, mask in enumerate(masks):
-            detected = per_test[index]
-            while mask:
-                low = (mask & -mask).bit_length() - 1
-                detected.add(chunk[low])
-                mask &= mask - 1
+            per_test[index] |= mask << offset
+        offset += len(chunk)
+    live = 0
+    for bit, fault in enumerate(simulated):
+        if fault not in undetectable:
+            live |= 1 << bit
     iterator = iter(per_test)
 
-    def simulate(test: ScanTest, remaining: frozenset[Fault]) -> set[Fault]:
+    def simulate(test: ScanTest, remaining: frozenset[Fault]) -> list[Fault]:
         # select_effective_tests calls simulate() for a strict prefix of
         # by_decreasing_length() order — the same order per_test follows.
-        return next(iterator) & remaining
+        nonlocal live
+        mask = next(iterator) & live
+        live &= ~mask
+        newly = []
+        while mask:
+            low = mask & -mask
+            newly.append(simulated[low.bit_length() - 1])
+            mask ^= low
+        return newly
 
     return select_effective_tests(
         study.generation.test_set, simulate, faults,

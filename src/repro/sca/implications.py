@@ -11,12 +11,14 @@ against the netlist:
   functions alone.
 
 * :func:`site_observability` proves that a discrepancy originating at a
-  given line can never reach a primary output: a forward frontier sweep in
-  which propagation through a gate is *blocked* when some side input is a
-  proven constant at the gate's controlling value — and that side input is
-  itself outside the frontier, so the fault cannot disturb it.  The
-  certificate records the blocking (gate, pin) pairs;
-  :func:`verify_observability_blocks` replays the sweep trusting nothing.
+  given line can never reach a primary output: a forward frontier sweep
+  over the line's fanout cone in which propagation through a gate is
+  *blocked* when some side input is a proven constant at the gate's
+  controlling value — and that side input is itself outside the frontier,
+  so the fault cannot disturb it.  The certificate records the blocking
+  (gate, pin) pairs; :func:`verify_observability_blocks` replays the sweep
+  over every later gate, trusting nothing — not even the netlist's
+  reachability memo.
 
 Soundness notes
 ---------------
@@ -250,7 +252,10 @@ def site_observability(
     outputs = set(netlist.outputs)
     deviated = {site}
     blocks: list[tuple[int, int]] = []
-    for gate in netlist.gates[site + 1 :]:
+    # Only gates in the site's fanout cone can read a deviated line; the
+    # cone lists them in topological order, after the site itself.
+    for index in netlist.fanout_closure([site])[1:]:
+        gate = netlist.gate(index)
         if not any(fanin in deviated for fanin in gate.fanins):
             continue
         control = CONTROLLING_VALUE.get(gate.kind)

@@ -28,7 +28,7 @@ from repro.fuzz import (
     spec_stream,
 )
 from repro.fuzz import oracles as oracles_mod
-from repro.fuzz.generators import MACHINE_VARIANTS, random_gate_faults
+from repro.fuzz.generators import BRIDGING_LIMIT, MACHINE_VARIANTS, random_gate_faults
 from repro.fuzz.oracles import (
     FuzzCase,
     Oracle,
@@ -223,6 +223,33 @@ class TestBrokenImplementationsAreCaught:
         monkeypatch.setattr(oracles_mod, "detectable_faults", unmasked)
         with pytest.raises(OracleFailure, match="disagrees"):
             get_oracle("detectability-ppsfp-vs-cone").run(case)
+
+    def test_bridging_conditions_catches_a_truncated_sample(self, monkeypatch):
+        case = small_case()
+        real = oracles_mod.enumerate_bridging_faults
+        netlist = case.scan_circuit().netlist
+        assert len(real(netlist)) > 2 * BRIDGING_LIMIT, (
+            "precondition: the sample is a proper subset of the universe"
+        )
+        get_oracle("bridging-conditions").run(case)  # healthy first
+
+        def first_pairs(netlist, limit=None, seed=0):
+            faults = real(netlist)
+            return faults if limit is None else faults[: 2 * limit]
+
+        monkeypatch.setattr(oracles_mod, "enumerate_bridging_faults", first_pairs)
+        with pytest.raises(OracleFailure, match="limit=16"):
+            get_oracle("bridging-conditions").run(case)
+
+    def test_bridging_conditions_catches_a_lost_pair(self, monkeypatch):
+        case = small_case()
+        real = oracles_mod.enumerate_bridging_faults
+        monkeypatch.setattr(
+            oracles_mod, "enumerate_bridging_faults",
+            lambda netlist, limit=None, seed=0: real(netlist, limit, seed)[2:],
+        )
+        with pytest.raises(OracleFailure, match="limit=None"):
+            get_oracle("bridging-conditions").run(case)
 
     def test_scan_vs_nonscan_catches_blind_simulator(self, monkeypatch):
         case = small_case()

@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
+import pickle
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.errors import NetlistError
+from repro.fuzz.strategies import netlists
 from repro.gatelevel.netlist import (
     ALL_ONES,
     GateType,
@@ -145,6 +149,60 @@ class TestStructureQueries:
                     (matrix[src, dst // 64] >> np.uint64(dst % 64)) & np.uint64(1)
                 )
                 assert bit == netlist.reaches(src, dst)
+
+
+def sweep_closure(netlist, seeds):
+    """Forward-sweep reference: one pass over the gates in index order."""
+    dirty = set(seeds)
+    for gate in netlist.gates:
+        if any(fanin in dirty for fanin in gate.fanins):
+            dirty.add(gate.index)
+    return sorted(dirty)
+
+
+class TestReachabilityMemo:
+    @settings(max_examples=60, deadline=None)
+    @given(netlists(max_gates=40), st.data())
+    def test_queries_match_forward_sweep(self, netlist, data):
+        lines = st.integers(0, netlist.n_gates - 1)
+        seeds = data.draw(st.lists(lines, max_size=3))
+        assert netlist.fanout_closure(seeds) == sweep_closure(netlist, seeds)
+        for source in range(netlist.n_gates):
+            cone = set(sweep_closure(netlist, [source]))
+            for sink in range(netlist.n_gates):
+                assert netlist.reaches(source, sink) == (sink in cone)
+
+    def test_memoized_and_read_only(self):
+        netlist = xor_netlist()
+        matrix = netlist.reachability_matrix()
+        assert netlist.reachability_matrix() is matrix
+        assert not matrix.flags.writeable
+        with pytest.raises(ValueError):
+            matrix[0, 0] = 0
+
+    def test_reset_by_add_input(self):
+        netlist = xor_netlist()
+        before = netlist.reachability_matrix()
+        line = netlist.add_input("c")
+        after = netlist.reachability_matrix()
+        assert after is not before
+        assert after.shape[0] == netlist.n_gates
+        assert netlist.fanout_closure([line]) == [line]
+
+    def test_reset_by_add_gate(self):
+        netlist = xor_netlist()
+        assert netlist.fanout_closure([2]) == [2, 5, 6]  # NOT a -> t2 -> y
+        gate = netlist.add_gate(GateType.AND, (2, 3))
+        assert netlist.fanout_closure([2]) == [2, 5, 6, gate]
+        assert netlist.reaches(3, gate)
+
+    def test_memo_left_out_of_pickles(self):
+        netlist = xor_netlist()
+        cold = pickle.dumps(netlist)
+        netlist.reachability_matrix()
+        assert pickle.dumps(netlist) == cold
+        restored = pickle.loads(cold)
+        assert restored.fanout_closure([0]) == netlist.fanout_closure([0])
 
 
 class TestPackUnpack:

@@ -20,10 +20,12 @@ import pickle
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
 
 from repro.errors import CertificateError
+from repro.fuzz.strategies import netlists
 from repro.gatelevel.detectability import detectable_faults, fault_free_values
-from repro.gatelevel.netlist import GateType, Netlist, unpack_bits
+from repro.gatelevel.netlist import CONTROLLING_VALUE, GateType, Netlist, unpack_bits
 from repro.gatelevel.stuck_at import StuckAtFault, enumerate_stuck_at
 from repro.harness.experiments import CircuitStudy
 from repro.sca import (
@@ -375,6 +377,44 @@ def test_site_observability_blocked_and_open():
     assert blocks == ((4, 1),)  # AND gate 4, CONST0 on pin 1
     observable, blocks = site_observability(net, constants, 0)
     assert observable and blocks == ()
+
+
+def sweep_observability(net, constants, site):
+    """Full-sweep reference: every gate after ``site``, in index order."""
+    deviated, blocks = {site}, []
+    for gate in net.gates[site + 1 :]:
+        if not any(fanin in deviated for fanin in gate.fanins):
+            continue
+        control = CONTROLLING_VALUE.get(gate.kind)
+        pin = next(
+            (
+                pin
+                for pin, fanin in enumerate(gate.fanins)
+                if fanin not in deviated
+                and control is not None
+                and constants.values[fanin] == control
+            ),
+            None,
+        )
+        if pin is None:
+            deviated.add(gate.index)
+        else:
+            blocks.append((gate.index, pin))
+    if deviated & set(net.outputs):
+        return True, ()
+    return False, tuple(blocks)
+
+
+@settings(
+    max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow]
+)
+@given(netlists(max_gates=30))
+def test_site_observability_matches_full_sweep(net):
+    constants = propagate_constants(net)
+    for site in range(net.n_gates):
+        assert site_observability(net, constants, site) == sweep_observability(
+            net, constants, site
+        )
 
 
 def test_verify_observability_blocks_rejects_bad_evidence():
