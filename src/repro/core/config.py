@@ -1,4 +1,11 @@
-"""Configuration of the test generation and fault simulation procedures."""
+"""Configuration of the test generation and fault simulation procedures.
+
+Besides the two procedures' config objects, this module holds the sizing
+rules of the fault simulators: big-int batch widths and PPSFP pattern
+blocks (:func:`adaptive_batch_bits`), the width of a PPSFP table cell
+(:func:`table_cell_bytes`), and the byte budget on PPSFP tables that
+``engine="auto"`` checks (:data:`DEFAULT_PPSFP_BYTE_BUDGET`).
+"""
 
 from __future__ import annotations
 
@@ -12,9 +19,10 @@ __all__ = [
     "FaultSimConfig",
     "DEFAULT_BATCH_BITS_CAP",
     "DEFAULT_PPSFP_PATTERN_BLOCK",
-    "DEFAULT_PPSFP_CELL_BUDGET",
+    "DEFAULT_PPSFP_BYTE_BUDGET",
     "FAULT_SIM_ENGINES",
     "adaptive_batch_bits",
+    "table_cell_bytes",
 ]
 
 #: Upper bound on faults packed per big-int batch word.  Larger batches
@@ -28,11 +36,12 @@ DEFAULT_BATCH_BITS_CAP = 2048
 #: results because combinational patterns are independent.
 DEFAULT_PPSFP_PATTERN_BLOCK = 8192
 
-#: Auto-dispatch budget on behavioral-table cells (``faults x patterns``).
-#: Above it the exhaustive PPSFP table build stops paying for itself (and
-#: starts costing real memory), so ``engine="auto"`` falls back to the
-#: big-int parallel-fault path.
-DEFAULT_PPSFP_CELL_BUDGET = 1 << 24
+#: Auto-dispatch budget (bytes) on a universe's PPSFP table: ``faults x
+#: patterns`` cells of :func:`table_cell_bytes` each.  Above it the
+#: exhaustive table build stops paying for itself (and starts costing real
+#: memory), so ``engine="auto"`` falls back to the big-int parallel-fault
+#: path.
+DEFAULT_PPSFP_BYTE_BUDGET = 128 << 20
 
 #: Recognized fault-simulation engines.
 FAULT_SIM_ENGINES = ("auto", "ppsfp", "bigint")
@@ -81,6 +90,19 @@ def adaptive_batch_bits(
     return -(-n_faults // n_batches)
 
 
+def table_cell_bytes(cell_bits: int) -> int | None:
+    """Bytes of the narrowest unsigned integer holding ``cell_bits`` bits.
+
+    A PPSFP table cell packs a next-state code and an output combination
+    (``SV + PO`` bits); ``None`` when no integer of at most 64 bits holds
+    them, so the PPSFP engine cannot represent the circuit.
+    """
+    for size in (1, 2, 4, 8):
+        if cell_bits <= 8 * size:
+            return size
+    return None
+
+
 @dataclass(frozen=True)
 class FaultSimConfig:
     """Engine choice of the bit-parallel fault simulators.
@@ -109,12 +131,17 @@ class FaultSimConfig:
         n_faults: int,
         n_pattern_bits: int,
         total_test_cycles: int | None = None,
+        *,
+        cell_bits: int,
     ) -> str:
         """Resolve ``"auto"`` to a concrete engine for one universe.
 
-        The heuristic compares the PPSFP table-build footprint
-        (``faults x 2**pattern_bits`` cells) against the cell budget, and —
-        when the caller knows the workload — against the big-int path's
+        ``cell_bits`` is the width of one PPSFP table cell, the circuit's
+        state plus output bits.  The heuristic compares the PPSFP table's
+        size (``faults x 2**pattern_bits`` cells of
+        :func:`table_cell_bytes`) against the byte budget; a circuit whose
+        cells no integer holds goes to the big-int path.  When the caller
+        knows the workload, it also compares against the big-int path's
         cycle count: a table whose pattern axis dwarfs the total number of
         simulated clock cycles would cost more to build than the big-int
         simulation it replaces.  Forced engines pass through unchanged.
@@ -124,7 +151,11 @@ class FaultSimConfig:
         if n_faults == 0:
             return "ppsfp"
         n_patterns = 1 << n_pattern_bits
-        if n_faults * n_patterns > DEFAULT_PPSFP_CELL_BUDGET:
+        cell_bytes = table_cell_bytes(cell_bits)
+        if (
+            cell_bytes is None
+            or n_faults * n_patterns * cell_bytes > DEFAULT_PPSFP_BYTE_BUDGET
+        ):
             return "bigint"
         if total_test_cycles is not None:
             pattern_words = max(1, n_patterns // 64)

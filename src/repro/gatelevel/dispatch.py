@@ -9,6 +9,10 @@ parallel-fault engine
 ``detect_mask`` / ``detect_masks`` / ``detects`` /
 ``make_effective_simulator`` over the same fault-bit order, and produce
 bit-identical masks — the dispatch decision only ever affects speed.
+Under ``auto`` a universe gets the PPSFP engine unless its table would
+exceed :data:`repro.core.config.DEFAULT_PPSFP_BYTE_BUDGET` at the circuit's
+cell width (state plus output bits) or no cell can hold that width; the
+compiled engine serves the rest.
 
 The module exists so call sites (harness selections, the perf engine, the
 fuzz oracle) need neither import both engines nor re-implement the
@@ -69,14 +73,9 @@ def make_fault_simulator(
         len(faults),
         circuit.n_state_variables + circuit.n_primary_inputs,
         total_test_cycles,
+        cell_bits=circuit.n_state_variables + circuit.n_primary_outputs,
     )
-    if not faults:
-        return PpsfpSimulator(circuit, table, faults)
-    if engine == "ppsfp":
-        if config.engine == "auto" and circuit.n_primary_outputs > 32:
-            # PPSFP tables hold output combos in uint32 cells; auto never
-            # picks an engine that would refuse the circuit.
-            return CompiledFaultSimulator(circuit, table, faults)
+    if engine == "ppsfp" or not faults:
         return PpsfpSimulator(circuit, table, faults)
     return CompiledFaultSimulator(circuit, table, faults)
 

@@ -96,7 +96,7 @@ class _UnionFind:
         root_a, root_b = self.find(first), self.find(second)
         if root_a is not root_b:
             # Deterministic representative: the smaller fault.
-            if root_b < root_a:
+            if root_b.sort_key < root_a.sort_key:
                 root_a, root_b = root_b, root_a
             self.parent[root_b] = root_a
 

@@ -185,6 +185,8 @@ def _fault_chunks(
     faultsim: FaultSimConfig,
     n_pattern_bits: int,
     total_test_cycles: int,
+    *,
+    cell_bits: int,
 ) -> list[list[Fault]]:
     """Engine-aware chunks of one (circuit, fault model) universe.
 
@@ -199,7 +201,9 @@ def _fault_chunks(
     n = len(faults)
     if n == 0:
         return []
-    engine = faultsim.select_engine(n, n_pattern_bits, total_test_cycles)
+    engine = faultsim.select_engine(
+        n, n_pattern_bits, total_test_cycles, cell_bits=cell_bits
+    )
     if engine == "ppsfp":
         return [faults]
     size = adaptive_batch_bits(n)
@@ -356,12 +360,13 @@ def grade_studies(
         faultsim: FaultSimConfig = study.options.faultsim
         circuits.append((study.name, scan, study.table, tests, faultsim))
         pattern_bits = scan.n_state_variables + scan.n_primary_inputs
+        cell_bits = scan.n_state_variables + scan.n_primary_outputs
         total_cycles = sum(len(test.inputs) for test in tests)
         for model in models:
             derive = study.stored_split(model)[1] is None
             model_chunks = _fault_chunks(
                 study.simulated_faults(model), faultsim, pattern_bits,
-                total_cycles,
+                total_cycles, cell_bits=cell_bits,
             )
             plan[position, model] = (
                 model_chunks, range(len(chunks), len(chunks) + len(model_chunks))

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from operator import attrgetter
 
 from repro.gatelevel.netlist import Netlist
 from repro.gatelevel.stuck_at import (
@@ -31,6 +32,10 @@ from repro.gatelevel.stuck_at import (
 )
 
 __all__ = ["CollapsedUniverse", "collapse_universe"]
+
+#: The faults' total order, read once per fault instead of once per
+#: comparison.
+_SORT_KEY = attrgetter("sort_key")
 
 
 @dataclass(frozen=True)
@@ -43,7 +48,7 @@ class CollapsedUniverse:
     @cached_property
     def representatives(self) -> tuple[StuckAtFault, ...]:
         """Deterministic simulation list — one fault per class."""
-        return tuple(sorted(set(self.mapping.values())))
+        return tuple(sorted(set(self.mapping.values()), key=_SORT_KEY))
 
     @cached_property
     def classes(self) -> dict[StuckAtFault, tuple[StuckAtFault, ...]]:
@@ -51,7 +56,10 @@ class CollapsedUniverse:
         members: dict[StuckAtFault, list[StuckAtFault]] = {}
         for fault, rep in self.mapping.items():
             members.setdefault(rep, []).append(fault)
-        return {rep: tuple(sorted(group)) for rep, group in members.items()}
+        return {
+            rep: tuple(sorted(group, key=_SORT_KEY))
+            for rep, group in members.items()
+        }
 
     @property
     def n_faults(self) -> int:

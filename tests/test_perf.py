@@ -532,18 +532,20 @@ class TestPoolSingleton:
 
 class TestFaultChunks:
     def test_empty_universe(self):
-        assert _fault_chunks([], FaultSimConfig(), 4, 100) == []
+        assert _fault_chunks([], FaultSimConfig(), 4, 100, cell_bits=8) == []
 
     def test_ppsfp_gets_one_whole_universe_chunk(self):
         faults = list(range(300))
-        chunks = _fault_chunks(faults, FaultSimConfig(engine="ppsfp"), 6, 100)
+        chunks = _fault_chunks(
+            faults, FaultSimConfig(engine="ppsfp"), 6, 100, cell_bits=8
+        )
         assert chunks == [faults]
 
     def test_bigint_gets_adaptive_slices(self):
         faults = list(range(5000))
         config = FaultSimConfig(engine="bigint")
         size = adaptive_batch_bits(len(faults))
-        chunks = _fault_chunks(faults, config, 6, 100)
+        chunks = _fault_chunks(faults, config, 6, 100, cell_bits=8)
         assert [len(chunk) for chunk in chunks[:-1]] == [size] * (
             len(chunks) - 1
         )
@@ -554,9 +556,9 @@ class TestFaultChunks:
         faults = list(range(5000))
         config = FaultSimConfig()  # auto
         # Small pattern space: PPSFP fits, one chunk.
-        assert len(_fault_chunks(faults, config, 6, 10_000)) == 1
-        # Huge pattern space: table would blow the cell budget -> big-int.
-        assert len(_fault_chunks(faults, config, 30, 10_000)) > 1
+        assert len(_fault_chunks(faults, config, 6, 10_000, cell_bits=8)) == 1
+        # Huge pattern space: table would blow the byte budget -> big-int.
+        assert len(_fault_chunks(faults, config, 30, 10_000, cell_bits=8)) > 1
 
     def test_boundaries_are_jobs_invariant(self):
         # _fault_chunks has no jobs parameter at all: the same universe

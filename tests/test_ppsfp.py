@@ -13,11 +13,12 @@ from __future__ import annotations
 import random
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from repro.benchmarks import circuit_names, load_circuit, load_kiss_machine
 from repro.core.config import (
-    DEFAULT_PPSFP_CELL_BUDGET,
+    DEFAULT_PPSFP_BYTE_BUDGET,
     FaultSimConfig,
     adaptive_batch_bits,
 )
@@ -197,7 +198,7 @@ class TestDispatchEdgeCases:
         )
 
     def test_auto_rejects_oversized_table(self):
-        # nucpwr has 2^18 patterns: a full universe blows the cell budget,
+        # nucpwr has 2^18 patterns: a full universe blows the byte budget,
         # so auto must fall back to the big-int engine.
         table, circuit = _synthesize("nucpwr")
         universe = sorted(set(collapse_stuck_at(circuit.netlist).values()))
@@ -217,30 +218,79 @@ class TestDispatchEdgeCases:
         )
 
 
+# ---------------------------------------------- narrow cells, log's universe
+
+
+class TestTableCells:
+    @pytest.mark.parametrize(
+        "name, dtype", [("lion", np.uint8), ("log", np.uint16), ("mark1", np.uint32)]
+    )
+    def test_cells_are_the_narrowest_dtype_that_fits(self, name, dtype):
+        table, circuit = _synthesize(name)
+        simulator = PpsfpSimulator(circuit, table, [StuckAtFault(0, None, 1)])
+        assert simulator.cells.dtype == dtype
+
+    def test_auto_builds_log_on_ppsfp_and_dvram_on_compiled(self):
+        # log's 3,324 stuck-at faults fill 104 MiB of uint16 cells, inside
+        # the byte budget; dvram's would need 334 MiB.
+        for name, engine in (
+            ("log", PpsfpSimulator),
+            ("dvram", CompiledFaultSimulator),
+        ):
+            table, circuit = _synthesize(name)
+            universe = sorted(set(collapse_stuck_at(circuit.netlist).values()))
+            simulator = make_fault_simulator(
+                circuit, table, universe, FaultSimConfig()
+            )
+            assert isinstance(simulator, engine)
+
+    def test_log_full_universe_matches_compiled(self):
+        table, circuit = _synthesize("log")
+        universe = sorted(set(collapse_stuck_at(circuit.netlist).values()))
+        shortest = sorted(
+            generate_tests(table).test_set, key=lambda test: len(test.inputs)
+        )[:32]
+        _assert_masks_match(circuit, table, universe, _walk_tests(table) + shortest)
+
+
 # -------------------------------------------------------- config heuristics
 
 
 class TestSelectEngine:
     def test_forced_engines_pass_through(self):
-        assert FaultSimConfig(engine="ppsfp").select_engine(10, 4) == "ppsfp"
-        assert FaultSimConfig(engine="bigint").select_engine(10, 4) == "bigint"
+        ppsfp, bigint = FaultSimConfig(engine="ppsfp"), FaultSimConfig(engine="bigint")
+        assert ppsfp.select_engine(10, 4, cell_bits=3) == "ppsfp"
+        assert bigint.select_engine(10, 4, cell_bits=3) == "bigint"
 
     def test_auto_zero_faults_is_ppsfp(self):
-        assert FaultSimConfig().select_engine(0, 18) == "ppsfp"
+        assert FaultSimConfig().select_engine(0, 18, cell_bits=3) == "ppsfp"
 
     def test_auto_cell_budget(self):
+        # The byte budget counts cells of the narrowest unsigned width that
+        # holds the state and output bits.
         config = FaultSimConfig()
         patterns = 1 << 18
-        fits = DEFAULT_PPSFP_CELL_BUDGET // patterns
-        assert config.select_engine(fits, 18) == "ppsfp"
-        assert config.select_engine(fits + 1, 18) == "bigint"
+        for cell_bits, cell_bytes in ((8, 1), (9, 2), (32, 4), (33, 8), (64, 8)):
+            fits = DEFAULT_PPSFP_BYTE_BUDGET // (patterns * cell_bytes)
+            assert config.select_engine(fits, 18, cell_bits=cell_bits) == "ppsfp"
+            assert (
+                config.select_engine(fits + 1, 18, cell_bits=cell_bits) == "bigint"
+            )
+        # No cell holds more than 64 bits: such a circuit never gets PPSFP.
+        assert config.select_engine(1, 2, cell_bits=65) == "bigint"
 
     def test_auto_small_workload_prefers_bigint(self):
         config = FaultSimConfig()
         # 2^18 patterns = 4096 words; with only 10 cycles of tests the
         # exhaustive build cannot pay for itself.
-        assert config.select_engine(4, 18, total_test_cycles=10) == "bigint"
-        assert config.select_engine(4, 18, total_test_cycles=10_000) == "ppsfp"
+        assert (
+            config.select_engine(4, 18, total_test_cycles=10, cell_bits=3)
+            == "bigint"
+        )
+        assert (
+            config.select_engine(4, 18, total_test_cycles=10_000, cell_bits=3)
+            == "ppsfp"
+        )
 
     def test_invalid_engine_rejected(self):
         with pytest.raises(FaultSimulationError):
@@ -333,10 +383,16 @@ class TestDetectableMask:
     def test_row_blocks_do_not_change_the_verdicts(self, monkeypatch):
         table, circuit = _synthesize("bbtas")
         faults = _mixed_universe(circuit, max_bridges=40)
+        tests = list(generate_tests(table).test_set) + _walk_tests(table)
         simulator = PpsfpSimulator(circuit, table, faults)
-        whole = simulator.detectable_mask()
+        masks, detectable = simulator.detect_masks(tests), simulator.detectable_mask()
+        # One fault row per build slab, one test per replay block and one
+        # pattern per compared block.
+        monkeypatch.setattr(ppsfp_module, "SLAB_BYTES_BUDGET", 1)
         monkeypatch.setattr(ppsfp_module, "DERIVE_BLOCK_CELLS", 1)
-        assert simulator.detectable_mask() == whole
+        blocked = PpsfpSimulator(circuit, table, faults)
+        assert blocked.detect_masks(tests) == masks
+        assert blocked.detectable_mask() == detectable
 
 
 # ------------------------------------------------ ragged batched stepping
