@@ -27,8 +27,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-
-import numpy as np
+from itertools import chain
 
 from repro.core.config import GeneratorConfig
 from repro.core.testset import ScanTest, Segment, SegmentKind, TestSet
@@ -97,25 +96,27 @@ class _Generator:
         self.uio = uio_table
         self.n_states = table.n_states
         self.n_cols = table.n_input_combinations
-        self.tested = np.zeros((self.n_states, self.n_cols), dtype=bool)
+        # Next states as Python rows: the loops below read them one entry
+        # at a time, which costs several times more on a numpy array.
+        self.next_rows = table.next_rows
+        # tested[state][combo] is 1 once the transition is tested.
+        self.tested = [bytearray(self.n_cols) for _ in range(self.n_states)]
         self.untested_count = [self.n_cols] * self.n_states
-        self.scan_ptr = [0] * self.n_states
         self.tests: list[ScanTest] = []
         self.incidental: list[tuple[int, int]] = []
-        # (input, next_state) per state, deduplicated by next state keeping
+        self._uio_of = [uio_table.get(state) for state in range(self.n_states)]
+        # Segments are frozen, so one per state's UIO and one per (source,
+        # transfer path) serve every test that applies them.
+        self._uio_segments = [
+            Segment(SegmentKind.UIO, state, seq.inputs)
+            if seq is not None and seq.inputs
+            else None
+            for state, seq in enumerate(self._uio_of)
+        ]
+        self._transfer_segments: dict[tuple[int, tuple[int, ...]], Segment] = {}
+        # ((input,), next_state) per state, deduplicated by next state keeping
         # the smallest input — O(#successors) length-1 transfer lookup.
-        self._succ_options: list[list[tuple[int, int]]] = []
-        nexts = np.asarray(table.next_state)
-        for state in range(self.n_states):
-            seen: dict[int, int] = {}
-            row = nexts[state]
-            for combo in range(self.n_cols):
-                nxt = int(row[combo])
-                if nxt not in seen:
-                    seen[nxt] = combo
-            self._succ_options.append(
-                sorted(((combo, nxt) for nxt, combo in seen.items()))
-            )
+        self._succ_options = [_first_inputs(row) for row in self.next_rows]
         self._partial_cache: dict[int, PartialUioSet | None] = {}
         self.partial_used: dict[int, PartialUioSet] = {}
         self.partial_progress: dict[tuple[int, int], set[int]] = {}
@@ -136,27 +137,19 @@ class _Generator:
     # ------------------------------------------------------------ bookkeeping
 
     def mark_tested(self, state: int, combo: int) -> None:
-        if not self.tested[state, combo]:
-            self.tested[state, combo] = True
+        flags = self.tested[state]
+        if not flags[combo]:
+            flags[combo] = 1
             self.untested_count[state] -= 1
 
     def first_untested(self, state: int) -> int | None:
         """Smallest untested input combination out of ``state``."""
         if self.untested_count[state] == 0:
             return None
-        row = self.tested[state]
-        ptr = self.scan_ptr[state]
-        while ptr < self.n_cols and row[ptr]:
-            ptr += 1
-        self.scan_ptr[state] = ptr
-        if ptr < self.n_cols:
-            return ptr
-        # All inputs at/after the pointer are tested but untested_count > 0:
-        # only possible in partial mode where earlier inputs stay pending.
-        for combo in range(self.n_cols):
-            if not row[combo]:
-                return combo
-        raise GenerationError("untested_count is inconsistent")  # pragma: no cover
+        combo = self.tested[state].find(0)
+        if combo < 0:  # pragma: no cover - mark_tested keeps the count
+            raise GenerationError("untested_count is inconsistent")
+        return combo
 
     def _untested_predicate(self, state: int) -> bool:
         return self.untested_count[state] > 0
@@ -176,9 +169,9 @@ class _Generator:
         if bound == 0:
             return None
         if bound == 1:
-            for combo, nxt in self._succ_options[source]:
+            for path, nxt in self._succ_options[source]:
                 if self.untested_count[nxt] > 0:
-                    return (combo,), nxt
+                    return path, nxt
             return None
         path = find_transfer(self.table, source, self._untested_predicate, bound)
         if path is None or not path:
@@ -196,14 +189,23 @@ class _Generator:
             self._partial_cache[state] = pset if pset.complete else None
         return self._partial_cache[state]
 
+    def transfer_segment(self, source: int, path: tuple[int, ...]) -> Segment:
+        """The shared TRANSFER segment applying ``path`` from ``source``."""
+        key = (source, path)
+        segment = self._transfer_segments.get(key)
+        if segment is None:
+            segment = Segment(SegmentKind.TRANSFER, source, path)
+            self._transfer_segments[key] = segment
+        return segment
+
     def credit_segment(self, start_state: int, inputs: tuple[int, ...]) -> None:
         """Optimistically credit transitions traversed by a UIO/transfer."""
         state = start_state
         for combo in inputs:
-            if not self.tested[state, combo]:
+            if not self.tested[state][combo]:
                 self.mark_tested(state, combo)
                 self.incidental.append((state, combo))
-            state = int(self.table.next_state[state, combo])
+            state = self.next_rows[state][combo]
 
     def _decision(
         self, state: int, combo: int, outcome: str, reason: str, **detail: object
@@ -212,7 +214,7 @@ class _Generator:
         if self.prov is not None:
             self.prov.decision(
                 self.table.name, state, combo, outcome, reason,
-                next_state=int(self.table.next_state[state, combo]),
+                next_state=self.next_rows[state][combo],
                 **detail,
             )
 
@@ -222,8 +224,8 @@ class _Generator:
         """First-pass start rule (the paper's postpone rule)."""
         if not self.config.postpone_no_uio_starts:
             return True
-        next_state = int(self.table.next_state[state, combo])
-        if self.uio.has(next_state):
+        next_state = self.next_rows[state][combo]
+        if self._uio_of[next_state] is not None:
             return True
         if self.config.use_partial_uio and self.partial_set(next_state) is not None:
             return True
@@ -232,13 +234,15 @@ class _Generator:
     def build_test(self, start_state: int, start_combo: int) -> ScanTest:
         """Grow one test starting with transition ``(start_state, start_combo)``."""
         segments: list[Segment] = []
+        tested: list[tuple[int, int]] = []
         state, combo = start_state, start_combo
         test_index = len(self.tests)
         step = 0
         while True:
             segments.append(Segment(SegmentKind.TRANSITION, state, (combo,)))
-            next_state = int(self.table.next_state[state, combo])
-            uio_seq = self.uio.get(next_state)
+            tested.append((state, combo))
+            next_state = self.next_rows[state][combo]
+            uio_seq = self._uio_of[next_state]
             if uio_seq is not None:
                 self.mark_tested(state, combo)
                 landing = uio_seq.final_state
@@ -253,14 +257,15 @@ class _Generator:
                             uio_length=uio_seq.length,
                             test_index=test_index, step=step,
                         )
-                    return self._finish(start_state, segments, next_state)
-                if uio_seq.inputs:
-                    segments.append(Segment(SegmentKind.UIO, next_state, uio_seq.inputs))
+                    return self._finish(start_state, segments, tested, next_state)
+                uio_segment = self._uio_segments[next_state]
+                if uio_segment is not None:
+                    segments.append(uio_segment)
                     if self.config.credit_incidental:
                         self.credit_segment(next_state, uio_seq.inputs)
                 if transfer is not None:
                     path, landing = transfer
-                    segments.append(Segment(SegmentKind.TRANSFER, uio_seq.final_state, path))
+                    segments.append(self.transfer_segment(uio_seq.final_state, path))
                     if self.config.credit_incidental:
                         self.credit_segment(uio_seq.final_state, path)
                     follow = self.first_untested(landing)
@@ -304,7 +309,7 @@ class _Generator:
                     state, combo, "scan_out", reason,
                     test_index=test_index, step=step,
                 )
-            return self._finish(start_state, segments, next_state)
+            return self._finish(start_state, segments, tested, next_state)
 
     def _try_partial_step(
         self,
@@ -350,11 +355,11 @@ class _Generator:
         if self.config.credit_incidental:
             self.credit_segment(next_state, inputs)
         if transfer is not None:
+            source = landing
             path, landing = transfer
-            segments.append(Segment(SegmentKind.TRANSFER, self.table.final_state(
-                next_state, inputs), path))
+            segments.append(self.transfer_segment(source, path))
             if self.config.credit_incidental:
-                self.credit_segment(segments[-1].start_state, path)
+                self.credit_segment(source, path)
             follow = self.first_untested(landing)
             self.n_transfer_steps += 1
         if follow is None:
@@ -364,15 +369,16 @@ class _Generator:
         return landing, follow
 
     def _finish(
-        self, start_state: int, segments: list[Segment], final_state: int
+        self,
+        start_state: int,
+        segments: list[Segment],
+        tested: list[tuple[int, int]],
+        final_state: int,
     ) -> ScanTest:
-        inputs = tuple(combo for segment in segments for combo in segment.inputs)
-        tested = tuple(
-            (segment.start_state, segment.inputs[0])
-            for segment in segments
-            if segment.kind is SegmentKind.TRANSITION
+        inputs = tuple(chain.from_iterable([segment.inputs for segment in segments]))
+        test = ScanTest(
+            start_state, inputs, final_state, tuple(segments), tuple(tested)
         )
-        test = ScanTest(start_state, inputs, final_state, tuple(segments), tested)
         self.tests.append(test)
         self.n_scan_out += 1
         return test
@@ -380,14 +386,16 @@ class _Generator:
     # ---------------------------------------------------------------- driver
 
     def run(self) -> None:
-        # First pass: starts obeying the postpone rule.
+        # First pass: starts obeying the postpone rule.  Each state's
+        # untested inputs are visited in increasing order; find() rereads
+        # the flags, which the tests built meanwhile may have set.
         for state in range(self.n_states):
-            for combo in range(self.n_cols):
-                if self.tested[state, combo]:
-                    continue
-                if not self.can_start(state, combo):
-                    continue
-                self.build_test(state, combo)
+            flags = self.tested[state]
+            combo = flags.find(0)
+            while combo >= 0:
+                if self.can_start(state, combo):
+                    self.build_test(state, combo)
+                combo = flags.find(0, combo + 1)
         # Second pass: leftovers.  Without partial UIO sets one sweep always
         # suffices (each leftover becomes a length-1 test); with them a
         # transition may need several visits, one per pending sequence.
@@ -400,17 +408,27 @@ class _Generator:
             else 0
         )
         for _sweep in range(max_sweeps + 1):
-            remaining = int((~self.tested).sum())
-            if remaining == 0:
+            if not any(self.untested_count):
                 return
             for state in range(self.n_states):
                 if self.untested_count[state] == 0:
                     continue
-                for combo in range(self.n_cols):
-                    if not self.tested[state, combo]:
-                        self.build_test(state, combo)
-        if int((~self.tested).sum()):  # pragma: no cover - monotone progress
+                flags = self.tested[state]
+                combo = flags.find(0)
+                while combo >= 0:
+                    self.build_test(state, combo)
+                    combo = flags.find(0, combo + 1)
+        if any(self.untested_count):  # pragma: no cover - monotone progress
             raise GenerationError("second pass failed to cover all transitions")
+
+
+def _first_inputs(row: tuple[int, ...]) -> list[tuple[tuple[int], int]]:
+    """``((input,), next_state)`` per distinct next state of ``row``, each
+    with its smallest input, in increasing input order."""
+    # Walking the row backwards leaves each next state's smallest input.
+    first = dict(zip(reversed(row), range(len(row) - 1, -1, -1)))
+    pairs = sorted((combo, nxt) for nxt, combo in first.items())
+    return [((combo,), nxt) for combo, nxt in pairs]
 
 
 def generate_tests(

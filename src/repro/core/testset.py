@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Iterable, Iterator
 
 from repro.errors import GenerationError
@@ -78,7 +79,7 @@ class ScanTest:
             raise GenerationError("a test applies at least one input combination")
         if self.segments:
             joined = tuple(
-                combo for segment in self.segments for combo in segment.inputs
+                chain.from_iterable([segment.inputs for segment in self.segments])
             )
             if joined != self.inputs:
                 raise GenerationError("segments do not concatenate to inputs")

@@ -103,8 +103,10 @@ def expand_machine(machine: "KissMachine") -> CubeExpansion:
     index = {name: i for i, name in enumerate(names)}
     n_states = len(names)
     n_cols = 1 << machine.n_inputs
-    next_state = np.full((n_states, n_cols), -1, dtype=np.int32)
-    output = np.zeros((n_states, n_cols), dtype=np.int64)
+    # Filled as Python lists and converted once: per-entry numpy scalar
+    # reads and writes cost several times a list's.
+    next_rows = [[-1] * n_cols for _ in range(n_states)]
+    output_rows = [[0] * n_cols for _ in range(n_states)]
     anomalies: list[CubeAnomaly] = []
     for row_index, row in enumerate(machine.rows):
         if len(row.input_cube) != machine.n_inputs:
@@ -130,9 +132,10 @@ def expand_machine(machine: "KissMachine") -> CubeExpansion:
         nxt = index[row.next]
         for combo in expand_cube(row.input_cube):
             for present in presents:
-                previous = next_state[present, combo]
+                next_row = next_rows[present]
+                previous = next_row[combo]
                 if previous != -1 and (
-                    previous != nxt or output[present, combo] != out_value
+                    previous != nxt or output_rows[present][combo] != out_value
                 ):
                     anomalies.append(CubeAnomaly(
                         "conflict",
@@ -143,8 +146,10 @@ def expand_machine(machine: "KissMachine") -> CubeExpansion:
                         combo,
                     ))
                     continue
-                next_state[present, combo] = nxt
-                output[present, combo] = out_value
+                next_row[combo] = nxt
+                output_rows[present][combo] = out_value
+    next_state = np.array(next_rows, dtype=np.int32).reshape(n_states, n_cols)
+    output = np.array(output_rows, dtype=np.int64).reshape(n_states, n_cols)
     holes = [
         (int(state), int(combo)) for state, combo in zip(*np.nonzero(next_state == -1))
     ]
@@ -246,16 +251,18 @@ class KissMachine:
 
 
 def expand_cube(cube: str) -> Iterator[int]:
-    """Yield every input combination integer covered by ``cube`` (MSB first)."""
-    free = [i for i, ch in enumerate(cube) if ch == "-"]
+    """Yield every input combination integer covered by ``cube`` (MSB first).
+
+    Combinations come in the order of a counter over the free positions
+    whose least significant bit is the leftmost ``-``.
+    """
     width = len(cube)
-    base = int(cube.replace("-", "0"), 2) if cube else 0
-    for assignment in range(1 << len(free)):
-        value = base
-        for bit_pos, index in enumerate(free):
-            if (assignment >> bit_pos) & 1:
-                value |= 1 << (width - 1 - index)
-        yield value
+    values = [int(cube.replace("-", "0"), 2) if cube else 0]
+    for index, ch in enumerate(cube):
+        if ch == "-":
+            bit = 1 << (width - 1 - index)
+            values += [value | bit for value in values]
+    return iter(values)
 
 
 def parse_kiss(text: str, name: str = "") -> KissMachine:

@@ -4,8 +4,10 @@ The paper describes circuits functionally "by state tables": for every state
 ``s`` and every primary input combination ``a`` the table gives a next state
 ``delta(s, a)`` and a primary output combination ``lambda(s, a)``.  This module
 stores both functions as dense ``numpy`` arrays of shape
-``(n_states, 2**n_inputs)`` which makes the search procedures (UIO, transfer,
-test generation) simple array lookups.
+``(n_states, 2**n_inputs)``, and keeps memoized Python views of them (rows,
+per-input columns, input-class representatives) for the search procedures
+(UIO, transfer, test generation), whose loops read one entry at a time:
+indexing a tuple costs a fraction of reading a numpy scalar.
 
 Bit-order conventions
 ---------------------
@@ -18,13 +20,27 @@ is the integer ``0b01 = 1``.  :meth:`StateTable.input_bits` and
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
 import numpy as np
 
 from repro.errors import StateTableError
 
 __all__ = ["StateTable", "Transition"]
+
+_View = TypeVar("_View")
+
+#: Slots memoized on first use (the hash and the Python views below).  They
+#: are never pickled (``__reduce__`` rebuilds from the arrays) and take no
+#: part in ``==``/``hash``.
+_MEMO_SLOTS = (
+    "_hash",
+    "_next_rows",
+    "_output_rows",
+    "_next_columns",
+    "_output_columns",
+    "_representatives",
+)
 
 
 @dataclass(frozen=True)
@@ -68,7 +84,7 @@ class StateTable:
         "n_outputs",
         "state_names",
         "name",
-        "_hash",
+        *_MEMO_SLOTS,
     )
 
     def __init__(
@@ -123,7 +139,8 @@ class StateTable:
         object.__setattr__(self, "n_outputs", int(n_outputs))
         object.__setattr__(self, "state_names", state_names)
         object.__setattr__(self, "name", str(name))
-        object.__setattr__(self, "_hash", None)
+        for slot in _MEMO_SLOTS:
+            object.__setattr__(self, slot, None)
 
     def __setattr__(self, key: str, value: object) -> None:  # immutability guard
         raise AttributeError("StateTable is immutable")
@@ -165,6 +182,51 @@ class StateTable:
     def n_state_variables(self) -> int:
         """Number of state variables ``N_SV = ceil(log2(N_ST))`` (min 1)."""
         return max(1, (self.n_states - 1).bit_length())
+
+    # ------------------------------------------------------------------ views
+
+    def _view(self, slot: str, build: Callable[[], _View]) -> _View:
+        value = getattr(self, slot)
+        if value is None:
+            value = build()
+            object.__setattr__(self, slot, value)
+        return value
+
+    @property
+    def next_rows(self) -> tuple[tuple[int, ...], ...]:
+        """``next_state`` as one tuple of Python ints per state (memoized)."""
+        return self._view("_next_rows", lambda: _rows(self.next_state))
+
+    @property
+    def output_rows(self) -> tuple[tuple[int, ...], ...]:
+        """``output`` as one tuple of Python ints per state (memoized)."""
+        return self._view("_output_rows", lambda: _rows(self.output))
+
+    @property
+    def next_columns(self) -> tuple[tuple[int, ...], ...]:
+        """``next_state`` as one tuple per input combination, indexed by state."""
+        return self._view("_next_columns", lambda: tuple(zip(*self.next_rows)))
+
+    @property
+    def output_columns(self) -> tuple[tuple[int, ...], ...]:
+        """``output`` as one tuple per input combination, indexed by state."""
+        return self._view("_output_columns", lambda: tuple(zip(*self.output_rows)))
+
+    @property
+    def input_representatives(self) -> tuple[int, ...]:
+        """One input combination per class of inputs whose next-state and
+        output columns are identical, smallest first (memoized).
+
+        Inputs of one class are interchangeable wherever the machine is
+        driven, so searches need expand only the representatives.
+        """
+        return self._view("_representatives", self._input_representatives)
+
+    def _input_representatives(self) -> tuple[int, ...]:
+        first: dict[tuple[tuple[int, ...], tuple[int, ...]], int] = {}
+        for combo, key in enumerate(zip(self.next_columns, self.output_columns)):
+            first.setdefault(key, combo)
+        return tuple(first.values())
 
     # ----------------------------------------------------------- bit helpers
 
@@ -278,23 +340,19 @@ class StateTable:
         )
 
     def __hash__(self) -> int:
-        # Memoized: tables are hashed repeatedly as memoization keys (e.g.
-        # input-class representatives), and hashing serializes both arrays.
-        if self._hash is None:
-            object.__setattr__(
-                self,
-                "_hash",
-                hash(
-                    (
-                        self.n_inputs,
-                        self.n_outputs,
-                        self.state_names,
-                        self.next_state.tobytes(),
-                        self.output.tobytes(),
-                    )
-                ),
-            )
-        return self._hash
+        # Memoized: hashing serializes both arrays.
+        return self._view(
+            "_hash",
+            lambda: hash(
+                (
+                    self.n_inputs,
+                    self.n_outputs,
+                    self.state_names,
+                    self.next_state.tobytes(),
+                    self.output.tobytes(),
+                )
+            ),
+        )
 
     def __repr__(self) -> str:
         label = f" {self.name!r}" if self.name else ""
@@ -317,6 +375,10 @@ class StateTable:
                 f"input combination {combination} out of range "
                 f"[0, {self.n_input_combinations})"
             )
+
+
+def _rows(array: np.ndarray) -> tuple[tuple[int, ...], ...]:
+    return tuple(map(tuple, array.tolist()))
 
 
 def _int_to_bits(value: int, width: int) -> tuple[int, ...]:

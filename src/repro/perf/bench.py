@@ -14,11 +14,14 @@ writes the result as ``BENCH_perf.json``:
     verification, and the detectability oracle are all served as hits
     (``stage_seconds`` collapse to ~0 and ``cache.hits`` counts them).
 
-A fourth serial run repeats ``serial_cold`` with the :mod:`repro.obs`
-collectors enabled and reports the tracing overhead under
-``observability`` (enabled vs disabled wall time, span/metric counts), so
-the cost of turning profiling on — and the near-zero cost of leaving it
-off — is tracked run over run.
+After ``serial_cold``, ``OVERHEAD_PAIRS`` pairs of serial runs, one with
+the :mod:`repro.obs` collectors enabled and one without, measure the
+tracing overhead under ``observability`` (the median of the pairs'
+enabled-vs-disabled wall ratios, each pair's figures, span/metric counts),
+so the cost of turning profiling on — and the near-zero cost of leaving it
+off — is tracked run over run.  The order within a pair alternates, and
+the cold first run is in no pair: a second sweep in one process runs
+warmer than the first, which alone would read as several percent.
 
 Every run's studies are reduced to a timing-free signature
 (:meth:`~repro.harness.experiments.CircuitStudy.signature`) and compared; any
@@ -31,6 +34,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import statistics
 import time
 from dataclasses import asdict, replace
 from pathlib import Path
@@ -63,6 +67,9 @@ BENCH_SCHEMA = "repro-fsatpg-bench/5"
 #: bridging universes, a few seconds per run.
 QUICK_CIRCUITS = ("lion", "mc", "train11", "bbtas")
 
+#: Unobserved/observed serial run pairs behind ``observability``.
+OVERHEAD_PAIRS = 3
+
 
 def default_bench_circuits(quick: bool = False) -> tuple[str, ...]:
     """The default benchmark set: small tier + representative medium."""
@@ -89,6 +96,64 @@ def _run(
     # mark and can only grow monotonically across runs.
     record["resources"] = probe.sample().to_dict()
     return studies, record
+
+
+def _overhead_pct(disabled_s: float, enabled_s: float) -> float:
+    return 100.0 * (enabled_s - disabled_s) / disabled_s if disabled_s else 0.0
+
+
+def _observer_overhead(
+    circuits: Sequence[str],
+    options: Any,
+    reference: dict[str, CircuitStudy],
+    pairs: int = OVERHEAD_PAIRS,
+) -> tuple[dict[str, Any], dict[str, Any], list[str]]:
+    """Time ``pairs`` unobserved/observed serial runs, alternating the order.
+
+    Returns the ``observability`` block, the first observed run's metrics
+    snapshot, and any divergence of the runs' results from ``reference``.
+    """
+    from repro import obs
+
+    records: list[dict[str, Any]] = []
+    divergence: list[str] = []
+    counts: dict[str, int] = {}
+    snapshot: dict[str, Any] = {}
+    for index in range(pairs):
+        order = ("disabled", "enabled") if index % 2 == 0 else ("enabled", "disabled")
+        walls: dict[str, float] = {}
+        for mode in order:
+            if mode == "enabled":
+                with obs.observing() as session:
+                    studies, record = _run(circuits, 1, options)
+                if not counts:
+                    counts = {
+                        "spans": len(session.tracer.events),
+                        "metrics": len(session.registry),
+                    }
+                    snapshot = session.registry.snapshot()
+            else:
+                studies, record = _run(circuits, 1, options)
+            walls[mode] = record["wall_s"]
+            divergence += _compare(
+                reference, studies, f"serial-{mode} (pair {index + 1}) vs serial"
+            )
+        records.append(
+            {
+                "order": order[0] + " first",
+                "disabled_wall_s": walls["disabled"],
+                "enabled_wall_s": walls["enabled"],
+                "overhead_pct": _overhead_pct(walls["disabled"], walls["enabled"]),
+            }
+        )
+    block = {
+        "disabled_wall_s": statistics.median(r["disabled_wall_s"] for r in records),
+        "enabled_wall_s": statistics.median(r["enabled_wall_s"] for r in records),
+        "overhead_pct": statistics.median(r["overhead_pct"] for r in records),
+        "pairs": records,
+        **counts,
+    }
+    return block, snapshot, divergence
 
 
 def _pool_delta(
@@ -170,14 +235,9 @@ def run_bench(
 
     bench_started = time.perf_counter()
     serial, serial_record = _run(names, 1, options)
-
-    from repro import obs
-
-    with obs.observing() as session:
-        observed, observed_record = _run(names, 1, options)
-    n_spans = len(session.tracer.events)
-    n_metrics = len(session.registry)
-    metrics_snapshot = session.registry.snapshot()
+    observability, metrics_snapshot, overhead_divergence = _observer_overhead(
+        names, options, serial
+    )
 
     from repro.perf.pool import get_pool
 
@@ -196,7 +256,7 @@ def run_bench(
 
     divergence = _compare(serial, parallel_cold, "parallel-cold vs serial")
     divergence += _compare(serial, parallel_warm, "parallel-warm vs serial")
-    divergence += _compare(serial, observed, "serial-observed vs serial")
+    divergence += overhead_divergence
 
     serial_wall = serial_record["wall_s"]
     cold_wall = cold_record["wall_s"]
@@ -227,17 +287,7 @@ def run_bench(
             "parallel_cold": _stage_speedups(serial_record, cold_record),
             "parallel_warm": _stage_speedups(serial_record, warm_record),
         },
-        "observability": {
-            "disabled_wall_s": serial_wall,
-            "enabled_wall_s": observed_record["wall_s"],
-            "overhead_pct": (
-                100.0 * (observed_record["wall_s"] - serial_wall) / serial_wall
-                if serial_wall
-                else 0.0
-            ),
-            "spans": n_spans,
-            "metrics": n_metrics,
-        },
+        "observability": observability,
         "results": results,
         "identical": not divergence,
         "divergence": divergence,
@@ -289,7 +339,8 @@ def _summarize(report: dict[str, Any]) -> str:
     observability = report["observability"]
     lines.append(
         f"  observability  {observability['enabled_wall_s']:8.2f}s enabled "
-        f"({observability['overhead_pct']:+.1f}% vs disabled, "
+        f"({observability['overhead_pct']:+.1f}% vs disabled, median of "
+        f"{len(observability['pairs'])} pairs, "
         f"{observability['spans']} spans, {observability['metrics']} metrics)"
     )
     lines.append(

@@ -18,6 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
+import numpy as np
+
 from repro.gatelevel.netlist import Netlist
 from repro.gatelevel.stuck_at import StuckAtFault
 from repro.sca.certificates import (
@@ -82,6 +84,8 @@ class ScaAnalysis:
         """
         netlist = self.netlist
         constants = self.constants
+        if not constants.constant_lines:
+            return _dead_lines(netlist)
         blocked: dict[int, tuple[tuple[int, int], ...]] = {}
         for line in range(netlist.n_gates):
             observable, blocks = site_observability(netlist, constants, line)
@@ -203,6 +207,21 @@ class ScaAnalysis:
                 for line in range(netlist.n_gates)
             ]
         return payload
+
+
+def _dead_lines(netlist: Netlist) -> dict[int, tuple[tuple[int, int], ...]]:
+    """Unobservable lines of a netlist without proven constants.
+
+    No gate can block a deviation then, so a line is unobservable exactly
+    when its fanout cone (its row of the reachability matrix) holds no
+    primary output, and its evidence is empty.
+    """
+    reach = netlist.reachability_matrix()
+    output_mask = np.zeros(reach.shape[1], dtype=np.uint64)
+    for line in netlist.outputs:
+        output_mask[line // 64] |= np.uint64(1) << np.uint64(line % 64)
+    observable = (reach & output_mask).any(axis=1)
+    return {int(line): () for line in np.flatnonzero(~observable)}
 
 
 def analyze(netlist: Netlist) -> ScaAnalysis:

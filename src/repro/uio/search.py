@@ -21,16 +21,20 @@ Two input combinations whose next-state and output *columns* are identical
 over all states are interchangeable everywhere in the search, so only one
 representative per such input equivalence class is expanded
 (:func:`input_class_representatives`).  This matters for machines like
-``nucpwr`` with ``2**13`` input combinations.
+``nucpwr`` with ``2**13`` input combinations.  Expanding the representatives
+in increasing order makes the result the lexicographically first shortest
+UIO over them: a node pruned as visited was reached first by a smaller
+prefix, and a merged node has no UIO below it.
+
+Each expansion reads one input's next-state and output columns
+(:attr:`~repro.fsm.state_table.StateTable.next_columns`), Python tuples
+indexed by state, rather than numpy scalars.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Iterator
-
-import numpy as np
 
 from repro.errors import SearchBudgetExceeded, StateTableError
 from repro.fsm.state_table import StateTable
@@ -132,26 +136,11 @@ def input_class_representatives(table: StateTable) -> tuple[int, ...]:
     representatives stay deterministic and prefer numerically small inputs —
     the same tie-break the paper's examples use.
 
-    Memoized per table: repeated UIO/transfer searches on one machine (e.g.
-    ``nucpwr`` with ``2**13`` input combinations) share one scan.  Tables
-    are immutable and hashable, so identity of the key is identity of the
-    machine.
+    Memoized on the table (:attr:`StateTable.input_representatives`), so
+    repeated UIO/transfer searches on one machine (e.g. ``nucpwr`` with
+    ``2**13`` input combinations) share one scan.
     """
-    return _representatives_cached(table)
-
-
-@lru_cache(maxsize=128)
-def _representatives_cached(table: StateTable) -> tuple[int, ...]:
-    nexts = np.asarray(table.next_state)
-    outs = np.asarray(table.output)
-    seen: dict[bytes, int] = {}
-    reps: list[int] = []
-    for combo in range(table.n_input_combinations):
-        key = nexts[:, combo].tobytes() + outs[:, combo].tobytes()
-        if key not in seen:
-            seen[key] = combo
-            reps.append(combo)
-    return tuple(reps)
+    return table.input_representatives
 
 
 def find_uio(
@@ -176,9 +165,13 @@ def find_uio(
         # A single-state machine: the empty sequence vacuously distinguishes.
         return UioSequence(state, (), state)
     if representatives is None:
-        representatives = input_class_representatives(table)
-    nexts = np.asarray(table.next_state)
-    outs = np.asarray(table.output)
+        representatives = table.input_representatives
+    next_columns = table.next_columns
+    output_columns = table.output_columns
+    columns = [
+        (combo, next_columns[combo], output_columns[combo])
+        for combo in representatives
+    ]
     visited: set[tuple[int, frozenset[int]]] = {(state, others)}
     frontier: list[tuple[int, frozenset[int], tuple[int, ...]]] = [(state, others, ())]
     # Search-effort accounting stays in plain locals — the obs registry is
@@ -198,22 +191,21 @@ def find_uio(
                         "node expansions",
                         expanded,
                     )
-                for combo in representatives:
-                    out = outs[current, combo]
+                for combo, column_next, column_out in columns:
+                    out = column_out[current]
                     survivors = frozenset(
-                        int(nexts[t, combo]) for t in candidates if outs[t, combo] == out
+                        [column_next[t] for t in candidates if column_out[t] == out]
                     )
-                    sequence = prefix + (combo,)
+                    nxt = column_next[current]
                     if not survivors:
-                        return UioSequence(state, sequence, int(nexts[current, combo]))
-                    nxt = int(nexts[current, combo])
+                        return UioSequence(state, prefix + (combo,), nxt)
                     if nxt in survivors:
                         merge_prunes += 1
                         continue  # some other state merged with us: dead end
                     node = (nxt, survivors)
                     if node not in visited:
                         visited.add(node)
-                        next_frontier.append((nxt, survivors, sequence))
+                        next_frontier.append((nxt, survivors, prefix + (combo,)))
                     else:
                         visited_prunes += 1
             if not next_frontier:
@@ -254,7 +246,7 @@ def compute_uio_table(
         "uio.search", machine=table.name, n_states=table.n_states,
         max_length=max_length,
     ) as sp:
-        representatives = input_class_representatives(table)
+        representatives = table.input_representatives
         sequences: dict[int, UioSequence] = {}
         exhausted: set[int] = set()
         for state in range(table.n_states):

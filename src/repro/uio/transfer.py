@@ -56,9 +56,7 @@ def find_transfer(
         state, path = frontier.popleft()
         if len(path) == max_length:
             continue
-        row = table.next_state[state]
-        for combo in range(table.n_input_combinations):
-            nxt = int(row[combo])
+        for combo, nxt in enumerate(table.next_rows[state]):
             if nxt in visited:
                 continue
             step_path = path + (combo,)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 
 from repro.benchmarks import circuit_names, load_circuit
@@ -160,3 +162,163 @@ class TestSingleStateMachine:
         result = generate_tests(table)
         report = verify_test_set(table, result.test_set)
         assert report.is_complete
+
+
+# ------------------------------------------------------------ pinned output
+
+
+def _generation_digest(result) -> str:
+    """SHA-256 over everything a generation run decides: the UIO table, each
+    test's text, segments and credited transitions, and the cycle count."""
+    uio = result.uio_table
+    payload = [
+        uio.max_length,
+        [
+            (seq.state, seq.inputs, seq.final_state)
+            for _, seq in sorted(uio.sequences.items())
+        ],
+        sorted(uio.budget_exhausted),
+        [
+            (
+                str(test),
+                [(seg.kind.value, seg.start_state, seg.inputs) for seg in test.segments],
+                test.tested,
+            )
+            for test in result.test_set
+        ],
+        result.clock_cycles(),
+        result.incidental_credits,
+        sorted(result.partial_sets_used),
+    ]
+    return hashlib.sha256(repr(payload).encode()).hexdigest()
+
+
+#: Digests of the default configuration on every registry circuit.
+PINNED_DEFAULT = {
+    "bbara": "89414a64c4860bbe9fa1c2c32e797051ac0283df558d14cc92fff67791dff8ab",
+    "bbsse": "3bf067af1478d70809f8de6dcfd2c6cf91960a82554dada2a45dd0262ea35955",
+    "bbtas": "f49af029f85003dce8cff634673a9ca62310378d4a3aa9e49768fdb5a2449c33",
+    "beecount": "0892de394d09ad964132314eb0719fa864d92d68892e674f4ae4a86e31e37962",
+    "cse": "6cc9c4f8e1b16f7157166e9ada0da5a5084e77417157e8b8f4fb6cdf275ccf5b",
+    "dk14": "cecbc486413cd24f1ff44ca66a7794bb81cde02370807f1ead3963cc4dabc677",
+    "dk15": "7f5dc4a1674de6d08d2d629b4eaf3144a3bb44512017cc638d8a98a7134757fc",
+    "dk16": "cd562ea5e6e348883c8d354d5fefa7f673ad5b6523414a3f646bf09eb475dbfc",
+    "dk17": "17db1f7c99adc63e9874cd6629c593208c416e9f2b5a63e565f932e4034a8ef4",
+    "dk27": "420dc918a821047aea90bf07212cf6dbac68978441efba141e2ff5bde6907b9e",
+    "dk512": "ca0f8d42072a20954351d956edcdca70a39b77304b5ccd178cb384de3301b117",
+    "dvram": "f7cc7cceca32011a74f23f674b3f99e9c9d9febee72b874d3c0ea422e39651f3",
+    "ex2": "9a882014a1866152bd91669dc69eeb9b7cc8a95fabbd9c1153152042209130b1",
+    "ex3": "284f3dfd92d64b6650eb832e64c16d0ca0acc8c6aa1c007c726cef900226f834",
+    "ex4": "e1d8a8f047227d550a3592df0a4a52df02534224fe4dad6fbfca132bfac12ad3",
+    "ex5": "6f0837740162643cd5ed322b47da59639c2488290b0c8e23a6ec35cfea336f0b",
+    "ex6": "d4a23aae01a7b589410c0bcd269001eed19f3b8b7856feb9b3f09dd5f973a166",
+    "ex7": "5d8abd6889df46fc49330fe7f2efb9ad46dc0b352fdadd088882c5a8e97a793b",
+    "fetch": "1f82dd9dbc63c00867d20aa8a163507dd187f66d5197d9d68c620650047a28a2",
+    "keyb": "690a6606760ce3c8469607ac113e8198f69191068a8ebba4db61ed3aaa4ab241",
+    "lion": "9b74c2c384d5f67cdb9116287cda5dce29c496ad18f42d8088d928283bc3a944",
+    "lion9": "b24c79119b625d2e275822d583c007195fc028d95f7a96e821358bb2539d44fb",
+    "log": "28bb2333f1882a363f72b1bc8bf7cb0fef554693e2695910db4a889f645cfc42",
+    "mark1": "4ff74037b98bbffc049d5a6f960c4ded43a5bc912bc0f167614cadaa8b0ce748",
+    "mc": "4ad8efacf682c3e6f511007d958fd49ab23297ee5e087f23559c112372d2d2b5",
+    "nucpwr": "ed3c1bf25b3e4001fe24174623f1a55f6cbf3b9d0166ca99cd317572c41910fe",
+    "opus": "27a8c199222c67671c42fca89f5cb340b837d7d6211d2634df79fa7f6f32222a",
+    "rie": "1d733fbde0a4c164f01267e4c63e2de8d7e2b5d31638db1071726a5ad560aa79",
+    "shiftreg": "2a6e641a5a2d20717b5f9f13388d13ef93bb11369525a6dcf05466d2e88d79e9",
+    "tav": "2f80aa25ff07a9dde57cfe626cc957c9850d22dd2d37d40b31b11d368caacbb7",
+    "train11": "f9da75919285426329bc5143f8c32e4e210f28d349dde3a94f21e45ef1ba98fc",
+}
+
+#: Digests of the extension branches on the small tier.
+PINNED_EXTENSIONS = {
+    "transfer2": {
+        "bbtas": "0027006c23d7fbef972cc884f69222b23d0099dcb6c648192d3bc2f4534f5e97",
+        "beecount": "b1cfd79d8e4652a6ffc2a1384c25eff89b5b7606c94f80e8781d21928eecef79",
+        "dk14": "817195dad9b8bdd02df528ad9e33cbf3bb9b6a2bb685c240a473805b56c0ecaa",
+        "dk15": "7f5dc4a1674de6d08d2d629b4eaf3144a3bb44512017cc638d8a98a7134757fc",
+        "dk16": "885b69de1c29b914af97853270040f39842cec2b546c380eae1c02fb08977625",
+        "dk17": "8766c57c6ee5b958b62fcf347e57c6efc8952543e6ccfea6561b8e68fb1a53a9",
+        "dk27": "420dc918a821047aea90bf07212cf6dbac68978441efba141e2ff5bde6907b9e",
+        "dk512": "4a8d2adc174c97a1417bc599ae9bf38d44931dd23baaeb8af9c721e764f8260f",
+        "ex2": "5d42841377a62e97fef429830401d1ec576aabec8b91eeeb8ad2f783f034e821",
+        "ex3": "6634987719bdfad95c6c07b14489f773b12ae5f7b9cac93b30ad4fe73ad4e1f4",
+        "ex5": "c6deeb074b06031c86faa8ed28c7b1929d72038c030d3059179043e982622d4e",
+        "ex7": "f07565f1d4640677637697bac52e9b76aff88c5ed59ffec09297ecf17cd2d062",
+        "lion": "9b74c2c384d5f67cdb9116287cda5dce29c496ad18f42d8088d928283bc3a944",
+        "lion9": "2d8b4eeb710fa8ab68f623eb1b41389f659428dbfd588200b176f96ec28bbb43",
+        "mc": "4ad8efacf682c3e6f511007d958fd49ab23297ee5e087f23559c112372d2d2b5",
+        "shiftreg": "e113946e62169c12e3b5eeae46d30966c6fe36d596e99d76ecfb6c31b3c35e5e",
+        "tav": "2f80aa25ff07a9dde57cfe626cc957c9850d22dd2d37d40b31b11d368caacbb7",
+        "train11": "59c14b1e40efe21b0cd1ac8cbac7fa50093815ab0f8f254012080a06ee5a80a5",
+    },
+    "partial": {
+        "bbtas": "f49af029f85003dce8cff634673a9ca62310378d4a3aa9e49768fdb5a2449c33",
+        "beecount": "0892de394d09ad964132314eb0719fa864d92d68892e674f4ae4a86e31e37962",
+        "dk14": "cecbc486413cd24f1ff44ca66a7794bb81cde02370807f1ead3963cc4dabc677",
+        "dk15": "7f5dc4a1674de6d08d2d629b4eaf3144a3bb44512017cc638d8a98a7134757fc",
+        "dk16": "cd562ea5e6e348883c8d354d5fefa7f673ad5b6523414a3f646bf09eb475dbfc",
+        "dk17": "17db1f7c99adc63e9874cd6629c593208c416e9f2b5a63e565f932e4034a8ef4",
+        "dk27": "dcaecd99dba81d0573e5927ea888e795f785e8eef3608b87513068b2e9baf9a7",
+        "dk512": "5860ad33e5d9b72f3d7dd050133b3df3b49ea1e738a3295c4385b52a3dd8319a",
+        "ex2": "9a882014a1866152bd91669dc69eeb9b7cc8a95fabbd9c1153152042209130b1",
+        "ex3": "284f3dfd92d64b6650eb832e64c16d0ca0acc8c6aa1c007c726cef900226f834",
+        "ex5": "6f0837740162643cd5ed322b47da59639c2488290b0c8e23a6ec35cfea336f0b",
+        "ex7": "5d8abd6889df46fc49330fe7f2efb9ad46dc0b352fdadd088882c5a8e97a793b",
+        "lion": "8d38b969d7b1388194706e3879003e57c9def7cbccf13137bb2cd30fc2207ba8",
+        "lion9": "b24c79119b625d2e275822d583c007195fc028d95f7a96e821358bb2539d44fb",
+        "mc": "4ad8efacf682c3e6f511007d958fd49ab23297ee5e087f23559c112372d2d2b5",
+        "shiftreg": "2a6e641a5a2d20717b5f9f13388d13ef93bb11369525a6dcf05466d2e88d79e9",
+        "tav": "2f80aa25ff07a9dde57cfe626cc957c9850d22dd2d37d40b31b11d368caacbb7",
+        "train11": "f9da75919285426329bc5143f8c32e4e210f28d349dde3a94f21e45ef1ba98fc",
+    },
+    "incidental": {
+        "bbtas": "aad75f5a86e89447e528da7050d4a0dc9c3787e8b9043c1e564c518da48a1c31",
+        "beecount": "10da59842b28486ad60c906c92c63a13f998ca71b59eedb09bdb188be479cde0",
+        "dk14": "39a598acdbcd166da8b8d8d6abb15399a0d1d9528129cda949ccb78b8a58bdc0",
+        "dk15": "e5879ff2661f939aef29b78ce7a0e43e763d98daa051a6c1d17daedb9d005726",
+        "dk16": "7be784891de93d5b385e288d90511d9d7552d7791fb7278920951a914287281b",
+        "dk17": "333298ec97f465ed40b560a631419df7422c277093979a3dede3b2c7cee4d059",
+        "dk27": "7135cb089bf5f0fec93a1139df30aed3f7ad45ff46685557d6ec7014b77c0c13",
+        "dk512": "70463a9ef660bf7864cdcf2c5b98353089f274aa16c77b54ac6d9ef86ee201f1",
+        "ex2": "19b1e14f57178740fd84715deabf0993c166197c371a2c3d93a7a330bbbca86a",
+        "ex3": "584b3f7651063e504cc1c35f8b895d17a08f0b0b8c16c2567efa1aaed3eca8ba",
+        "ex5": "ce4085356fe67bb550e29208d6c25b3557c90d00027bee3f596f0fa87a31cb3f",
+        "ex7": "c08061990ee8397b1edfbad73ce7ecebfc3e0cdf51b2e62ad1330b798fcef610",
+        "lion": "e0b8facf0c788acf22ee894ec0304e368fc46e66996a840ff357296652004ff4",
+        "lion9": "bb3bb17489949420716441b8857bcceab83c73d9b2a39656b91fe666bd02538c",
+        "mc": "25b9d093ab4fa0400934dbc0621d646bd1767a1d9f829639ae63e58b2b8d7f39",
+        "shiftreg": "29fc950ae2cccbc4a11b65854be18f704cee8f752f76f38f0ebd235d1863eff7",
+        "tav": "307e5a765234e0d8f2838ed48c2cee71cb0d15c85e100b05402a0ff8afac0d78",
+        "train11": "2af0c446a767cddae3a36cb7c9379e6e944f40fbb711071d94c9e98792c76b70",
+    },
+}
+
+EXTENSION_CONFIGS = {
+    "transfer2": GeneratorConfig(max_transfer_length=2),
+    "partial": GeneratorConfig(use_partial_uio=True),
+    "incidental": GeneratorConfig(credit_incidental=True),
+}
+
+
+class TestPinnedGeneration:
+    """Byte-for-byte output of the procedure, pinned before the chaining
+    loops moved from numpy arrays to Python rows; any moved tie-break
+    (scan order, transfer choice, UIO choice) changes a digest."""
+
+    def test_pins_cover_the_registry(self):
+        assert sorted(PINNED_DEFAULT) == sorted(circuit_names())
+        for pins in PINNED_EXTENSIONS.values():
+            assert sorted(pins) == SMALL
+
+    @pytest.mark.parametrize("name", sorted(PINNED_DEFAULT))
+    def test_default_config(self, name):
+        result = generate_tests(load_circuit(name))
+        assert _generation_digest(result) == PINNED_DEFAULT[name]
+
+    @pytest.mark.parametrize("label", sorted(EXTENSION_CONFIGS))
+    def test_extension_branches(self, label):
+        config = EXTENSION_CONFIGS[label]
+        digests = {
+            name: _generation_digest(generate_tests(load_circuit(name), config))
+            for name in SMALL
+        }
+        assert digests == PINNED_EXTENSIONS[label]

@@ -2,13 +2,17 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.errors import IncompleteMachineError, KissFormatError
 from repro.fsm.kiss import (
+    CubeAnomaly,
     KissMachine,
     KissRow,
     expand_cube,
+    expand_machine,
     parse_kiss,
     table_to_kiss,
     write_kiss,
@@ -158,3 +162,118 @@ class TestKissRowValidation:
 
     def test_str_format(self):
         assert str(KissRow("0-", "a", "b", "1")) == "0- a b 1"
+
+
+# ------------------------------------------------------- expansion reference
+
+
+def _reference_cube(cube: str) -> list[int]:
+    """The bit-by-bit cube enumeration expand_cube replaced."""
+    free = [i for i, ch in enumerate(cube) if ch == "-"]
+    width = len(cube)
+    base = int(cube.replace("-", "0"), 2) if cube else 0
+    values = []
+    for assignment in range(1 << len(free)):
+        value = base
+        for bit_pos, index in enumerate(free):
+            if (assignment >> bit_pos) & 1:
+                value |= 1 << (width - 1 - index)
+        values.append(value)
+    return values
+
+
+def _reference_expand(machine: KissMachine):
+    """The scalar numpy loop expand_machine replaced, kept as the reference:
+    every entry is read and written on the arrays themselves."""
+    names = machine.state_names()
+    index = {name: i for i, name in enumerate(names)}
+    n_states = len(names)
+    n_cols = 1 << machine.n_inputs
+    next_state = np.full((n_states, n_cols), -1, dtype=np.int32)
+    output = np.zeros((n_states, n_cols), dtype=np.int64)
+    anomalies: list[CubeAnomaly] = []
+    for row_index, row in enumerate(machine.rows):
+        if len(row.input_cube) != machine.n_inputs:
+            anomalies.append(CubeAnomaly(
+                "width",
+                f"row {row}: input cube width != .i {machine.n_inputs}",
+                row_index,
+            ))
+            continue
+        if len(row.output_cube) != machine.n_outputs:
+            anomalies.append(CubeAnomaly(
+                "width",
+                f"row {row}: output cube width != .o {machine.n_outputs}",
+                row_index,
+            ))
+            continue
+        out_value = (
+            int(row.output_cube.replace("-", "0"), 2) if machine.n_outputs else 0
+        )
+        presents = range(n_states) if row.present == "*" else (index[row.present],)
+        nxt = index[row.next]
+        for combo in _reference_cube(row.input_cube):
+            for present in presents:
+                previous = next_state[present, combo]
+                if previous != -1 and (
+                    previous != nxt or output[present, combo] != out_value
+                ):
+                    anomalies.append(CubeAnomaly(
+                        "conflict",
+                        f"conflicting rows for state {names[present]!r} "
+                        f"under input {combo:0{machine.n_inputs}b}",
+                        row_index,
+                        names[present],
+                        combo,
+                    ))
+                    continue
+                next_state[present, combo] = nxt
+                output[present, combo] = out_value
+    holes = [
+        (int(state), int(combo)) for state, combo in zip(*np.nonzero(next_state == -1))
+    ]
+    return names, next_state, output, anomalies, holes
+
+
+@st.composite
+def kiss_machines(draw: st.DrawFn) -> KissMachine:
+    """Small cube-level machines with overlapping cubes, ``*`` present
+    states, the odd cube of the wrong width, and unspecified entries."""
+    n_inputs = draw(st.integers(0, 3))
+    n_outputs = draw(st.integers(0, 2))
+    names = [f"s{i}" for i in range(draw(st.integers(1, 4)))]
+
+    def cube(width: int) -> st.SearchStrategy[str]:
+        width = draw(st.sampled_from([width] * 8 + [width + 1, max(0, width - 1)]))
+        return st.text(alphabet="01-", min_size=width, max_size=width)
+
+    rows = [
+        KissRow(
+            draw(cube(n_inputs)),
+            draw(st.sampled_from([*names, "*"])),
+            draw(st.sampled_from(names)),
+            draw(cube(n_outputs)),
+        )
+        for _ in range(draw(st.integers(0, 8)))
+    ]
+    reset = draw(st.one_of(st.none(), st.sampled_from(names)))
+    return KissMachine(n_inputs, n_outputs, rows, reset, "drawn")
+
+
+class TestExpansionReference:
+    @settings(max_examples=300, deadline=None)
+    @given(kiss_machines())
+    def test_matches_scalar_reference(self, machine):
+        names, next_state, output, anomalies, holes = _reference_expand(machine)
+        expansion = expand_machine(machine)
+        assert expansion.names == names
+        for got, want in ((expansion.next_state, next_state), (expansion.output, output)):
+            assert got.dtype == want.dtype
+            assert got.shape == want.shape
+            assert np.array_equal(got, want)
+        assert expansion.anomalies == anomalies
+        assert expansion.holes == holes
+
+    @given(st.text(alphabet="01-", max_size=8))
+    def test_cube_order_matches_reference(self, cube):
+        assert list(expand_cube(cube)) == _reference_cube(cube)

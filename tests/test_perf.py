@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import pickle
+import statistics
 
 import numpy as np
 import pytest
@@ -35,6 +36,7 @@ from repro.perf.cache import (
 )
 from repro.perf import engine as engine_module
 from repro.perf.artifacts import detectability_key
+from repro.perf.bench import OVERHEAD_PAIRS
 from repro.perf.engine import _fault_chunks, compute_studies
 from repro.perf.pool import WorkerPool, get_pool, shutdown_pool
 from repro.uio.search import input_class_representatives
@@ -406,7 +408,43 @@ class TestBench:
         for ratios in report["stage_speedups"].values():
             assert set(ratios) == set(serial_stages)
             assert all(value >= 0.0 for value in ratios.values())
+        # Observer overhead: the median over alternating pairs, each kept.
+        observability = report["observability"]
+        assert len(observability["pairs"]) == OVERHEAD_PAIRS
+        assert observability["overhead_pct"] == pytest.approx(
+            statistics.median(p["overhead_pct"] for p in observability["pairs"])
+        )
+        assert observability["spans"] > 0
         json.dumps(report)  # must be JSON-serializable as-is
+
+    def test_observer_overhead_alternates_pairs_and_takes_median(
+        self, monkeypatch
+    ):
+        from repro.obs.trace import tracing_active
+        from repro.perf import bench
+
+        calls: list[str] = []
+        # Walls per call, in call order: pair 1 off/on, pair 2 on/off, ...
+        walls = iter([1.0, 1.1, 2.2, 2.0, 1.0, 0.9])
+
+        def stub_run(circuits, jobs, options):
+            calls.append("on" if tracing_active() else "off")
+            return {}, {"wall_s": next(walls)}
+
+        monkeypatch.setattr(bench, "_run", stub_run)
+        block, _snapshot, divergence = bench._observer_overhead(
+            ("lion",), None, {}, pairs=3
+        )
+        assert calls == ["off", "on", "on", "off", "off", "on"]
+        assert [pair["order"] for pair in block["pairs"]] == [
+            "disabled first", "enabled first", "disabled first",
+        ]
+        per_pair = [pair["overhead_pct"] for pair in block["pairs"]]
+        assert per_pair == pytest.approx([10.0, 10.0, -10.0])
+        assert block["overhead_pct"] == pytest.approx(10.0)  # the median
+        assert block["disabled_wall_s"] == 1.0
+        assert block["enabled_wall_s"] == 1.1
+        assert divergence == []
 
     def test_bench_engine_override_recorded(self, tmp_path):
         from repro.perf.bench import run_bench
@@ -578,7 +616,8 @@ class TestMemoization:
         first = input_class_representatives(table)
         second = input_class_representatives(table)
         assert first is second  # served from the per-table cache
-        # An equal table built independently shares the entry (hash/eq key).
+        assert table.input_representatives is first  # the memo's one home
+        # An equal table built independently holds its own, equal memo.
         clone = StateTable(
             np.asarray(table.next_state),
             np.asarray(table.output),
@@ -587,7 +626,7 @@ class TestMemoization:
             table.state_names,
             table.name,
         )
-        assert input_class_representatives(clone) is first
+        assert input_class_representatives(clone) == first
 
     def test_state_table_pickle_round_trip(self):
         table = load_circuit("lion")

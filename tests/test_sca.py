@@ -20,7 +20,7 @@ import pickle
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.errors import CertificateError
 from repro.fuzz.strategies import netlists
@@ -415,6 +415,33 @@ def test_site_observability_matches_full_sweep(net):
         assert site_observability(net, constants, site) == sweep_observability(
             net, constants, site
         )
+
+
+def _has_constants(net: Netlist) -> bool:
+    return bool(propagate_constants(net).constant_lines)
+
+
+@pytest.mark.parametrize("with_constants", [True, False])
+@settings(
+    max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow]
+)
+@given(data=st.data())
+def test_unobservable_matches_per_line_definition(with_constants, data):
+    # Without constants the dict comes from one mask AND over the
+    # reachability rows, with them from the per-line frontier walk; either
+    # way it must be exactly the lines site_observability rejects.
+    net = data.draw(
+        netlists(max_gates=30).filter(
+            lambda candidate: _has_constants(candidate) == with_constants
+        )
+    )
+    constants = propagate_constants(net)
+    expected = {}
+    for line in range(net.n_gates):
+        observable, blocks = site_observability(net, constants, line)
+        if not observable:
+            expected[line] = blocks
+    assert analyze(net).unobservable == expected
 
 
 def test_verify_observability_blocks_rejects_bad_evidence():

@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+import pickle
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from repro.errors import StateTableError
 from repro.fsm.state_table import StateTable, Transition
+from repro.fuzz.strategies import state_tables
 
 
 def make_table(**overrides):
@@ -175,6 +179,58 @@ class TestEqualityAndRepr:
 
     def test_repr_mentions_dimensions(self, lion):
         assert "4 states" in repr(lion)
+
+
+def _fresh(table: StateTable) -> StateTable:
+    return StateTable(
+        table.next_state, table.output, table.n_inputs, table.n_outputs,
+        table.state_names, table.name,
+    )
+
+
+class TestViews:
+    @settings(max_examples=100, deadline=None)
+    @given(state_tables(max_states=6, max_inputs=3))
+    def test_views_equal_the_arrays(self, table):
+        for rows, array in (
+            (table.next_rows, table.next_state),
+            (table.output_rows, table.output),
+        ):
+            assert all(type(value) is int for row in rows for value in row)
+            assert np.array_equal(np.array(rows).reshape(array.shape), array)
+        for columns, array in (
+            (table.next_columns, table.next_state),
+            (table.output_columns, table.output),
+        ):
+            assert len(columns) == table.n_input_combinations
+            for combo, column in enumerate(columns):
+                assert column == tuple(array[:, combo].tolist())
+        representatives = table.input_representatives
+        assert representatives == tuple(sorted(representatives))
+        classes = {
+            (table.next_columns[combo], table.output_columns[combo]): combo
+            for combo in reversed(range(table.n_input_combinations))
+        }
+        assert set(representatives) == set(classes.values())
+
+    @settings(max_examples=50, deadline=None)
+    @given(state_tables(max_states=6, max_inputs=3))
+    def test_views_stay_out_of_pickles_eq_and_hash(self, table):
+        before = pickle.dumps(table)
+        plain_hash = hash(_fresh(table))
+        _ = (
+            table.next_rows, table.output_rows, table.next_columns,
+            table.output_columns, table.input_representatives,
+        )
+        assert pickle.dumps(table) == before
+        assert pickle.loads(before)._next_rows is None
+        assert table == _fresh(table) and _fresh(table) == table
+        assert hash(table) == plain_hash
+
+    def test_views_are_memoized(self, lion):
+        assert lion.next_rows is lion.next_rows
+        assert lion.next_columns is lion.next_columns
+        assert lion.input_representatives is lion.input_representatives
 
 
 class TestLionPinnedToPaper:

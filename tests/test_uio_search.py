@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+import itertools
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.errors import SearchBudgetExceeded, StateTableError
 from repro.fsm.builders import StateTableBuilder
 from repro.fsm.state_table import StateTable
+from repro.fuzz.strategies import state_tables
 from repro.uio.search import (
     UioSequence,
     compute_uio_table,
@@ -162,3 +166,51 @@ class TestUioTable:
 
     def test_default_length_is_n_sv(self, lion):
         assert compute_uio_table(lion).max_length == lion.n_state_variables
+
+
+# ------------------------------------------------------ brute-force reference
+
+
+def _reference_representatives(table: StateTable) -> tuple[int, ...]:
+    """The smallest input of each class of identical column pairs."""
+    reps: list[int] = []
+    for combo in range(table.n_input_combinations):
+        if not any(
+            np.array_equal(table.next_state[:, combo], table.next_state[:, rep])
+            and np.array_equal(table.output[:, combo], table.output[:, rep])
+            for rep in reps
+        ):
+            reps.append(combo)
+    return tuple(reps)
+
+
+def _brute_force_uio(table: StateTable, state: int, max_length: int):
+    """First sequence of ``product(representatives, repeat=d)``, d = 1..L,
+    whose response from ``state`` differs from every other state's."""
+    if table.n_states == 1:
+        return UioSequence(state, (), state)
+    representatives = _reference_representatives(table)
+    others = [other for other in range(table.n_states) if other != state]
+    for depth in range(1, max_length + 1):
+        for sequence in itertools.product(representatives, repeat=depth):
+            response = table.response(state, sequence)
+            if all(table.response(other, sequence) != response for other in others):
+                return UioSequence(state, sequence, table.final_state(state, sequence))
+    return None
+
+
+class TestAgainstBruteForce:
+    @settings(max_examples=150, deadline=None)
+    @given(state_tables(max_states=6, max_inputs=2), st.integers(0, 4))
+    def test_lexicographically_first_shortest_uio(self, table, max_length):
+        assert input_class_representatives(table) == _reference_representatives(table)
+        for state in range(table.n_states):
+            assert find_uio(table, state, max_length) == _brute_force_uio(
+                table, state, max_length
+            )
+
+    def test_merged_branches_cost_no_budget(self):
+        # Both states go to s0 with output 0 under every input: each branch
+        # merges at once, so one expansion settles that no UIO exists.
+        table = StateTable(np.zeros((2, 2)), np.zeros((2, 2)), 1, 1)
+        assert find_uio(table, 0, 5, node_budget=1) is None
