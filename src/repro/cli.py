@@ -36,8 +36,9 @@ under ``~/.local/state/repro-fsatpg/ledger`` by default; see
 
 Table-regeneration commands accept ``--jobs N`` to fan the per-circuit
 pipeline across worker processes and ``--cache-dir PATH`` to reuse
-artifacts (UIO tables, synthesized netlists, detectability sets, compiled
-simulator source) across invocations; results are identical either way.
+artifacts (UIO tables, synthesized netlists, static analyses, ATPG runs,
+compiled simulator source) across invocations; results are identical
+either way.
 They also accept ``--trace-out PATH`` / ``--metrics-out PATH`` to capture
 a trace or metrics snapshot of any normal run (see docs/observability.md),
 and the top-level ``-v``/``-q`` flags gate the structured stderr logger.

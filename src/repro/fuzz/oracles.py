@@ -68,7 +68,13 @@ from repro.gatelevel.ppsfp import PpsfpSimulator
 from repro.gatelevel.scan import ScanCircuit
 from repro.gatelevel.synthesis import SynthesisOptions
 from repro.nonscan.simulate import sequence_detects
-from repro.perf.artifacts import cached_atpg, cached_uio_table, state_table_parts
+from repro.perf.artifacts import (
+    cached_atpg,
+    cached_sca,
+    cached_scan_circuit,
+    cached_uio_table,
+    state_table_parts,
+)
 from repro.perf.cache import ReplayVerifier, cache_enabled, cache_probe, stable_hash
 from repro.uio.search import DEFAULT_NODE_BUDGET, compute_uio_table
 
@@ -561,7 +567,7 @@ def _cache_replay(case: FuzzCase) -> None:
     cold = compute_uio_table(table, bound, DEFAULT_NODE_BUDGET)
     verifier = ReplayVerifier()
     with tempfile.TemporaryDirectory(prefix="repro-fuzz-cache-") as root:
-        with cache_enabled(root) as cache, cache_probe(verifier):
+        with cache_enabled(root), cache_probe(verifier):
             first, _ = cached_uio_table(table, bound, DEFAULT_NODE_BUDGET)
             second, _ = cached_uio_table(table, bound, DEFAULT_NODE_BUDGET)
             gate_ok = True
@@ -569,6 +575,14 @@ def _cache_replay(case: FuzzCase) -> None:
                 _gate_level_case(case)
             except OracleSkip:
                 gate_ok = False
+            if gate_ok:
+                # The second synthesis and analysis replay the first's
+                # entries; the probe compares them by content.
+                for _ in range(2):
+                    scan = cached_scan_circuit(
+                        table, SynthesisOptions(max_fanin=4), table
+                    )
+                    cached_sca(scan.netlist)
             if gate_ok and case.gate_faults():
                 # Compiling twice exercises the simulator-source cache path.
                 CompiledFaultSimulator(case.scan_circuit(), table, case.gate_faults())
@@ -583,9 +597,10 @@ def _cache_replay(case: FuzzCase) -> None:
                     raise OracleFailure(
                         "warm ATPG run differs from the cold computation"
                     )
-            if cache.hits < 1:
-                raise OracleFailure("no cache hit on immediate replay")
     if not (cold == first == second):
         raise OracleFailure("warm UIO table differs from the cold computation")
+    unreplayed = sorted({kind for kind, _ in verifier.stored} - set(verifier.replayed))
+    if unreplayed:
+        raise OracleFailure(f"no cache hit on immediate replay of {unreplayed}")
     if verifier.mismatches:
         raise OracleFailure("; ".join(verifier.mismatches))

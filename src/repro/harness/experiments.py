@@ -106,7 +106,6 @@ class CircuitStudy:
         #: per fault model, the detectability split and the effective-test
         #: selection, written by the engine's select phase
         self.grades: dict[str, tuple[Split, EffectiveSelection]] = {}
-        self._stored_splits: dict[str, tuple[str, Split | None]] = {}
 
     # ----------------------------------------------------------- functional
 
@@ -214,19 +213,6 @@ class CircuitStudy:
             return self.bridging_faults
         proven = self.stuck_at_proven
         return [f for f in self.stuck_at_faults if f not in proven]
-
-    def stored_split(self, model: str) -> tuple[str, Split | None]:
-        """The detectability cache key of ``model``'s simulated faults and
-        the split the artifact cache holds under it (``None``: grading
-        derives it).  Looked up once per study."""
-        if model not in self._stored_splits:
-            from repro.perf.artifacts import detectability_key, lookup_detectability
-
-            key = detectability_key(self.scan_circuit, self.simulated_faults(model))
-            self._stored_splits[model] = key, lookup_detectability(
-                key, circuit=self.name, timings=self.timings
-            )
-        return self._stored_splits[model]
 
     # -------------------------------------------------------------- grading
 

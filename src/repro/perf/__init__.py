@@ -18,12 +18,7 @@ from __future__ import annotations
 
 from typing import Any
 
-from repro.perf.artifacts import (
-    cached_scan_circuit,
-    cached_uio_table,
-    lookup_detectability,
-    store_detectability,
-)
+from repro.perf.artifacts import cached_scan_circuit, cached_uio_table
 from repro.perf.cache import (
     ARTIFACT_VERSIONS,
     ArtifactCache,
@@ -47,11 +42,9 @@ __all__ = [
     "cached_uio_table",
     "compute_studies",
     "default_cache_dir",
-    "lookup_detectability",
     "run_bench",
     "set_active_cache",
     "stable_hash",
-    "store_detectability",
 ]
 
 _ENGINE_EXPORTS = {"compute_studies"}

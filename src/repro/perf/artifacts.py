@@ -3,11 +3,9 @@
 Each ``cached_*`` function computes one artifact of the per-circuit pipeline
 — UIO table, synthesized scan circuit, static analysis, ATPG run — going
 through the process-wide :class:`~repro.perf.cache.ArtifactCache` when one is
-active and computing directly otherwise.  The detectability split is the
-exception: it is derived from the fault simulator that grades the universe,
-so its cache lookup (:func:`lookup_detectability`) and store
-(:func:`store_detectability`) are separate steps around that derivation.
-Every wrapper optionally records a
+active and computing directly otherwise.  Detectability splits are never
+cached: the sweep engine reads them off the fault simulator that grades each
+universe (:mod:`repro.perf.engine`).  Every wrapper optionally records a
 :class:`~repro.harness.runtime.StageRecord` into a
 :class:`~repro.harness.runtime.StageTimings`, which is how a
 :class:`~repro.harness.experiments.CircuitStudy` accounts its time; the
@@ -29,7 +27,6 @@ from contextlib import AbstractContextManager
 from repro.fsm.kiss import KissMachine
 from repro.fsm.state_table import StateTable
 from repro.gatelevel.bridging import BridgingFault
-from repro.gatelevel.dispatch import FaultSimulator, detectable_mask
 from repro.gatelevel.netlist import Netlist
 from repro.gatelevel.scan import ScanCircuit
 from repro.gatelevel.stuck_at import StuckAtFault
@@ -55,14 +52,10 @@ __all__ = [
     "cached_scan_circuit",
     "cached_sca",
     "cached_uio_table",
-    "derive_detectability",
-    "detectability_key",
     "fault_universe_parts",
-    "lookup_detectability",
     "machine_parts",
     "netlist_parts",
     "state_table_parts",
-    "store_detectability",
 ]
 
 Fault = StuckAtFault | BridgingFault
@@ -228,74 +221,6 @@ def cached_scan_circuit(
     if cache is not None and verify_table is not None:
         cache.put("synthesis", key, scan.circuit)
     return scan
-
-
-def detectability_key(scan: ScanCircuit, faults: Sequence[Fault]) -> str:
-    """Cache key of the detectability split of ``faults`` on ``scan``
-    (``""`` when no cache is active).
-
-    Verdicts are judged over the assigned state codes, so the state-code
-    assignment is part of the key next to the netlist and the universe.
-    """
-    if active_cache() is None:
-        return ""
-    return artifact_key(
-        "detectability",
-        netlist_parts(scan.netlist),
-        scan.encoding.codes,
-        scan.encoding.width,
-        fault_universe_parts(faults),
-    )
-
-
-def lookup_detectability(
-    key: str,
-    *,
-    circuit: str = "",
-    timings: StageTimings | None = None,
-) -> tuple[set[Fault], set[Fault]] | None:
-    """The cached ``(detectable, undetectable)`` split under ``key``, or
-    ``None`` on a miss (or with no active cache).
-
-    Hits and misses are recorded as zero-second detectability stages; the
-    caller that derives a missing split times that work itself (see
-    :func:`derive_detectability`) and hands the result to
-    :func:`store_detectability`.
-    """
-    cache = active_cache()
-    if cache is None or not key:
-        return None
-    stored = cache.get("detectability", key)
-    if stored is None:
-        _record(timings, circuit, STAGE_DETECTABILITY, 0.0, "miss")
-        return None
-    _record(timings, circuit, STAGE_DETECTABILITY, 0.0, "hit")
-    return set(stored[0]), set(stored[1])
-
-
-def store_detectability(
-    key: str, split: tuple[set[Fault], set[Fault]]
-) -> None:
-    """Store a derived split under ``key`` (no-op without an active cache)."""
-    cache = active_cache()
-    if cache is None or not key:
-        return
-    detectable, undetectable = split
-    cache.put("detectability", key, (frozenset(detectable), frozenset(undetectable)))
-
-
-def derive_detectability(
-    simulator: FaultSimulator,
-    *,
-    circuit: str = "",
-    timings: StageTimings | None = None,
-) -> int:
-    """:func:`~repro.gatelevel.dispatch.detectable_mask` of ``simulator``,
-    timed as the detectability stage."""
-    with _staged(timings, circuit, STAGE_DETECTABILITY) as sp:
-        sp.set(n_faults=len(simulator.faults))
-        mask = detectable_mask(simulator)
-    return mask
 
 
 def cached_sca(

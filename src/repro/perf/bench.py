@@ -11,17 +11,21 @@ writes the result as ``BENCH_perf.json``:
     parallel speedup and fills the cache.
 ``parallel_warm``
     ``jobs=N`` against the now-warm cache: UIO search, synthesis +
-    verification, and the detectability oracle are all served as hits
-    (``stage_seconds`` collapse to ~0 and ``cache.hits`` counts them).
+    verification and static analysis are served as hits (their
+    ``stage_seconds`` collapse to ~0 and ``cache.hits`` counts them);
+    fault simulation and the detectability split it yields are recomputed.
 
 After ``serial_cold``, ``OVERHEAD_PAIRS`` pairs of serial runs, one with
 the :mod:`repro.obs` collectors enabled and one without, measure the
-tracing overhead under ``observability`` (the median of the pairs'
-enabled-vs-disabled wall ratios, each pair's figures, span/metric counts),
-so the cost of turning profiling on — and the near-zero cost of leaving it
-off — is tracked run over run.  The order within a pair alternates, and
-the cold first run is in no pair: a second sweep in one process runs
-warmer than the first, which alone would read as several percent.
+tracing overhead under ``observability`` (the medians of the pairs'
+enabled-vs-disabled wall and CPU ratios, each pair's figures, span/metric
+counts), so the cost of turning profiling on — and the near-zero cost of
+leaving it off — is tracked run over run.  The order within a pair
+alternates, and the cold first run is in no pair: a second sweep in one
+process runs warmer than the first, which alone would read as several
+percent.  For the same reason the parallel speedups divide the median wall
+(and per-stage medians) of the pairs' unobserved runs, which also follow
+``serial_cold``, by the parallel walls.
 
 Every run's studies are reduced to a timing-free signature
 (:meth:`~repro.harness.experiments.CircuitStudy.signature`) and compared; any
@@ -102,6 +106,11 @@ def _overhead_pct(disabled_s: float, enabled_s: float) -> float:
     return 100.0 * (enabled_s - disabled_s) / disabled_s if disabled_s else 0.0
 
 
+def _cpu_s(record: dict[str, Any]) -> float:
+    resources = record["resources"]
+    return resources["cpu_user_s"] + resources["cpu_system_s"]
+
+
 def _observer_overhead(
     circuits: Sequence[str],
     options: Any,
@@ -112,6 +121,8 @@ def _observer_overhead(
 
     Returns the ``observability`` block, the first observed run's metrics
     snapshot, and any divergence of the runs' results from ``reference``.
+    The block's ``disabled_wall_s`` and ``disabled_stage_seconds`` (medians
+    over the unobserved runs) are the serial reference of the speedups.
     """
     from repro import obs
 
@@ -121,7 +132,7 @@ def _observer_overhead(
     snapshot: dict[str, Any] = {}
     for index in range(pairs):
         order = ("disabled", "enabled") if index % 2 == 0 else ("enabled", "disabled")
-        walls: dict[str, float] = {}
+        runs: dict[str, dict[str, Any]] = {}
         for mode in order:
             if mode == "enabled":
                 with obs.observing() as session:
@@ -134,22 +145,32 @@ def _observer_overhead(
                     snapshot = session.registry.snapshot()
             else:
                 studies, record = _run(circuits, 1, options)
-            walls[mode] = record["wall_s"]
+            runs[mode] = record
             divergence += _compare(
                 reference, studies, f"serial-{mode} (pair {index + 1}) vs serial"
             )
+        disabled, enabled = runs["disabled"], runs["enabled"]
         records.append(
             {
                 "order": order[0] + " first",
-                "disabled_wall_s": walls["disabled"],
-                "enabled_wall_s": walls["enabled"],
-                "overhead_pct": _overhead_pct(walls["disabled"], walls["enabled"]),
+                "disabled_wall_s": disabled["wall_s"],
+                "enabled_wall_s": enabled["wall_s"],
+                "overhead_pct": _overhead_pct(disabled["wall_s"], enabled["wall_s"]),
+                "disabled_cpu_s": _cpu_s(disabled),
+                "enabled_cpu_s": _cpu_s(enabled),
+                "overhead_cpu_pct": _overhead_pct(_cpu_s(disabled), _cpu_s(enabled)),
+                "disabled_stage_seconds": disabled["stage_seconds"],
             }
         )
     block = {
         "disabled_wall_s": statistics.median(r["disabled_wall_s"] for r in records),
         "enabled_wall_s": statistics.median(r["enabled_wall_s"] for r in records),
+        "disabled_stage_seconds": {
+            name: statistics.median(r["disabled_stage_seconds"][name] for r in records)
+            for name in records[0]["disabled_stage_seconds"]
+        },
         "overhead_pct": statistics.median(r["overhead_pct"] for r in records),
+        "overhead_cpu_pct": statistics.median(r["overhead_cpu_pct"] for r in records),
         "pairs": records,
         **counts,
     }
@@ -176,10 +197,9 @@ def _pool_delta(
 
 
 def _stage_speedups(
-    serial_record: dict[str, Any], candidate_record: dict[str, Any]
+    serial_stages: dict[str, float], candidate_record: dict[str, Any]
 ) -> dict[str, float]:
     """Serial/candidate wall ratio per pipeline stage (>1 means faster)."""
-    serial_stages = serial_record.get("stage_seconds", {})
     candidate_stages = candidate_record.get("stage_seconds", {})
     return {
         stage: (
@@ -258,7 +278,10 @@ def run_bench(
     divergence += _compare(serial, parallel_warm, "parallel-warm vs serial")
     divergence += overhead_divergence
 
-    serial_wall = serial_record["wall_s"]
+    # The speedups' serial reference follows serial_cold, like both
+    # parallel runs; serial_cold, the process's first sweep, runs colder.
+    serial_wall = observability["disabled_wall_s"]
+    serial_stages = observability["disabled_stage_seconds"]
     cold_wall = cold_record["wall_s"]
     results = {name: serial[name].summary() for name in names}
     options_block = {
@@ -284,8 +307,8 @@ def run_bench(
             serial_wall / warm_record["wall_s"] if warm_record["wall_s"] else 0.0
         ),
         "stage_speedups": {
-            "parallel_cold": _stage_speedups(serial_record, cold_record),
-            "parallel_warm": _stage_speedups(serial_record, warm_record),
+            "parallel_cold": _stage_speedups(serial_stages, cold_record),
+            "parallel_warm": _stage_speedups(serial_stages, warm_record),
         },
         "observability": observability,
         "results": results,
@@ -339,7 +362,8 @@ def _summarize(report: dict[str, Any]) -> str:
     observability = report["observability"]
     lines.append(
         f"  observability  {observability['enabled_wall_s']:8.2f}s enabled "
-        f"({observability['overhead_pct']:+.1f}% vs disabled, median of "
+        f"({observability['overhead_pct']:+.1f}% wall, "
+        f"{observability['overhead_cpu_pct']:+.1f}% CPU vs disabled, median of "
         f"{len(observability['pairs'])} pairs, "
         f"{observability['spans']} spans, {observability['metrics']} metrics)"
     )

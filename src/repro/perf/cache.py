@@ -1,6 +1,6 @@
 """Content-addressed on-disk cache for expensive pipeline artifacts.
 
-Artifacts — UIO tables, synthesized circuits, detectability partitions,
+Artifacts — UIO tables, synthesized circuits, static analyses, ATPG runs,
 generated fault-simulator source — are keyed by a stable SHA-256 hash of
 *everything that determines them*: the state table (or netlist) contents plus
 every relevant option, plus a per-kind algorithm version.  Changing an
@@ -41,13 +41,11 @@ __all__ = [
     "CacheError",
     "ReplayVerifier",
     "active_cache",
-    "active_probe",
     "artifact_key",
     "cache_enabled",
     "cache_probe",
     "default_cache_dir",
     "set_active_cache",
-    "set_cache_probe",
     "stable_hash",
 ]
 
@@ -62,8 +60,6 @@ class CacheError(ReproError):
 ARTIFACT_VERSIONS: dict[str, int] = {
     "uio": 1,
     "synthesis": 1,
-    # 2: judged over the assigned state codes; the key adds the encoding.
-    "detectability": 2,
     # 2: stuck-at store forces are parenthesized before masking (inverting
     # gates mis-injected output stuck-at-0 under the old precedence).
     "simulator-source": 2,
@@ -324,7 +320,7 @@ class CacheProbe:
     """Observer of every artifact store and cache-hit replay.
 
     Subclasses override :meth:`on_store` / :meth:`on_replay`; the active
-    probe (see :func:`set_cache_probe`) is invoked synchronously from
+    probe (see :func:`cache_probe`) is invoked synchronously from
     :meth:`ArtifactCache.put` and :meth:`ArtifactCache.get`.  Probes must
     never mutate the artifact they observe.
     """
@@ -339,33 +335,52 @@ class CacheProbe:
 class ReplayVerifier(CacheProbe):
     """Probe asserting that cache-hit replays equal the stored originals.
 
-    Stores a fingerprint of every artifact at :meth:`on_store` time and
-    compares each later replay against it: ``str``/``bytes`` artifacts (and
-    tuples of them, e.g. compiled-simulator sources) must be bit-identical;
-    everything else must compare equal.  Mismatches are collected in
-    :attr:`mismatches` — one human-readable line per event — so a fuzzing
-    oracle (or a paranoid production run) can fail loudly instead of
-    silently trusting a corrupted or stale cache entry.
+    Each replay is compared with the value stored this run: ``str``/``bytes``
+    artifacts (and tuples of them, e.g. compiled-simulator sources) must be
+    bit-identical, artifacts holding a netlist must match in content
+    (:func:`_content`), anything else must compare equal.
+    Mismatches are collected in :attr:`mismatches`, one line per event, so
+    a fuzzing oracle can fail loudly instead of trusting a corrupted or
+    stale entry; :attr:`replayed` counts the replays per kind.
     """
 
     def __init__(self) -> None:
         self.stored: dict[tuple[str, str], Any] = {}
-        self.replays = 0
+        self.replayed: dict[str, int] = {}
         self.mismatches: list[str] = []
 
     def on_store(self, kind: str, key: str, value: Any) -> None:
         self.stored[(kind, key)] = value
 
     def on_replay(self, kind: str, key: str, value: Any) -> None:
-        self.replays += 1
+        self.replayed[kind] = self.replayed.get(kind, 0) + 1
         if (kind, key) not in self.stored:
             return  # stored by an earlier process; nothing to compare against
         original = self.stored[(kind, key)]
-        if not _replay_equal(original, value):
+        if type(original) is not type(value) or not _replay_equal(
+            _content(kind, original), _content(kind, value)
+        ):
             self.mismatches.append(
                 f"{kind}/{key[:12]}: replayed artifact differs from the "
                 "value stored this run"
             )
+
+
+def _content(kind: str, artifact: Any) -> Any:
+    """What a replay must reproduce.  A ``Netlist`` has no ``__eq__``, so a
+    synthesized circuit compares by its gates' kinds and fanins, inputs,
+    outputs, encoding and widths, and a static analysis by its payload."""
+    if kind == "sca":
+        return artifact.to_dict()
+    if kind == "synthesis":
+        netlist = artifact.netlist
+        return (
+            tuple((gate.kind, gate.fanins) for gate in netlist.gates),
+            netlist.inputs,
+            netlist.outputs,
+            dataclasses.replace(artifact, netlist=None),  # encoding and widths
+        )
+    return artifact
 
 
 def _replay_equal(original: Any, replayed: Any) -> bool:
@@ -377,34 +392,18 @@ def _replay_equal(original: Any, replayed: Any) -> bool:
         return len(original) == len(replayed) and all(
             _replay_equal(a, b) for a, b in zip(original, replayed)
         )
-    result = original == replayed
-    return bool(result)
+    return bool(original == replayed)
 
 
 _PROBE: CacheProbe | None = None
 
 
-def active_probe() -> CacheProbe | None:
-    """The process-wide cache probe, or ``None`` when none is installed."""
-    return _PROBE
-
-
-def set_cache_probe(probe: CacheProbe | None) -> CacheProbe | None:
-    """Install (or remove, with ``None``) the process-wide cache probe.
-
-    Returns the previously active probe so callers can restore it.
-    """
-    global _PROBE
-    previous = _PROBE
-    _PROBE = probe
-    return previous
-
-
 @contextmanager
 def cache_probe(probe: CacheProbe) -> Iterator[CacheProbe]:
     """Activate a :class:`CacheProbe` for the duration of a block."""
-    previous = set_cache_probe(probe)
+    global _PROBE
+    previous, _PROBE = _PROBE, probe
     try:
         yield probe
     finally:
-        set_cache_probe(previous)
+        _PROBE = previous

@@ -5,10 +5,8 @@ The engine runs every circuit through three phases:
 1. **Prepare** (one task per circuit): build the circuit's
    :class:`~repro.harness.experiments.CircuitStudy` and ask it for its
    inputs — UIO table, functional tests, synthesized and verified scan
-   circuit, static analysis, fault universes — plus a cache lookup of each
-   universe's detectability split.  The artifact cache serves UIO tables,
-   synthesized circuits, static analyses and detectability splits across
-   runs; nothing is derived here.
+   circuit, static analysis, fault universes.  The artifact cache serves
+   UIO tables, synthesized circuits and static analyses across runs.
 2. **Simulate** (one task per fault chunk): every (circuit, fault model)
    universe is split into engine-aware chunks (one whole-universe chunk for
    PPSFP, adaptive big-int batches otherwise); each task builds the
@@ -16,16 +14,16 @@ The engine runs every circuit through three phases:
    per test.  Chunking is sound because detection of a fault never depends
    on which other faults share the batch — each bit/row is its own machine
    (see :mod:`repro.gatelevel.compiled`, :mod:`repro.gatelevel.ppsfp`).
-   When the cache did not hold the universe's split, the task also returns
-   the chunk's detectable mask, read from the simulator it built
-   (:func:`repro.gatelevel.dispatch.detectable_mask`: a table comparison
-   for PPSFP, the cone oracle for big-int chunks); verdicts are as
-   chunk-independent as detections.
-3. **Select** (main process): missing splits are assembled from the chunk
-   masks and stored in the cache; chunk masks are merged into per-test
-   detected sets, :func:`~repro.core.compaction.select_effective_tests`
-   replays the paper's longest-first effective-test selection against
-   them, and both are written into the study's ``grades``.
+   The task also returns the chunk's detectable mask, read from the
+   simulator it built (:func:`repro.gatelevel.dispatch.detectable_mask`: a
+   table comparison for PPSFP, the cone oracle for big-int chunks);
+   verdicts are as chunk-independent as detections.
+3. **Select** (main process): each universe's detectability split is
+   assembled from its chunks' detectable masks; chunk masks are merged into
+   per-test detected sets,
+   :func:`~repro.core.compaction.select_effective_tests` replays the
+   paper's longest-first effective-test selection against them, and both
+   are written into the study's ``grades``.
 
 :func:`compute_studies` runs all three for a sweep.  A study whose grading
 is read outside a sweep runs phases 2 and 3 for itself through
@@ -51,7 +49,11 @@ from typing import TYPE_CHECKING, Any, Callable, Sequence
 from repro.core.compaction import EffectiveSelection, select_effective_tests
 from repro.core.config import FaultSimConfig, adaptive_batch_bits
 from repro.core.testset import ScanTest
-from repro.gatelevel.dispatch import make_fault_simulator, partition_by_mask
+from repro.gatelevel.dispatch import (
+    detectable_mask,
+    make_fault_simulator,
+    partition_by_mask,
+)
 from repro.gatelevel.ppsfp import PpsfpSimulator
 from repro.harness.experiments import MODELS, CircuitStudy, Split, StudyOptions
 from repro.harness.runtime import StageTimings, stopwatch
@@ -63,12 +65,7 @@ from repro.obs import (
 )
 from repro.obs.progress import meter as progress_meter
 from repro.obs.trace import span as trace_span
-from repro.perf.artifacts import (
-    STAGE_FAULT_SIM,
-    Fault,
-    derive_detectability,
-    store_detectability,
-)
+from repro.perf.artifacts import STAGE_DETECTABILITY, STAGE_FAULT_SIM, Fault
 from repro.perf.cache import active_cache
 from repro.perf.pool import get_pool
 
@@ -86,14 +83,14 @@ def _prepare_task(
 ) -> tuple[CircuitStudy, ObsSnapshot | None]:
     """Phase-1 task: build the study of ``snapshot["names"][index]`` and
     compute what grading reads — its tests and, for a full sweep, its fault
-    universes and their stored detectability splits."""
+    universes."""
     name, scope = snapshot["names"][index], snapshot["scope"]
     with trace_span("circuit.prepare", circuit=name, scope=scope):
         study = CircuitStudy(name, snapshot["options"])
         _ = study.tests
         if scope == "full":
             for model in MODELS:
-                study.stored_split(model)
+                study.simulated_faults(model)
             # The universes are computed; the analysis behind them is most
             # of a pickled study.
             del study.sca
@@ -109,8 +106,8 @@ class _ChunkResult:
 
     #: detection mask per test, over the chunk's fault-bit order
     masks: list[int]
-    #: the chunk's detectable mask, when the task was asked to derive it
-    detectable: int | None
+    #: the chunk's detectable mask, over the same bit order
+    detectable: int
     timings: StageTimings
     obs: ObsSnapshot | None
 
@@ -120,20 +117,18 @@ def _simulate_task(snapshot: dict[str, Any], index: int) -> _ChunkResult:
 
     ``snapshot`` is the phase-primed artifact snapshot (see
     :func:`_run_phase`); ``index`` picks the chunk — the whole task message
-    is just that integer.  When the chunk's universe had no cached
-    detectability split, the task also derives the chunk's detectable mask
-    from the simulator it built; each fault's verdict is independent of
-    the others in its chunk, so phase 3 assembles the universe's split from
-    the chunks.
+    is just that integer.  The task also derives the chunk's detectable
+    mask from the simulator it built; each fault's verdict is independent
+    of the others in its chunk, so phase 3 assembles the universe's split
+    from the chunks.
     """
-    position, chunk, derive = snapshot["chunks"][index]
+    position, chunk = snapshot["chunks"][index]
     name, scan, table, tests, faultsim = snapshot["circuits"][position]
     timings = StageTimings()
     cache = active_cache()
     hits = cache.hits if cache is not None else 0
     misses = cache.misses if cache is not None else 0
     total_cycles = sum(len(test.inputs) for test in tests)
-    detectable = None
     with trace_span(
         "sweep.chunk", circuit=name, n_faults=len(chunk), n_tests=len(tests)
     ):
@@ -144,10 +139,9 @@ def _simulate_task(snapshot: dict[str, Any], index: int) -> _ChunkResult:
             masks = simulator.detect_masks(tests)
         timings.add(name, STAGE_FAULT_SIM, clock.elapsed_s)
         _report_chunk(chunk, masks, isinstance(simulator, PpsfpSimulator))
-        if derive:
-            detectable = derive_detectability(
-                simulator, circuit=name, timings=timings
-            )
+        with timings.stage(name, STAGE_DETECTABILITY) as sp:
+            sp.set(n_faults=len(chunk))
+            detectable = detectable_mask(simulator)
     if cache is not None:
         # The only cache traffic here is the compiled simulator source.
         timings.cache_hits += cache.hits - hits
@@ -267,7 +261,6 @@ def _assemble_split(
     detectable: set[Fault] = set()
     undetectable: set[Fault] = set()
     for chunk, result in zip(chunks, results):
-        assert result.detectable is not None, "chunk was not asked to derive"
         chunk_detectable, chunk_undetectable = partition_by_mask(
             chunk, result.detectable
         )
@@ -283,10 +276,7 @@ def _grade(
     results: list[_ChunkResult],
 ) -> tuple[Split, EffectiveSelection]:
     """One model's detectability split and effective-test selection."""
-    key, split = study.stored_split(model)
-    if split is None:
-        split = _assemble_split(chunks, results)
-        store_detectability(key, split)
+    split = _assemble_split(chunks, results)
     if model == "stuck_at":
         split = (split[0], split[1] | set(study.stuck_at_proven))
     selection = _select_from_masks(
@@ -352,7 +342,7 @@ def grade_studies(
     into ``study.grades``, and each chunk's stage records into
     ``study.timings``.
     """
-    chunks: list[tuple[int, list[Fault], bool]] = []
+    chunks: list[tuple[int, list[Fault]]] = []
     circuits = []
     plan: dict[tuple[int, str], tuple[list[list[Fault]], range]] = {}
     for position, study in enumerate(studies):
@@ -363,7 +353,6 @@ def grade_studies(
         cell_bits = scan.n_state_variables + scan.n_primary_outputs
         total_cycles = sum(len(test.inputs) for test in tests)
         for model in models:
-            derive = study.stored_split(model)[1] is None
             model_chunks = _fault_chunks(
                 study.simulated_faults(model), faultsim, pattern_bits,
                 total_cycles, cell_bits=cell_bits,
@@ -371,7 +360,7 @@ def grade_studies(
             plan[position, model] = (
                 model_chunks, range(len(chunks), len(chunks) + len(model_chunks))
             )
-            chunks.extend((position, chunk, derive) for chunk in model_chunks)
+            chunks.extend((position, chunk) for chunk in model_chunks)
 
     with trace_span("sweep.simulate", chunks=len(chunks), jobs=jobs):
         results: list[_ChunkResult] = _run_phase(

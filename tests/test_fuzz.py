@@ -9,6 +9,7 @@ tested directly.
 from __future__ import annotations
 
 import json
+import pickle
 
 import pytest
 
@@ -42,6 +43,7 @@ from repro.fuzz.shrink import drop_input_bit, drop_output_bit, drop_state
 from repro.gatelevel.bridging import BridgeKind, BridgingFault
 from repro.gatelevel.compiled import CompiledFaultSimulator
 from repro.gatelevel.fault_sim import detects as interpreted_detects
+from repro.perf.cache import ArtifactCache
 from repro.uio.search import UioTable
 
 
@@ -284,6 +286,52 @@ class TestBrokenImplementationsAreCaught:
 
         monkeypatch.setattr(oracles_mod, "cached_uio_table", corrupt)
         with pytest.raises(OracleFailure):
+            get_oracle("cache-replay").run(case)
+
+    def test_cache_replay_replays_every_kind(self, monkeypatch):
+        verifiers = []
+
+        class Recording(oracles_mod.ReplayVerifier):
+            def __init__(self):
+                super().__init__()
+                verifiers.append(self)
+
+        monkeypatch.setattr(oracles_mod, "ReplayVerifier", Recording)
+        get_oracle("cache-replay").run(small_case())
+        (verifier,) = verifiers
+        assert set(verifier.replayed) == {
+            "uio", "synthesis", "sca", "simulator-source", "atpg",
+        }
+        assert verifier.mismatches == []
+
+    def test_cache_replay_catches_a_missed_replay(self, monkeypatch):
+        real_get = ArtifactCache.get
+
+        def forgetful(self, kind, key):
+            return None if kind == "sca" else real_get(self, kind, key)
+
+        monkeypatch.setattr(ArtifactCache, "get", forgetful)
+        with pytest.raises(OracleFailure, match=r"replay of \['sca'\]"):
+            get_oracle("cache-replay").run(small_case())
+
+    def test_cache_replay_catches_a_dropped_certificate(self, monkeypatch):
+        # This machine's netlist has untestability certificates.
+        spec = MachineSpec("uio-poor", 2, 1, 1, 3)
+        case = FuzzCase(spec.label(), generate_machine(spec), spec=spec)
+        get_oracle("cache-replay").run(case)  # healthy first
+        real_put = ArtifactCache.put
+
+        def lossy(self, kind, key, value):
+            real_put(self, kind, key, value)
+            if kind == "sca":
+                # The entry on disk loses a certificate the probe saw stored.
+                assert value.certificates, "precondition: certificates exist"
+                stored = pickle.loads(pickle.dumps(value))
+                stored.__dict__["certificates"] = stored.certificates[1:]
+                self._path(kind, key).write_bytes(pickle.dumps(stored))
+
+        monkeypatch.setattr(ArtifactCache, "put", lossy)
+        with pytest.raises(OracleFailure, match="sca/"):
             get_oracle("cache-replay").run(case)
 
     def test_gate_oracles_skip_oversized_machines(self):

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import pickle
 import statistics
@@ -17,11 +16,9 @@ from repro.core.config import (
     adaptive_batch_bits,
 )
 from repro.errors import FaultSimulationError
-from repro.fsm.encoding import StateEncoding
 from repro.fsm.state_table import StateTable
 from repro.gatelevel import fault_sim
 from repro.gatelevel.detectability import assigned_pattern_mask, detectable_faults
-from repro.gatelevel.scan import ScanCircuit
 from repro.harness import experiments as experiments_module
 from repro.harness.experiments import CircuitStudy, StudyOptions, get_study, warm_studies
 from repro.harness.runtime import StageTimings
@@ -35,7 +32,6 @@ from repro.perf.cache import (
     stable_hash,
 )
 from repro.perf import engine as engine_module
-from repro.perf.artifacts import detectability_key
 from repro.perf.bench import OVERHEAD_PAIRS
 from repro.perf.engine import _fault_chunks, compute_studies
 from repro.perf.pool import WorkerPool, get_pool, shutdown_pool
@@ -331,43 +327,51 @@ class TestDetectabilityFromSimulators:
             assert computed.bridging_detectability == bridging, name
             assert study.bridging_detectability == bridging, name
 
-    def test_warm_run_reads_the_split_and_derives_nothing(
+    def test_warm_run_derives_the_split_like_a_cold_run(
         self, tmp_path, monkeypatch
     ):
         names = ("lion", "bbtas")
         options = StudyOptions()
-        with cache_enabled(tmp_path):
-            cold = compute_studies(names, options, jobs=1)
+        derived: list = []
+        real = engine_module.detectable_mask
 
-            def derive(*args, **kwargs):
-                raise AssertionError("a warm run derived detectability")
+        def counting(simulator):
+            derived.extend(simulator.faults)
+            return real(simulator)
 
-            monkeypatch.setattr(engine_module, "derive_detectability", derive)
-            timings = StageTimings()
-            warm = compute_studies(names, options, jobs=1, timings=timings)
-        records = [r for r in timings.records if r.stage == "detectability"]
-        assert len(records) == 2 * len(names)  # one per fault model
-        assert all(r.cache == "hit" and r.seconds == 0.0 for r in records)
-        assert _signatures(warm) == _signatures(cold)
-        for name in names:
-            assert warm[name].stuck_at_detectability == cold[name].stuck_at_detectability
-            assert warm[name].bridging_detectability == cold[name].bridging_detectability
-
-    def test_key_covers_the_state_assignment(self, tmp_path):
-        scan = CircuitStudy("lion", StudyOptions()).scan_circuit
-        faults = CircuitStudy("lion", StudyOptions()).stuck_at_faults
-        encoding = scan.encoding
-        recoded = ScanCircuit(
-            dataclasses.replace(
-                scan.circuit,
-                encoding=StateEncoding(encoding.width, encoding.codes[::-1]),
-            ),
-            scan.name,
-        )
-        with cache_enabled(tmp_path):
-            key = detectability_key(scan, faults)
-            assert key and detectability_key(recoded, faults) != key
-        assert detectability_key(scan, faults) == ""  # no cache, no key
+        monkeypatch.setattr(engine_module, "detectable_mask", counting)
+        uncached = compute_studies(names, options, jobs=1)
+        runs = []
+        with cache_enabled(tmp_path) as cache:
+            for _ in ("cold", "warm"):
+                derived.clear()
+                timings = StageTimings()
+                studies = compute_studies(names, options, jobs=1, timings=timings)
+                # Every simulated fault of every universe got a verdict from
+                # the simulator that graded it, on both runs.
+                assert sorted(map(repr, derived)) == sorted(
+                    repr(fault)
+                    for study in studies.values()
+                    for model in ("stuck_at", "bridging")
+                    for fault in study.simulated_faults(model)
+                )
+                records = [r for r in timings.records if r.stage == "detectability"]
+                assert records and all(r.cache == "" for r in records)
+                runs.append(studies)
+            kinds = cache.info()["kinds"]
+        assert "detectability" not in kinds
+        assert set(kinds) <= {"uio", "synthesis", "sca", "simulator-source", "atpg"}
+        for studies in runs:
+            assert _signatures(studies) == _signatures(uncached)
+            for name in names:
+                assert (
+                    studies[name].stuck_at_detectability
+                    == uncached[name].stuck_at_detectability
+                )
+                assert (
+                    studies[name].bridging_detectability
+                    == uncached[name].bridging_detectability
+                )
 
 
 # ------------------------------------------------------------------ bench
@@ -393,12 +397,12 @@ class TestBench:
                 "jobs", "wall_s", "stage_seconds", "per_circuit", "cache",
             }
         warm = report["runs"]["parallel_warm"]
-        # The warm run must skip UIO/synthesis/detectability entirely.
+        # The warm run must skip UIO search and synthesis entirely; the
+        # detectability split is derived from the fault simulator again.
         assert warm["cache"]["hits"] > 0
         assert warm["cache"]["misses"] == 0
         assert warm["stage_seconds"]["uio"] == 0.0
         assert warm["stage_seconds"]["synthesis"] == 0.0
-        assert warm["stage_seconds"]["detectability"] == 0.0
         # /4 additions: engine pinned in options, per-stage speedups.
         assert report["options"]["engine"] == "auto"
         assert set(report["stage_speedups"]) == {
@@ -424,12 +428,19 @@ class TestBench:
         from repro.perf import bench
 
         calls: list[str] = []
-        # Walls per call, in call order: pair 1 off/on, pair 2 on/off, ...
+        # Walls and CPU seconds per call, in call order: pair 1 off/on,
+        # pair 2 on/off, ...; CPU is 0.25 s system time plus user time.
         walls = iter([1.0, 1.1, 2.2, 2.0, 1.0, 0.9])
+        cpus = iter([1.0, 1.02, 2.04, 2.0, 1.0, 1.01])
 
         def stub_run(circuits, jobs, options):
             calls.append("on" if tracing_active() else "off")
-            return {}, {"wall_s": next(walls)}
+            wall, cpu = next(walls), next(cpus)
+            return {}, {
+                "wall_s": wall,
+                "stage_seconds": {"sca": wall / 2, "fault-sim": wall / 4},
+                "resources": {"cpu_user_s": cpu - 0.25, "cpu_system_s": 0.25},
+            }
 
         monkeypatch.setattr(bench, "_run", stub_run)
         block, _snapshot, divergence = bench._observer_overhead(
@@ -444,7 +455,55 @@ class TestBench:
         assert block["overhead_pct"] == pytest.approx(10.0)  # the median
         assert block["disabled_wall_s"] == 1.0
         assert block["enabled_wall_s"] == 1.1
+        # CPU seconds: each pair keeps both runs' user + system time.
+        assert [
+            (pair["disabled_cpu_s"], pair["enabled_cpu_s"]) for pair in block["pairs"]
+        ] == pytest.approx([(1.0, 1.02), (2.0, 2.04), (1.0, 1.01)])
+        per_pair_cpu = [pair["overhead_cpu_pct"] for pair in block["pairs"]]
+        assert per_pair_cpu == pytest.approx([2.0, 2.0, 1.0])
+        assert block["overhead_cpu_pct"] == pytest.approx(2.0)  # the median
+        # The unobserved runs' stages are kept, with per-stage medians.
+        assert [pair["disabled_stage_seconds"]["sca"] for pair in block["pairs"]] == [
+            0.5, 1.0, 0.5,
+        ]
+        assert block["disabled_stage_seconds"] == {"sca": 0.5, "fault-sim": 0.25}
         assert divergence == []
+
+    def test_speedups_divide_the_unobserved_pair_runs(self, tmp_path, monkeypatch):
+        from repro.perf import bench
+
+        class Graded:
+            def signature(self):
+                return {}
+
+            def summary(self):
+                return {}
+
+        # serial_cold first and slowest, then the pairs (off/on, on/off,
+        # off/on), then parallel_cold and parallel_warm.
+        walls = iter([4.0, 2.0, 2.2, 2.4, 2.6, 1.8, 2.0, 1.0, 0.5])
+
+        def stub_run(circuits, jobs, options):
+            wall = next(walls)
+            return {"lion": Graded()}, {
+                "jobs": jobs,
+                "wall_s": wall,
+                "stage_seconds": {"sca": wall / 2, "fault-sim": wall / 4},
+                "resources": {"cpu_user_s": wall, "cpu_system_s": 0.0},
+                "cache": {"hits": 0, "misses": 0},
+            }
+
+        monkeypatch.setattr(bench, "_run", stub_run)
+        report = bench.run_bench(("lion",), jobs=1, cache_root=tmp_path / "cache")
+        assert report["runs"]["serial_cold"]["wall_s"] == 4.0
+        # The unobserved pair runs read 2.0, 2.6 and 1.8 s: median 2.0 s.
+        assert report["observability"]["disabled_wall_s"] == 2.0
+        assert report["speedup_parallel_cold"] == pytest.approx(2.0)
+        assert report["speedup_parallel_warm"] == pytest.approx(4.0)
+        assert report["stage_speedups"] == {
+            "parallel_cold": pytest.approx({"sca": 2.0, "fault-sim": 2.0}),
+            "parallel_warm": pytest.approx({"sca": 4.0, "fault-sim": 4.0}),
+        }
 
     def test_bench_engine_override_recorded(self, tmp_path):
         from repro.perf.bench import run_bench
