@@ -16,21 +16,24 @@ sweep enumerates all ``2**SV`` codes, not just the assigned ones.
 The tables are one array, ``cells[pattern, fault] = next_code << PO |
 output``, stored pattern-major in the narrowest unsigned dtype that holds
 ``SV + PO`` bits (:func:`repro.core.config.table_cell_bytes`).  Simulating a
-scan test then costs no netlist evaluation at all.  Every test applies
-the fault-free machine's pattern at each cycle, so the faults still on
-the fault-free trajectory read one contiguous row of ``cells`` per cycle;
-only the faults whose state already went astray without showing at an
-output are gathered one by one.  Outputs are compared with the fault-free
-reference from the functional state table, and the final state at
-scan-out, exactly the observation scheme of the big-int engines.  So
+scan test then costs no netlist evaluation at all.  Once per simulator,
+every assigned (state, input) row of ``cells`` is compared with the
+fault-free cell from the functional state table, which gives two fault
+bitsets per row, as Python ints: the faults whose cell differs there, and
+the faults whose outputs differ.  A single fault shows only where its run
+leaves the fault-free run, so a test walks the fault-free trajectory and
+pays one AND per cycle, of the row's bitset with the faults still on the
+trajectory.  An output difference detects a fault.  Only the faults whose
+state left the trajectory without showing at an output are looked up one
+by one, each from its own code's cell, until an output difference detects
+it, it rejoins the trajectory, or the test ends and scan-out compares its
+state.  That is exactly the observation scheme of the big-int engines, so
 detection masks are bit-identical by construction; the test suite and the
-``sim-ppsfp-vs-bigint`` fuzz oracle enforce this.  Tests are replayed in
-blocks of at most :data:`DERIVE_BLOCK_CELLS` (test, fault) cells.  The
-same array says which faults any scan test can detect at all
-(:meth:`PpsfpSimulator.detectable_mask`): one comparison with the
-fault-free cells over the assigned state codes, checked against the
-cone-resimulation oracle by the ``detectability-ppsfp-vs-cone`` fuzz
-oracle.
+``sim-ppsfp-vs-bigint`` fuzz oracle enforce this.  The OR of the first
+bitsets says which faults any scan test can detect at all
+(:meth:`PpsfpSimulator.detectable_mask`): a fault whose cell differs in
+some assigned row, checked against the cone-resimulation oracle by the
+``detectability-ppsfp-vs-cone`` fuzz oracle.
 
 Injection mirrors :class:`repro.gatelevel.fault_sim._Batch` semantics with
 rows instead of bit masks:
@@ -84,16 +87,26 @@ __all__ = ["PpsfpSimulator", "SLAB_BYTES_BUDGET"]
 SLAB_BYTES_BUDGET = 64 << 20
 
 
-#: Cells per block of the (test, fault) replay matrix of
-#: :meth:`PpsfpSimulator.detect_masks` and of the (pattern, fault) compare of
-#: :meth:`PpsfpSimulator.detectable_mask`, which bounds their temporaries.
-#: Never affects results.
+#: Cells per block of the (row, fault) compare that derives the difference
+#: bitsets (:meth:`PpsfpSimulator._differences`), which bounds its
+#: temporaries.  Never affects results.
 DERIVE_BLOCK_CELLS = 1 << 20
 
+#: Fault bitsets of the assigned rows: one list per state, one Python int
+#: per input combination.
+_BitRows = list[list[int]]
 
-def _pack_mask(flags: np.ndarray) -> int:
-    """Python int whose bit ``i`` is ``flags[i]`` (the fault-bit order)."""
-    return int.from_bytes(np.packbits(flags, bitorder="little").tobytes(), "little")
+
+def _pack_rows(flags: np.ndarray) -> list[int]:
+    """One Python int per row of ``flags``, whose bit ``i`` is column ``i``
+    (the fault-bit order)."""
+    packed = np.packbits(flags, axis=1, bitorder="little")
+    width = packed.shape[1]
+    data = memoryview(packed.tobytes())
+    return [
+        int.from_bytes(data[at : at + width], "little")
+        for at in range(0, len(data), width)
+    ]
 
 
 def _unpack(lanes: np.ndarray) -> np.ndarray:
@@ -136,6 +149,9 @@ class PpsfpSimulator:
     three extensions: an *empty* fault universe is allowed (every mask is
     0), construction cost scales with ``faults x patterns`` instead of test
     length, and :meth:`detectable_mask` reads detectability off the tables.
+    Replaying a test costs one big-int AND per cycle plus one lookup per
+    cycle of each fault off the fault-free trajectory; the bitsets both
+    replay and detectability read are derived on first use and kept.
     """
 
     def __init__(
@@ -164,6 +180,7 @@ class PpsfpSimulator:
         self._dtype = np.dtype(f"u{cell_bytes}")
         self._n_patterns = 1 << (sv + pi)
         self._code_of = list(circuit.encoding.codes)
+        self._difference_rows: tuple[_BitRows, _BitRows] | None = None
         with trace_span(
             "faultsim.ppsfp.build",
             circuit=circuit.name,
@@ -324,89 +341,111 @@ class PpsfpSimulator:
     def detect_masks(self, tests: Sequence[ScanTest]) -> list[int]:
         """Detection masks for many tests, one per test.
 
-        Tests are sorted longest first and replayed in blocks of at most
-        :data:`DERIVE_BLOCK_CELLS` (test, fault) cells; each block steps
-        its ``(tests, faults)`` matrix one clock cycle at a time, so numpy
-        overhead is paid once per *cycle* instead of once per (test, cycle).
+        Each test walks the fault-free trajectory through the state table.
+        A cycle costs one AND of its row's difference bitset
+        (:meth:`_differences`) with the faults still on the trajectory: a
+        fault in it whose outputs differ is detected, and any other has
+        left the trajectory with its state alone.  Only those astray faults
+        are looked up one by one, each from its own state code's cell,
+        until an output difference detects it, its next state rejoins the
+        trajectory, or the test ends and the scan-out compare detects the
+        state still astray.  At a test's last cycle every difference is
+        detected, so no faulty code is read there.
         """
-        n_faults = len(self.faults)
         n_tests = len(tests)
-        if n_faults == 0 or n_tests == 0:
+        if not self.faults or not n_tests:
             return [0] * n_tests
-        # Longest first: at every cycle the still-running tests of a block
-        # are a prefix of it, so work tracks the *sum* of test lengths, not
-        # tests x longest (test sets are typically one long chain plus many
-        # short stragglers).
-        order = sorted(
-            range(n_tests), key=lambda t: len(tests[t].inputs), reverse=True
-        )
-        block = max(1, DERIVE_BLOCK_CELLS // n_faults)
-        masks = [0] * n_tests
-        for lo in range(0, n_tests, block):
-            positions = order[lo : lo + block]
-            detected = self._replay([tests[position] for position in positions])
-            packed = np.packbits(detected, axis=1, bitorder="little")
-            for row, position in enumerate(positions):
-                masks[position] = int.from_bytes(packed[row].tobytes(), "little")
+        differs, shows = self._differences()
+        next_rows, output_rows = self.table.next_rows, self.table.output_rows
+        code_of, pi, po = self._code_of, self._pi, self._po
+        out_mask = (1 << po) - 1
+        cells = memoryview(self.cells)
+        masks = []
+        cycles = astray_steps = 0
+        for test in tests:
+            state, inputs = test.initial_state, test.inputs
+            last = len(inputs) - 1
+            on, detected = self.ones, 0
+            # fault -> the state code it holds off the fault-free trajectory,
+            # for faults that have not shown at an output yet
+            astray: dict[int, int] = {}
+            for cycle, combo in enumerate(inputs):
+                moved = differs[state][combo] & on
+                if astray:
+                    astray_steps += len(astray)
+                    good = (
+                        code_of[next_rows[state][combo]] << po
+                        | output_rows[state][combo]
+                    )
+                    stepped: dict[int, int] = {}
+                    for fault, code in astray.items():
+                        cell = cells[code << pi | combo, fault]
+                        if cell == good:
+                            on |= 1 << fault
+                        elif cycle == last or (cell ^ good) & out_mask:
+                            detected |= 1 << fault
+                        else:
+                            stepped[fault] = cell >> po
+                    astray = stepped
+                if moved:
+                    on ^= moved
+                    if cycle == last:
+                        detected |= moved
+                    else:
+                        shown = shows[state][combo] & moved
+                        detected |= shown
+                        strayed = moved ^ shown
+                        pattern = code_of[state] << pi | combo
+                        while strayed:
+                            low = strayed & -strayed
+                            fault = low.bit_length() - 1
+                            astray[fault] = cells[pattern, fault] >> po
+                            strayed ^= low
+                state = next_rows[state][combo]
+            cycles += last + 1
+            masks.append(detected)
+        registry = current_registry()
+        if registry is not None:
+            registry.counter("faultsim.ppsfp.cycles").add(cycles)
+            registry.counter("faultsim.ppsfp.astray_steps").add(astray_steps)
         return masks
 
-    def _replay(self, tests: list[ScanTest]) -> np.ndarray:
-        """``detected[test, fault]`` for tests sorted longest first."""
+    def _differences(self) -> tuple[_BitRows, _BitRows]:
+        """Two fault bitsets per assigned (state, input) row, built once.
+
+        ``differs[state][combo]`` holds the faults whose cell differs from
+        the fault-free machine's there, ``shows[state][combo]`` those whose
+        outputs differ.  The fault-free cells come from the state table, the
+        reference every detection is judged against.  Rows are compared in
+        blocks of at most :data:`DERIVE_BLOCK_CELLS` (row, fault) cells.
+        """
+        if self._difference_rows is None:
+            self._difference_rows = self._build_differences()
+        return self._difference_rows
+
+    def _build_differences(self) -> tuple[_BitRows, _BitRows]:
         n_faults = len(self.faults)
         pi, po = self._pi, self._po
-        lengths = np.asarray([len(test.inputs) for test in tests], dtype=np.int64)
-        max_len = int(lengths[0])
-        # active[c] = how many tests run at cycle c (a prefix, by the sort).
-        active = np.searchsorted(-lengths, -(np.arange(max_len) + 1), "right")
-        # The fault-free machine's pattern row, input combination and cell
-        # per (cycle, test) are stored cycle-major and ragged: cycle c holds
-        # only its active[c] running tests, from starts[c] on, so memory
-        # tracks the sum of test lengths too.
-        starts = np.zeros(max_len + 1, dtype=np.int64)
-        np.cumsum(active, out=starts[1:])
-        n_cells = int(starts[-1])
-        rows = np.empty(n_cells, dtype=np.int64)
-        combos = np.empty(n_cells, dtype=np.int64)
-        good = np.empty(n_cells, dtype=self._dtype)
-        step, code_of = self.table.step, self._code_of
-        for t, test in enumerate(tests):
-            state = test.initial_state
-            patterns, good_cells = [], []
-            for combo in test.inputs:
-                patterns.append(code_of[state] << pi | combo)
-                state, out = step(state, combo)
-                good_cells.append(code_of[state] << po | out)
-            at = starts[: len(patterns)] + t
-            rows[at] = patterns
-            combos[at] = test.inputs
-            good[at] = good_cells
-
-        flat = self.cells.reshape(-1)
-        out_mask = (1 << po) - 1
-        detected = np.zeros((len(tests), n_faults), dtype=bool)
-        # Faults whose state left the fault-free trajectory without showing
-        # at an output yet, as (test, fault) coordinates with their codes;
-        # every other fault reads its test's fault-free row.
-        astray_t = astray_f = astray_code = np.empty(0, dtype=np.int64)
-        for c in range(max_len):
-            k = int(active[c])
-            lo = int(starts[c])
-            cells = self.cells[rows[lo : lo + k]]
-            if astray_t.size:
-                index = (astray_code << pi | combos[lo + astray_t]) * n_faults
-                cells[astray_t, astray_f] = flat[index + astray_f]
-            diff = cells ^ good[lo : lo + k, None]
-            detected[:k] |= (diff & out_mask) != 0
-            astray = diff > out_mask
-            astray &= ~detected[:k]
-            k_next = int(active[c + 1]) if c + 1 < max_len else 0
-            if k_next < k:
-                # Tests ending this cycle: scan-out compares the final state.
-                detected[k_next:k] |= astray[k_next:k]
-                astray = astray[:k_next]
-            astray_t, astray_f = np.nonzero(astray)
-            astray_code = (cells[astray_t, astray_f] >> po).astype(np.int64)
-        return detected
+        n_combos = 1 << pi
+        codes = np.asarray(self._code_of, dtype=np.int64)
+        rows = ((codes[:, None] << pi) | np.arange(n_combos)).reshape(-1)
+        good_next = codes[np.asarray(self.table.next_state)].reshape(-1)
+        good_out = np.asarray(self.table.output).reshape(-1)
+        good = (good_next << po | good_out).astype(self._dtype)
+        out_mask = self._dtype.type((1 << po) - 1)
+        differs: list[int] = []
+        shows: list[int] = []
+        block = max(1, DERIVE_BLOCK_CELLS // n_faults)
+        for lo in range(0, rows.size, block):
+            hi = min(lo + block, rows.size)
+            delta = self.cells[rows[lo:hi]] ^ good[lo:hi, None]
+            differs += _pack_rows(delta != 0)
+            shows += _pack_rows(delta & out_mask != 0)
+        by_state = range(0, rows.size, n_combos)
+        return (
+            [differs[at : at + n_combos] for at in by_state],
+            [shows[at : at + n_combos] for at in by_state],
+        )
 
     def detectable_mask(self) -> int:
         """Bit mask (over the fault universe) of the faults some scan test
@@ -418,25 +457,16 @@ class PpsfpSimulator:
         fault-free machine's in some (assigned code, input) row — the same
         verdict as :func:`repro.gatelevel.detectability.detectable_faults`
         under :func:`~repro.gatelevel.detectability.assigned_pattern_mask`.
-        The fault-free cells come from the state table, the reference every
-        detection mask is compared against.
+        That is the OR of the rows' difference bitsets, the ones
+        :meth:`detect_masks` replays tests with.
         """
-        n_faults = len(self.faults)
-        if n_faults == 0:
+        if not self.faults:
             return 0
-        pi, po = self._pi, self._po
-        codes = np.asarray(self._code_of, dtype=np.int64)
-        rows = ((codes[:, None] << pi) | np.arange(1 << pi)).reshape(-1)
-        good_next = codes[np.asarray(self.table.next_state)].reshape(-1)
-        good_out = np.asarray(self.table.output).reshape(-1)
-        good = (good_next << po | good_out).astype(self._dtype)
-        detectable = np.zeros(n_faults, dtype=bool)
-        block = max(1, DERIVE_BLOCK_CELLS // n_faults)
-        for lo in range(0, rows.size, block):
-            hi = min(lo + block, rows.size)
-            differs = self.cells[rows[lo:hi]] != good[lo:hi, None]
-            detectable |= differs.any(axis=0)
-        return _pack_mask(detectable)
+        mask = 0
+        for row in self._differences()[0]:
+            for faults in row:
+                mask |= faults
+        return mask
 
     def detects(self, test: ScanTest) -> frozenset[Fault]:
         """The set of universe faults ``test`` detects."""

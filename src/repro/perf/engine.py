@@ -9,9 +9,10 @@ The engine runs every circuit through three phases:
    UIO tables, synthesized circuits and static analyses across runs.
 2. **Simulate** (one task per fault chunk): every (circuit, fault model)
    universe is split into engine-aware chunks (one whole-universe chunk for
-   PPSFP, adaptive big-int batches otherwise); each task builds the
-   dispatched fault simulator for its chunk and produces one detection mask
-   per test.  Chunking is sound because detection of a fault never depends
+   PPSFP, adaptive big-int batches otherwise), and each chunk's engine is
+   decided once, when the chunk is planned; each task builds that engine's
+   fault simulator for its chunk and produces one detection mask per
+   test.  Chunking is sound because detection of a fault never depends
    on which other faults share the batch — each bit/row is its own machine
    (see :mod:`repro.gatelevel.compiled`, :mod:`repro.gatelevel.ppsfp`).
    The task also returns the chunk's detectable mask, read from the
@@ -54,7 +55,6 @@ from repro.gatelevel.dispatch import (
     make_fault_simulator,
     partition_by_mask,
 )
-from repro.gatelevel.ppsfp import PpsfpSimulator
 from repro.harness.experiments import MODELS, CircuitStudy, Split, StudyOptions
 from repro.harness.runtime import StageTimings, stopwatch
 from repro.obs import (
@@ -122,23 +122,22 @@ def _simulate_task(snapshot: dict[str, Any], index: int) -> _ChunkResult:
     of the others in its chunk, so phase 3 assembles the universe's split
     from the chunks.
     """
-    position, chunk = snapshot["chunks"][index]
-    name, scan, table, tests, faultsim = snapshot["circuits"][position]
+    position, engine, chunk = snapshot["chunks"][index]
+    name, scan, table, tests = snapshot["circuits"][position]
     timings = StageTimings()
     cache = active_cache()
     hits = cache.hits if cache is not None else 0
     misses = cache.misses if cache is not None else 0
-    total_cycles = sum(len(test.inputs) for test in tests)
     with trace_span(
         "sweep.chunk", circuit=name, n_faults=len(chunk), n_tests=len(tests)
     ):
         with stopwatch() as clock:
             simulator = make_fault_simulator(
-                scan, table, chunk, faultsim, total_test_cycles=total_cycles
+                scan, table, chunk, FaultSimConfig(engine)
             )
             masks = simulator.detect_masks(tests)
         timings.add(name, STAGE_FAULT_SIM, clock.elapsed_s)
-        _report_chunk(chunk, masks, isinstance(simulator, PpsfpSimulator))
+        _report_chunk(chunk, masks, engine == "ppsfp")
         with timings.stage(name, STAGE_DETECTABILITY) as sp:
             sp.set(n_faults=len(chunk))
             detectable = detectable_mask(simulator)
@@ -181,27 +180,36 @@ def _fault_chunks(
     total_test_cycles: int,
     *,
     cell_bits: int,
-) -> list[list[Fault]]:
-    """Engine-aware chunks of one (circuit, fault model) universe.
+) -> list[tuple[str, list[Fault]]]:
+    """Engine-aware chunks of one (circuit, fault model) universe, each
+    with the engine it runs on.
 
     The PPSFP engine amortizes one exhaustive table build across the whole
     universe, so it gets a single chunk; the big-int engine gets balanced
-    adaptive batch words.  Chunk boundaries are jobs-invariant — the
+    adaptive batch words.  Each chunk's engine is then chosen for the chunk
+    itself: a universe whose table is over the byte budget can have chunks
+    whose tables fit, and those run on PPSFP (dvram's, fetch's and rie's
+    stuck-at universes).  Chunk boundaries are jobs-invariant — the
     persistent pool load-balances chunks dynamically instead of shrinking
     them per worker (which used to recompile the same circuit once per
-    worker and made parallel runs *slower* than serial).  Boundaries never
-    affect results — per-fault detection is batch-independent.
+    worker and made parallel runs *slower* than serial).  Boundaries and
+    engines never affect results — per-fault detection is batch-independent
+    and the engines are bit-identical.
     """
     n = len(faults)
     if n == 0:
         return []
-    engine = faultsim.select_engine(
-        n, n_pattern_bits, total_test_cycles, cell_bits=cell_bits
-    )
-    if engine == "ppsfp":
-        return [faults]
+
+    def engine(size: int) -> str:
+        return faultsim.select_engine(
+            size, n_pattern_bits, total_test_cycles, cell_bits=cell_bits
+        )
+
+    if engine(n) == "ppsfp":
+        return [("ppsfp", faults)]
     size = adaptive_batch_bits(n)
-    return [faults[start : start + size] for start in range(0, n, size)]
+    chunks = [faults[start : start + size] for start in range(0, n, size)]
+    return [(engine(len(chunk)), chunk) for chunk in chunks]
 
 
 # ---------------------------------------------------------- phase 3: select
@@ -342,13 +350,13 @@ def grade_studies(
     into ``study.grades``, and each chunk's stage records into
     ``study.timings``.
     """
-    chunks: list[tuple[int, list[Fault]]] = []
+    chunks: list[tuple[int, str, list[Fault]]] = []
     circuits = []
     plan: dict[tuple[int, str], tuple[list[list[Fault]], range]] = {}
     for position, study in enumerate(studies):
         scan, tests = study.scan_circuit, study.tests
         faultsim: FaultSimConfig = study.options.faultsim
-        circuits.append((study.name, scan, study.table, tests, faultsim))
+        circuits.append((study.name, scan, study.table, tests))
         pattern_bits = scan.n_state_variables + scan.n_primary_inputs
         cell_bits = scan.n_state_variables + scan.n_primary_outputs
         total_cycles = sum(len(test.inputs) for test in tests)
@@ -358,9 +366,12 @@ def grade_studies(
                 total_cycles, cell_bits=cell_bits,
             )
             plan[position, model] = (
-                model_chunks, range(len(chunks), len(chunks) + len(model_chunks))
+                [chunk for _, chunk in model_chunks],
+                range(len(chunks), len(chunks) + len(model_chunks)),
             )
-            chunks.extend((position, chunk) for chunk in model_chunks)
+            chunks.extend(
+                (position, engine, chunk) for engine, chunk in model_chunks
+            )
 
     with trace_span("sweep.simulate", chunks=len(chunks), jobs=jobs):
         results: list[_ChunkResult] = _run_phase(

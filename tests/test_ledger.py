@@ -162,6 +162,18 @@ class TestCliLedgering:
         assert norm(serial) == norm(parallel)
         assert serial["results"]["lion"]["stuck_at"]["coverage"] > 0.5
 
+    def test_table6_records_the_ppsfp_replay_counters(self, capsys):
+        # lion's two universes replay its 9 tests (28 cycles) once each;
+        # the astray lookups count the per-fault steps off the fault-free
+        # trajectory.  Neither depends on how the sweep is scheduled.
+        assert main(["table6", "--circuits", "lion"]) == 0
+        assert main(["table6", "--circuits", "lion", "--jobs", "2"]) == 0
+        serial, parallel = read_ledger()
+        for record in (serial, parallel):
+            metrics = record["metrics"]
+            assert metrics["faultsim.ppsfp.cycles"]["value"] == 56
+            assert metrics["faultsim.ppsfp.astray_steps"]["value"] == 254
+
     def test_generate_is_ledgered(self, capsys):
         assert main(["generate", "lion", "--no-tests"]) == 0
         (record,) = read_ledger()

@@ -636,18 +636,19 @@ class TestFaultChunks:
         chunks = _fault_chunks(
             faults, FaultSimConfig(engine="ppsfp"), 6, 100, cell_bits=8
         )
-        assert chunks == [faults]
+        assert chunks == [("ppsfp", faults)]
 
     def test_bigint_gets_adaptive_slices(self):
         faults = list(range(5000))
         config = FaultSimConfig(engine="bigint")
         size = adaptive_batch_bits(len(faults))
         chunks = _fault_chunks(faults, config, 6, 100, cell_bits=8)
-        assert [len(chunk) for chunk in chunks[:-1]] == [size] * (
+        assert [len(chunk) for _, chunk in chunks[:-1]] == [size] * (
             len(chunks) - 1
         )
-        assert [fault for chunk in chunks for fault in chunk] == faults
+        assert [fault for _, chunk in chunks for fault in chunk] == faults
         assert len(chunks) > 1
+        assert {engine for engine, _ in chunks} == {"bigint"}
 
     def test_auto_dispatch_controls_chunking(self):
         faults = list(range(5000))
@@ -656,6 +657,34 @@ class TestFaultChunks:
         assert len(_fault_chunks(faults, config, 6, 10_000, cell_bits=8)) == 1
         # Huge pattern space: table would blow the byte budget -> big-int.
         assert len(_fault_chunks(faults, config, 30, 10_000, cell_bits=8)) > 1
+
+    @pytest.mark.parametrize(
+        "faults, pattern_bits, cell_bits, cycles, engine",
+        [
+            # dvram's stuck-at universe: 334 MiB of uint16 cells is over the
+            # byte budget, but each of its six big-int-sized chunks fits.
+            (10_687, 14, 14, 33_446, "ppsfp"),
+            # nucpwr's: 2^18 patterns, so no chunk's table fits.
+            (8_953, 18, 13, 595_514, "bigint"),
+        ],
+    )
+    def test_each_chunk_is_planned_with_its_engine(
+        self, faults, pattern_bits, cell_bits, cycles, engine
+    ):
+        config = FaultSimConfig()
+        universe = list(range(faults))
+        assert (
+            config.select_engine(faults, pattern_bits, cycles, cell_bits=cell_bits)
+            == "bigint"
+        )
+        chunks = _fault_chunks(
+            universe, config, pattern_bits, cycles, cell_bits=cell_bits
+        )
+        size = adaptive_batch_bits(faults)
+        assert [chunk for _, chunk in chunks] == [
+            universe[start : start + size] for start in range(0, faults, size)
+        ]
+        assert {chunk_engine for chunk_engine, _ in chunks} == {engine}
 
     def test_boundaries_are_jobs_invariant(self):
         # _fault_chunks has no jobs parameter at all: the same universe

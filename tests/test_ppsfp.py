@@ -12,9 +12,11 @@ from __future__ import annotations
 
 import random
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
 
 from repro.benchmarks import circuit_names, load_circuit, load_kiss_machine
 from repro.core.config import (
@@ -28,6 +30,7 @@ from repro.errors import FaultSimulationError
 from repro.gatelevel.bridging import BridgeKind, BridgingFault, enumerate_bridging_faults
 from repro.fuzz import MachineSpec, generate_machine
 from repro.fuzz.generators import random_gate_faults
+from repro.fuzz.strategies import machine_specs
 from repro.gatelevel import ppsfp as ppsfp_module
 from repro.gatelevel.compiled import CompiledFaultSimulator
 from repro.gatelevel.detectability import assigned_pattern_mask, detectable_faults
@@ -386,8 +389,8 @@ class TestDetectableMask:
         tests = list(generate_tests(table).test_set) + _walk_tests(table)
         simulator = PpsfpSimulator(circuit, table, faults)
         masks, detectable = simulator.detect_masks(tests), simulator.detectable_mask()
-        # One fault row per build slab, one test per replay block and one
-        # pattern per compared block.
+        # One fault row per build slab and one row per compared block of
+        # the difference bitsets.
         monkeypatch.setattr(ppsfp_module, "SLAB_BYTES_BUDGET", 1)
         monkeypatch.setattr(ppsfp_module, "DERIVE_BLOCK_CELLS", 1)
         blocked = PpsfpSimulator(circuit, table, faults)
@@ -395,12 +398,12 @@ class TestDetectableMask:
         assert blocked.detectable_mask() == detectable
 
 
-# ------------------------------------------------ ragged batched stepping
+# ------------------------------------------------ one long test, many short
 
 
 class TestDetectMasksMemory:
     def test_one_long_test_and_many_short_ones(self):
-        """Memory tracks the sum of test lengths, not tests x longest."""
+        """Memory does not grow with the tests: each is walked on its own."""
         table, circuit = _synthesize("lion")
         faults = _mixed_universe(circuit)
         simulator = PpsfpSimulator(circuit, table, faults)
@@ -424,3 +427,181 @@ class TestDetectMasksMemory:
         # Padding every test to the longest would hold 6000 x 1501 cells of
         # inputs and outputs: over 100 MB.
         assert peak < 16 << 20
+
+
+# --------------------------------------- the event walk against its reference
+
+
+def _stepped_replay(simulator, tests):
+    """Detection masks by the cycle-stepped replay, and what happened in it.
+
+    This is how :meth:`PpsfpSimulator.detect_masks` replayed tests before
+    its event-driven walk: tests sorted longest first step one
+    ``(tests, faults)`` matrix one clock cycle at a time over ragged,
+    cycle-major arrays of the fault-free patterns.  Faults on the fault-free
+    trajectory read their test's row of ``cells``; faults whose state went
+    astray without showing at an output are gathered from their own codes.
+    It shares only ``cells`` with the walk, so it checks the walk's
+    bitsets, its bookkeeping of astray faults and its scan-out compare.
+
+    The counter names the walk's paths: ``departure`` (a fault leaves the
+    trajectory with its state alone), ``rejoin`` (an astray state returns to
+    it before the test ends), ``astray_output`` (an astray fault shows at an
+    output), ``astray_scan_out`` (a state still astray at the test's end,
+    caught only by the scan-out compare) and ``unassigned`` (an astray step
+    from a state code no state is assigned).
+    """
+    n_faults = len(simulator.faults)
+    events: Counter = Counter()
+    if n_faults == 0 or not tests:
+        return [0] * len(tests), events
+    order = sorted(
+        range(len(tests)), key=lambda t: len(tests[t].inputs), reverse=True
+    )
+    tests = [tests[position] for position in order]
+    table, code_of = simulator.table, simulator.circuit.encoding.codes
+    pi = simulator.circuit.n_primary_inputs
+    po = simulator.circuit.n_primary_outputs
+    assigned = set(code_of)
+    lengths = np.asarray([len(test.inputs) for test in tests], dtype=np.int64)
+    max_len = int(lengths[0])
+    # active[c] = how many tests run at cycle c (a prefix, by the sort).
+    active = np.searchsorted(-lengths, -(np.arange(max_len) + 1), "right")
+    starts = np.zeros(max_len + 1, dtype=np.int64)
+    np.cumsum(active, out=starts[1:])
+    rows = np.empty(int(starts[-1]), dtype=np.int64)
+    combos = np.empty_like(rows)
+    good = np.empty(rows.size, dtype=simulator.cells.dtype)
+    for t, test in enumerate(tests):
+        state = test.initial_state
+        patterns, good_cells = [], []
+        for combo in test.inputs:
+            patterns.append(code_of[state] << pi | combo)
+            state, out = table.step(state, combo)
+            good_cells.append(code_of[state] << po | out)
+        at = starts[: len(patterns)] + t
+        rows[at] = patterns
+        combos[at] = test.inputs
+        good[at] = good_cells
+
+    flat = simulator.cells.reshape(-1)
+    out_mask = (1 << po) - 1
+    detected = np.zeros((len(tests), n_faults), dtype=bool)
+    astray_t = astray_f = astray_code = np.empty(0, dtype=np.int64)
+    for c in range(max_len):
+        k, lo = int(active[c]), int(starts[c])
+        k_next = int(active[c + 1]) if c + 1 < max_len else 0
+        cells = simulator.cells[rows[lo : lo + k]]
+        was_astray = np.zeros((k, n_faults), dtype=bool)
+        if astray_t.size:
+            was_astray[astray_t, astray_f] = True
+            events["unassigned"] += sum(
+                int(code) not in assigned for code in astray_code
+            )
+            index = (astray_code << pi | combos[lo + astray_t]) * n_faults
+            cells[astray_t, astray_f] = flat[index + astray_f]
+        diff = cells ^ good[lo : lo + k, None]
+        shown = (diff & out_mask) != 0
+        strays = diff > out_mask
+        ends = np.zeros((k, 1), dtype=bool)
+        ends[k_next:k] = True
+        on_trajectory = ~was_astray & ~detected[:k]
+        events["departure"] += int((on_trajectory & strays & ~shown & ~ends).sum())
+        events["rejoin"] += int((was_astray & (diff == 0) & ~ends).sum())
+        events["astray_output"] += int((was_astray & shown).sum())
+        events["astray_scan_out"] += int((was_astray & strays & ~shown & ends).sum())
+        detected[:k] |= shown
+        astray = strays & ~detected[:k]
+        if k_next < k:
+            # Tests ending this cycle: scan-out compares the final state.
+            detected[k_next:k] |= astray[k_next:k]
+            astray = astray[:k_next]
+        astray_t, astray_f = np.nonzero(astray)
+        astray_code = (cells[astray_t, astray_f] >> po).astype(np.int64)
+
+    packed = np.packbits(detected, axis=1, bitorder="little")
+    masks = [0] * len(tests)
+    for row, position in enumerate(order):
+        masks[position] = int.from_bytes(packed[row].tobytes(), "little")
+    return masks, events
+
+
+#: Three states on two state bits: code 3 is unassigned, and faulty
+#: machines reach it.
+_UNASSIGNED_SPEC = MachineSpec("dense", 3, 1, 1, 0)
+
+
+def _replay_case(table):
+    """A synthesized circuit, a mixed universe and walk plus generated tests."""
+    circuit = ScanCircuit.from_machine(table, SynthesisOptions(max_fanin=4))
+    faults = random_gate_faults(circuit, "replay")
+    tests = list(generate_tests(table).test_set)
+    tests += _walk_tests(table, n_tests=4, length=12, seed="replay")
+    return circuit, faults, tests
+
+
+class TestEventReplay:
+    @settings(
+        max_examples=25,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(machine_specs(min_states=2, max_states=6, min_inputs=1, min_outputs=1))
+    @example(_UNASSIGNED_SPEC)
+    def test_matches_the_stepped_reference_and_the_compiled_engine(self, spec):
+        table = generate_machine(spec)
+        circuit, faults, tests = _replay_case(table)
+        if not faults:
+            return
+        simulator = PpsfpSimulator(circuit, table, faults)
+        masks = simulator.detect_masks(tests)
+        assert masks == _stepped_replay(simulator, tests)[0]
+        compiled = CompiledFaultSimulator(circuit, table, faults)
+        assert masks == compiled.detect_masks(tests)
+
+    def test_every_path_runs(self):
+        """Lion's two universes depart, rejoin, and detect astray faults
+        both at an output and at scan-out, so a fault in any of those
+        paths changes some mask."""
+        table, circuit = _synthesize("lion")
+        tests = list(generate_tests(table).test_set) + _walk_tests(
+            table, n_tests=4, length=12, seed="replay"
+        )
+        stuck = sorted(set(collapse_stuck_at(circuit.netlist).values()))
+        bridges = enumerate_bridging_faults(circuit.netlist)
+        events: Counter = Counter()
+        for faults in (stuck, bridges):
+            simulator = PpsfpSimulator(circuit, table, faults)
+            reference, seen = _stepped_replay(simulator, tests)
+            assert simulator.detect_masks(tests) == reference
+            events += seen
+        for path in ("departure", "rejoin", "astray_output", "astray_scan_out"):
+            assert events[path] > 0, path
+
+    def test_astray_faults_reach_an_unassigned_code(self):
+        table = generate_machine(_UNASSIGNED_SPEC)
+        circuit, faults, tests = _replay_case(table)
+        assert circuit.n_state_variables == 2
+        simulator = PpsfpSimulator(circuit, table, faults)
+        reference, events = _stepped_replay(simulator, tests)
+        assert simulator.detect_masks(tests) == reference
+        assert events["unassigned"] > 0
+
+    def test_detection_and_detectability_share_one_bitset_build(
+        self, monkeypatch
+    ):
+        builds = []
+        build = PpsfpSimulator._build_differences
+
+        def counted(simulator):
+            builds.append(simulator)
+            return build(simulator)
+
+        monkeypatch.setattr(PpsfpSimulator, "_build_differences", counted)
+        table, circuit = _synthesize("lion")
+        simulator = PpsfpSimulator(circuit, table, _mixed_universe(circuit))
+        tests = _walk_tests(table)
+        simulator.detect_masks(tests)
+        simulator.detectable_mask()
+        simulator.detect_mask(tests[0])
+        assert builds == [simulator]
