@@ -11,8 +11,8 @@ from __future__ import annotations
 from repro.benchmarks import load_circuit, load_kiss_machine
 from repro.core.compaction import select_effective_tests
 from repro.core.generator import generate_tests
-from repro.gatelevel.compiled import CompiledFaultSimulator
 from repro.gatelevel.detectability import detectable_faults
+from repro.gatelevel.dispatch import make_fault_simulator
 from repro.gatelevel.scan import ScanCircuit
 from repro.gatelevel.stuck_at import collapse_stuck_at
 from repro.gatelevel.synthesis import SynthesisOptions
@@ -26,7 +26,7 @@ def run_table3():
     )
     faults = sorted(set(collapse_stuck_at(circuit.netlist).values()))
     detectable, undetectable = detectable_faults(circuit.netlist, faults)
-    simulator = CompiledFaultSimulator(circuit, table, faults)
+    simulator = make_fault_simulator(circuit, table, faults)
     selection = select_effective_tests(
         tests,
         simulator.make_effective_simulator(),

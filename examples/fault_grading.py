@@ -23,8 +23,8 @@ from repro.core.compaction import select_effective_tests
 from repro.core.faultmodel import sample_faults, simulate_functional_faults
 from repro.core.testset import baseline_clock_cycles
 from repro.gatelevel.bridging import enumerate_bridging_faults
-from repro.gatelevel.compiled import CompiledFaultSimulator
 from repro.gatelevel.detectability import detectable_faults
+from repro.gatelevel.dispatch import detection_masks
 from repro.gatelevel.scan import ScanCircuit
 from repro.gatelevel.stuck_at import collapse_stuck_at
 from repro.gatelevel.synthesis import SynthesisOptions
@@ -51,12 +51,16 @@ def grade(name: str) -> None:
             print(f"{label}: no qualifying faults on this netlist")
             continue
         detectable, undetectable = detectable_faults(circuit.netlist, faults)
-        simulator = CompiledFaultSimulator(circuit, table, faults)
+        # One detection mask per test, simulated in byte-budgeted chunks.
+        tests = list(result.test_set)
+        masks = dict(zip(tests, detection_masks(circuit, table, faults, tests)))
+
+        def simulate(test, remaining, faults=faults, masks=masks):
+            mask = masks[test]
+            return {f for bit, f in enumerate(faults) if mask >> bit & 1} & remaining
+
         selection = select_effective_tests(
-            result.test_set,
-            simulator.make_effective_simulator(),
-            faults,
-            stop_when_exhausted=undetectable,
+            result.test_set, simulate, faults, stop_when_exhausted=undetectable
         )
         complete = selection.detected == frozenset(detectable)
         print(f"{label} faults: {len(faults)} total, "

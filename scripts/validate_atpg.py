@@ -8,8 +8,9 @@ shape, the script re-earns every verdict the engine claims (the CI
 atpg-smoke job fails otherwise):
 
 * every ``test`` verdict is replayed: the circuit is re-synthesized, the
-  (state, combo) expansion is simulated through the production fault
-  simulator, and the target fault must actually be detected;
+  (state, combo) expansion is simulated through the interpreted fault
+  simulator (independent of the PPSFP replay ``atpg`` ran), and the target
+  fault must actually be detected;
 * every ``untestable`` verdict is re-verified against exhaustive
   detectability restricted to assigned state codes — the same constraint
   the structural search enforces;
@@ -35,11 +36,11 @@ from repro.benchmarks import (  # noqa: E402
     load_kiss_machine,
 )
 from repro.core.testset import ScanTest  # noqa: E402
-from repro.gatelevel.compiled import CompiledFaultSimulator  # noqa: E402
 from repro.gatelevel.detectability import (  # noqa: E402
     assigned_pattern_mask,
     detectable_faults,
 )
+from repro.gatelevel.fault_sim import detects  # noqa: E402
 from repro.gatelevel.scan import ScanCircuit  # noqa: E402
 from repro.gatelevel.stuck_at import StuckAtFault  # noqa: E402
 from repro.gatelevel.synthesis import SynthesisOptions  # noqa: E402
@@ -93,13 +94,12 @@ def _check_run(run: dict, max_fanin: int | None) -> list[str]:
                 f"match tests/targets = {coverage:.2f}"
             )
 
-    # Claimed tests must replay to a detection through the production
-    # fault simulator — the payload's `witness: true` is not taken on
-    # faith.
+    # Claimed tests must replay to a detection through the interpreted
+    # fault simulator, independently of the production replay that
+    # `atpg` ran — the payload's `witness: true` is not taken on faith.
     tests = by_status["test"]
     if tests:
         faults = [_fault(v["fault"]) for v in tests]
-        simulator = CompiledFaultSimulator(circuit, table, faults)
         pi = circuit.n_primary_inputs
         for verdict, fault in zip(tests, faults):
             state, combo = verdict.get("state"), verdict.get("combo")
@@ -122,7 +122,7 @@ def _check_run(run: dict, max_fanin: int | None) -> list[str]:
                     "machine-checked witness"
                 )
             test = ScanTest(state, (combo,), table.final_state(state, (combo,)))
-            if fault not in simulator.detects(test):
+            if fault not in detects(circuit, table, test, [fault]):
                 problems.append(
                     f"{name}: {fault.site()}: claimed test "
                     f"(state={state}, combo={combo}) does not detect the "

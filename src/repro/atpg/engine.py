@@ -6,8 +6,9 @@ defended, not just asserted:
 
 * a ``test`` verdict carries a cube that is expanded to a concrete scan
   pattern (state bits restricted to *assigned* codes) and immediately
-  replayed through the production fault simulator — a machine-checked
-  witness; a replay miss raises :class:`~repro.errors.AtpgError`;
+  replayed through the production fault simulator, on the dispatcher's
+  chunk holding the fault — a machine-checked witness; a replay miss
+  raises :class:`~repro.errors.AtpgError`;
 * an ``untestable`` verdict carries the bounded-search certificate
   (decisions / backtracks under the limit, search exhausted) and is
   cross-validated against any static :mod:`repro.sca.certificates` proof
@@ -22,7 +23,7 @@ missed and reports the combined functional + structural coverage.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Sequence
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs.progress import ProgressMeter
@@ -45,7 +46,11 @@ from repro.core.config import FaultSimConfig
 from repro.core.testset import ScanTest, Segment, SegmentKind, TestSet
 from repro.errors import AtpgError
 from repro.fsm.state_table import StateTable
-from repro.gatelevel.dispatch import make_fault_simulator
+from repro.gatelevel.dispatch import (
+    FaultSimulator,
+    circuit_chunks,
+    make_fault_simulator,
+)
 from repro.gatelevel.scan import ScanCircuit
 from repro.gatelevel.stuck_at import StuckAtFault, collapse_stuck_at
 from repro.obs.metrics import counter_add, histogram_observe
@@ -326,11 +331,7 @@ def generate_structural_tests(
         circuit.encoding.codes, circuit.encoding.width
     )
     searcher = _SEARCHERS[algorithm]
-    simulator = None
-    if replay and faults:
-        simulator = make_fault_simulator(
-            circuit, table, list(faults), config or FaultSimConfig()
-        )
+    replayed = _witness_replay(circuit, table, faults, config) if replay else None
     verdicts: list[FaultVerdict] = []
     traces: list[SearchTrace | None] = []
     progress = _fault_progress(netlist.name or table.name, len(faults))
@@ -353,9 +354,8 @@ def generate_structural_tests(
                     f"{algorithm} found a test for {fault.site()} but a "
                     "static certificate proves it untestable"
                 )
-            if simulator is not None:
-                test = _scan_test(table, state, combo)
-                witness = fault in simulator.detects(test)
+            if replayed is not None:
+                witness = replayed(fault, _scan_test(table, state, combo))
                 if not witness:
                     raise AtpgError(
                         f"witness replay failed: test {pattern:#x} does not "
@@ -421,6 +421,35 @@ def generate_structural_tests(
     counter_add("atpg.aborted", len(run.aborted))
     counter_add("atpg.backtracks", run.total_backtracks)
     return run
+
+
+def _witness_replay(
+    circuit: ScanCircuit,
+    table: StateTable,
+    faults: Sequence[StuckAtFault],
+    config: FaultSimConfig | None,
+) -> Callable[[StuckAtFault, ScanTest], bool]:
+    """``replayed(fault, test)``: does ``test`` detect ``fault`` on the
+    dispatcher's chunk holding it?
+
+    Targets are searched in universe order, so the chunks' simulators are
+    needed in order too: one is held at a time, built on the first witness
+    of one of its faults.
+    """
+    engine, chunks = circuit_chunks(circuit, faults, config)
+    chunk_of = {fault: index for index, chunk in enumerate(chunks) for fault in chunk}
+    built: dict[int, FaultSimulator] = {}
+
+    def replayed(fault: StuckAtFault, test: ScanTest) -> bool:
+        index = chunk_of[fault]
+        if index not in built:
+            built.clear()
+            built[index] = make_fault_simulator(
+                circuit, table, chunks[index], FaultSimConfig(engine)
+            )
+        return fault in built[index].detects(test)
+
+    return replayed
 
 
 def top_off(

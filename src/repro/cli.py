@@ -36,9 +36,8 @@ under ``~/.local/state/repro-fsatpg/ledger`` by default; see
 
 Table-regeneration commands accept ``--jobs N`` to fan the per-circuit
 pipeline across worker processes and ``--cache-dir PATH`` to reuse
-artifacts (UIO tables, synthesized netlists, static analyses, ATPG runs,
-compiled simulator source) across invocations; results are identical
-either way.
+artifacts (UIO tables, synthesized netlists, static analyses, ATPG runs)
+across invocations; results are identical either way.
 They also accept ``--trace-out PATH`` / ``--metrics-out PATH`` to capture
 a trace or metrics snapshot of any normal run (see docs/observability.md),
 and the top-level ``-v``/``-q`` flags gate the structured stderr logger.
@@ -1179,8 +1178,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="max bridging line pairs (0 = unlimited)")
         p.add_argument("--engine", default="auto", choices=FAULT_SIM_ENGINES,
                        help="fault-sim engine: ppsfp (pattern-parallel "
-                       "tables), bigint (compiled parallel-fault), or auto "
-                       "dispatch per universe (default)")
+                       "tables), bigint (the interpreted parallel-fault "
+                       "reference), or auto: PPSFP on byte-budget fault "
+                       "chunks (default)")
         p.add_argument("--csv", action="store_true",
                        help="emit CSV instead of the fixed-width table")
         if with_circuit_list:

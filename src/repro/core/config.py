@@ -3,8 +3,9 @@
 Besides the two procedures' config objects, this module holds the sizing
 rules of the fault simulators: big-int batch widths and PPSFP pattern
 blocks (:func:`adaptive_batch_bits`), the width of a PPSFP table cell
-(:func:`table_cell_bytes`), and the byte budget on PPSFP tables that
-``engine="auto"`` checks (:data:`DEFAULT_PPSFP_BYTE_BUDGET`).
+(:func:`table_cell_bytes`), and the byte budget on one PPSFP table
+(:data:`DEFAULT_PPSFP_BYTE_BUDGET`), at which
+:func:`repro.gatelevel.dispatch.fault_chunks` cuts a universe.
 """
 
 from __future__ import annotations
@@ -36,11 +37,11 @@ DEFAULT_BATCH_BITS_CAP = 2048
 #: results because combinational patterns are independent.
 DEFAULT_PPSFP_PATTERN_BLOCK = 8192
 
-#: Auto-dispatch budget (bytes) on a universe's PPSFP table: ``faults x
-#: patterns`` cells of :func:`table_cell_bytes` each.  Above it the
-#: exhaustive table build stops paying for itself (and starts costing real
-#: memory), so ``engine="auto"`` falls back to the big-int parallel-fault
-#: path.
+#: Budget (bytes) on one PPSFP table: ``faults x patterns`` cells of
+#: :func:`table_cell_bytes` each.  A universe whose table would be larger
+#: is simulated in fault chunks whose tables fit
+#: (:func:`repro.gatelevel.dispatch.fault_chunks`).  Purely a memory knob —
+#: never affects results.
 DEFAULT_PPSFP_BYTE_BUDGET = 128 << 20
 
 #: Recognized fault-simulation engines.
@@ -107,14 +108,15 @@ def table_cell_bytes(cell_bits: int) -> int | None:
 class FaultSimConfig:
     """Engine choice of the bit-parallel fault simulators.
 
-    ``engine`` selects the packing axis: ``"bigint"`` packs *faults* as
-    bits of one arbitrary-precision word and walks the test cycle by cycle;
-    ``"ppsfp"`` packs *patterns* 64 per uint64 lane, builds each fault's
-    complete behavioral table in one exhaustive sweep, and replays tests as
-    table lookups.  ``"auto"`` (the default) picks per universe from the
-    pattern-space size and fault count (:meth:`select_engine`) — the choice
-    only ever affects speed, never results.  Batch and block widths follow
-    :func:`adaptive_batch_bits`.
+    ``engine`` selects the packing axis: ``"ppsfp"`` packs *patterns* 64
+    per uint64 lane, builds each fault's complete behavioral table in one
+    exhaustive sweep, and replays tests as table lookups; ``"bigint"``
+    packs *faults* as bits of one arbitrary-precision word and walks the
+    netlist cycle by cycle — the interpreted reference of
+    :mod:`repro.gatelevel.fault_sim`.  ``"auto"`` (the default) picks PPSFP
+    wherever its tables can represent the circuit
+    (:meth:`select_engine`) — the choice only ever affects speed, never
+    results.
     """
 
     engine: str = "auto"
@@ -126,42 +128,16 @@ class FaultSimConfig:
                 f"expected one of {', '.join(FAULT_SIM_ENGINES)}"
             )
 
-    def select_engine(
-        self,
-        n_faults: int,
-        n_pattern_bits: int,
-        total_test_cycles: int | None = None,
-        *,
-        cell_bits: int,
-    ) -> str:
-        """Resolve ``"auto"`` to a concrete engine for one universe.
+    def select_engine(self, *, cell_bits: int) -> str:
+        """Resolve ``"auto"`` to a concrete engine for one circuit.
 
-        ``cell_bits`` is the width of one PPSFP table cell, the circuit's
-        state plus output bits.  The heuristic compares the PPSFP table's
-        size (``faults x 2**pattern_bits`` cells of
-        :func:`table_cell_bytes`) against the byte budget; a circuit whose
-        cells no integer holds goes to the big-int path.  When the caller
-        knows the workload, it also compares against the big-int path's
-        cycle count: a table whose pattern axis dwarfs the total number of
-        simulated clock cycles would cost more to build than the big-int
-        simulation it replaces.  Forced engines pass through unchanged.
+        PPSFP serves every circuit unless no integer of at most 64 bits
+        holds a cell (``cell_bits``: state plus output bits); those go to
+        the reference.  Forced engines pass through unchanged.
         """
         if self.engine != "auto":
             return self.engine
-        if n_faults == 0:
-            return "ppsfp"
-        n_patterns = 1 << n_pattern_bits
-        cell_bytes = table_cell_bytes(cell_bits)
-        if (
-            cell_bytes is None
-            or n_faults * n_patterns * cell_bytes > DEFAULT_PPSFP_BYTE_BUDGET
-        ):
-            return "bigint"
-        if total_test_cycles is not None:
-            pattern_words = max(1, n_patterns // 64)
-            if pattern_words > max(64, 4 * total_test_cycles):
-                return "bigint"
-        return "ppsfp"
+        return "ppsfp" if table_cell_bytes(cell_bits) is not None else "bigint"
 
 
 @dataclass(frozen=True)

@@ -7,7 +7,7 @@ file next to a small JSON metadata record::
         coverage-chaining/
             a3f09b2c41d6e8f7.kiss
             a3f09b2c41d6e8f7.json
-        sim-equivalence/
+        sim-ppsfp-vs-interpreted/
             ...
 
 The KISS file *is* the reproduction recipe — ``repro-fsatpg fuzz --corpus

@@ -17,8 +17,9 @@ Registered oracles
 ``uio-verify``          UIO search results re-proved against the state table
 ``coverage-chaining``   chained tests cover ⊇ the per-transition baseline
 ``kiss-roundtrip``      table → KISS2 text → table is the identity
-``sim-equivalence``     interpreted vs compiled fault-simulator detect masks
-``sim-ppsfp-vs-bigint`` PPSFP table engine vs compiled big-int detect masks
+``sim-ppsfp-vs-interpreted``
+                        PPSFP per-test and batched detect masks vs the
+                        interpreted reference
 ``detectability-ppsfp-vs-cone``
                         detectability read off PPSFP tables vs the cone oracle
 ``scan-vs-nonscan``     scan-test detection re-derived via the non-scan path
@@ -59,7 +60,6 @@ from repro.gatelevel.bridging import (
     BridgingFault,
     enumerate_bridging_faults,
 )
-from repro.gatelevel.compiled import CompiledFaultSimulator
 from repro.gatelevel.detectability import assigned_pattern_mask, detectable_faults
 from repro.gatelevel.dispatch import detectable_mask, partition_by_mask
 from repro.gatelevel.fault_sim import detects as interpreted_detects
@@ -90,7 +90,7 @@ __all__ = [
 ]
 
 #: Size caps for oracles that synthesize a netlist; beyond these the
-#: exhaustive ``verify_against`` sweep / compilation stop being cheap.
+#: exhaustive ``verify_against`` sweep / PPSFP table builds stop being cheap.
 _GATE_MAX_STATES = 8
 _GATE_MAX_INPUTS = 2
 _GATE_MAX_OUTPUTS = 3
@@ -307,51 +307,26 @@ def _kiss_roundtrip(case: FuzzCase) -> None:
 
 
 @_oracle(
-    "sim-equivalence",
-    "interpreted vs compiled fault-simulator detect masks agree per test",
+    "sim-ppsfp-vs-interpreted",
+    "PPSFP per-test and batched detect masks equal the interpreted reference",
 )
-def _sim_equivalence(case: FuzzCase) -> None:
-    _gate_level_case(case)
-    table = case.table
-    circuit = case.scan_circuit()
-    faults = case.gate_faults()
-    _require(bool(faults), "empty gate-level fault universe")
-    simulator = CompiledFaultSimulator(circuit, table, faults)
-    for test in list(case.generation().test_set)[:_GATE_MAX_TESTS]:
-        compiled = simulator.detects(test)
-        interpreted = frozenset(interpreted_detects(circuit, table, test, faults))
-        if compiled != interpreted:
-            only_compiled = sorted(
-                fault.site() for fault in compiled - interpreted
-            )
-            only_interpreted = sorted(
-                fault.site() for fault in interpreted - compiled
-            )
-            raise OracleFailure(
-                f"test {test} masks diverge: compiled-only={only_compiled} "
-                f"interpreted-only={only_interpreted}"
-            )
-
-
-@_oracle(
-    "sim-ppsfp-vs-bigint",
-    "PPSFP behavioral-table engine produces bit-identical masks to big-int",
-)
-def _sim_ppsfp_vs_bigint(case: FuzzCase) -> None:
+def _sim_ppsfp_vs_interpreted(case: FuzzCase) -> None:
     _gate_level_case(case)
     table = case.table
     circuit = case.scan_circuit()
     faults = case.gate_faults()
     _require(bool(faults), "empty gate-level fault universe")
     ppsfp = PpsfpSimulator(circuit, table, faults)
-    bigint = CompiledFaultSimulator(circuit, table, faults)
     tests = list(case.generation().test_set)[:_GATE_MAX_TESTS]
     batched = ppsfp.detect_masks(tests)
     for position, test in enumerate(tests):
-        left = ppsfp.detect_mask(test)
-        right = bigint.detect_mask(test)
-        if left != right:
-            delta = left ^ right
+        mask = ppsfp.detect_mask(test)
+        interpreted = interpreted_detects(circuit, table, test, faults)
+        reference = sum(
+            1 << bit for bit, fault in enumerate(faults) if fault in interpreted
+        )
+        if mask != reference:
+            delta = mask ^ reference
             sites = [
                 faults[bit].site()
                 for bit in range(len(faults))
@@ -359,12 +334,12 @@ def _sim_ppsfp_vs_bigint(case: FuzzCase) -> None:
             ]
             raise OracleFailure(
                 f"test {test} masks diverge on {sites[:4]} "
-                f"(ppsfp={left:#x} bigint={right:#x})"
+                f"(ppsfp={mask:#x} interpreted={reference:#x})"
             )
-        if batched[position] != left:
+        if batched[position] != mask:
             raise OracleFailure(
                 f"test {test}: batched PPSFP mask {batched[position]:#x} "
-                f"differs from the per-test mask {left:#x}"
+                f"differs from the per-test mask {mask:#x}"
             )
 
 
@@ -583,10 +558,6 @@ def _cache_replay(case: FuzzCase) -> None:
                         table, SynthesisOptions(max_fanin=4), table
                     )
                     cached_sca(scan.netlist)
-            if gate_ok and case.gate_faults():
-                # Compiling twice exercises the simulator-source cache path.
-                CompiledFaultSimulator(case.scan_circuit(), table, case.gate_faults())
-                CompiledFaultSimulator(case.scan_circuit(), table, case.gate_faults())
             if gate_ok:
                 # Running ATPG twice exercises the atpg cache path: the
                 # second call must replay the stored verdicts verbatim

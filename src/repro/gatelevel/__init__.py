@@ -16,7 +16,9 @@ whole stack from scratch:
 * :mod:`repro.gatelevel.detectability` — exhaustive combinational
   detectability (the paper's redundant-fault oracle);
 * :mod:`repro.gatelevel.fault_sim` — sequential bit-parallel fault
-  simulation of scan tests with fault dropping.
+  simulation of scan tests with fault dropping, the interpreted reference;
+* :mod:`repro.gatelevel.ppsfp` — the production pattern-parallel engine,
+  which :mod:`repro.gatelevel.dispatch` runs on byte-budgeted fault chunks.
 """
 
 from repro.gatelevel.netlist import Gate, GateType, Netlist
@@ -26,7 +28,6 @@ from repro.gatelevel.stuck_at import StuckAtFault, collapse_stuck_at, enumerate_
 from repro.gatelevel.bridging import BridgingFault, BridgeKind, enumerate_bridging_faults
 from repro.gatelevel.detectability import assigned_pattern_mask, detectable_faults
 from repro.gatelevel.fault_sim import FaultSimResult, simulate_tests
-from repro.gatelevel.compiled import CompiledFaultSimulator
 from repro.gatelevel.delay import (
     TransitionDelayFault,
     enumerate_transition_delay_faults,
@@ -52,7 +53,6 @@ __all__ = [
     "detectable_faults",
     "FaultSimResult",
     "simulate_tests",
-    "CompiledFaultSimulator",
     "TransitionDelayFault",
     "enumerate_transition_delay_faults",
     "simulate_delay_faults",

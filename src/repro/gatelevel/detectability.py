@@ -16,8 +16,8 @@ state codes, so callers judge over :func:`assigned_pattern_mask`.
 This is the reference oracle.  Fault grading reads the same verdicts off
 the PPSFP behavioral tables it builds anyway
 (:meth:`repro.gatelevel.ppsfp.PpsfpSimulator.detectable_mask`) and runs
-this cone re-simulation only for universes simulated by the big-int engine
-(:func:`repro.gatelevel.dispatch.detectable_mask`).
+this cone re-simulation only for chunks simulated by the interpreted
+reference (:func:`repro.gatelevel.dispatch.detectable_mask`).
 """
 
 from __future__ import annotations

@@ -3,8 +3,10 @@
 A production test flow does not stop at detection: when silicon fails, the
 pass/fail pattern over the test set is matched against a precomputed *fault
 dictionary* to locate candidate defects.  This module builds the pass/fail
-dictionary with the compiled fault simulator (one simulation per test over
-the whole universe) and diagnoses observed signatures:
+dictionary with the dispatched fault simulator — one simulation per test
+over each of the universe's chunks
+(:func:`repro.gatelevel.dispatch.detection_masks`), so no table is built
+over the byte budget — and diagnoses observed signatures:
 
 * exact matches — faults whose simulated signature equals the observation
   (several faults may share a signature; they are indistinguishable by
@@ -26,7 +28,7 @@ from typing import Sequence
 from repro.core.testset import ScanTest, TestSet
 from repro.errors import FaultSimulationError
 from repro.fsm.state_table import StateTable
-from repro.gatelevel.compiled import CompiledFaultSimulator
+from repro.gatelevel.dispatch import detection_masks, make_fault_simulator
 from repro.gatelevel.fault_sim import Fault
 from repro.gatelevel.scan import ScanCircuit
 
@@ -43,8 +45,8 @@ def observed_signature(
 
     ``True`` means the test *failed* (the fault was observed).
     """
-    simulator = CompiledFaultSimulator(circuit, table, [fault])
-    return tuple(bool(simulator.detect_mask(test)) for test in tests)
+    simulator = make_fault_simulator(circuit, table, [fault])
+    return tuple(bool(mask) for mask in simulator.detect_masks(tests))
 
 
 @dataclass(frozen=True)
@@ -82,14 +84,13 @@ class FaultDictionary:
         tests: TestSet | Sequence[ScanTest],
         faults: Sequence[Fault],
     ) -> "FaultDictionary":
-        """Simulate every test over the whole universe, once."""
+        """Simulate every test over the universe, chunk by chunk, once."""
         test_tuple = tuple(tests)
         if not faults:
             raise FaultSimulationError("a dictionary needs a fault universe")
-        simulator = CompiledFaultSimulator(circuit, table, list(faults))
-        masks = [simulator.detect_mask(test) for test in test_tuple]
+        masks = detection_masks(circuit, table, faults, test_tuple)
         signatures: dict[Fault, tuple[bool, ...]] = {}
-        for bit, fault in enumerate(simulator.faults):
+        for bit, fault in enumerate(faults):
             signatures[fault] = tuple(
                 bool((mask >> bit) & 1) for mask in masks
             )

@@ -44,6 +44,7 @@ from repro.obs.metrics import current_registry
 
 __all__ = [
     "FaultSimResult",
+    "InterpretedSimulator",
     "simulate_tests",
     "detects",
     "injection_sites",
@@ -94,7 +95,7 @@ def injection_sites(
       bridge touching ``line`` (each bridge is listed under both lines).
 
     Every engine folds these into its own representation: bit masks for
-    the big-int engines, row arrays for PPSFP.  Bridged lines must be gate
+    the interpreted engine, row arrays for PPSFP.  Bridged lines must be gate
     outputs; a bridged primary input is rejected here, once for all.
     """
     store: dict[int, StuckSplit] = {}
@@ -246,42 +247,76 @@ def _observe(batch: _Batch, values: list[int], raw: list[int], line: int) -> int
     return value
 
 
-def _simulate_test_on_batch(
-    circuit: ScanCircuit,
-    table: StateTable,
-    batch: _Batch,
-    test: ScanTest,
-) -> int:
-    """Detection mask (bit per fault) for one scan test."""
-    netlist = circuit.netlist
-    sv = circuit.n_state_variables
-    pi = circuit.n_primary_inputs
-    po = circuit.n_primary_outputs
-    ones = batch.ones
-    state_words = [
-        ones if bit else 0
-        for bit in circuit.encoding.encode_bits(test.initial_state)
-    ]
-    detected = 0
-    good_state = test.initial_state
-    next_lines = circuit.circuit.next_state_lines
-    output_lines = circuit.circuit.primary_output_lines
-    for combo in test.inputs:
-        input_words = state_words + [
-            ones if (combo >> (pi - 1 - j)) & 1 else 0 for j in range(pi)
+class InterpretedSimulator:
+    """Scan-test fault simulation of one :class:`_Batch`, gate by gate.
+
+    The independent reference for :class:`repro.gatelevel.ppsfp.PpsfpSimulator`
+    (``--engine bigint``): each fault is one bit of the batch word, and each
+    clock cycle interprets the gate list once.
+    """
+
+    def __init__(
+        self,
+        circuit: ScanCircuit,
+        table: StateTable,
+        faults: Sequence[Fault],
+    ) -> None:
+        # Structural preflight, memoized per netlist: combinational cycles,
+        # undriven nets, and arity violations would silently corrupt the
+        # forward sweep, so they are rejected up front.
+        from repro.lint.preflight import preflight_netlist
+
+        preflight_netlist(circuit.netlist, FaultSimulationError)
+        self.circuit = circuit
+        self.table = table
+        self._batch = _Batch(circuit.netlist, faults)
+        self.faults = self._batch.faults
+
+    def detect_mask(self, test: ScanTest) -> int:
+        """Bit mask (over ``faults``) of the faults ``test`` detects."""
+        circuit, batch = self.circuit, self._batch
+        netlist = circuit.netlist
+        pi = circuit.n_primary_inputs
+        po = circuit.n_primary_outputs
+        ones = batch.ones
+        state_words = [
+            ones if bit else 0
+            for bit in circuit.encoding.encode_bits(test.initial_state)
         ]
-        values, raw = _evaluate_batch(netlist, batch, input_words)
-        good_state, good_out = table.step(good_state, combo)
-        for j in range(po):
-            good_bit = ones if (good_out >> (po - 1 - j)) & 1 else 0
-            detected |= _observe(batch, values, raw, output_lines[j]) ^ good_bit
-        state_words = [_observe(batch, values, raw, line) for line in next_lines]
-        if detected == ones:  # everything already caught
-            return detected
-    for j, bit in enumerate(circuit.encoding.encode_bits(good_state)):
-        good_bit = ones if bit else 0
-        detected |= state_words[j] ^ good_bit
-    return detected & ones
+        detected = 0
+        good_state = test.initial_state
+        next_lines = circuit.circuit.next_state_lines
+        output_lines = circuit.circuit.primary_output_lines
+        for combo in test.inputs:
+            input_words = state_words + [
+                ones if (combo >> (pi - 1 - j)) & 1 else 0 for j in range(pi)
+            ]
+            values, raw = _evaluate_batch(netlist, batch, input_words)
+            good_state, good_out = self.table.step(good_state, combo)
+            for j in range(po):
+                good_bit = ones if (good_out >> (po - 1 - j)) & 1 else 0
+                detected |= _observe(batch, values, raw, output_lines[j]) ^ good_bit
+            state_words = [_observe(batch, values, raw, line) for line in next_lines]
+            if detected == ones:  # everything already caught
+                return detected
+        for j, bit in enumerate(circuit.encoding.encode_bits(good_state)):
+            good_bit = ones if bit else 0
+            detected |= state_words[j] ^ good_bit
+        return detected & ones
+
+    def detect_masks(self, tests: Sequence[ScanTest]) -> list[int]:
+        """Detection masks for many tests, one per test."""
+        return [self.detect_mask(test) for test in tests]
+
+    def detects(self, test: ScanTest) -> frozenset[Fault]:
+        """The set of faults ``test`` detects."""
+        mask = self.detect_mask(test)
+        found = []
+        while mask:
+            low = mask & -mask
+            found.append(self.faults[low.bit_length() - 1])
+            mask ^= low
+        return frozenset(found)
 
 
 def detects(
@@ -293,15 +328,10 @@ def detects(
     """The subset of ``faults`` that ``test`` detects.
 
     Batches are sized adaptively from the fault count
-    (:func:`repro.core.config.adaptive_batch_bits`); batch boundaries never
-    change the result.
+    (:func:`repro.core.config.adaptive_batch_bits`), each simulated by an
+    :class:`InterpretedSimulator`; batch boundaries never change the
+    result.
     """
-    # Structural preflight, memoized per netlist: combinational cycles,
-    # undriven nets, and arity violations would silently corrupt the
-    # forward sweep below, so they are rejected up front.
-    from repro.lint.preflight import preflight_netlist
-
-    preflight_netlist(circuit.netlist, FaultSimulationError)
     fault_list = list(faults)
     batch_bits = adaptive_batch_bits(len(fault_list))
     found: set[Fault] = set()
@@ -309,14 +339,11 @@ def detects(
     # registry is consulted once per detects() call, after the hot loop.
     per_batch: list[int] = []
     for start in range(0, len(fault_list), batch_bits):
-        chunk = fault_list[start : start + batch_bits]
-        batch = _Batch(circuit.netlist, chunk)
-        mask = _simulate_test_on_batch(circuit, table, batch, test)
-        per_batch.append(mask.bit_count())
-        while mask:
-            low = (mask & -mask).bit_length() - 1
-            found.add(chunk[low])
-            mask &= mask - 1
+        newly = InterpretedSimulator(
+            circuit, table, fault_list[start : start + batch_bits]
+        ).detects(test)
+        per_batch.append(len(newly))
+        found |= newly
     _report_batches(len(fault_list), per_batch)
     return found
 

@@ -1,8 +1,8 @@
 """Parallel-pattern single-fault propagation (PPSFP) fault simulation.
 
-The big-int engines (:mod:`repro.gatelevel.fault_sim`,
-:mod:`repro.gatelevel.compiled`) pack *faults* as bits of one word and pay
-one netlist sweep per clock cycle.  This module packs the other axis:
+The interpreted reference (:mod:`repro.gatelevel.fault_sim`) packs
+*faults* as bits of one word and pays one netlist sweep per clock cycle.
+This module, the production engine, packs the other axis:
 **patterns**, 64 per ``uint64`` lane, with faults stacked as numpy rows.
 One exhaustive sweep of the netlist evaluates every ``2**(SV+PI)``
 combinational input pattern for a whole slab of faulty machines at once,
@@ -27,9 +27,9 @@ trajectory.  An output difference detects a fault.  Only the faults whose
 state left the trajectory without showing at an output are looked up one
 by one, each from its own code's cell, until an output difference detects
 it, it rejoins the trajectory, or the test ends and scan-out compares its
-state.  That is exactly the observation scheme of the big-int engines, so
-detection masks are bit-identical by construction; the test suite and the
-``sim-ppsfp-vs-bigint`` fuzz oracle enforce this.  The OR of the first
+state.  That is exactly the observation scheme of the interpreted
+reference, so detection masks are bit-identical by construction; the test
+suite and the ``sim-ppsfp-vs-interpreted`` fuzz oracle enforce this.  The OR of the first
 bitsets says which faults any scan test can detect at all
 (:meth:`PpsfpSimulator.detectable_mask`): a fault whose cell differs in
 some assigned row, checked against the cone-resimulation oracle by the
@@ -46,8 +46,8 @@ rows instead of bit masks:
   with ``line op partner`` over the *fault-free* values.  A row holds one
   fault, and neither bridged line is downstream of the other (paper
   condition 3), so both lines' bridge-free values in that row are the
-  fault-free ones: the raw pass of the big-int engines' two-pass scheme
-  is the fault-free machine here.
+  fault-free ones: the raw pass of the reference's two-pass scheme is the
+  fault-free machine here.
 
 Each slab of fault rows is built in one pass over only the gates in the
 union of its faults' fanout cones (the slab's rows of
@@ -144,11 +144,12 @@ class _Slab:
 class PpsfpSimulator:
     """Scan-test fault simulation via exhaustive per-fault behavioral tables.
 
-    Drop-in for :class:`repro.gatelevel.compiled.CompiledFaultSimulator`
-    (``detect_mask`` / ``detects`` / ``make_effective_simulator``), with
-    three extensions: an *empty* fault universe is allowed (every mask is
-    0), construction cost scales with ``faults x patterns`` instead of test
-    length, and :meth:`detectable_mask` reads detectability off the tables.
+    Drop-in for the interpreted reference
+    :class:`repro.gatelevel.fault_sim.InterpretedSimulator` (``detect_mask``
+    / ``detect_masks`` / ``detects``), with three extensions: an *empty*
+    fault universe is allowed (every mask is 0), construction cost scales
+    with ``faults x patterns`` instead of test length, and
+    :meth:`detectable_mask` reads detectability off the tables.
     Replaying a test costs one big-int AND per cycle plus one lookup per
     cycle of each fault off the fault-free trajectory; the bitsets both
     replay and detectability read are derived on first use and kept.

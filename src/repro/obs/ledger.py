@@ -69,15 +69,13 @@ LEDGER_ENV = "REPRO_LEDGER_DIR"
 LEDGER_FILENAME = "ledger.jsonl"
 
 #: Metric names whose values depend on how the parallel sweep was chunked
-#: (one entry per fault chunk / compiled universe).  They stay available in
-#: ``--metrics-out`` snapshots but are dropped from ledger records so the
-#: ``metrics`` block is identical for serial and ``--jobs N`` runs.
+#: (one entry per fault chunk).  They stay available in ``--metrics-out``
+#: snapshots but are dropped from ledger records so the ``metrics`` block
+#: is identical for serial and ``--jobs N`` runs.
 SCHEDULING_METRICS: frozenset[str] = frozenset(
     {
         "faultsim.batches",
         "faultsim.batch_detected",
-        "faultsim.compiled_calls",
-        "faultsim.compiled_universes",
     }
 )
 

@@ -152,7 +152,7 @@ def render_stats(
     if stats:
         shown = stats[:top]
         # Size the name column from what is actually rendered: long span
-        # names (faultsim.dispatch.*, atpg.*) must not shear the table.
+        # names (faultsim.ppsfp.build, atpg.*) must not shear the table.
         width = max(4, max(len(stat.name) for stat in shown))
         lines.append(
             f"  {'span':<{width}} {'calls':>7} {'total s':>9} {'self s':>9} "

@@ -393,7 +393,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser.add_argument("--engine", default=None,
                         choices=("auto", "ppsfp", "bigint"),
                         help="fault-sim engine for every run "
-                        "(default: auto-dispatch per universe)")
+                        "(default: auto, PPSFP on byte-budget chunks)")
     parser.add_argument("-o", "--output", default="BENCH_perf.json",
                         help="report path ('-' prints JSON to stdout)")
     parser.add_argument("-v", "--verbose", action="count", default=0,

@@ -60,9 +60,6 @@ class CacheError(ReproError):
 ARTIFACT_VERSIONS: dict[str, int] = {
     "uio": 1,
     "synthesis": 1,
-    # 2: stuck-at store forces are parenthesized before masking (inverting
-    # gates mis-injected output stuck-at-0 under the old precedence).
-    "simulator-source": 2,
     "sca": 1,
     # 2: AtpgRun verdicts carry search-forensics traces (aborted and
     # hardest-N targets); entries stored by version 1 lack them.
@@ -335,10 +332,9 @@ class CacheProbe:
 class ReplayVerifier(CacheProbe):
     """Probe asserting that cache-hit replays equal the stored originals.
 
-    Each replay is compared with the value stored this run: ``str``/``bytes``
-    artifacts (and tuples of them, e.g. compiled-simulator sources) must be
-    bit-identical, artifacts holding a netlist must match in content
-    (:func:`_content`), anything else must compare equal.
+    Each replay is compared with the value stored this run: artifacts
+    holding a netlist must match in content (:func:`_content`), anything
+    else must compare equal.
     Mismatches are collected in :attr:`mismatches`, one line per event, so
     a fuzzing oracle can fail loudly instead of trusting a corrupted or
     stale entry; :attr:`replayed` counts the replays per kind.
@@ -357,9 +353,9 @@ class ReplayVerifier(CacheProbe):
         if (kind, key) not in self.stored:
             return  # stored by an earlier process; nothing to compare against
         original = self.stored[(kind, key)]
-        if type(original) is not type(value) or not _replay_equal(
-            _content(kind, original), _content(kind, value)
-        ):
+        if type(original) is not type(value) or _content(
+            kind, original
+        ) != _content(kind, value):
             self.mismatches.append(
                 f"{kind}/{key[:12]}: replayed artifact differs from the "
                 "value stored this run"
@@ -381,18 +377,6 @@ def _content(kind: str, artifact: Any) -> Any:
             dataclasses.replace(artifact, netlist=None),  # encoding and widths
         )
     return artifact
-
-
-def _replay_equal(original: Any, replayed: Any) -> bool:
-    if type(original) is not type(replayed):
-        return False
-    if isinstance(original, (str, bytes)):
-        return bool(original == replayed)  # bit-identical by definition
-    if isinstance(original, tuple):
-        return len(original) == len(replayed) and all(
-            _replay_equal(a, b) for a, b in zip(original, replayed)
-        )
-    return bool(original == replayed)
 
 
 _PROBE: CacheProbe | None = None

@@ -8,16 +8,15 @@ The engine runs every circuit through three phases:
    circuit, static analysis, fault universes.  The artifact cache serves
    UIO tables, synthesized circuits and static analyses across runs.
 2. **Simulate** (one task per fault chunk): every (circuit, fault model)
-   universe is split into engine-aware chunks (one whole-universe chunk for
-   PPSFP, adaptive big-int batches otherwise), and each chunk's engine is
-   decided once, when the chunk is planned; each task builds that engine's
-   fault simulator for its chunk and produces one detection mask per
-   test.  Chunking is sound because detection of a fault never depends
-   on which other faults share the batch — each bit/row is its own machine
-   (see :mod:`repro.gatelevel.compiled`, :mod:`repro.gatelevel.ppsfp`).
-   The task also returns the chunk's detectable mask, read from the
-   simulator it built (:func:`repro.gatelevel.dispatch.detectable_mask`: a
-   table comparison for PPSFP, the cone oracle for big-int chunks);
+   universe is cut by :func:`repro.gatelevel.dispatch.fault_chunks` — one
+   engine per universe, PPSFP chunks that each fit the table byte budget
+   (a universe that fits stays one chunk) — and each task builds that
+   engine's fault simulator for its chunk and produces one detection mask
+   per test.  Chunking is sound because detection of a fault never depends
+   on which other faults share the chunk — each bit/row is its own
+   machine.  The task also returns the chunk's detectable mask, read from
+   the simulator it built (:func:`repro.gatelevel.dispatch.detectable_mask`:
+   a table comparison for PPSFP, the cone oracle for reference chunks);
    verdicts are as chunk-independent as detections.
 3. **Select** (main process): each universe's detectability split is
    assembled from its chunks' detectable masks; chunk masks are merged into
@@ -48,9 +47,10 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable, Sequence
 
 from repro.core.compaction import EffectiveSelection, select_effective_tests
-from repro.core.config import FaultSimConfig, adaptive_batch_bits
+from repro.core.config import FaultSimConfig
 from repro.core.testset import ScanTest
 from repro.gatelevel.dispatch import (
+    circuit_chunks,
     detectable_mask,
     make_fault_simulator,
     partition_by_mask,
@@ -125,9 +125,6 @@ def _simulate_task(snapshot: dict[str, Any], index: int) -> _ChunkResult:
     position, engine, chunk = snapshot["chunks"][index]
     name, scan, table, tests = snapshot["circuits"][position]
     timings = StageTimings()
-    cache = active_cache()
-    hits = cache.hits if cache is not None else 0
-    misses = cache.misses if cache is not None else 0
     with trace_span(
         "sweep.chunk", circuit=name, n_faults=len(chunk), n_tests=len(tests)
     ):
@@ -141,10 +138,6 @@ def _simulate_task(snapshot: dict[str, Any], index: int) -> _ChunkResult:
         with timings.stage(name, STAGE_DETECTABILITY) as sp:
             sp.set(n_faults=len(chunk))
             detectable = detectable_mask(simulator)
-    if cache is not None:
-        # The only cache traffic here is the compiled simulator source.
-        timings.cache_hits += cache.hits - hits
-        timings.cache_misses += cache.misses - misses
     return _ChunkResult(masks, detectable, timings, worker_snapshot())
 
 
@@ -154,8 +147,8 @@ def _report_chunk(chunk: list[Fault], masks: list[int], ppsfp: bool) -> None:
     A chunk is one batch of the dispatched simulator, so it reports into
     the same ``faultsim.*`` family as the interpreted batch simulator
     (:mod:`repro.gatelevel.fault_sim`): ``detected`` counts distinct faults
-    some test caught; per-test mask evaluations are counted per engine
-    (``faultsim.ppsfp.calls`` / ``faultsim.compiled_calls``).
+    some test caught; a PPSFP chunk also counts its per-test mask
+    evaluations (``faultsim.ppsfp.calls``).
     """
     from repro.obs.metrics import current_registry
 
@@ -166,50 +159,11 @@ def _report_chunk(chunk: list[Fault], masks: list[int], ppsfp: bool) -> None:
     for mask in masks:
         union |= mask
     registry.counter("faultsim.batches").add(1)
-    calls = "faultsim.ppsfp.calls" if ppsfp else "faultsim.compiled_calls"
-    registry.counter(calls).add(len(masks))
+    if ppsfp:
+        registry.counter("faultsim.ppsfp.calls").add(len(masks))
     registry.counter("faultsim.faults_simulated").add(len(chunk))
     registry.counter("faultsim.detected").add(union.bit_count())
     registry.histogram("faultsim.batch_detected").observe(union.bit_count())
-
-
-def _fault_chunks(
-    faults: list[Fault],
-    faultsim: FaultSimConfig,
-    n_pattern_bits: int,
-    total_test_cycles: int,
-    *,
-    cell_bits: int,
-) -> list[tuple[str, list[Fault]]]:
-    """Engine-aware chunks of one (circuit, fault model) universe, each
-    with the engine it runs on.
-
-    The PPSFP engine amortizes one exhaustive table build across the whole
-    universe, so it gets a single chunk; the big-int engine gets balanced
-    adaptive batch words.  Each chunk's engine is then chosen for the chunk
-    itself: a universe whose table is over the byte budget can have chunks
-    whose tables fit, and those run on PPSFP (dvram's, fetch's and rie's
-    stuck-at universes).  Chunk boundaries are jobs-invariant — the
-    persistent pool load-balances chunks dynamically instead of shrinking
-    them per worker (which used to recompile the same circuit once per
-    worker and made parallel runs *slower* than serial).  Boundaries and
-    engines never affect results — per-fault detection is batch-independent
-    and the engines are bit-identical.
-    """
-    n = len(faults)
-    if n == 0:
-        return []
-
-    def engine(size: int) -> str:
-        return faultsim.select_engine(
-            size, n_pattern_bits, total_test_cycles, cell_bits=cell_bits
-        )
-
-    if engine(n) == "ppsfp":
-        return [("ppsfp", faults)]
-    size = adaptive_batch_bits(n)
-    chunks = [faults[start : start + size] for start in range(0, n, size)]
-    return [(engine(len(chunk)), chunk) for chunk in chunks]
 
 
 # ---------------------------------------------------------- phase 3: select
@@ -357,21 +311,15 @@ def grade_studies(
         scan, tests = study.scan_circuit, study.tests
         faultsim: FaultSimConfig = study.options.faultsim
         circuits.append((study.name, scan, study.table, tests))
-        pattern_bits = scan.n_state_variables + scan.n_primary_inputs
-        cell_bits = scan.n_state_variables + scan.n_primary_outputs
-        total_cycles = sum(len(test.inputs) for test in tests)
         for model in models:
-            model_chunks = _fault_chunks(
-                study.simulated_faults(model), faultsim, pattern_bits,
-                total_cycles, cell_bits=cell_bits,
+            engine, model_chunks = circuit_chunks(
+                scan, study.simulated_faults(model), faultsim
             )
             plan[position, model] = (
-                [chunk for _, chunk in model_chunks],
+                model_chunks,
                 range(len(chunks), len(chunks) + len(model_chunks)),
             )
-            chunks.extend(
-                (position, engine, chunk) for engine, chunk in model_chunks
-            )
+            chunks.extend((position, engine, chunk) for chunk in model_chunks)
 
     with trace_span("sweep.simulate", chunks=len(chunks), jobs=jobs):
         results: list[_ChunkResult] = _run_phase(

@@ -9,6 +9,7 @@ from repro.core.generator import generate_tests
 from repro.errors import FaultSimulationError
 from repro.gatelevel.bridging import enumerate_bridging_faults
 from repro.gatelevel.diagnosis import FaultDictionary, observed_signature
+from repro.gatelevel.dispatch import circuit_chunks
 from repro.gatelevel.scan import ScanCircuit
 from repro.gatelevel.stuck_at import collapse_stuck_at
 from repro.gatelevel.synthesis import SynthesisOptions
@@ -41,6 +42,18 @@ class TestDictionaryBuild:
             assert dictionary.signatures[fault] == observed_signature(
                 circuit, table, tuple(tests), fault
             )
+
+    def test_budget_sized_chunks_keep_the_signatures(
+        self, dictionary_setup, monkeypatch
+    ):
+        """A byte budget of four lion tables cuts the universe into chunks;
+        the signatures stay those of the one-chunk dictionary."""
+        table, circuit, tests, faults, dictionary = dictionary_setup
+        monkeypatch.setattr("repro.core.config.DEFAULT_PPSFP_BYTE_BUDGET", 4 * 16)
+        engine, chunks = circuit_chunks(circuit, faults)
+        assert engine == "ppsfp" and len(chunks) > 1
+        chunked = FaultDictionary.build(circuit, table, tests, faults)
+        assert chunked.signatures == dictionary.signatures
 
     def test_empty_universe_rejected(self, dictionary_setup):
         table, circuit, tests, _, _ = dictionary_setup

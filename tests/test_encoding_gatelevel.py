@@ -15,8 +15,8 @@ from repro.core.generator import generate_tests
 from repro.errors import SynthesisError
 from repro.fsm.encoding import gray_encoding
 from repro.gatelevel.atpg import generate_stuck_at_atpg
-from repro.gatelevel.compiled import CompiledFaultSimulator
 from repro.gatelevel.detectability import assigned_pattern_mask, detectable_faults
+from repro.gatelevel.dispatch import make_fault_simulator
 from repro.gatelevel.fault_sim import detects, simulate_tests
 from repro.gatelevel.scan import ScanCircuit
 from repro.gatelevel.stuck_at import collapse_stuck_at
@@ -86,13 +86,15 @@ class TestGrayGateLevel:
         assert result.detected == frozenset(detectable)
 
     def test_compiled_matches_interpreted_under_gray(self):
+        """The dispatched production simulator agrees with the interpreted
+        one under a Gray state encoding."""
         table = load_circuit("lion")
         circuit = ScanCircuit.from_machine(
             load_kiss_machine("lion"),
             SynthesisOptions(encoding="gray", max_fanin=4),
         )
         faults = sorted(set(collapse_stuck_at(circuit.netlist).values()))
-        simulator = CompiledFaultSimulator(circuit, table, faults)
+        simulator = make_fault_simulator(circuit, table, faults)
         for test in generate_tests(table).test_set:
             assert simulator.detects(test) == frozenset(
                 detects(circuit, table, test, faults)

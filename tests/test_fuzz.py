@@ -41,8 +41,8 @@ from repro.fuzz.oracles import (
 from repro.fuzz.runner import OracleTimeout, _time_limit
 from repro.fuzz.shrink import drop_input_bit, drop_output_bit, drop_state
 from repro.gatelevel.bridging import BridgeKind, BridgingFault
-from repro.gatelevel.compiled import CompiledFaultSimulator
 from repro.gatelevel.fault_sim import detects as interpreted_detects
+from repro.gatelevel.ppsfp import PpsfpSimulator
 from repro.perf.cache import ArtifactCache
 from repro.uio.search import UioTable
 
@@ -101,7 +101,7 @@ class TestGenerators:
 class TestOracleRegistry:
     def test_oracles_registered(self):
         assert len(oracle_names()) >= 8
-        assert "sim-ppsfp-vs-bigint" in oracle_names()
+        assert "sim-ppsfp-vs-interpreted" in oracle_names()
         assert oracle_names() == tuple(sorted(oracle_names()))
 
     def test_unknown_oracle_raises(self):
@@ -189,17 +189,43 @@ class TestBrokenImplementationsAreCaught:
 
     def test_sim_equivalence_catches_blind_interpreter(self, monkeypatch):
         case = small_case()
-        simulator = CompiledFaultSimulator(
+        simulator = PpsfpSimulator(
             case.scan_circuit(), case.table, case.gate_faults()
         )
         assert any(
             simulator.detects(test) for test in case.generation().test_set
-        ), "precondition: the compiled simulator detects something"
+        ), "precondition: the PPSFP simulator detects something"
         monkeypatch.setattr(
             oracles_mod, "interpreted_detects", lambda *a, **k: set()
         )
         with pytest.raises(OracleFailure, match="diverge"):
-            get_oracle("sim-equivalence").run(case)
+            get_oracle("sim-ppsfp-vs-interpreted").run(case)
+
+    def test_sim_equivalence_catches_a_flipped_mask_bit(self, monkeypatch):
+        case = small_case()
+        get_oracle("sim-ppsfp-vs-interpreted").run(case)  # healthy first
+        real = PpsfpSimulator.detect_mask
+        monkeypatch.setattr(
+            PpsfpSimulator, "detect_mask", lambda self, test: real(self, test) ^ 1
+        )
+        with pytest.raises(OracleFailure, match="diverge"):
+            get_oracle("sim-ppsfp-vs-interpreted").run(case)
+
+    def test_sim_equivalence_catches_a_diverging_batched_mask(self, monkeypatch):
+        case = small_case()
+        real = PpsfpSimulator.detect_masks
+
+        def batched(self, tests):
+            masks = real(self, tests)
+            return [*masks[:-1], masks[-1] ^ 1]
+
+        # The per-test path keeps the healthy walk; only batches break.
+        monkeypatch.setattr(
+            PpsfpSimulator, "detect_mask", lambda self, test: real(self, [test])[0]
+        )
+        monkeypatch.setattr(PpsfpSimulator, "detect_masks", batched)
+        with pytest.raises(OracleFailure, match="batched PPSFP mask"):
+            get_oracle("sim-ppsfp-vs-interpreted").run(case)
 
     def test_detectability_catches_optimistic_derivation(self, monkeypatch):
         case = small_case()
@@ -299,9 +325,7 @@ class TestBrokenImplementationsAreCaught:
         monkeypatch.setattr(oracles_mod, "ReplayVerifier", Recording)
         get_oracle("cache-replay").run(small_case())
         (verifier,) = verifiers
-        assert set(verifier.replayed) == {
-            "uio", "synthesis", "sca", "simulator-source", "atpg",
-        }
+        assert set(verifier.replayed) == {"uio", "synthesis", "sca", "atpg"}
         assert verifier.mismatches == []
 
     def test_cache_replay_catches_a_missed_replay(self, monkeypatch):
@@ -338,7 +362,7 @@ class TestBrokenImplementationsAreCaught:
         table = random_dense_table(1, 12, 1, seed=0)
         case = FuzzCase("big", table)
         with pytest.raises(OracleSkip):
-            get_oracle("sim-equivalence").run(case)
+            get_oracle("sim-ppsfp-vs-interpreted").run(case)
         with pytest.raises(OracleSkip):
             get_oracle("synthesis-replay").run(case)
 
@@ -349,7 +373,7 @@ class TestBrokenImplementationsAreCaught:
 
 
 class TestBridgingPolarityRegression:
-    """Interpreted and compiled simulators agree on a bridge whose
+    """The PPSFP and the interpreted simulators agree on a bridge whose
     wired-AND and wired-OR polarities behave differently.
 
     Pinned from the fuzzer stream: on this machine the AND short between
@@ -366,12 +390,12 @@ class TestBridgingPolarityRegression:
             BridgingFault(8, 18, BridgeKind.AND),
             BridgingFault(8, 18, BridgeKind.OR),
         ]
-        simulator = CompiledFaultSimulator(circuit, table, faults)
+        simulator = PpsfpSimulator(circuit, table, faults)
         test = case.generation().test_set.tests[0]
-        compiled = simulator.detects(test)
+        ppsfp = simulator.detects(test)
         interpreted = frozenset(interpreted_detects(circuit, table, test, faults))
-        assert compiled == interpreted
-        assert faults[0] in compiled and faults[1] not in compiled
+        assert ppsfp == interpreted
+        assert faults[0] in ppsfp and faults[1] not in ppsfp
 
 
 class TestShrinker:

@@ -1,7 +1,7 @@
 """Property-based tests of the gate-level substrate.
 
 Random machines are synthesized and the whole stack is cross-checked:
-netlist vs state table, compiled vs interpreted fault simulation, oracle vs
+netlist vs state table, PPSFP vs interpreted fault simulation, oracle vs
 brute-force detectability.
 """
 
@@ -13,8 +13,8 @@ from repro.core.baseline import per_transition_tests
 from repro.core.generator import generate_tests
 from repro.fuzz.strategies import state_tables
 from repro.gatelevel.bridging import enumerate_bridging_faults
-from repro.gatelevel.compiled import CompiledFaultSimulator
 from repro.gatelevel.detectability import assigned_pattern_mask, detectable_faults
+from repro.gatelevel.dispatch import make_fault_simulator
 from repro.gatelevel.fault_sim import detects, simulate_tests
 from repro.gatelevel.scan import ScanCircuit
 from repro.gatelevel.stuck_at import collapse_stuck_at
@@ -48,12 +48,13 @@ class TestFaultSimulationProperties:
     @SETTINGS
     @given(machines())
     def test_compiled_equals_interpreted(self, table):
+        """The dispatched production simulator equals the interpreted one."""
         circuit = ScanCircuit.from_machine(table, SynthesisOptions(max_fanin=4))
         faults = sorted(set(collapse_stuck_at(circuit.netlist).values()))
         faults += enumerate_bridging_faults(circuit.netlist, limit=20)
         if not faults:
             return
-        simulator = CompiledFaultSimulator(circuit, table, faults)
+        simulator = make_fault_simulator(circuit, table, faults)
         tests = generate_tests(table).test_set
         for test in list(tests)[:5]:
             assert simulator.detects(test) == frozenset(

@@ -12,13 +12,16 @@ import pytest
 from repro.benchmarks import circuit_names, load_circuit
 from repro.core.config import (
     DEFAULT_BATCH_BITS_CAP,
+    DEFAULT_PPSFP_BYTE_BUDGET,
     FaultSimConfig,
     adaptive_batch_bits,
+    table_cell_bytes,
 )
 from repro.errors import FaultSimulationError
 from repro.fsm.state_table import StateTable
 from repro.gatelevel import fault_sim
 from repro.gatelevel.detectability import assigned_pattern_mask, detectable_faults
+from repro.gatelevel.dispatch import fault_chunks
 from repro.harness import experiments as experiments_module
 from repro.harness.experiments import CircuitStudy, StudyOptions, get_study, warm_studies
 from repro.harness.runtime import StageTimings
@@ -33,7 +36,7 @@ from repro.perf.cache import (
 )
 from repro.perf import engine as engine_module
 from repro.perf.bench import OVERHEAD_PAIRS
-from repro.perf.engine import _fault_chunks, compute_studies
+from repro.perf.engine import compute_studies
 from repro.perf.pool import WorkerPool, get_pool, shutdown_pool
 from repro.uio.search import input_class_representatives
 
@@ -360,7 +363,7 @@ class TestDetectabilityFromSimulators:
                 runs.append(studies)
             kinds = cache.info()["kinds"]
         assert "detectability" not in kinds
-        assert set(kinds) <= {"uio", "synthesis", "sca", "simulator-source", "atpg"}
+        assert set(kinds) <= {"uio", "synthesis", "sca", "atpg"}
         for studies in runs:
             assert _signatures(studies) == _signatures(uncached)
             for name in names:
@@ -624,74 +627,87 @@ class TestPoolSingleton:
             shutdown_pool()  # idempotent
 
 
-# ------------------------------------------------- engine-aware chunking
+# ---------------------------------------------- the dispatcher's chunk rule
 
 
 class TestFaultChunks:
+    """The dispatcher's chunk rule, pinned on registry dimensions without
+    synthesizing anything."""
+
     def test_empty_universe(self):
-        assert _fault_chunks([], FaultSimConfig(), 4, 100, cell_bits=8) == []
+        assert fault_chunks([], FaultSimConfig(), 4, cell_bits=8) == ("ppsfp", [])
 
     def test_ppsfp_gets_one_whole_universe_chunk(self):
         faults = list(range(300))
-        chunks = _fault_chunks(
-            faults, FaultSimConfig(engine="ppsfp"), 6, 100, cell_bits=8
+        chunks = fault_chunks(
+            faults, FaultSimConfig(engine="ppsfp"), 6, cell_bits=8
         )
-        assert chunks == [("ppsfp", faults)]
+        assert chunks == ("ppsfp", [faults])
 
     def test_bigint_gets_adaptive_slices(self):
         faults = list(range(5000))
         config = FaultSimConfig(engine="bigint")
         size = adaptive_batch_bits(len(faults))
-        chunks = _fault_chunks(faults, config, 6, 100, cell_bits=8)
-        assert [len(chunk) for _, chunk in chunks[:-1]] == [size] * (
-            len(chunks) - 1
-        )
-        assert [fault for _, chunk in chunks for fault in chunk] == faults
+        engine, chunks = fault_chunks(faults, config, 6, cell_bits=8)
+        assert engine == "bigint"
+        assert [len(chunk) for chunk in chunks[:-1]] == [size] * (len(chunks) - 1)
+        assert [fault for chunk in chunks for fault in chunk] == faults
         assert len(chunks) > 1
-        assert {engine for engine, _ in chunks} == {"bigint"}
 
     def test_auto_dispatch_controls_chunking(self):
         faults = list(range(5000))
         config = FaultSimConfig()  # auto
-        # Small pattern space: PPSFP fits, one chunk.
-        assert len(_fault_chunks(faults, config, 6, 10_000, cell_bits=8)) == 1
-        # Huge pattern space: table would blow the byte budget -> big-int.
-        assert len(_fault_chunks(faults, config, 30, 10_000, cell_bits=8)) > 1
+        # Small pattern space: the whole table fits, one chunk.
+        assert fault_chunks(faults, config, 6, cell_bits=8) == ("ppsfp", [faults])
+        # 2^24 patterns: 16 MiB per fault, so eight faults per PPSFP chunk.
+        engine, chunks = fault_chunks(faults, config, 24, cell_bits=8)
+        assert engine == "ppsfp"
+        assert {len(chunk) for chunk in chunks} == {8}
 
     @pytest.mark.parametrize(
-        "faults, pattern_bits, cell_bits, cycles, engine",
+        "faults, pattern_bits, cell_bits, n_chunks",
         [
-            # dvram's stuck-at universe: 334 MiB of uint16 cells is over the
-            # byte budget, but each of its six big-int-sized chunks fits.
-            (10_687, 14, 14, 33_446, "ppsfp"),
-            # nucpwr's: 2^18 patterns, so no chunk's table fits.
-            (8_953, 18, 13, 595_514, "bigint"),
+            # nucpwr: 2^18 patterns of uint16 cells, 256 faults per table.
+            (8_953, 18, 13, 35),  # stuck-at
+            (1_000, 18, 13, 4),  # bridging
+            # dvram: 334 MiB of uint16 cells for the whole universe.
+            (10_687, 14, 14, 3),
+            # log: 104 MiB, inside the budget.
+            (3_324, 14, 9, 1),
         ],
     )
-    def test_each_chunk_is_planned_with_its_engine(
-        self, faults, pattern_bits, cell_bits, cycles, engine
+    def test_registry_universes_fit_the_byte_budget(
+        self, faults, pattern_bits, cell_bits, n_chunks
     ):
-        config = FaultSimConfig()
         universe = list(range(faults))
-        assert (
-            config.select_engine(faults, pattern_bits, cycles, cell_bits=cell_bits)
-            == "bigint"
+        engine, chunks = fault_chunks(
+            universe, FaultSimConfig(), pattern_bits, cell_bits=cell_bits
         )
-        chunks = _fault_chunks(
-            universe, config, pattern_bits, cycles, cell_bits=cell_bits
+        assert engine == "ppsfp"
+        assert len(chunks) == n_chunks
+        # Contiguous and balanced: equal chunks, then one no larger.
+        assert [fault for chunk in chunks for fault in chunk] == universe
+        sizes = [len(chunk) for chunk in chunks]
+        assert len(set(sizes[:-1])) <= 1 and sizes[-1] <= sizes[0]
+        cell_bytes = table_cell_bytes(cell_bits)
+        assert all(
+            (size * cell_bytes << pattern_bits) <= DEFAULT_PPSFP_BYTE_BUDGET
+            for size in sizes
         )
-        size = adaptive_batch_bits(faults)
-        assert [chunk for _, chunk in chunks] == [
-            universe[start : start + size] for start in range(0, faults, size)
-        ]
-        assert {chunk_engine for chunk_engine, _ in chunks} == {engine}
+
+    def test_cells_over_64_bits_get_reference_chunks(self):
+        faults = list(range(5000))
+        engine, chunks = fault_chunks(faults, FaultSimConfig(), 4, cell_bits=65)
+        assert engine == "bigint"
+        size = adaptive_batch_bits(len(faults))
+        assert chunks == [faults[at : at + size] for at in range(0, 5000, size)]
 
     def test_boundaries_are_jobs_invariant(self):
-        # _fault_chunks has no jobs parameter at all: the same universe
+        # fault_chunks has no jobs parameter at all: the same universe
         # always chunks identically, whatever the pool size.
         import inspect
 
-        parameters = inspect.signature(_fault_chunks).parameters
+        parameters = inspect.signature(fault_chunks).parameters
         assert "jobs" not in parameters
 
 

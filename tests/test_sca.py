@@ -565,14 +565,14 @@ def test_analysis_verify_passes_on_benchmark():
 def test_collapsed_simulation_bit_identical_to_full_universe():
     """Per-test detection over representatives, expanded, equals the
     per-test detection over the raw uncollapsed universe."""
-    from repro.gatelevel.compiled import CompiledFaultSimulator
+    from repro.gatelevel.fault_sim import InterpretedSimulator
 
     study = CircuitStudy("lion")
     netlist = study.scan_circuit.netlist
     universe = collapse_universe(netlist)
     full = enumerate_stuck_at(netlist)
-    sim_full = CompiledFaultSimulator(study.scan_circuit, study.table, full)
-    sim_reps = CompiledFaultSimulator(
+    sim_full = InterpretedSimulator(study.scan_circuit, study.table, full)
+    sim_reps = InterpretedSimulator(
         study.scan_circuit, study.table, list(universe.representatives)
     )
     for test in study.generation.test_set:

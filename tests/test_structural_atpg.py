@@ -33,6 +33,7 @@ from repro.atpg import (
     STATUS_UNTESTABLE,
     generate_structural_tests,
 )
+from repro.atpg import engine as atpg_engine
 from repro.atpg.model import FaultedCircuit, StateCodeConstraint
 from repro.atpg.podem import podem_search
 from repro.atpg.dalg import d_algorithm_search
@@ -41,8 +42,8 @@ from repro.benchmarks import circuit_names, load_circuit
 from repro.core.testset import ScanTest
 from repro.errors import AtpgError
 from repro.fuzz.strategies import state_tables
-from repro.gatelevel.compiled import CompiledFaultSimulator
 from repro.gatelevel.detectability import assigned_pattern_mask, detectable_faults
+from repro.gatelevel.fault_sim import InterpretedSimulator
 from repro.gatelevel.netlist import GateType, Netlist
 from repro.gatelevel.ppsfp import PpsfpSimulator
 from repro.gatelevel.scan import ScanCircuit
@@ -149,6 +150,25 @@ class TestPinnedCounts:
             assert not run.aborted
             assert all(v.witness for v in run.tests)
 
+    def test_witnesses_replay_on_budget_sized_chunks(self, monkeypatch):
+        """A byte budget of four lion tables cuts the replay into chunks;
+        the verdicts and witnesses stay those of the one-chunk replay."""
+        table, circuit = _synthesize("lion")
+        faults = _representatives(circuit)
+        whole = generate_structural_tests(circuit, table, faults, replay=True)
+        built = []
+        real = atpg_engine.make_fault_simulator
+
+        def recording(circuit, table, chunk, config=None):
+            built.append(len(chunk))
+            return real(circuit, table, chunk, config)
+
+        monkeypatch.setattr(atpg_engine, "make_fault_simulator", recording)
+        monkeypatch.setattr("repro.core.config.DEFAULT_PPSFP_BYTE_BUDGET", 4 * 16)
+        chunked = generate_structural_tests(circuit, table, faults, replay=True)
+        assert len(built) > 1 and max(built) <= 4
+        assert chunked == whole
+
     def test_test_set_export(self):
         table, circuit = _synthesize("lion")
         run = generate_structural_tests(circuit, table, _representatives(circuit))
@@ -188,7 +208,7 @@ class TestAtpgProperties:
     @given(_machines())
     def test_cubes_detect_through_both_engines(self, table):
         """Every returned cube, expanded to a scan test, detects its target
-        fault through the PPSFP *and* the big-int fault-sim engines, and
+        fault through the PPSFP engine *and* the interpreted reference, and
         untestable verdicts agree with static certificates when they exist.
         """
         circuit = ScanCircuit.from_machine(table, SynthesisOptions(max_fanin=4))
@@ -202,11 +222,11 @@ class TestAtpgProperties:
         assert not run.aborted
         if run.tests:
             ppsfp = PpsfpSimulator(circuit, table, faults)
-            bigint = CompiledFaultSimulator(circuit, table, faults)
+            reference = InterpretedSimulator(circuit, table, faults)
             for verdict in run.tests:
                 test = _expanded_test(table, verdict)
                 assert verdict.fault in ppsfp.detects(test)
-                assert verdict.fault in bigint.detects(test)
+                assert verdict.fault in reference.detects(test)
         certified = {c.fault for c in certificates} & set(faults)
         untestable = {v.fault for v in run.untestable}
         assert certified <= untestable
