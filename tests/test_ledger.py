@@ -165,7 +165,9 @@ class TestCliLedgering:
     def test_table6_records_the_ppsfp_replay_counters(self, capsys):
         # lion's two universes replay its 9 tests (28 cycles) once each;
         # the astray lookups count the per-fault steps off the fault-free
-        # trajectory.  Neither depends on how the sweep is scheduled.
+        # trajectory, and the difference words the lane words of its 168
+        # fault rows that the table build patched.  None depends on how
+        # the sweep is scheduled.
         assert main(["table6", "--circuits", "lion"]) == 0
         assert main(["table6", "--circuits", "lion", "--jobs", "2"]) == 0
         serial, parallel = read_ledger()
@@ -173,6 +175,8 @@ class TestCliLedgering:
             metrics = record["metrics"]
             assert metrics["faultsim.ppsfp.cycles"]["value"] == 56
             assert metrics["faultsim.ppsfp.astray_steps"]["value"] == 254
+            assert metrics["faultsim.ppsfp.pattern_words"]["value"] == 168
+            assert metrics["faultsim.ppsfp.diff_words"]["value"] == 153
 
     def test_generate_is_ledgered(self, capsys):
         assert main(["generate", "lion", "--no-tests"]) == 0

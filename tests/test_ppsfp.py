@@ -10,6 +10,7 @@ shape, or pattern width fails loudly.
 
 from __future__ import annotations
 
+import dataclasses
 import random
 import tracemalloc
 from collections import Counter
@@ -27,11 +28,16 @@ from repro.core.config import (
 from repro.core.generator import generate_tests
 from repro.core.testset import ScanTest
 from repro.errors import FaultSimulationError
-from repro.gatelevel.bridging import BridgeKind, BridgingFault, enumerate_bridging_faults
+from repro.fsm.state_table import StateTable
 from repro.fuzz import MachineSpec, generate_machine
 from repro.fuzz.generators import random_gate_faults
 from repro.fuzz.strategies import machine_specs
 from repro.gatelevel import ppsfp as ppsfp_module
+from repro.gatelevel.bridging import (
+    BridgeKind,
+    BridgingFault,
+    enumerate_bridging_faults,
+)
 from repro.gatelevel.detectability import assigned_pattern_mask, detectable_faults
 from repro.gatelevel.dispatch import (
     circuit_chunks,
@@ -41,10 +47,13 @@ from repro.gatelevel.dispatch import (
     partition_by_mask,
 )
 from repro.gatelevel.fault_sim import InterpretedSimulator
+from repro.gatelevel.netlist import exhaustive_pattern_words
 from repro.gatelevel.ppsfp import PpsfpSimulator
 from repro.gatelevel.scan import ScanCircuit
 from repro.gatelevel.stuck_at import StuckAtFault, collapse_stuck_at
 from repro.gatelevel.synthesis import SynthesisOptions
+from repro.harness.experiments import StudyOptions
+from repro.obs.metrics import MetricsRegistry, set_registry
 
 #: Cap on fault-rows x patterns for the pinned all-circuits sweep; keeps
 #: the widest machines (2^18 patterns) to a few representative faults.
@@ -189,6 +198,19 @@ class TestDispatchEdgeCases:
         for test in _walk_tests(table, n_tests=2):
             assert simulator.detect_mask(test) == 0
             assert simulator.detects(test) == frozenset()
+
+    def test_an_empty_universe_counts_no_table(self):
+        table, circuit = _synthesize("lion")
+        registry = MetricsRegistry()
+        previous = set_registry(registry)
+        try:
+            PpsfpSimulator(circuit, table, [])
+            assert not [name for name in registry.names() if "ppsfp" in name]
+            PpsfpSimulator(circuit, table, [StuckAtFault(0, None, 1)])
+        finally:
+            set_registry(previous)
+        assert registry["faultsim.ppsfp.tables"].value == 1
+        assert registry["faultsim.ppsfp.pattern_words"].value == 1
 
     def test_empty_universe_always_ppsfp(self):
         table, circuit = _synthesize("lion")
@@ -389,10 +411,8 @@ class TestDetectableMask:
         tests = list(generate_tests(table).test_set) + _walk_tests(table)
         simulator = PpsfpSimulator(circuit, table, faults)
         masks, detectable = simulator.detect_masks(tests), simulator.detectable_mask()
-        # One fault row per build slab and one row per compared block of
-        # the difference bitsets.
+        # One fault row per build slab.
         monkeypatch.setattr(ppsfp_module, "SLAB_BYTES_BUDGET", 1)
-        monkeypatch.setattr(ppsfp_module, "DERIVE_BLOCK_CELLS", 1)
         blocked = PpsfpSimulator(circuit, table, faults)
         assert blocked.detect_masks(tests) == masks
         assert blocked.detectable_mask() == detectable
@@ -439,8 +459,9 @@ def _stepped_replay(simulator, tests):
     its event-driven walk: tests sorted longest first step one
     ``(tests, faults)`` matrix one clock cycle at a time over ragged,
     cycle-major arrays of the fault-free patterns.  Faults on the fault-free
-    trajectory read their test's row of ``cells``; faults whose state went
-    astray without showing at an output are gathered from their own codes.
+    trajectory read their test's column of ``cells``; faults whose state
+    went astray without showing at an output are gathered from their own
+    codes.
     It shares only ``cells`` with the walk, so it checks the walk's
     bitsets, its bookkeeping of astray faults and its scan-out compare.
 
@@ -485,21 +506,22 @@ def _stepped_replay(simulator, tests):
         good[at] = good_cells
 
     flat = simulator.cells.reshape(-1)
+    n_patterns = simulator.cells.shape[1]
     out_mask = (1 << po) - 1
     detected = np.zeros((len(tests), n_faults), dtype=bool)
     astray_t = astray_f = astray_code = np.empty(0, dtype=np.int64)
     for c in range(max_len):
         k, lo = int(active[c]), int(starts[c])
         k_next = int(active[c + 1]) if c + 1 < max_len else 0
-        cells = simulator.cells[rows[lo : lo + k]]
+        cells = simulator.cells[:, rows[lo : lo + k]].T
         was_astray = np.zeros((k, n_faults), dtype=bool)
         if astray_t.size:
             was_astray[astray_t, astray_f] = True
             events["unassigned"] += sum(
                 int(code) not in assigned for code in astray_code
             )
-            index = (astray_code << pi | combos[lo + astray_t]) * n_faults
-            cells[astray_t, astray_f] = flat[index + astray_f]
+            index = astray_code << pi | combos[lo + astray_t]
+            cells[astray_t, astray_f] = flat[astray_f * n_patterns + index]
         diff = cells ^ good[lo : lo + k, None]
         shown = (diff & out_mask) != 0
         strays = diff > out_mask
@@ -591,18 +613,243 @@ class TestEventReplay:
     def test_detection_and_detectability_share_one_bitset_build(
         self, monkeypatch
     ):
+        """Construction builds the two bitsets; replay and detectability
+        only read them."""
         builds = []
-        build = PpsfpSimulator._build_differences
+        build = ppsfp_module._bit_rows
 
-        def counted(simulator):
-            builds.append(simulator)
-            return build(simulator)
+        def counted(lanes, *args):
+            builds.append(lanes.shape)
+            return build(lanes, *args)
 
-        monkeypatch.setattr(PpsfpSimulator, "_build_differences", counted)
+        monkeypatch.setattr(ppsfp_module, "_bit_rows", counted)
         table, circuit = _synthesize("lion")
         simulator = PpsfpSimulator(circuit, table, _mixed_universe(circuit))
+        assert len(builds) == 2  # differs and shows
         tests = _walk_tests(table)
         simulator.detect_masks(tests)
         simulator.detectable_mask()
         simulator.detect_mask(tests[0])
-        assert builds == [simulator]
+        assert len(builds) == 2
+
+
+# ------------------------------------- the table build against its reference
+
+
+#: The dense reference's slab working set: the build's default budget.
+_REFERENCE_SLAB_BYTES = 64 << 20
+
+
+def _pack_rows(flags):
+    """One Python int per row of ``flags``, whose bit ``i`` is column ``i``."""
+    packed = np.packbits(flags, axis=1, bitorder="little")
+    return [int.from_bytes(row.tobytes(), "little") for row in packed]
+
+
+def _dense_tables(simulator):
+    """Pattern-major cells and the difference bitsets, built densely.
+
+    This is how :class:`PpsfpSimulator` built its tables before it wrote
+    fault-major rows patched only where a fault differs.  Each slab's cone
+    is swept into a buffer with one row per cone gate.  Each slab's
+    ``(rows, patterns)`` cells are assembled from every cell line's lanes,
+    unpacked to one byte per pattern, and written transposed into
+    ``cells[pattern, fault]``.  A second pass then compares every assigned
+    row of ``cells`` with the state table's fault-free cell.  It shares
+    only the slab cones and the gate sweep (``_forward``) with the build,
+    so it checks the layout, the patched words, the lanes, the bit
+    transpose and the reuse of buffer rows.
+    """
+    circuit, table = simulator.circuit, simulator.table
+    netlist = circuit.netlist
+    n_faults = len(simulator.faults)
+    sv, pi = circuit.n_state_variables, circuit.n_primary_inputs
+    po = circuit.n_primary_outputs
+    n_patterns = 1 << (sv + pi)
+    dtype = simulator.cells.dtype
+    cells = np.empty((n_patterns, n_faults), dtype=dtype)
+    pattern_words = exhaustive_pattern_words(sv + pi)
+    n_words = pattern_words[0].shape[0] if pattern_words else 1
+    block_patterns = adaptive_batch_bits(n_patterns, engine="ppsfp")
+    block_words = max(1, min(n_words, block_patterns // 64))
+    per_row_bytes = netlist.n_gates * block_words * 8
+    slab_rows = max(1, min(n_faults, _REFERENCE_SLAB_BYTES // per_row_bytes))
+    slabs = [
+        dataclasses.replace(
+            slab,
+            slot={gate: k for k, gate in enumerate(slab.gates)},
+            n_slots=len(slab.gates),
+        )
+        for slab in ppsfp_module._slabs(circuit, simulator.faults, slab_rows)
+    ]
+    cone = max(slab.n_slots for slab in slabs)
+    buffer = np.empty((cone, slab_rows, block_words), dtype=np.uint64)
+    machine = circuit.circuit
+    lines = machine.next_state_lines + machine.primary_output_lines
+    shifts = range(len(lines) - 1, -1, -1)
+
+    def cell_bits(lanes, shift):
+        lanes = np.ascontiguousarray(lanes)
+        bits = np.unpackbits(lanes.view(np.uint8), axis=-1, bitorder="little")
+        return np.left_shift(bits, shift, dtype=dtype)
+
+    for word_lo in range(0, n_words, block_words):
+        word_hi = min(word_lo + block_words, n_words)
+        good = netlist.evaluate([words[word_lo:word_hi] for words in pattern_words])
+        good_cells = np.zeros((word_hi - word_lo) * 64, dtype=dtype)
+        for line, shift in zip(lines, shifts):
+            good_cells |= cell_bits(good[line], shift)
+        pattern_lo = word_lo * 64
+        width = min(good_cells.size, n_patterns - pattern_lo)
+        for slab in slabs:
+            rows = slab.hi - slab.lo
+            values = buffer[: slab.n_slots, :rows, : word_hi - word_lo]
+            simulator._forward(slab, good, values)
+            block = np.empty((rows, good_cells.size), dtype=dtype)
+            block[:] = good_cells
+            for line, shift in zip(lines, shifts):
+                if line in slab.slot:
+                    block ^= cell_bits(values[slab.slot[line]] ^ good[line], shift)
+            cells[pattern_lo : pattern_lo + width, slab.lo : slab.hi] = (
+                block[:, :width].T
+            )
+
+    # The row compare, in blocks of at most 2^20 (row, fault) cells.
+    codes = np.asarray(circuit.encoding.codes, dtype=np.int64)
+    n_combos = table.n_input_combinations
+    rows = ((codes[:, None] << pi) | np.arange(n_combos)).reshape(-1)
+    good_next = codes[np.asarray(table.next_state)].reshape(-1)
+    good = (good_next << po | np.asarray(table.output).reshape(-1)).astype(dtype)
+    out_mask = dtype.type((1 << po) - 1)
+    differs, shows = [], []
+    block = max(1, (1 << 20) // n_faults)
+    for lo in range(0, rows.size, block):
+        hi = min(lo + block, rows.size)
+        delta = cells[rows[lo:hi]] ^ good[lo:hi, None]
+        differs += _pack_rows(delta != 0)
+        shows += _pack_rows(delta & out_mask != 0)
+    by_state = range(0, rows.size, n_combos)
+    return (
+        cells,
+        [differs[at : at + n_combos] for at in by_state],
+        [shows[at : at + n_combos] for at in by_state],
+    )
+
+
+def _reference_case(name):
+    """A circuit's table, scan circuit and universe for the build checks.
+
+    ``log`` gets its whole stuck-at universe: 3,324 faults, not a multiple
+    of 64, over two pattern blocks.  ``unassigned`` is
+    :data:`_UNASSIGNED_SPEC`, a machine with an unassigned state code.
+    """
+    if name == "unassigned":
+        table = generate_machine(_UNASSIGNED_SPEC)
+        circuit = ScanCircuit.from_machine(table, SynthesisOptions(max_fanin=4))
+    else:
+        table, circuit = _synthesize(name)
+    if name == "log":
+        return table, circuit, sorted(set(collapse_stuck_at(circuit.netlist).values()))
+    return table, circuit, _mixed_universe(circuit, max_bridges=40)
+
+
+class TestTableBuild:
+    @pytest.mark.parametrize(
+        "name",
+        [
+            "lion",  # 16 patterns: every code shares the one lane word
+            "bbtas",  # over 64 faults, 32 patterns
+            "mark1",  # uint32 cells
+            "log",  # 3,324 faults, two pattern blocks
+            "unassigned",  # an unassigned state code
+        ],
+    )
+    def test_tables_equal_the_dense_reference(self, name, monkeypatch):
+        """Fault-major cells equal the dense build's, transposed, and the
+        lane bitsets equal the row compare's, with default and one-row
+        slabs."""
+        table, circuit, faults = _reference_case(name)
+        simulator = PpsfpSimulator(circuit, table, faults)
+        cells, differs, shows = _dense_tables(simulator)
+        assert any(any(row) for row in shows)  # some fault shows: not vacuous
+        for budget in (ppsfp_module.SLAB_BYTES_BUDGET, 1):
+            monkeypatch.setattr(ppsfp_module, "SLAB_BYTES_BUDGET", budget)
+            simulator = PpsfpSimulator(circuit, table, faults)
+            assert simulator.cells.shape == (len(faults), cells.shape[0])
+            assert np.array_equal(simulator.cells, cells.T)
+            assert simulator.differs == differs
+            assert simulator.shows == shows
+            del simulator
+
+    def test_a_disagreeing_state_table_is_refused(self):
+        """The lanes differ from the netlist's fault-free sweep, so a table
+        that disagrees with it on one assigned row fails the build."""
+        table, circuit = _synthesize("lion")
+        output = np.array(table.output)
+        output[2, 1] ^= 1
+        flipped = StateTable(
+            table.next_state, output, table.n_inputs, table.n_outputs, name="lion"
+        )
+        faults = _mixed_universe(circuit)
+        with pytest.raises(FaultSimulationError, match="state 2, input 1"):
+            PpsfpSimulator(circuit, flipped, faults)
+        PpsfpSimulator(circuit, table, faults)
+
+
+def _live_peak(netlist, keep):
+    """The most values live at once in a topological sweep of the whole
+    netlist: a line is live from its gate to its last reader, and the lines
+    of ``keep`` to the end."""
+    last = {}
+    for gate in netlist.gates:
+        for fanin in gate.fanins:
+            last[fanin] = gate.index
+    live, peak = set(), 0
+    for gate in netlist.gates:
+        live.add(gate.index)
+        peak = max(peak, len(live))
+        for line in (*gate.fanins, gate.index):
+            if line not in keep and last.get(line, gate.index) == gate.index:
+                live.discard(line)
+    return peak
+
+
+class TestBufferRows:
+    @pytest.mark.parametrize("budget", [None, 1])
+    @pytest.mark.parametrize("name", circuit_names(tier="small"))
+    def test_rows_are_reused_only_after_their_last_reader(
+        self, name, budget, monkeypatch
+    ):
+        if budget is not None:
+            monkeypatch.setattr(ppsfp_module, "SLAB_BYTES_BUDGET", budget)
+        _, circuit = _synthesize(name)
+        netlist = circuit.netlist
+        machine = circuit.circuit
+        keep = set(machine.next_state_lines + machine.primary_output_lines)
+        peak = _live_peak(netlist, keep)
+        fanouts = netlist.fanouts()
+        # The universes grading builds: every collapsed stuck-at fault, and
+        # the study's sample of bridging pairs.
+        stuck = sorted(set(collapse_stuck_at(netlist).values()))
+        limit = StudyOptions().bridging_pair_limit
+        bridges = enumerate_bridging_faults(netlist, limit=limit, seed=name)
+        for faults in (stuck, bridges):
+            if not faults:
+                continue
+            slabs, _, _ = ppsfp_module._plan(circuit, faults)
+            for slab in slabs:
+                position = {gate: k for k, gate in enumerate(slab.gates)}
+                holder = {}
+                for k, gate in enumerate(slab.gates):
+                    row = slab.slot[gate]
+                    assert 0 <= row < slab.n_slots
+                    previous = holder.get(row)
+                    if previous is not None:
+                        # The row's last holder is read by no gate from here on.
+                        assert previous not in keep
+                        assert all(position[r] < k for r in fanouts[previous])
+                    holder[row] = gate
+                # Next-state and output rows survive to the end of the sweep.
+                for line in keep & set(position):
+                    assert holder[slab.slot[line]] == line
+                assert slab.n_slots <= peak
