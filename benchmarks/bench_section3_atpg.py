@@ -13,19 +13,27 @@ which provably detect every detectable bridging fault.
 
 from __future__ import annotations
 
+from functools import reduce
+from operator import or_
+
 import pytest
 
 from repro.benchmarks import circuit_names, load_circuit, load_kiss_machine
+from repro.core.baseline import per_transition_tests
 from repro.core.generator import generate_tests
 from repro.gatelevel.atpg import generate_stuck_at_atpg
 from repro.gatelevel.bridging import enumerate_bridging_faults
-from repro.gatelevel.detectability import detectable_faults
-from repro.gatelevel.fault_sim import simulate_tests
+from repro.gatelevel.dispatch import detection_masks
 from repro.gatelevel.scan import ScanCircuit
 from repro.gatelevel.stuck_at import collapse_stuck_at
 from repro.gatelevel.synthesis import SynthesisOptions
 
 CIRCUITS = sorted(circuit_names("small"))
+
+
+def _detected(circuit, table, faults, tests) -> int:
+    """The faults (bit ``i`` is ``faults[i]``) some test of ``tests`` detects."""
+    return reduce(or_, detection_masks(circuit, table, faults, list(tests)), 0)
 
 
 @pytest.mark.parametrize("name", CIRCUITS)
@@ -41,26 +49,22 @@ def test_atpg_vs_functional_bridging(benchmark, name):
         functional = generate_tests(table)
         bridging = enumerate_bridging_faults(circuit.netlist, limit=200, seed=name)
         if not bridging:
-            return atpg, functional, None, None
-        bridge_detectable, _ = detectable_faults(circuit.netlist, bridging)
-        atpg_hits = simulate_tests(
-            circuit, table, atpg.test_set, sorted(bridge_detectable, key=repr)
-        )
-        functional_hits = simulate_tests(
-            circuit,
-            table,
-            functional.test_set,
-            sorted(bridge_detectable, key=repr),
-        )
-        return atpg, functional, atpg_hits, functional_hits
+            return atpg, functional, None, None, None
+        # The per-transition tests apply every assigned pattern, so they
+        # detect exactly the detectable bridges.
+        detectable = _detected(circuit, table, bridging, per_transition_tests(table))
+        atpg_hits = _detected(circuit, table, bridging, atpg.test_set)
+        functional_hits = _detected(circuit, table, bridging, functional.test_set)
+        return atpg, functional, detectable, atpg_hits, functional_hits
 
-    atpg, functional, atpg_hits, functional_hits = benchmark.pedantic(
+    atpg, functional, detectable, atpg_hits, functional_hits = benchmark.pedantic(
         run, rounds=1, iterations=1
     )
     # ATPG covers faults with patterns; bounded by the pattern space.
     assert 0 < atpg.n_tests <= table.n_transitions
-    if atpg_hits is None:
+    if detectable is None:
         pytest.skip("no qualifying bridging pairs on this netlist")
     # The functional tests detect every detectable bridging fault; the
     # stuck-at ATPG is not guaranteed to (and must never do better).
-    assert len(atpg_hits.detected) <= len(functional_hits.detected)
+    assert functional_hits == detectable
+    assert atpg_hits.bit_count() <= functional_hits.bit_count()

@@ -1,8 +1,9 @@
 """Configuration of the test generation and fault simulation procedures.
 
 Besides the two procedures' config objects, this module holds the sizing
-rules of the fault simulators: big-int batch widths and PPSFP pattern
-blocks (:func:`adaptive_batch_bits`), the width of a PPSFP table cell
+rules of the fault simulators: big-int batch widths
+(:func:`adaptive_batch_bits`), PPSFP pattern blocks
+(:data:`DEFAULT_PPSFP_PATTERN_BLOCK`), the width of a PPSFP table cell
 (:func:`table_cell_bytes`), and the byte budget on one PPSFP table
 (:data:`DEFAULT_PPSFP_BYTE_BUDGET`), at which
 :func:`repro.gatelevel.dispatch.fault_chunks` cuts a universe.
@@ -48,43 +49,18 @@ DEFAULT_PPSFP_BYTE_BUDGET = 128 << 20
 FAULT_SIM_ENGINES = ("auto", "ppsfp", "bigint")
 
 
-def adaptive_batch_bits(
-    n_faults: int,
-    cap: int | None = None,
-    *,
-    engine: str = "bigint",
-) -> int:
-    """Batch width (bits) sized to the universe, per engine.
+def adaptive_batch_bits(n_faults: int, cap: int | None = None) -> int:
+    """Big-int batch width (bits) sized to the universe.
 
-    ``engine="bigint"`` (the default) sizes big-int fault words: small
-    universes get exactly-sized words instead of paying for ``cap``-bit
-    arithmetic; universes above the cap are split into balanced batches
-    (``ceil(n / ceil(n / cap))``), so e.g. 2049 faults become two ~1025-bit
-    batches rather than a 2048-bit word plus a 1-bit straggler.
-
-    ``engine="ppsfp"`` sizes pattern blocks instead: ``n_faults`` is read
-    as a *pattern* count and the result is rounded up to a multiple of 64
-    (one uint64 lane holds 64 patterns), balanced the same way above the
-    cap.
+    Small universes get exactly-sized words instead of paying for
+    ``cap``-bit arithmetic; universes above the cap are split into balanced
+    batches (``ceil(n / ceil(n / cap))``), so e.g. 2049 faults become two
+    ~1025-bit batches rather than a 2048-bit word plus a 1-bit straggler.
     """
-    if engine not in ("bigint", "ppsfp"):
-        raise FaultSimulationError(f"unknown fault-sim engine {engine!r}")
     if cap is None:
-        cap = (
-            DEFAULT_PPSFP_PATTERN_BLOCK
-            if engine == "ppsfp"
-            else DEFAULT_BATCH_BITS_CAP
-        )
+        cap = DEFAULT_BATCH_BITS_CAP
     if cap < 1:
         raise FaultSimulationError("batch bit cap must be >= 1")
-    if engine == "ppsfp":
-        # Lane-align both the cap and the result: a partial uint64 lane
-        # costs the same as a full one.
-        cap = max(64, (cap // 64) * 64)
-        if n_faults <= cap:
-            return max(64, -(-n_faults // 64) * 64)
-        n_batches = -(-n_faults // cap)
-        return -(-(-(-n_faults // n_batches)) // 64) * 64
     if n_faults <= cap:
         return max(1, n_faults)
     n_batches = -(-n_faults // cap)

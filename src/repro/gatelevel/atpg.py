@@ -9,67 +9,37 @@ Section 3 of the paper remarks:
 
 This module provides that gate-level procedure so the remark can be
 measured.  Under full scan, a stuck-at test is one combinational pattern
-(state code + primary inputs) applied as a length-1 scan test.  The
-generator computes, for every target fault, the exact set of patterns
-detecting it (the same machinery as the exhaustive detectability oracle,
-kept per-pattern instead of collapsed to a yes/no), then greedily covers
-all detectable faults with as few patterns as possible — an idealized ATPG
+(state code + primary inputs) applied as a length-1 scan test, which is
+exactly one test of the per-transition baseline
+(:func:`repro.core.baseline.per_transition_tests`).  The generator grades
+every baseline test against the target faults on the fault-sim dispatcher
+(:func:`repro.gatelevel.dispatch.detection_masks`), so each test's mask is
+the exact set of faults its pattern detects, and then greedily covers all
+detectable faults with as few patterns as possible — an idealized ATPG
 with perfect fault-detection knowledge, i.e. an upper bound on what any
 deterministic stuck-at ATPG could achieve in test-count terms.
 
-The resulting tests are ordinary :class:`~repro.core.testset.ScanTest`
+The chosen tests are the baseline's own :class:`~repro.core.testset.ScanTest`
 objects, so every grader in the library (bridging, delay, functional) can
 evaluate them directly against the paper's functional tests.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
-import numpy as np
-
-from repro.core.testset import ScanTest, Segment, SegmentKind, TestSet
+from repro.core.baseline import per_transition_tests
+from repro.core.testset import TestSet
 from repro.errors import FaultSimulationError
 from repro.fsm.state_table import StateTable
 from repro.gatelevel.bridging import BridgingFault
-from repro.gatelevel.detectability import (
-    _activation,
-    _with_cones,
-    assigned_pattern_mask,
-    fault_free_values,
-    output_difference_words,
-)
-from repro.gatelevel.netlist import Netlist, unpack_bits
+from repro.gatelevel.dispatch import detection_masks
 from repro.gatelevel.scan import ScanCircuit
 from repro.gatelevel.stuck_at import StuckAtFault
 
-__all__ = ["AtpgResult", "detection_words", "generate_stuck_at_atpg"]
+__all__ = ["AtpgResult", "generate_stuck_at_atpg"]
 
 Fault = StuckAtFault | BridgingFault
-
-
-def detection_words(
-    netlist: Netlist,
-    faults: list[Fault],
-    ff: np.ndarray | None = None,
-    pattern_mask: np.ndarray | None = None,
-) -> dict[Fault, np.ndarray]:
-    """For each fault, the word mask of patterns detecting it."""
-    if ff is None:
-        ff = fault_free_values(netlist)
-    result: dict[Fault, np.ndarray] = {}
-    for fault, dirty in _with_cones(netlist, faults):
-        activation = _activation(ff, fault, netlist, 0, ff.shape[1])
-        if pattern_mask is not None:
-            activation = activation & pattern_mask
-        if not np.any(activation):
-            result[fault] = np.zeros(ff.shape[1], dtype=np.uint64)
-            continue
-        words = output_difference_words(netlist, ff, fault, dirty)
-        if pattern_mask is not None:
-            words &= pattern_mask
-        result[fault] = words
-    return result
 
 
 @dataclass
@@ -99,54 +69,37 @@ def generate_stuck_at_atpg(
 ) -> AtpgResult:
     """Greedy minimum-pattern cover of all detectable stuck-at faults.
 
-    Patterns are restricted to state codes that exist in ``table``; ties
-    break towards numerically smaller patterns, keeping the result
-    deterministic.
+    Patterns are restricted to state codes that exist in ``table``.  Each
+    step takes the pattern that detects the most faults not yet covered,
+    ties going to the numerically smallest pattern ``code << PI | combo``;
+    the chosen tests come back in pattern order.  A fault listed twice is
+    covered once.
     """
-    netlist = circuit.netlist
-    sv = circuit.n_state_variables
     pi = circuit.n_primary_inputs
-    if netlist.n_inputs != sv + pi:
+    if circuit.netlist.n_inputs != circuit.n_state_variables + pi:
         raise FaultSimulationError("circuit interface mismatch")
-    n_patterns = 1 << (sv + pi)
-    mask = assigned_pattern_mask(circuit.encoding, pi)
-    words = detection_words(netlist, list(faults), pattern_mask=mask)
-    detectable = [fault for fault in faults if np.any(words[fault])]
-    undetectable = tuple(fault for fault in faults if not np.any(words[fault]))
-    remaining = {fault: words[fault] for fault in detectable}
+    baseline = per_transition_tests(table)
+    tests = baseline.tests
+    universe = list(dict.fromkeys(faults))
+    masks = detection_masks(circuit, table, universe, tests)
+    detectable = 0
+    for mask in masks:
+        detectable |= mask
+    hit = {fault: detectable >> bit & 1 for bit, fault in enumerate(universe)}
+    code_of = circuit.encoding.codes
+    pattern = [code_of[test.initial_state] << pi | test.inputs[0] for test in tests]
+    order = sorted(range(len(tests)), key=pattern.__getitem__)
     chosen: list[int] = []
+    remaining = detectable
     while remaining:
-        # Count, for every pattern, how many remaining faults it detects.
-        counts = np.zeros(n_patterns, dtype=np.int32)
-        for fault_words in remaining.values():
-            counts += unpack_bits(fault_words, n_patterns)
-        pattern = int(np.argmax(counts))
-        if counts[pattern] == 0:  # pragma: no cover - detectable by def.
-            raise FaultSimulationError("greedy cover stalled")
-        chosen.append(pattern)
-        word_index = pattern // 64
-        bit = np.uint64(1) << np.uint64(pattern % 64)
-        remaining = {
-            fault: fault_words
-            for fault, fault_words in remaining.items()
-            if not (fault_words[word_index] & bit)
-        }
-    pi_mask = (1 << pi) - 1
-    tests = []
-    for pattern in sorted(chosen):
-        state = circuit.encoding.decode(pattern >> pi)
-        combo = pattern & pi_mask
-        next_state = int(table.next_state[state, combo])
-        tests.append(
-            ScanTest(
-                state,
-                (combo,),
-                next_state,
-                (Segment(SegmentKind.TRANSITION, state, (combo,)),),
-                ((state, combo),),
-            )
-        )
-    test_set = TestSet(
-        table.name, table.n_state_variables, table.n_transitions, tests
+        counts = [(masks[row] & remaining).bit_count() for row in order]
+        # The first of equal counts is the smallest pattern.
+        best = order[counts.index(max(counts))]
+        chosen.append(best)
+        remaining &= ~masks[best]
+    chosen.sort(key=pattern.__getitem__)
+    return AtpgResult(
+        replace(baseline, tests=[tests[row] for row in chosen]),
+        tuple(fault for fault in faults if hit[fault]),
+        tuple(fault for fault in faults if not hit[fault]),
     )
-    return AtpgResult(test_set, tuple(detectable), undetectable)

@@ -25,20 +25,36 @@ Model (standard, documented simplifications):
   exact for the final cycle);
 * scan shift is slow, so the scan-in → first-vector and last-vector →
   scan-out boundaries are not at-speed pairs.
+
+A slow line holding its launch value through the capture cycle is, for
+that one cycle, the line's output stuck at the launch value: a fault slow
+to rise is caught at a capture cycle exactly when the line was 0 at launch
+and the capture pattern detects the line stuck-at-0 (a detected stuck-at-0
+already needs the line at 1 there, so the transition happened).  The
+capture verdicts are therefore the stuck-at detection masks of the
+per-transition tests (:func:`repro.core.baseline.per_transition_tests`,
+one length-1 test per (state, input) row), graded on the fault-sim
+dispatcher (:func:`repro.gatelevel.dispatch.detection_masks`), and the
+launch verdicts come from one fault-free sweep of the netlist over all
+patterns.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from functools import cache
+from typing import Iterable
 
 import numpy as np
 
+from repro.core.baseline import per_transition_tests
 from repro.core.testset import ScanTest
 from repro.errors import FaultSimulationError
 from repro.fsm.state_table import StateTable
-from repro.gatelevel.netlist import ALL_ONES, GateType, Netlist, _evaluate_gate
+from repro.gatelevel.dispatch import detection_masks
+from repro.gatelevel.netlist import GateType, Netlist, exhaustive_pattern_words
 from repro.gatelevel.scan import ScanCircuit
+from repro.gatelevel.stuck_at import StuckAtFault
 
 __all__ = [
     "TransitionDelayFault",
@@ -58,6 +74,11 @@ class TransitionDelayFault:
     def site(self) -> str:
         kind = "str" if self.rising else "stf"  # slow-to-rise / slow-to-fall
         return f"g{self.line}/{kind}"
+
+    @property
+    def launch_value(self) -> int:
+        """The value the line leaves: 0 when slow to rise, 1 when slow to fall."""
+        return 0 if self.rising else 1
 
 
 def enumerate_transition_delay_faults(netlist: Netlist) -> list[TransitionDelayFault]:
@@ -89,43 +110,6 @@ class DelaySimResult:
         return 100.0 * len(self.detected) / self.n_faults
 
 
-def _input_words(circuit: ScanCircuit, state: int, combo: int) -> list[np.ndarray]:
-    pi = circuit.n_primary_inputs
-    words = [
-        np.full(1, ALL_ONES if bit else 0, dtype=np.uint64)
-        for bit in circuit.encoding.encode_bits(state)
-    ]
-    for j in range(pi):
-        bit = (combo >> (pi - 1 - j)) & 1
-        words.append(np.full(1, ALL_ONES if bit else 0, dtype=np.uint64))
-    return words
-
-
-def _cone_diff(
-    netlist: Netlist,
-    values: np.ndarray,
-    line: int,
-    forced: np.ndarray,
-    observed: Sequence[int],
-) -> bool:
-    """Does forcing ``line`` to ``forced`` change any observed line?"""
-    dirty = netlist.fanout_closure([line])
-    local: dict[int, np.ndarray] = {line: forced}
-    for index in dirty:
-        if index == line:
-            continue
-        gate = netlist.gate(index)
-        fanin_values = [
-            local.get(fanin, values[fanin]) for fanin in gate.fanins
-        ]
-        local[index] = _evaluate_gate(gate.kind, fanin_values)
-    for out_line in observed:
-        effective = local.get(out_line)
-        if effective is not None and bool(np.any(effective ^ values[out_line])):
-            return True
-    return False
-
-
 def simulate_delay_faults(
     circuit: ScanCircuit,
     table: StateTable,
@@ -135,46 +119,53 @@ def simulate_delay_faults(
     """Grade ``tests`` against transition-delay faults.
 
     For every at-speed launch/capture pair of every test: a fault on line
-    ``l`` is detected when the launch cycle moves ``l`` in the slow
-    direction and freezing ``l`` at its launch value during the capture
-    cycle changes an observed output.
+    ``l`` is detected when the launch cycle leaves ``l`` at the value the
+    slow direction starts from and the capture pattern detects ``l``
+    stuck at that value (see the module docstring).
     """
     netlist = circuit.netlist
     if faults is None:
         faults = enumerate_transition_delay_faults(netlist)
-    remaining: dict[TransitionDelayFault, None] = dict.fromkeys(faults)
-    for fault in remaining:
+    faults = list(dict.fromkeys(faults))
+    for fault in faults:
         if not 0 <= fault.line < netlist.n_gates:
             raise FaultSimulationError(f"fault line {fault.line} does not exist")
-    detected: set[TransitionDelayFault] = set()
-    observed_lines = list(netlist.outputs)
-    n_pairs = 0
-    one = np.uint64(1)
-    for test in tests:
-        if not remaining:
-            break
-        state = test.initial_state
-        previous_values: np.ndarray | None = None
-        for combo in test.inputs:
-            values = netlist.evaluate(_input_words(circuit, state, combo))
-            if previous_values is not None:
-                n_pairs += 1
-                for fault in list(remaining):
-                    old = int(previous_values[fault.line, 0] & one)
-                    new = int(values[fault.line, 0] & one)
-                    launched = (old, new) == ((0, 1) if fault.rising else (1, 0))
-                    if not launched:
-                        continue
-                    forced = np.full(
-                        1, ALL_ONES if old else 0, dtype=np.uint64
-                    )
-                    if _cone_diff(
-                        netlist, values, fault.line, forced, observed_lines
-                    ):
-                        detected.add(fault)
-                        del remaining[fault]
-            previous_values = values
-            state, _ = table.step(state, combo)
-    return DelaySimResult(
-        frozenset(detected), frozenset(remaining), n_pairs
+    tests = list(tests)
+    n_pairs = sum(max(test.length - 1, 0) for test in tests)
+    remaining = (1 << len(faults)) - 1
+    if n_pairs and faults:
+        stuck = [StuckAtFault(f.line, None, f.launch_value) for f in faults]
+        captures = detection_masks(
+            circuit, table, stuck, per_transition_tests(table).tests
+        )
+        good = netlist.evaluate(exhaustive_pattern_words(netlist.n_inputs))
+        lines = [fault.line for fault in faults]
+        launch_values = np.array(
+            [fault.launch_value for fault in faults], dtype=np.uint64
+        )
+
+        @cache
+        def launched(pattern: int) -> int:
+            """The faults whose line holds its launch value at ``pattern``."""
+            word, bit = divmod(pattern, 64)
+            held = (good[lines, word] >> np.uint64(bit)) & np.uint64(1)
+            flags = np.packbits(held == launch_values, bitorder="little")
+            return int.from_bytes(flags.tobytes(), "little")
+
+        code_of, pi = circuit.encoding.codes, circuit.n_primary_inputs
+        n_combos, next_rows = table.n_input_combinations, table.next_rows
+        for test in tests:
+            if not remaining:
+                break
+            state = test.initial_state
+            launch: int | None = None
+            for combo in test.inputs:
+                if launch is not None:
+                    capture = captures[state * n_combos + combo]
+                    remaining &= ~(capture & launched(launch))
+                launch = code_of[state] << pi | combo
+                state = next_rows[state][combo]
+    undetected = frozenset(
+        fault for bit, fault in enumerate(faults) if remaining >> bit & 1
     )
+    return DelaySimResult(frozenset(faults) - undetected, undetected, n_pairs)

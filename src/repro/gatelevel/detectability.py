@@ -17,7 +17,11 @@ This is the reference oracle.  Fault grading reads the same verdicts off
 the PPSFP behavioral tables it builds anyway
 (:meth:`repro.gatelevel.ppsfp.PpsfpSimulator.detectable_mask`) and runs
 this cone re-simulation only for chunks simulated by the interpreted
-reference (:func:`repro.gatelevel.dispatch.detectable_mask`).
+reference (:func:`repro.gatelevel.dispatch.detectable_mask`).  The §3
+stuck-at ATPG and the transition-delay simulator do not run it either:
+they read which faults each pattern detects from the dispatcher's masks of
+the per-transition tests.  Besides the dispatcher, only the tests and the
+fuzz oracles call it.
 """
 
 from __future__ import annotations

@@ -2,8 +2,9 @@
 
 :func:`fault_chunks` cuts a universe into the contiguous, balanced chunks
 every caller simulates — the sweep (:mod:`repro.perf.engine`), ATPG's
-witness replay and the fault dictionary alike: on PPSFP each chunk's table
-fits :data:`repro.core.config.DEFAULT_PPSFP_BYTE_BUDGET`, on the reference
+witness replay, the fault dictionary, the §3 stuck-at ATPG and the
+transition-delay simulator alike: on PPSFP each chunk's table fits
+:data:`repro.core.config.DEFAULT_PPSFP_BYTE_BUDGET`, on the reference
 chunks take :func:`repro.core.config.adaptive_batch_bits` sizes.
 :func:`make_fault_simulator` builds one chunk's simulator: the production
 engine (:class:`repro.gatelevel.ppsfp.PpsfpSimulator`), or the interpreted

@@ -77,7 +77,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from repro.core.config import adaptive_batch_bits, table_cell_bytes
+from repro.core.config import DEFAULT_PPSFP_PATTERN_BLOCK, table_cell_bytes
 from repro.core.testset import ScanTest
 from repro.errors import FaultSimulationError
 from repro.fsm.state_table import StateTable
@@ -276,8 +276,7 @@ def _plan(
     """
     n_patterns = 1 << (circuit.n_state_variables + circuit.n_primary_inputs)
     n_words = max(1, n_patterns // 64)
-    block_patterns = adaptive_batch_bits(n_patterns, engine="ppsfp")
-    block_words = max(1, min(n_words, block_patterns // 64))
+    block_words = min(n_words, DEFAULT_PPSFP_PATTERN_BLOCK // 64)
     per_row_bytes = circuit.netlist.n_gates * block_words * 8
     slab_rows = max(1, min(len(faults), SLAB_BYTES_BUDGET // per_row_bytes))
     return _slabs(circuit, faults, slab_rows), block_words, n_words

@@ -1,4 +1,9 @@
-"""Unit tests for the gate-level stuck-at ATPG and the paper's remark."""
+"""Unit tests for the gate-level stuck-at ATPG and the paper's remark.
+
+The ATPG reads each pattern's detected faults off the fault-sim dispatcher.
+The cone-resimulation detection words and the greedy cover over them that
+it was first written with are kept here as its reference.
+"""
 
 from __future__ import annotations
 
@@ -7,24 +12,98 @@ import pytest
 
 from repro.benchmarks import load_circuit, load_kiss_machine
 from repro.core.generator import generate_tests
-from repro.gatelevel.atpg import detection_words, generate_stuck_at_atpg
+from repro.core.testset import ScanTest, Segment, SegmentKind, TestSet
+from repro.gatelevel.atpg import AtpgResult, generate_stuck_at_atpg
 from repro.gatelevel.bridging import enumerate_bridging_faults
-from repro.gatelevel.detectability import detectable_faults
+from repro.gatelevel.detectability import (
+    _activation,
+    _with_cones,
+    assigned_pattern_mask,
+    detectable_faults,
+    fault_free_values,
+    output_difference_words,
+)
 from repro.gatelevel.fault_sim import simulate_tests
+from repro.gatelevel.netlist import unpack_bits
 from repro.gatelevel.scan import ScanCircuit
 from repro.gatelevel.stuck_at import collapse_stuck_at
 from repro.gatelevel.synthesis import SynthesisOptions
 
 
-@pytest.fixture(scope="module", params=["lion", "bbtas", "dk512"])
+def detection_words(netlist, faults, ff=None, pattern_mask=None):
+    """For each fault, the word mask of patterns detecting it, by cone
+    re-simulation over the whole pattern space."""
+    if ff is None:
+        ff = fault_free_values(netlist)
+    result = {}
+    for fault, dirty in _with_cones(netlist, faults):
+        activation = _activation(ff, fault, netlist, 0, ff.shape[1])
+        if pattern_mask is not None:
+            activation = activation & pattern_mask
+        if not np.any(activation):
+            result[fault] = np.zeros(ff.shape[1], dtype=np.uint64)
+            continue
+        words = output_difference_words(netlist, ff, fault, dirty)
+        if pattern_mask is not None:
+            words &= pattern_mask
+        result[fault] = words
+    return result
+
+
+def reference_atpg(circuit, table, faults):
+    """The greedy cover over :func:`detection_words`: count every pattern's
+    remaining faults, take the first pattern of the highest count, and
+    build its length-1 test."""
+    pi = circuit.n_primary_inputs
+    n_patterns = 1 << (circuit.n_state_variables + pi)
+    mask = assigned_pattern_mask(circuit.encoding, pi)
+    words = detection_words(circuit.netlist, list(faults), pattern_mask=mask)
+    detectable = [fault for fault in faults if np.any(words[fault])]
+    undetectable = tuple(fault for fault in faults if not np.any(words[fault]))
+    remaining = {fault: words[fault] for fault in detectable}
+    chosen = []
+    while remaining:
+        counts = np.zeros(n_patterns, dtype=np.int32)
+        for fault_words in remaining.values():
+            counts += unpack_bits(fault_words, n_patterns)
+        pattern = int(np.argmax(counts))
+        chosen.append(pattern)
+        word_index, bit = divmod(pattern, 64)
+        remaining = {
+            fault: fault_words
+            for fault, fault_words in remaining.items()
+            if not int(fault_words[word_index]) >> bit & 1
+        }
+    tests = []
+    for pattern in sorted(chosen):
+        state = circuit.encoding.decode(pattern >> pi)
+        combo = pattern & ((1 << pi) - 1)
+        next_state = int(table.next_state[state, combo])
+        tests.append(
+            ScanTest(
+                state,
+                (combo,),
+                next_state,
+                (Segment(SegmentKind.TRANSITION, state, (combo,)),),
+                ((state, combo),),
+            )
+        )
+    test_set = TestSet(
+        table.name, table.n_state_variables, table.n_transitions, tests
+    )
+    return AtpgResult(test_set, tuple(detectable), undetectable)
+
+
+@pytest.fixture(scope="module", params=["lion", "bbtas", "dk512", "lion/gray"])
 def setup(request):
-    name = request.param
+    name, _, encoding = request.param.partition("/")
     table = load_circuit(name)
     circuit = ScanCircuit.from_machine(
-        load_kiss_machine(name), SynthesisOptions(max_fanin=4)
+        load_kiss_machine(name),
+        SynthesisOptions(max_fanin=4, encoding=encoding or "natural"),
     )
     faults = sorted(set(collapse_stuck_at(circuit.netlist).values()))
-    return name, table, circuit, faults
+    return request.param, table, circuit, faults
 
 
 class TestDetectionWords:
@@ -39,9 +118,7 @@ class TestDetectionWords:
     def test_marked_patterns_really_detect(self, setup):
         """Spot-check: a pattern flagged for a fault detects it as a
         length-1 scan test in the sequential simulator."""
-        from repro.core.testset import ScanTest
         from repro.gatelevel.fault_sim import detects
-        from repro.gatelevel.netlist import unpack_bits
 
         _, table, circuit, faults = setup
         pi = circuit.n_primary_inputs
@@ -53,15 +130,34 @@ class TestDetectionWords:
             if not hits.size:
                 continue
             pattern = int(hits[0])
-            state, combo = pattern >> pi, pattern & ((1 << pi) - 1)
-            if state >= table.n_states:
+            code, combo = pattern >> pi, pattern & ((1 << pi) - 1)
+            if code not in circuit.encoding.codes:
                 continue
+            state = circuit.decode_state(code)
             test = ScanTest(state, (combo,), int(table.next_state[state, combo]))
             assert fault in detects(circuit, table, test, [fault])
             checked += 1
             if checked >= 10:
                 break
         assert checked > 0
+
+
+class TestMatchesConeReference:
+    def test_same_tests_and_verdicts(self, reference_circuit):
+        table, circuit = reference_circuit
+        faults = sorted(set(collapse_stuck_at(circuit.netlist).values()))
+        result = generate_stuck_at_atpg(circuit, table, faults)
+        assert result == reference_atpg(circuit, table, faults)
+
+    def test_duplicate_faults_count_once(self, setup):
+        """A fault listed twice is covered once, and stays listed twice
+        among the verdicts."""
+        _, table, circuit, faults = setup
+        doubled = faults + faults[::3]
+        result = generate_stuck_at_atpg(circuit, table, doubled)
+        assert result == reference_atpg(circuit, table, doubled)
+        assert result.test_set == generate_stuck_at_atpg(circuit, table, faults).test_set
+        assert len(result.target_faults) + len(result.undetectable) == len(doubled)
 
 
 class TestAtpg:

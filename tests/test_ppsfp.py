@@ -22,8 +22,8 @@ from hypothesis import HealthCheck, example, given, settings
 from repro.benchmarks import circuit_names, load_circuit, load_kiss_machine
 from repro.core.config import (
     DEFAULT_PPSFP_BYTE_BUDGET,
+    DEFAULT_PPSFP_PATTERN_BLOCK,
     FaultSimConfig,
-    adaptive_batch_bits,
 )
 from repro.core.generator import generate_tests
 from repro.core.testset import ScanTest
@@ -318,25 +318,6 @@ class TestSelectEngine:
     def test_invalid_engine_rejected(self):
         with pytest.raises(FaultSimulationError):
             FaultSimConfig(engine="magic")
-
-
-class TestEngineAwareBatchBits:
-    def test_ppsfp_batches_are_lane_aligned(self):
-        for n_faults in (1, 63, 64, 65, 1000, 5000):
-            width = adaptive_batch_bits(n_faults, engine="ppsfp")
-            assert width % 64 == 0 or width >= n_faults
-
-    def test_ppsfp_cap_balances_in_word_multiples(self):
-        width = adaptive_batch_bits(10_000, cap=2048, engine="ppsfp")
-        assert width % 64 == 0
-        assert width <= 2048
-
-    def test_bigint_unchanged_by_engine_param(self):
-        assert adaptive_batch_bits(5000) == adaptive_batch_bits(5000, engine="bigint")
-
-    def test_unknown_engine_rejected(self):
-        with pytest.raises(FaultSimulationError):
-            adaptive_batch_bits(100, engine="magic")
 
 
 # ----------------------------------------------------------- sanity guards
@@ -670,8 +651,7 @@ def _dense_tables(simulator):
     cells = np.empty((n_patterns, n_faults), dtype=dtype)
     pattern_words = exhaustive_pattern_words(sv + pi)
     n_words = pattern_words[0].shape[0] if pattern_words else 1
-    block_patterns = adaptive_batch_bits(n_patterns, engine="ppsfp")
-    block_words = max(1, min(n_words, block_patterns // 64))
+    block_words = min(n_words, DEFAULT_PPSFP_PATTERN_BLOCK // 64)
     per_row_bytes = netlist.n_gates * block_words * 8
     slab_rows = max(1, min(n_faults, _REFERENCE_SLAB_BYTES // per_row_bytes))
     slabs = [
