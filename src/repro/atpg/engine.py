@@ -238,9 +238,8 @@ class TopOffReport:
 
 def _scan_test(table: StateTable, state: int, combo: int) -> ScanTest:
     next_state = int(table.next_state[state, combo])
-    return ScanTest(
+    return ScanTest.from_segments(
         state,
-        (combo,),
         next_state,
         (Segment(SegmentKind.TRANSITION, state, (combo,)),),
         ((state, combo),),

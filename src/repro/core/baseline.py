@@ -16,9 +16,8 @@ __all__ = ["per_transition_tests"]
 def per_transition_tests(table: StateTable) -> TestSet:
     """One length-1 scan test per state-transition, in (state, input) order."""
     tests = [
-        ScanTest(
+        ScanTest.from_segments(
             t.state,
-            (t.input,),
             t.next_state,
             (Segment(SegmentKind.TRANSITION, t.state, (t.input,)),),
             ((t.state, t.input),),

@@ -111,6 +111,26 @@ def select_effective_tests(
     )
 
 
+def _joined(left: ScanTest, right: ScanTest) -> ScanTest:
+    """``left`` then ``right`` as one test.
+
+    The layouts concatenate, with ``right``'s end offsets shifted past
+    ``left``'s inputs.
+    """
+    if bool(left.layout) != bool(right.layout):
+        # One test's segments alone cannot describe the joined inputs.
+        raise GenerationError("segments do not concatenate to inputs")
+    layout = list(right.layout)
+    layout[2::3] = [end + left.length for end in layout[2::3]]
+    return ScanTest(
+        left.initial_state,
+        left.inputs + right.inputs,
+        right.final_state,
+        left.layout + tuple(layout),
+        left.tested + right.tested,
+    )
+
+
 def combine_tests(
     test_set: TestSet,
     evaluate: Callable[[TestSet], float] | None = None,
@@ -139,13 +159,7 @@ def combine_tests(
             for j, right in enumerate(current):
                 if i == j or left.final_state != right.initial_state:
                     continue
-                merged = ScanTest(
-                    left.initial_state,
-                    left.inputs + right.inputs,
-                    right.final_state,
-                    left.segments + right.segments,
-                    left.tested + right.tested,
-                )
+                merged = _joined(left, right)
                 candidate = [
                     merged if k == i else test
                     for k, test in enumerate(current)

@@ -170,12 +170,12 @@ def verify_test_set(table: StateTable, test_set: TestSet) -> CoverageReport:
     # Partial-mode bookkeeping: states still indistinguishable per transition.
     pending: dict[tuple[int, int], set[int]] = {}
     for test in test_set:
-        if not test.segments:
+        segments = test.segments
+        if not segments:
             raise GenerationError(
                 f"test {test} carries no segment structure; cannot verify"
             )
         test.check_consistency(table)
-        segments = test.segments
         for index, segment in enumerate(segments):
             # Record everything the segment traverses as exercised.
             state = segment.start_state

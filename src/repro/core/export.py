@@ -85,15 +85,15 @@ def test_set_from_json(text: str) -> TestSet:
             for segment in entry.get("segments", ())
         )
         tests.append(
-            ScanTest(
+            ScanTest.from_segments(
                 int(entry["initial_state"]),
-                tuple(int(value) for value in entry["inputs"]),
                 int(entry["final_state"]),
                 segments,
                 tuple(
                     (int(state), int(combo))
                     for state, combo in entry.get("tested", ())
                 ),
+                inputs=tuple(int(value) for value in entry["inputs"]),
             )
         )
     return TestSet(

@@ -27,10 +27,9 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from itertools import chain
 
 from repro.core.config import GeneratorConfig
-from repro.core.testset import ScanTest, Segment, SegmentKind, TestSet
+from repro.core.testset import KIND_CODES, ScanTest, SegmentKind, TestSet
 from repro.errors import GenerationError
 from repro.fsm.state_table import StateTable
 from repro.obs.metrics import current_registry
@@ -42,6 +41,11 @@ from repro.uio.search import UioTable, compute_uio_table
 from repro.uio.transfer import find_transfer
 
 __all__ = ["GenerationResult", "generate_tests"]
+
+_TRANSITION = KIND_CODES[SegmentKind.TRANSITION]
+_UIO = KIND_CODES[SegmentKind.UIO]
+_TRANSFER = KIND_CODES[SegmentKind.TRANSFER]
+_PARTIAL_UIO = KIND_CODES[SegmentKind.PARTIAL_UIO]
 
 
 @dataclass
@@ -105,15 +109,6 @@ class _Generator:
         self.tests: list[ScanTest] = []
         self.incidental: list[tuple[int, int]] = []
         self._uio_of = [uio_table.get(state) for state in range(self.n_states)]
-        # Segments are frozen, so one per state's UIO and one per (source,
-        # transfer path) serve every test that applies them.
-        self._uio_segments = [
-            Segment(SegmentKind.UIO, state, seq.inputs)
-            if seq is not None and seq.inputs
-            else None
-            for state, seq in enumerate(self._uio_of)
-        ]
-        self._transfer_segments: dict[tuple[int, tuple[int, ...]], Segment] = {}
         # ((input,), next_state) per state, deduplicated by next state keeping
         # the smallest input — O(#successors) length-1 transfer lookup.
         self._succ_options = [_first_inputs(row) for row in self.next_rows]
@@ -189,15 +184,6 @@ class _Generator:
             self._partial_cache[state] = pset if pset.complete else None
         return self._partial_cache[state]
 
-    def transfer_segment(self, source: int, path: tuple[int, ...]) -> Segment:
-        """The shared TRANSFER segment applying ``path`` from ``source``."""
-        key = (source, path)
-        segment = self._transfer_segments.get(key)
-        if segment is None:
-            segment = Segment(SegmentKind.TRANSFER, source, path)
-            self._transfer_segments[key] = segment
-        return segment
-
     def credit_segment(self, start_state: int, inputs: tuple[int, ...]) -> None:
         """Optimistically credit transitions traversed by a UIO/transfer."""
         state = start_state
@@ -232,14 +218,20 @@ class _Generator:
         return False
 
     def build_test(self, start_state: int, start_combo: int) -> ScanTest:
-        """Grow one test starting with transition ``(start_state, start_combo)``."""
-        segments: list[Segment] = []
+        """Grow one test starting with transition ``(start_state, start_combo)``.
+
+        The test's inputs and its layout (kind code, start state, end offset
+        per segment) grow in two flat lists; no segment is built.
+        """
+        inputs: list[int] = []
+        layout: list[int] = []
         tested: list[tuple[int, int]] = []
         state, combo = start_state, start_combo
         test_index = len(self.tests)
         step = 0
         while True:
-            segments.append(Segment(SegmentKind.TRANSITION, state, (combo,)))
+            inputs.append(combo)
+            layout += (_TRANSITION, state, len(inputs))
             tested.append((state, combo))
             next_state = self.next_rows[state][combo]
             uio_seq = self._uio_of[next_state]
@@ -257,15 +249,18 @@ class _Generator:
                             uio_length=uio_seq.length,
                             test_index=test_index, step=step,
                         )
-                    return self._finish(start_state, segments, tested, next_state)
-                uio_segment = self._uio_segments[next_state]
-                if uio_segment is not None:
-                    segments.append(uio_segment)
+                    return self._finish(
+                        start_state, inputs, layout, tested, next_state
+                    )
+                if uio_seq.inputs:
+                    inputs += uio_seq.inputs
+                    layout += (_UIO, next_state, len(inputs))
                     if self.config.credit_incidental:
                         self.credit_segment(next_state, uio_seq.inputs)
                 if transfer is not None:
                     path, landing = transfer
-                    segments.append(self.transfer_segment(uio_seq.final_state, path))
+                    inputs += path
+                    layout += (_TRANSFER, uio_seq.final_state, len(inputs))
                     if self.config.credit_incidental:
                         self.credit_segment(uio_seq.final_state, path)
                     follow = self.first_untested(landing)
@@ -286,7 +281,9 @@ class _Generator:
                 step += 1
                 continue
             if self.config.use_partial_uio:
-                next_step = self._try_partial_step(state, combo, next_state, segments)
+                next_step = self._try_partial_step(
+                    state, combo, next_state, inputs, layout
+                )
                 if next_step is not None:
                     if self.prov is not None:
                         self._decision(
@@ -309,14 +306,15 @@ class _Generator:
                     state, combo, "scan_out", reason,
                     test_index=test_index, step=step,
                 )
-            return self._finish(start_state, segments, tested, next_state)
+            return self._finish(start_state, inputs, layout, tested, next_state)
 
     def _try_partial_step(
         self,
         state: int,
         combo: int,
         next_state: int,
-        segments: list[Segment],
+        inputs: list[int],
+        layout: list[int],
     ) -> tuple[int, int] | None:
         """Continue the chain through a partial UIO set, or return ``None``.
 
@@ -332,8 +330,8 @@ class _Generator:
         if not pending:  # pragma: no cover - tested transitions are never revisited
             return None
         index = pending[0]
-        inputs = pset.sequences[index]
-        landing = self.table.final_state(next_state, inputs)
+        sequence = pset.sequences[index]
+        landing = self.table.final_state(next_state, sequence)
         # Whichever way the decision below goes, applying the last pending
         # sequence completes the set and ending the test verifies by
         # scan-out — so when this is the final pending sequence the
@@ -351,13 +349,15 @@ class _Generator:
             return None
         progress.add(index)
         self.partial_used[next_state] = pset
-        segments.append(Segment(SegmentKind.PARTIAL_UIO, next_state, inputs))
+        inputs += sequence
+        layout += (_PARTIAL_UIO, next_state, len(inputs))
         if self.config.credit_incidental:
-            self.credit_segment(next_state, inputs)
+            self.credit_segment(next_state, sequence)
         if transfer is not None:
             source = landing
             path, landing = transfer
-            segments.append(self.transfer_segment(source, path))
+            inputs += path
+            layout += (_TRANSFER, source, len(inputs))
             if self.config.credit_incidental:
                 self.credit_segment(source, path)
             follow = self.first_untested(landing)
@@ -371,13 +371,13 @@ class _Generator:
     def _finish(
         self,
         start_state: int,
-        segments: list[Segment],
+        inputs: list[int],
+        layout: list[int],
         tested: list[tuple[int, int]],
         final_state: int,
     ) -> ScanTest:
-        inputs = tuple(chain.from_iterable([segment.inputs for segment in segments]))
         test = ScanTest(
-            start_state, inputs, final_state, tuple(segments), tuple(tested)
+            start_state, tuple(inputs), final_state, tuple(layout), tuple(tested)
         )
         self.tests.append(test)
         self.n_scan_out += 1

@@ -3,9 +3,10 @@
 A *test* starts and ends with a scan operation and applies one or more
 primary input combinations in between (the paper's terminology, Section 1).
 Its *length* is the number of input combinations.  Tests keep their internal
-structure as :class:`Segment` records — which inputs exercise a target
-transition, which replay a UIO sequence, which are transfer moves — so that
-coverage verification and pretty-printing do not have to re-derive it.
+structure — which inputs exercise a target transition, which replay a UIO
+sequence, which are transfer moves — as a flat *layout* of three ints per
+segment, read as :class:`Segment` views, so that coverage verification and
+pretty-printing do not have to re-derive it.
 
 The clock-cycle model (Table 7):
 
@@ -21,13 +22,19 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from itertools import chain
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from repro.errors import GenerationError
 from repro.fsm.state_table import StateTable
 
-__all__ = ["SegmentKind", "Segment", "ScanTest", "TestSet"]
+__all__ = [
+    "SegmentKind",
+    "SEGMENT_KINDS",
+    "KIND_CODES",
+    "Segment",
+    "ScanTest",
+    "TestSet",
+]
 
 
 class SegmentKind(enum.Enum):
@@ -39,6 +46,15 @@ class SegmentKind(enum.Enum):
     PARTIAL_UIO = "partial_uio"  #: one sequence of a partial UIO set (extension)
 
 
+#: A layout stores each segment's kind as a code: the kind's index here.
+SEGMENT_KINDS: tuple[SegmentKind, ...] = tuple(SegmentKind)
+KIND_CODES: dict[SegmentKind, int] = {
+    kind: code for code, kind in enumerate(SEGMENT_KINDS)
+}
+_CODES = frozenset(KIND_CODES.values())
+_TRANSITION = KIND_CODES[SegmentKind.TRANSITION]
+
+
 @dataclass(frozen=True)
 class Segment:
     """A typed run of input combinations inside a test.
@@ -46,7 +62,8 @@ class Segment:
     ``start_state`` is the (fault-free) state in which the first input of
     the segment is applied.  For ``TRANSITION`` segments, ``inputs`` has
     exactly one element and the segment exercises the transition
-    ``(start_state, inputs[0])``.
+    ``(start_state, inputs[0])``.  :attr:`ScanTest.segments` cuts these
+    views out of a test's inputs each time it is read.
     """
 
     kind: SegmentKind
@@ -64,6 +81,10 @@ class Segment:
 class ScanTest:
     """One scan test: scan-in ``initial_state``, apply ``inputs``, scan-out.
 
+    ``layout`` holds the segment structure flat, three ints per segment: its
+    kind code (an index into :data:`SEGMENT_KINDS`), its start state, and the
+    offset in ``inputs`` where it ends; each segment starts where the one
+    before it ends.  An empty layout is a test without segment structure.
     ``tested`` lists the ``(state, input)`` transitions this test is
     credited with testing, in the order they are exercised.
     """
@@ -71,18 +92,77 @@ class ScanTest:
     initial_state: int
     inputs: tuple[int, ...]
     final_state: int
-    segments: tuple[Segment, ...] = ()
+    layout: tuple[int, ...] = ()
     tested: tuple[tuple[int, int], ...] = ()
 
     def __post_init__(self) -> None:
         if not self.inputs:
             raise GenerationError("a test applies at least one input combination")
-        if self.segments:
-            joined = tuple(
-                chain.from_iterable([segment.inputs for segment in self.segments])
-            )
-            if joined != self.inputs:
-                raise GenerationError("segments do not concatenate to inputs")
+        layout = self.layout
+        if not layout:
+            return
+        if len(layout) % 3:
+            raise GenerationError("a layout holds three ints per segment")
+        # The layout must tile the inputs.  Generated tests average about
+        # eight segments, where this one loop costs half as much as a
+        # C-level pass per condition over slices of the layout.
+        start = 0
+        for index in range(0, len(layout), 3):
+            kind, end = layout[index], layout[index + 2]
+            if end <= start:
+                raise GenerationError(
+                    "segments cannot be empty: layout ends must strictly increase"
+                )
+            if kind not in _CODES:
+                raise GenerationError(f"unknown segment kind code {kind!r}")
+            if kind == _TRANSITION and end - start != 1:
+                raise GenerationError("a TRANSITION segment carries exactly one input")
+            start = end
+        if start != len(self.inputs):
+            raise GenerationError("segments do not concatenate to inputs")
+
+    @classmethod
+    def from_segments(
+        cls,
+        initial_state: int,
+        final_state: int,
+        segments: Iterable[Segment],
+        tested: Iterable[tuple[int, int]] = (),
+        inputs: Sequence[int] | None = None,
+    ) -> "ScanTest":
+        """The test applying ``segments`` in order.
+
+        Its inputs are the segments' inputs joined.  When ``inputs`` is given
+        (a test read from outside the program), the segments must
+        concatenate to exactly those inputs; with no segments, the result is
+        a test of those inputs without segment structure.
+        """
+        joined: list[int] = []
+        layout: list[int] = []
+        for segment in segments:
+            joined += segment.inputs
+            layout += (KIND_CODES[segment.kind], segment.start_state, len(joined))
+        if inputs is None:
+            inputs = joined
+        elif layout and list(inputs) != joined:
+            raise GenerationError("segments do not concatenate to inputs")
+        return cls(
+            initial_state, tuple(inputs), final_state, tuple(layout), tuple(tested)
+        )
+
+    @property
+    def segments(self) -> tuple[Segment, ...]:
+        """The segments, as views cut from ``inputs`` on each read."""
+        layout, inputs = self.layout, self.inputs
+        ends = layout[2::3]
+        return tuple(
+            [
+                Segment(SEGMENT_KINDS[kind], state, inputs[start:end])
+                for kind, state, start, end in zip(
+                    layout[0::3], layout[1::3], (0, *ends), ends
+                )
+            ]
+        )
 
     @property
     def length(self) -> int:
@@ -96,13 +176,14 @@ class ScanTest:
     def check_consistency(self, table: StateTable) -> None:
         """Validate final state and segment chaining against ``table``."""
         state = self.initial_state
-        for segment in self.segments or ():
-            if segment.start_state != state:
+        layout, inputs = self.layout, self.inputs
+        ends = layout[2::3]
+        for claimed, start, end in zip(layout[1::3], (0, *ends), ends):
+            if claimed != state:
                 raise GenerationError(
-                    f"segment claims start state {segment.start_state}, "
-                    f"machine is in {state}"
+                    f"segment claims start state {claimed}, machine is in {state}"
                 )
-            state = table.final_state(state, segment.inputs)
+            state = table.final_state(state, inputs[start:end])
         final = table.final_state(self.initial_state, self.inputs)
         if final != self.final_state:
             raise GenerationError(

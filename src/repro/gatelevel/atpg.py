@@ -26,6 +26,7 @@ evaluate them directly against the paper's functional tests.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, replace
 
 from repro.core.baseline import per_transition_tests
@@ -89,14 +90,26 @@ def generate_stuck_at_atpg(
     code_of = circuit.encoding.codes
     pattern = [code_of[test.initial_state] << pi | test.inputs[0] for test in tests]
     order = sorted(range(len(tests)), key=pattern.__getitem__)
+    # Lazy greedy: a heap of (-count, pattern rank, row) whose counts may be
+    # stale.  Counts only fall as faults are covered, so an entry whose
+    # count is still exact when popped is the most-detecting row, and ties
+    # pop in rank order: the smallest pattern, as an eager recount picks.
+    heap = [
+        (-mask.bit_count(), rank, row)
+        for rank, row in enumerate(order)
+        if (mask := masks[row])
+    ]
+    heapq.heapify(heap)
     chosen: list[int] = []
     remaining = detectable
     while remaining:
-        counts = [(masks[row] & remaining).bit_count() for row in order]
-        # The first of equal counts is the smallest pattern.
-        best = order[counts.index(max(counts))]
-        chosen.append(best)
-        remaining &= ~masks[best]
+        stale, rank, row = heapq.heappop(heap)
+        count = (masks[row] & remaining).bit_count()
+        if count == -stale:
+            chosen.append(row)
+            remaining &= ~masks[row]
+        elif count:
+            heapq.heappush(heap, (-count, rank, row))
     chosen.sort(key=pattern.__getitem__)
     return AtpgResult(
         replace(baseline, tests=[tests[row] for row in chosen]),

@@ -80,9 +80,8 @@ def reference_atpg(circuit, table, faults):
         combo = pattern & ((1 << pi) - 1)
         next_state = int(table.next_state[state, combo])
         tests.append(
-            ScanTest(
+            ScanTest.from_segments(
                 state,
-                (combo,),
                 next_state,
                 (Segment(SegmentKind.TRANSITION, state, (combo,)),),
                 ((state, combo),),

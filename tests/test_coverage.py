@@ -23,9 +23,8 @@ class TestBaselineCoverage:
 
 class TestScanOutVerification:
     def test_last_transition_verified_by_scan_out(self, lion):
-        test = ScanTest(
+        test = ScanTest.from_segments(
             1,
-            (0b10,),
             3,
             (Segment(SegmentKind.TRANSITION, 1, (0b10,)),),
             ((1, 0b10),),
@@ -35,9 +34,8 @@ class TestScanOutVerification:
 
     def test_transition_followed_by_transition_not_verified(self, lion):
         # 0 --00--> 0 then 0 --01--> 1: only the second is scan-out-verified.
-        test = ScanTest(
+        test = ScanTest.from_segments(
             0,
-            (0b00, 0b01),
             1,
             (
                 Segment(SegmentKind.TRANSITION, 0, (0b00,)),
@@ -53,9 +51,8 @@ class TestScanOutVerification:
 
 class TestUioVerification:
     def test_genuine_uio_verifies(self, lion):
-        test = ScanTest(
+        test = ScanTest.from_segments(
             0,
-            (0b00, 0b00),
             0,
             (
                 Segment(SegmentKind.TRANSITION, 0, (0b00,)),
@@ -68,9 +65,8 @@ class TestUioVerification:
 
     def test_fake_uio_rejected(self, lion):
         # (01) from state 1 does not distinguish state 1: claiming UIO must fail.
-        test = ScanTest(
+        test = ScanTest.from_segments(
             0,
-            (0b01, 0b01),
             1,
             (
                 Segment(SegmentKind.TRANSITION, 0, (0b01,)),
@@ -82,9 +78,8 @@ class TestUioVerification:
             verify_test_set(lion, single_test_set(lion, [test]))
 
     def test_uio_for_wrong_state_rejected(self, lion):
-        test = ScanTest(
+        test = ScanTest.from_segments(
             0,
-            (0b00, 0b00),
             0,
             (
                 Segment(SegmentKind.TRANSITION, 0, (0b00,)),
@@ -103,9 +98,8 @@ class TestStructuralChecks:
             verify_test_set(lion, single_test_set(lion, [test]))
 
     def test_wrong_final_state_rejected(self, lion):
-        test = ScanTest(
+        test = ScanTest.from_segments(
             0,
-            (0b01,),
             3,  # machine actually reaches state 1
             (Segment(SegmentKind.TRANSITION, 0, (0b01,)),),
             ((0, 0b01),),

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from repro.core.coverage import verify_test_set
@@ -36,6 +38,23 @@ class TestJsonRoundTrip:
             export.test_set_from_json(
                 '{"format": "repro-scan-tests", "version": 99, "tests": []}'
             )
+
+    def test_segments_must_concatenate_to_inputs(self, lion_result):
+        document = json.loads(export.test_set_to_json(lion_result.test_set))
+        document["tests"][1]["inputs"][-1] ^= 1
+        with pytest.raises(GenerationError, match="concatenate"):
+            export.test_set_from_json(json.dumps(document))
+
+    def test_wide_transition_segment_rejected(self, lion_result):
+        document = json.loads(export.test_set_to_json(lion_result.test_set))
+        entry = document["tests"][1]
+        first, second = entry["segments"][:2]
+        assert (first["kind"], second["kind"]) == ("transition", "uio")
+        # Fold the UIO into the TRANSITION: the inputs still concatenate.
+        first["inputs"] += second["inputs"]
+        del entry["segments"][1]
+        with pytest.raises(GenerationError, match="exactly one"):
+            export.test_set_from_json(json.dumps(document))
 
 
 class TestVectors:

@@ -458,7 +458,7 @@ def test_test_program_clean(lion, lion_result):
 
 def test_tst001_fires_on_overlong_uio_segment():
     table = toggle_table()
-    test = ScanTest(
+    test = ScanTest.from_segments(
         initial_state=0,
         inputs=(1, 0, 0, 0),
         final_state=1,
@@ -485,7 +485,7 @@ def test_tst001_fires_on_overlong_stored_uio():
 
 def test_tst002_fires_on_wrong_final_state():
     table = toggle_table()
-    test = ScanTest(
+    test = ScanTest.from_segments(
         initial_state=0,
         inputs=(1,),
         final_state=0,  # input 1 from 'off' lands on 'on' (state 1)
@@ -498,7 +498,7 @@ def test_tst002_fires_on_wrong_final_state():
 
 def test_tst002_fires_on_broken_segment_chain():
     table = toggle_table()
-    test = ScanTest(
+    test = ScanTest.from_segments(
         initial_state=0,
         inputs=(1,),
         final_state=1,
@@ -528,7 +528,6 @@ def test_tst004_fires_on_unearned_coverage_claim():
         initial_state=0,
         inputs=(0,),
         final_state=0,
-        segments=(),
         tested=((0, 1),),  # claims a transition no segment exercises
     )
     report = analyze_test_program(table, [test])
@@ -537,7 +536,7 @@ def test_tst004_fires_on_unearned_coverage_claim():
 
 def test_tst005_fires_on_coverage_gap():
     table = toggle_table()
-    test = ScanTest(
+    test = ScanTest.from_segments(
         initial_state=0,
         inputs=(1,),
         final_state=1,
@@ -552,7 +551,7 @@ def test_tst005_fires_on_coverage_gap():
 
 def test_tst006_fires_on_overlong_transfer():
     table = toggle_table()
-    test = ScanTest(
+    test = ScanTest.from_segments(
         initial_state=0,
         inputs=(0, 0),
         final_state=0,
@@ -567,7 +566,7 @@ def test_tst006_fires_on_overlong_transfer():
 
 def test_tst006_fires_when_transfers_disabled():
     table = toggle_table()
-    test = ScanTest(
+    test = ScanTest.from_segments(
         initial_state=0,
         inputs=(0,),
         final_state=0,

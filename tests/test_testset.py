@@ -4,8 +4,13 @@ from __future__ import annotations
 
 import pytest
 
+from repro.benchmarks import circuit_names, load_circuit
 from repro.core.baseline import per_transition_tests
+from repro.core.compaction import combine_tests
+from repro.core.generator import generate_tests
 from repro.core.testset import (
+    KIND_CODES,
+    SEGMENT_KINDS,
     ScanTest,
     Segment,
     SegmentKind,
@@ -13,6 +18,10 @@ from repro.core.testset import (
     baseline_clock_cycles,
 )
 from repro.errors import GenerationError
+
+TRANSITION = KIND_CODES[SegmentKind.TRANSITION]
+UIO = KIND_CODES[SegmentKind.UIO]
+TRANSFER = KIND_CODES[SegmentKind.TRANSFER]
 
 
 def make_test(initial=0, inputs=(0,), final=0):
@@ -29,19 +38,22 @@ class TestScanTest:
 
     def test_segments_must_concatenate(self):
         with pytest.raises(GenerationError, match="concatenate"):
-            ScanTest(
-                0,
-                (1, 2),
-                0,
-                (Segment(SegmentKind.TRANSITION, 0, (1,)),),
+            ScanTest(0, (1, 2), 0, (TRANSITION, 0, 1))
+        with pytest.raises(GenerationError, match="concatenate"):
+            ScanTest.from_segments(
+                0, 0, (Segment(SegmentKind.TRANSITION, 0, (1,)),), inputs=(1, 2)
             )
 
     def test_transition_segment_single_input(self):
         with pytest.raises(GenerationError, match="exactly one"):
+            ScanTest(0, (1, 2), 0, (TRANSITION, 0, 2))
+        with pytest.raises(GenerationError, match="exactly one"):
             Segment(SegmentKind.TRANSITION, 0, (1, 2))
 
     def test_empty_segment_rejected(self):
-        with pytest.raises(GenerationError):
+        with pytest.raises(GenerationError, match="empty"):
+            ScanTest(0, (1,), 0, (UIO, 0, 0, TRANSITION, 0, 1))
+        with pytest.raises(GenerationError, match="empty"):
             Segment(SegmentKind.UIO, 0, ())
 
     def test_replay(self, lion):
@@ -57,6 +69,63 @@ class TestScanTest:
         test = ScanTest(0, (0b01,), 0)
         with pytest.raises(GenerationError):
             test.check_consistency(lion)
+
+
+class TestLayout:
+    """A layout tiles the inputs: three ints per segment (kind code, start
+    state, end offset), ends strictly increasing up to ``len(inputs)``."""
+
+    def test_segments_are_views_of_the_inputs(self):
+        test = ScanTest(
+            0, (1, 0, 0, 2), 3, (TRANSITION, 0, 1, UIO, 1, 3, TRANSFER, 2, 4)
+        )
+        assert test.segments == (
+            Segment(SegmentKind.TRANSITION, 0, (1,)),
+            Segment(SegmentKind.UIO, 1, (0, 0)),
+            Segment(SegmentKind.TRANSFER, 2, (2,)),
+        )
+        assert make_test().segments == ()
+
+    @pytest.mark.parametrize(
+        "layout",
+        [
+            (TRANSITION, 0, 1, UIO, 1, 1, UIO, 1, 3),  # an end repeats
+            (UIO, 0, 2, TRANSITION, 1, 1, UIO, 1, 3),  # an end falls
+            (TRANSITION, 0, 1, UIO, 1, 2),  # the last end is short
+            (TRANSITION, 0, 1, UIO, 1, 4),  # the last end is past the inputs
+            (TRANSITION, 0, 1, len(SEGMENT_KINDS), 1, 3),  # unknown kind
+            (TRANSITION, 0, 1, -1, 1, 3),  # unknown kind
+            (TRANSITION, 0, 1, UIO, 1),  # not three ints per segment
+        ],
+    )
+    def test_malformed_layout_rejected(self, layout):
+        with pytest.raises(GenerationError):
+            ScanTest(0, (1, 0, 0), 0, layout)
+
+    @pytest.mark.parametrize("name", sorted(circuit_names("small")))
+    def test_from_segments_rebuilds_generated_tests(self, name):
+        for test in generate_tests(load_circuit(name)).test_set:
+            rebuilt = ScanTest.from_segments(
+                test.initial_state, test.final_state, test.segments, test.tested
+            )
+            assert rebuilt == test
+
+    def test_combined_test_concatenates_segments(self, lion_result):
+        tests = lion_result.test_set.tests
+        left, right = tests[0], tests[2]
+        assert left.final_state == right.initial_state
+        assert len(left.segments) > 1 and len(right.segments) > 1
+        pair = TestSet("lion", 2, 16, [left, right])
+        (merged,) = combine_tests(pair).tests
+        assert merged.inputs == left.inputs + right.inputs
+        assert merged.segments == left.segments + right.segments
+        assert merged.tested == left.tested + right.tested
+
+    def test_tests_with_and_without_structure_do_not_combine(self, lion_result):
+        left = lion_result.test_set.tests[0]
+        right = make_test(left.final_state, (0,), left.final_state)
+        with pytest.raises(GenerationError, match="concatenate"):
+            combine_tests(TestSet("lion", 2, 16, [left, right]))
 
 
 class TestTestSetMeasures:
