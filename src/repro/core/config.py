@@ -38,11 +38,13 @@ DEFAULT_BATCH_BITS_CAP = 2048
 #: results because combinational patterns are independent.
 DEFAULT_PPSFP_PATTERN_BLOCK = 8192
 
-#: Budget (bytes) on one PPSFP table: ``faults x patterns`` cells of
-#: :func:`table_cell_bytes` each.  A universe whose table would be larger
-#: is simulated in fault chunks whose tables fit
-#: (:func:`repro.gatelevel.dispatch.fault_chunks`).  Purely a memory knob —
-#: never affects results.
+#: Budget (bytes) on one PPSFP table, counted as the dense-equivalent
+#: table: ``faults x patterns`` cells of :func:`table_cell_bytes` each.  A
+#: universe whose dense table would be larger is simulated in fault chunks
+#: whose dense tables fit (:func:`repro.gatelevel.dispatch.fault_chunks`).
+#: The build keeps only the fault-free cells and each fault's differing
+#: 64-pattern words, so a chunk holds far less than this bound.  Purely a
+#: memory knob — never affects results.
 DEFAULT_PPSFP_BYTE_BUDGET = 128 << 20
 
 #: Recognized fault-simulation engines.

@@ -25,13 +25,17 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Collection, Hashable, TypeVar
 
-from repro.core.testset import SegmentKind, TestSet
+from repro.core.testset import KIND_CODES, SegmentKind, TestSet
 from repro.errors import GenerationError
 from repro.fsm.state_table import StateTable
 
 __all__ = ["CoverageReport", "FaultSplit", "split_undetected", "verify_test_set"]
 
 FaultT = TypeVar("FaultT", bound=Hashable)
+
+_TRANSITION = KIND_CODES[SegmentKind.TRANSITION]
+_UIO = KIND_CODES[SegmentKind.UIO]
+_PARTIAL_UIO = KIND_CODES[SegmentKind.PARTIAL_UIO]
 
 
 @dataclass(frozen=True)
@@ -165,54 +169,62 @@ def verify_test_set(table: StateTable, test_set: TestSet) -> CoverageReport:
     otherwise; completeness is a property of the report, not an exception.
     """
     oracle = _UioOracle(table)
+    next_rows = table.next_rows
     verified: set[tuple[int, int]] = set()
     exercised: set[tuple[int, int]] = set()
     # Partial-mode bookkeeping: states still indistinguishable per transition.
     pending: dict[tuple[int, int], set[int]] = {}
     for test in test_set:
-        segments = test.segments
-        if not segments:
+        # Walk the layout's (kind, start state, end) triples over slices of
+        # the inputs; no Segment view is built.
+        layout, inputs = test.layout, test.inputs
+        if not layout:
             raise GenerationError(
                 f"test {test} carries no segment structure; cannot verify"
             )
         test.check_consistency(table)
-        for index, segment in enumerate(segments):
+        kinds, states, ends = layout[0::3], layout[1::3], layout[2::3]
+        begins = (0, *ends)
+        last = len(kinds) - 1
+        for index, kind in enumerate(kinds):
             # Record everything the segment traverses as exercised.
-            state = segment.start_state
-            for combo in segment.inputs:
+            state = states[index]
+            for combo in inputs[begins[index] : ends[index]]:
                 exercised.add((state, combo))
-                state = int(table.next_state[state, combo])
-            if segment.kind is not SegmentKind.TRANSITION:
+                state = next_rows[state][combo]
+            if kind != _TRANSITION:
                 continue
-            key = (segment.start_state, segment.inputs[0])
-            next_state = int(table.next_state[key])
-            follower = segments[index + 1] if index + 1 < len(segments) else None
-            if follower is None:
+            key = (states[index], inputs[begins[index]])
+            next_state = next_rows[key[0]][key[1]]
+            if index == last:
                 verified.add(key)  # scan-out checks the next state exactly
-            elif follower.kind is SegmentKind.UIO:
-                if follower.start_state != next_state:
+                continue
+            follower, follower_state = kinds[index + 1], states[index + 1]
+            follower_inputs = inputs[ends[index] : ends[index + 1]]
+            if follower == _UIO:
+                if follower_state != next_state:
                     raise GenerationError(
-                        f"UIO segment after {key} starts in {follower.start_state}, "
+                        f"UIO segment after {key} starts in {follower_state}, "
                         f"machine is in {next_state}"
                     )
-                if not oracle.is_uio(next_state, follower.inputs):
+                if not oracle.is_uio(next_state, follower_inputs):
                     raise GenerationError(
                         f"segment after {key} claims to be a UIO for state "
                         f"{next_state} but does not distinguish it"
                     )
                 verified.add(key)
-            elif follower.kind is SegmentKind.PARTIAL_UIO:
-                if follower.start_state != next_state:
+            elif follower == _PARTIAL_UIO:
+                if follower_state != next_state:
                     raise GenerationError(
                         f"partial segment after {key} starts in "
-                        f"{follower.start_state}, machine is in {next_state}"
+                        f"{follower_state}, machine is in {next_state}"
                     )
                 if key not in verified:
                     remaining = pending.setdefault(
                         key,
                         set(range(table.n_states)) - {next_state},
                     )
-                    remaining -= oracle.distinguished_from(next_state, follower.inputs)
+                    remaining -= oracle.distinguished_from(next_state, follower_inputs)
                     if not remaining:
                         verified.add(key)
                         del pending[key]

@@ -2,12 +2,13 @@
 
 A :class:`Netlist` is an append-only DAG: every gate's fanins must already
 exist when the gate is added, so gate index order *is* a topological order
-and evaluation is a single forward sweep.  Values are ``numpy.uint64`` words
-(or arrays of words); each bit position is an independent simulation
-instance, which is what both the pattern-parallel detectability check and
-the fault-parallel sequential simulator build on.  Logical constants are
-all-zeros / all-ones words, so inversion is plain bitwise NOT and no masking
-is ever needed.
+and evaluation is a single forward sweep, taken a group of same-level,
+same-kind gates at a time (:meth:`Netlist.gate_tables`).  Values are
+``numpy.uint64`` words (or arrays of words); each bit position is an
+independent simulation instance, which is what both the pattern-parallel
+detectability check and the fault-parallel sequential simulator build on.
+Logical constants are all-zeros / all-ones words, so inversion is plain
+bitwise NOT and no masking is ever needed.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ __all__ = [
     "GateType",
     "CONTROLLING_VALUE",
     "Gate",
+    "GateTables",
     "Netlist",
     "Words",
     "ALL_ONES",
@@ -101,6 +103,30 @@ def _evaluate_gate(kind: GateType, fanin_values: Sequence[Words]) -> Words:
     return acc
 
 
+@dataclass(frozen=True)
+class GateTables:
+    """A netlist's gates as arrays, for sweeps that evaluate a group of
+    gates per numpy call.
+
+    Gates are grouped by (level, kind, fanin count).  Inputs and constants
+    are level 0 and every other gate sits one level above its deepest
+    fanin, so every fanin of a group's gates is in an earlier group of
+    *program order*, the order of the group numbers.
+    """
+
+    #: ``fanins[g, j]``: the line pin ``j`` of gate ``g`` reads, and -1 past
+    #: its fanins (one column at least)
+    fanins: npt.NDArray[np.int64]
+    #: ``group[g]``: the number of gate ``g``'s group
+    group: npt.NDArray[np.int64]
+    #: each group's gate kind and fanin count, in program order
+    kinds: tuple[GateType, ...]
+    n_fanins: tuple[int, ...]
+    #: the gates in program order: group ``k`` is ``order[starts[k]:starts[k + 1]]``
+    order: npt.NDArray[np.int64]
+    starts: tuple[int, ...]
+
+
 class Netlist:
     """An append-only combinational DAG of gates.
 
@@ -115,17 +141,20 @@ class Netlist:
         self._outputs: list[int] = []
         self._fanouts: list[list[int]] | None = None
         self._reach: Words | None = None
+        self._tables: GateTables | None = None
 
     def __getstate__(self) -> dict:
-        # The reachability memo is n²/8 bytes and cheap to rebuild; keep it
-        # out of pickled cache entries and worker-pool snapshots.
+        # The reachability memo is n²/8 bytes and the gate tables a few
+        # arrays, both cheap to rebuild; keep them out of pickled cache
+        # entries and worker-pool snapshots.
         state = self.__dict__.copy()
-        del state["_reach"]
+        del state["_reach"], state["_tables"]
         return state
 
     def __setstate__(self, state: dict) -> None:
         self.__dict__.update(state)
         self._reach = None
+        self._tables = None
 
     # --------------------------------------------------------- construction
 
@@ -135,6 +164,7 @@ class Netlist:
         self._inputs.append(index)
         self._fanouts = None
         self._reach = None
+        self._tables = None
         return index
 
     def add_gate(self, kind: GateType, fanins: Iterable[int], name: str = "") -> int:
@@ -162,6 +192,7 @@ class Netlist:
         self._gates.append(Gate(index, kind, fanin_tuple, name or f"g{index}"))
         self._fanouts = None
         self._reach = None
+        self._tables = None
         return index
 
     def set_outputs(self, outputs: Iterable[int]) -> None:
@@ -249,6 +280,38 @@ class Netlist:
             self._reach = matrix
         return self._reach
 
+    def gate_tables(self) -> GateTables:
+        """The :class:`GateTables` of this netlist.
+
+        Built once per netlist and kept until the next ``add_input`` or
+        ``add_gate``, like :meth:`reachability_matrix`.
+        """
+        if self._tables is None:
+            n = self.n_gates
+            width = max([1] + [gate.n_fanins for gate in self._gates])
+            fanins = np.full((n, width), -1, dtype=np.int64)
+            kind_order = {kind: k for k, kind in enumerate(GateType)}
+            level = [0] * n
+            keys = []
+            for gate in self._gates:
+                if gate.fanins:
+                    fanins[gate.index, : gate.n_fanins] = gate.fanins
+                    level[gate.index] = 1 + max(level[f] for f in gate.fanins)
+                keys.append((level[gate.index], kind_order[gate.kind], gate.n_fanins))
+            distinct = sorted(set(keys))
+            number = {key: k for k, key in enumerate(distinct)}
+            group = np.asarray([number[key] for key in keys], dtype=np.int64)
+            kinds = list(GateType)
+            self._tables = GateTables(
+                fanins,
+                group,
+                tuple(kinds[kind] for _, kind, _ in distinct),
+                tuple(count for _, _, count in distinct),
+                np.argsort(group, kind="stable"),
+                (0, *np.cumsum(np.bincount(group, minlength=len(distinct))).tolist()),
+            )
+        return self._tables
+
     def check(self) -> None:
         """Structural sanity check; raises :class:`NetlistError` on trouble.
 
@@ -268,7 +331,8 @@ class Netlist:
     def evaluate(
         self, input_values: Sequence[npt.ArrayLike] | npt.ArrayLike
     ) -> Words:
-        """Forward-evaluate all gates.
+        """Forward-evaluate all gates, one group of :meth:`gate_tables` per
+        numpy operation, in program order.
 
         ``input_values`` is one uint64 word array per primary input (all of
         the same width ``W``); the result has shape ``(n_gates, W)``.
@@ -283,15 +347,24 @@ class Netlist:
             if array.shape != (width,):
                 raise NetlistError("all input words must have the same width")
         values = np.zeros((len(self._gates), width), dtype=np.uint64)
-        position = 0
-        for gate in self._gates:
-            if gate.kind is GateType.INPUT:
-                values[gate.index] = arrays[position]
-                position += 1
+        if arrays:
+            values[self._inputs] = arrays
+        # One group of gates per numpy call; constants stay 0.
+        tables = self.gate_tables()
+        for number, n_fanins in enumerate(tables.n_fanins):
+            if not n_fanins:
+                continue
+            gates = tables.order[tables.starts[number] : tables.starts[number + 1]]
+            fanins = tables.fanins[gates]
+            acc = values[fanins[:, 0]]
+            kind = tables.kinds[number]
+            if kind is GateType.NOT:
+                np.invert(acc, out=acc)
             else:
-                values[gate.index] = _evaluate_gate(
-                    gate.kind, [values[f] for f in gate.fanins]
-                )
+                op = np.bitwise_and if kind is GateType.AND else np.bitwise_or
+                for pin in range(1, n_fanins):
+                    op(acc, values[fanins[:, pin]], out=acc)
+            values[gates] = acc
         return values
 
     def evaluate_bits(self, bits: Sequence[int]) -> tuple[int, ...]:

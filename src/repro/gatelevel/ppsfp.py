@@ -5,27 +5,30 @@ The interpreted reference (:mod:`repro.gatelevel.fault_sim`) packs
 This module, the production engine, packs the other axis:
 **patterns**, 64 per ``uint64`` lane, with faults stacked as numpy rows.
 One exhaustive sweep of the netlist evaluates every ``2**(SV+PI)``
-combinational input pattern for a whole slab of faulty machines at once,
-which yields each fault's *complete behavioral table*: the faulty
-next-state code and output combination for every (state code, input
-combination) pair.  Because the combinational block is memoryless, those
-tables determine the faulty machine exactly — including trajectories that
-wander into unassigned state codes, which the tables cover because the
-sweep enumerates all ``2**SV`` codes, not just the assigned ones.
+combinational input pattern for every faulty machine of a chunk, which
+yields each fault's *complete behavioral table*: the faulty next-state code
+and output combination for every (state code, input combination) pair.
+Because the combinational block is memoryless, those tables determine the
+faulty machine exactly — including trajectories that wander into
+unassigned state codes, which the tables cover because the sweep
+enumerates all ``2**SV`` codes, not just the assigned ones.
 
-The tables are one array, ``cells[fault, pattern] = next_code << PO |
-output``, stored fault-major in the narrowest unsigned dtype that holds
-``SV + PO`` bits (:func:`repro.core.config.table_cell_bytes`).  Each row
-starts as the fault-free cells, and only the 64-pattern words in which some
-next-state or output line of the fault differs are patched, by XOR.  The
-same lanes give two fault bitsets per assigned (state, input) row, as
-Python ints: the faults whose cell differs there (``differs``: the OR of
-the next-state and output lines' ``faulty ^ good`` lanes), and the faults
-whose outputs differ (``shows``: the output lines' alone).  One 64x64 bit
-transpose per block of 64 faults and 64 patterns turns the per-fault lanes
-into those per-row bitsets when the simulator is built.  The lanes differ
-from the netlist's fault-free sweep, while detection is judged against the
-state table; every build checks that the two agree on every assigned row.
+A cell is ``next_code << PO | output``, in the narrowest unsigned dtype
+that holds ``SV + PO`` bits (:func:`repro.core.config.table_cell_bytes`).
+A fault's table equals the fault-free one except in the 64-pattern words
+where some next-state or output line of the fault differs, so the tables
+are kept sparse, in three arrays: ``fault_free[pattern]``, the fault-free
+cells; ``word_rows[fault, word]``, the row of ``patched`` that holds the
+fault's 64 cells of that word, or -1 where they are the fault-free ones;
+and ``patched[row, 64]``, the patched words only.  The same lanes give two
+fault bitsets per assigned (state, input) row, as Python ints: the faults
+whose cell differs there (``differs``: the OR of the next-state and output
+lines' ``faulty ^ good`` lanes), and the faults whose outputs differ
+(``shows``: the output lines' alone).  One 64x64 bit transpose per block of
+64 faults and 64 patterns turns the per-fault lanes into those per-row
+bitsets when the simulator is built.  The lanes differ from the netlist's
+fault-free sweep, while detection is judged against the state table; every
+build checks that the two agree on every assigned row.
 
 Simulating a scan test then costs no netlist evaluation at all.  A single
 fault shows only where its run leaves the fault-free run, so a test walks
@@ -42,38 +45,41 @@ any scan test can detect at all (:meth:`PpsfpSimulator.detectable_mask`),
 checked against the cone-resimulation oracle by the
 ``detectability-ppsfp-vs-cone`` fuzz oracle.
 
-Injection mirrors :class:`repro.gatelevel.fault_sim._Batch` semantics with
-rows instead of bit masks:
+As in classic PPSFP, each fault is carried only through its own fanout
+cone: its site's row of :meth:`repro.gatelevel.netlist.Netlist.reachability_matrix`,
+or the OR of both bridged lines' rows.  The fault gets one value row for
+each gate of its cone, a *pair*; every other line holds its fault-free
+value and is read from one fault-free sweep per pattern block.  A slab's
+pairs are ordered by their gate's group of
+:meth:`~repro.gatelevel.netlist.Netlist.gate_tables` — (level, kind, fanin
+count) — so each group is a range of rows, evaluated by one ``np.take`` per
+fanin and an AND, OR or NOT over the whole range, whatever the number of
+gates.  A pair's sources are the rows of its gate's fanins in the fault's
+machine: a fanin's pair when the fanin is in the fault's cone, else its
+fault-free row.  Each fault is injected by rewriting the sources of its
+site pair (:func:`repro.gatelevel.fault_sim.injection_sites`):
 
-* stuck-at on a gate output — the stored lane words of that fault's row
-  are forced after the gate evaluates;
-* stuck-at on a gate input pin — the read is forced only for that reader,
-  via a copy-on-read of the fanin row;
-* AND/OR bridging — each bridged line's row is overwritten at the store
-  with ``line op partner`` over the *fault-free* values.  A row holds one
-  fault, and neither bridged line is downstream of the other (paper
-  condition 3), so both lines' bridge-free values in that row are the
-  fault-free ones: the raw pass of the reference's two-pass scheme is the
-  fault-free machine here.
+* stuck-at on a gate output — the site reads the constant, padded with the
+  gate's identity (the constant is inverted for a NOT gate);
+* stuck-at on a gate input pin — that pin of the site reads the constant;
+* AND/OR bridging — each bridged line reads the bridge's row, ``line op
+  partner`` over the *fault-free* values (inverted for a NOT gate).  A row
+  holds one fault, and neither bridged line is downstream of the other
+  (paper condition 3), so both lines' bridge-free values in that row are
+  the fault-free ones: the raw pass of the reference's two-pass scheme is
+  the fault-free machine here.
 
-Each slab of fault rows is built in one pass over only the gates in the
-union of its faults' fanout cones (the slab's rows of
-:meth:`repro.gatelevel.netlist.Netlist.reachability_matrix`); every other
-line holds its fault-free value in every row and is read from one
-fault-free sweep per pattern block.  A cone gate's values take a row of the
-slab buffer from its evaluation to its last reader in the cone, after
-which the row is reused; next-state and output lines keep theirs to the
-end of the sweep.  The sweep is blocked along both axes: the pattern axis
-in blocks of at most :data:`repro.core.config.DEFAULT_PPSFP_PATTERN_BLOCK`
-patterns (multiples of 64) and the fault axis in slabs sized to
+The sweep is blocked along both axes: the pattern axis in blocks of at
+most :data:`repro.core.config.DEFAULT_PPSFP_PATTERN_BLOCK` patterns
+(multiples of 64) and the fault axis in slabs whose pair rows fit
 :data:`SLAB_BYTES_BUDGET`.  Blocking never changes results — patterns are
-independent, and each fault row is its own machine.
+independent, and each fault's pairs are its own machine.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -81,7 +87,7 @@ from repro.core.config import DEFAULT_PPSFP_PATTERN_BLOCK, table_cell_bytes
 from repro.core.testset import ScanTest
 from repro.errors import FaultSimulationError
 from repro.fsm.state_table import StateTable
-from repro.gatelevel.fault_sim import Fault, StuckSplit, injection_sites
+from repro.gatelevel.fault_sim import Fault, injection_sites
 from repro.gatelevel.netlist import (
     ALL_ONES,
     GateType,
@@ -94,13 +100,12 @@ from repro.obs.trace import span as trace_span
 
 __all__ = ["PpsfpSimulator", "SLAB_BYTES_BUDGET"]
 
-#: Working-set budget (bytes) that sizes the table build's slabs:
-#: ``slab_rows`` fault rows of ``block_words`` lanes for every gate of the
-#: netlist must fit here.  The value buffer holds only the rows live at once
-#: in a slab's cone (:func:`_buffer_rows`), so it takes a fraction of the
-#: budget: on ``log`` 204 of 868 gate rows.  Purely a speed/memory knob —
-#: never affects results.
-SLAB_BYTES_BUDGET = 64 << 20
+#: Working-set budget (bytes) that cuts the table build's fault slabs: the
+#: pair rows of one slab, one row of a pattern block's lanes for each
+#: (fault, gate of its cone), must fit here, and a slab holds one fault at
+#: least.  The value buffer adds one row per line for the fault-free machine
+#: and one per bridge.  Purely a speed/memory knob — never affects results.
+SLAB_BYTES_BUDGET = 16 << 20
 
 #: Fault bitsets of the assigned rows: one list per state, one Python int
 #: per input combination.
@@ -172,114 +177,332 @@ def _bit_rows(lanes: np.ndarray, patterns: np.ndarray, n_combos: int) -> _BitRow
     return [bits[at : at + n_combos] for at in range(0, len(bits), n_combos)]
 
 
-def _buffer_rows(
-    netlist: Netlist, gates: Sequence[int], keep: Iterable[int]
-) -> tuple[dict[int, int], int]:
-    """Slab buffer rows for a cone swept in topological order, and how many.
+#: One step of a pair program: rows ``[start, end)`` of the value buffer get
+#: the AND, OR or NOT of the rows each pin's source array names (a copy of
+#: the one source for inputs and constants).
+_Step = tuple[int, int, GateType, tuple[np.ndarray, ...]]
 
-    A gate's row is taken before it is evaluated and given back after its
-    last reader in the cone is, so a gate never writes the row of a fanin
-    it reads; the lines of ``keep`` hold theirs to the end of the sweep.
-    Every reader of a cone gate is in the cone (it is a fanout closure), so
-    the rows in use are a subset of the netlist's live values at each step.
+_OPS = {GateType.AND: np.bitwise_and, GateType.OR: np.bitwise_or}
+
+
+def _run(
+    steps: Sequence[_Step], values: np.ndarray, first: np.ndarray, other: np.ndarray
+) -> None:
+    """Evaluate ``steps`` in order on ``values`` (buffer rows x block words).
+
+    ``first`` and ``other`` are scratch rows of the same width, as many as
+    the largest step has.  A step's sources are rows of earlier steps or of
+    the rows no step writes, never its own, so each step reads settled rows.
     """
-    fanouts = netlist.fanouts()
-    position = {gate: k for k, gate in enumerate(gates)}
-    kept = set(keep)
-    # position -> the gates whose last reader sits there
-    released: dict[int, list[int]] = {}
-    for k, gate in enumerate(gates):
-        if gate not in kept:
-            last = max((position[reader] for reader in fanouts[gate]), default=k)
-            released.setdefault(last, []).append(gate)
-    slot: dict[int, int] = {}
-    free: list[int] = []
-    n_slots = 0
-    for k, gate in enumerate(gates):
-        if free:
-            slot[gate] = free.pop()
+    for start, end, kind, sources in steps:
+        out = values[start:end]
+        acc = first[: end - start]
+        np.take(values, sources[0], axis=0, out=acc, mode="clip")
+        if kind is GateType.NOT:
+            np.invert(acc, out=out)
+        elif len(sources) == 1:
+            out[...] = acc
         else:
-            slot[gate] = n_slots
-            n_slots += 1
-        free += (slot[done] for done in released.get(k, ()))
-    return slot, n_slots
+            op = _OPS[kind]
+            pin = other[: end - start]
+            last = len(sources) - 1
+            for k in range(1, last + 1):
+                np.take(values, sources[k], axis=0, out=pin, mode="clip")
+                op(acc, pin, out=out if k == last else acc)
+
+
+#: Bytes of the rows one step writes: a group is evaluated in pieces this
+#: large, so that a piece's scratch rows stay in the core's cache.  On
+#: nucpwr and log, pieces of 64-256 rows of 128 words built about 1.4x
+#: faster than whole groups, and 32 rows slower again.
+_STEP_BYTES = 128 << 10
+
+
+class _Layout(NamedTuple):
+    """Where a slab's value buffer keeps the rows past its pair rows: each
+    line's fault-free row at ``good + line``, the all-ones and the zero
+    row, then the bridge rows."""
+
+    good: int
+    ones: int
+    zero: int
+    bridges: int
 
 
 @dataclass
-class _Slab:
-    """Fault rows ``[lo, hi)``, their injection sites and their cones.
+class _Program:
+    """The pair program of one slab: the faults ``[lo, hi)``.
 
-    The injection tables are :func:`injection_sites` over the slab's
-    faults, with each stuck-at split as arrays of slab-local rows.
+    Pair row ``r`` of the value buffer holds slab-local fault ``faults[r]``
+    at gate ``gates[r]``.
     """
 
     lo: int
     hi: int
-    store: dict[int, tuple[np.ndarray, np.ndarray]]
-    pins: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]]
-    bridges: dict[int, list[tuple[int, int, bool]]]
-    #: gates reading a pin stuck-at fault of this slab
-    pinned: set[int]
-    #: the union of the faults' fanout cones, in topological order
-    gates: list[int]
-    #: gate -> its row of the slab's value buffer (:func:`_buffer_rows`)
-    slot: dict[int, int]
-    #: the buffer rows the sweep uses
-    n_slots: int
+    faults: np.ndarray
+    gates: np.ndarray
+    #: the bridge rows, then the pair groups in program order
+    steps: list[_Step]
+    #: the pairs of next-state and output lines, fault-major: the pair's
+    #: row and its line's fault-free row
+    cell_rows: np.ndarray
+    cell_good: np.ndarray
+    #: the slab-local faults that have such pairs, where each one's pairs
+    #: start, and ``cell_at[k, c]``: the pair of ``cell_faults[k]`` at cell
+    #: line ``c``, or ``len(cell_rows)`` where the line is not in its cone
+    cell_faults: np.ndarray
+    cell_starts: np.ndarray
+    cell_at: np.ndarray
+    #: the output lines' pairs among them, their faults and starts
+    shown: np.ndarray
+    shown_faults: np.ndarray
+    shown_starts: np.ndarray
 
 
-def _slabs(
-    circuit: ScanCircuit, faults: Sequence[Fault], slab_rows: int
-) -> list[_Slab]:
-    """The fault axis in slabs of ``slab_rows`` rows, with their cones."""
-    netlist = circuit.netlist
-    machine = circuit.circuit
-    cell_lines = machine.next_state_lines + machine.primary_output_lines
-
-    def rows(split: StuckSplit) -> tuple[np.ndarray, np.ndarray]:
-        ones, zeros = split
-        return (
-            np.asarray(ones, dtype=np.int64),
-            np.asarray(zeros, dtype=np.int64),
+def _steps(
+    start: int, kind: GateType, sources: np.ndarray, rows: int
+) -> list[_Step]:
+    """Steps writing rows ``start ...`` with ``kind`` over ``sources`` (one
+    row per written row, one column per pin), ``rows`` rows at most each."""
+    return [
+        (
+            start + lo,
+            start + lo + len(piece),
+            kind,
+            tuple(np.ascontiguousarray(column) for column in piece.T),
         )
-
-    slabs = []
-    for lo in range(0, len(faults), slab_rows):
-        hi = min(lo + slab_rows, len(faults))
-        store, pins, bridges = injection_sites(netlist, faults[lo:hi])
-        pinned = {gate for gate, _ in pins}
-        gates = netlist.fanout_closure({*store, *pinned, *bridges})
-        slot, n_slots = _buffer_rows(netlist, gates, cell_lines)
-        slabs.append(
-            _Slab(
-                lo,
-                hi,
-                {line: rows(split) for line, split in store.items()},
-                {key: rows(split) for key, split in pins.items()},
-                bridges,
-                pinned,
-                gates,
-                slot,
-                n_slots,
-            )
-        )
-    return slabs
+        for lo in range(0, len(sources), rows)
+        for piece in (sources[lo : lo + rows],)
+    ]
 
 
-def _plan(
-    circuit: ScanCircuit, faults: Sequence[Fault]
-) -> tuple[list[_Slab], int, int]:
-    """The build's slabs, the words of a pattern block, and all words.
+def _cone_bits(cones: np.ndarray, n_gates: int) -> np.ndarray:
+    """One uint8 0/1 per (fault, gate) from packed reachability rows."""
+    packed = cones.astype("<u8", copy=False).view(np.uint8)
+    return np.unpackbits(packed, axis=1, bitorder="little")[:, :n_gates]
 
-    ``slab_rows`` is sized so that a row of ``block_words`` lanes for every
-    gate of the netlist fits :data:`SLAB_BYTES_BUDGET`.
+
+def _is_not(netlist: Netlist) -> np.ndarray:
+    """Whether each gate is a NOT gate."""
+    tables = netlist.gate_tables()
+    return np.asarray([kind is GateType.NOT for kind in tables.kinds])[tables.group]
+
+
+class _Sites(NamedTuple):
+    """Each fault's injection, from :func:`injection_sites`, as arrays."""
+
+    #: the stuck line or gate, or a bridge's first line
+    site: np.ndarray
+    #: a bridge's second line; the site for a stuck-at
+    partner: np.ndarray
+    #: a pin stuck-at's pin, else -1
+    pin: np.ndarray
+    stuck_at_1: np.ndarray
+    #: 1 for an AND-type bridge, 0 for an OR-type one, -1 for a stuck-at
+    bridge: np.ndarray
+
+
+def _sites(netlist: Netlist, faults: Sequence[Fault]) -> _Sites:
+    """The :class:`_Sites` of ``faults``."""
+    n_faults = len(faults)
+    site = np.empty(n_faults, dtype=np.int64)
+    partner = np.empty(n_faults, dtype=np.int64)
+    pin = np.full(n_faults, -1, dtype=np.int64)
+    stuck_at_1 = np.zeros(n_faults, dtype=bool)
+    bridge = np.full(n_faults, -1, dtype=np.int64)
+    store, pins, bridges = injection_sites(netlist, faults)
+    stuck = [
+        (fault, line, -1, value)
+        for line, split in store.items()
+        for value, indices in zip((True, False), split)
+        for fault in indices
+    ]
+    stuck += [
+        (fault, gate, index, value)
+        for (gate, index), split in pins.items()
+        for value, indices in zip((True, False), split)
+        for fault in indices
+    ]
+    if stuck:
+        fault, line, index, value = (list(column) for column in zip(*stuck))
+        site[fault], pin[fault], stuck_at_1[fault] = line, index, value
+    # Each bridge is listed under both its lines; take it from the first.
+    shorts = [
+        (fault, line, other, is_and)
+        for line, rules in bridges.items()
+        for fault, other, is_and in rules
+        if line < other
+    ]
+    if shorts:
+        fault, line, other, is_and = (list(column) for column in zip(*shorts))
+        site[fault], partner[fault], bridge[fault] = line, other, is_and
+    return _Sites(site, np.where(bridge >= 0, partner, site), pin, stuck_at_1, bridge)
+
+
+def _programs(
+    circuit: ScanCircuit, faults: Sequence[Fault], block_words: int
+) -> tuple[list[_Program], _Layout, int]:
+    """The slabs' pair programs, the buffer layout they share, and the
+    buffer's rows.
+
+    Slabs are cut greedily in fault order, each at the pairs whose rows of
+    ``block_words`` lanes fit :data:`SLAB_BYTES_BUDGET`.
     """
-    n_patterns = 1 << (circuit.n_state_variables + circuit.n_primary_inputs)
-    n_words = max(1, n_patterns // 64)
-    block_words = min(n_words, DEFAULT_PPSFP_PATTERN_BLOCK // 64)
-    per_row_bytes = circuit.netlist.n_gates * block_words * 8
-    slab_rows = max(1, min(len(faults), SLAB_BYTES_BUDGET // per_row_bytes))
-    return _slabs(circuit, faults, slab_rows), block_words, n_words
+    netlist = circuit.netlist
+    n_gates = netlist.n_gates
+    is_not = _is_not(netlist)
+    sites = _sites(netlist, faults)
+    reach = netlist.reachability_matrix()
+    cones = reach[sites.site] | reach[sites.partner]
+    sizes = _cone_bits(cones, n_gates).sum(axis=1, dtype=np.int64)
+    # A bridge needs its row, and one inverted row per bridged NOT gate.
+    bridge_rows = np.where(
+        sites.bridge >= 0, 1 + is_not[sites.site] + is_not[sites.partner], 0
+    )
+    pair_limit = max(1, SLAB_BYTES_BUDGET // (8 * block_words))
+    bounds = []
+    ends = np.cumsum(sizes)
+    lo = 0
+    while lo < len(faults):
+        before = int(ends[lo - 1]) if lo else 0
+        hi = max(lo + 1, int(np.searchsorted(ends, before + pair_limit, "right")))
+        bounds.append((lo, hi))
+        lo = hi
+    good = max(int(sizes[lo:hi].sum()) for lo, hi in bounds)
+    layout = _Layout(good, good + n_gates, good + n_gates + 1, good + n_gates + 2)
+    n_rows = layout.bridges + max(int(bridge_rows[lo:hi].sum()) for lo, hi in bounds)
+    step_rows = max(1, _STEP_BYTES // (8 * block_words))
+    programs = [
+        _program(
+            circuit,
+            lo,
+            _Sites(*(column[lo:hi] for column in sites)),
+            cones[lo:hi],
+            layout,
+            step_rows,
+        )
+        for lo, hi in bounds
+    ]
+    return programs, layout, n_rows
+
+
+def _program(
+    circuit: ScanCircuit,
+    lo: int,
+    sites: _Sites,
+    cones: np.ndarray,
+    layout: _Layout,
+    step_rows: int,
+) -> _Program:
+    """The pair program of the faults ``lo ...`` with ``sites`` and
+    ``cones``."""
+    netlist = circuit.netlist
+    n_gates = netlist.n_gates
+    tables = netlist.gate_tables()
+    fault_of, gate_of = np.nonzero(_cone_bits(cones, n_gates))
+    keys = fault_of * n_gates + gate_of
+    order = np.argsort(tables.group[gate_of], kind="stable")
+    row = np.empty_like(order)
+    row[order] = np.arange(order.size)
+    fault_of, gate_of = fault_of[order], gate_of[order]
+
+    def find(wanted: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The pair row of each (fault, line) key, and whether the line is
+        in the fault's cone."""
+        at = np.minimum(np.searchsorted(keys, wanted), keys.size - 1)
+        return row[at], keys[at] == wanted
+
+    # A fanin in the fault's cone is read from its pair, any other from its
+    # fault-free row.
+    fanins = tables.fanins[gate_of]
+    pair, in_cone = find(fault_of[:, None] * n_gates + fanins)
+    sources = np.where(
+        in_cone & (fanins >= 0),
+        pair,
+        layout.good + np.where(fanins >= 0, fanins, gate_of[:, None]),
+    )
+
+    # Injection: a pin stuck-at's pin reads the constant.
+    constant = np.where(sites.stuck_at_1, layout.ones, layout.zero)
+    pinned = np.flatnonzero(sites.pin >= 0)
+    sources[find(pinned * n_gates + sites.site[pinned])[0], sites.pin[pinned]] = (
+        constant[pinned]
+    )
+    # Bridge rows: the AND-type bridges', then the OR-type ones'.
+    bridged = np.concatenate(
+        [np.flatnonzero(sites.bridge == 1), np.flatnonzero(sites.bridge == 0)]
+    )
+    own_row = np.empty(sites.site.size, dtype=np.int64)
+    own_row[bridged] = layout.bridges + np.arange(bridged.size)
+    n_and = int((sites.bridge == 1).sum())
+    lines = layout.good + np.stack(
+        [sites.site[bridged], sites.partner[bridged]], axis=1
+    )
+    steps = _steps(layout.bridges, GateType.AND, lines[:n_and], step_rows)
+    steps += _steps(layout.bridges + n_and, GateType.OR, lines[n_and:], step_rows)
+    # An output stuck-at's site and both bridged lines read the forced value,
+    # padded with the gate's identity; a NOT gate reads it inverted: the
+    # other constant, or an inverted bridge row.
+    outputs = np.flatnonzero((sites.pin < 0) & (sites.bridge < 0))
+    fault = np.concatenate([outputs, bridged, bridged])
+    line = np.concatenate(
+        [sites.site[outputs], sites.site[bridged], sites.partner[bridged]]
+    )
+    value = np.concatenate([constant[outputs], own_row[bridged], own_row[bridged]])
+    flip = _is_not(netlist)[line]
+    from_bridge = np.arange(fault.size) >= outputs.size
+    inverted = np.flatnonzero(flip & from_bridge)
+    start = layout.bridges + bridged.size
+    steps += _steps(start, GateType.NOT, value[inverted, None], step_rows)
+    value[inverted] = start + np.arange(inverted.size)
+    flipped = flip & ~from_bridge
+    value[flipped] = layout.ones + layout.zero - value[flipped]
+    identity = np.asarray(
+        [layout.zero if kind is GateType.OR else layout.ones for kind in tables.kinds]
+    )
+    forced = find(fault * n_gates + line)[0]
+    sources[forced, 0] = value
+    sources[forced, 1:] = identity[tables.group[line]][:, None]
+
+    # The pair groups, in program order.
+    groups = tables.group[gate_of]
+    cuts = [0, *(np.flatnonzero(groups[1:] != groups[:-1]) + 1).tolist(), groups.size]
+    for start, end in zip(cuts, cuts[1:]):
+        number = int(groups[start])
+        width = max(1, tables.n_fanins[number])
+        steps += _steps(
+            start, tables.kinds[number], sources[start:end, :width], step_rows
+        )
+
+    machine = circuit.circuit
+    cell_lines = np.asarray(
+        machine.next_state_lines + machine.primary_output_lines, dtype=np.int64
+    )
+    local = np.arange(sites.site.size)
+    cell_row, has_line = find(local[:, None] * n_gates + cell_lines)
+    owner, position = np.nonzero(has_line)
+    cell_faults, cell_starts, cell_owner = np.unique(
+        owner, return_index=True, return_inverse=True
+    )
+    cell_at = np.full((cell_faults.size, cell_lines.size), owner.size)
+    cell_at[cell_owner, position] = np.arange(owner.size)
+    shown = np.flatnonzero(position >= len(machine.next_state_lines))
+    shown_faults, shown_starts = np.unique(owner[shown], return_index=True)
+    return _Program(
+        lo,
+        lo + sites.site.size,
+        fault_of,
+        gate_of,
+        steps,
+        cell_row[owner, position],
+        layout.good + cell_lines[position],
+        cell_faults,
+        cell_starts,
+        cell_at,
+        shown,
+        shown_faults,
+        shown_starts,
+    )
 
 
 class PpsfpSimulator:
@@ -289,13 +512,13 @@ class PpsfpSimulator:
     :class:`repro.gatelevel.fault_sim.InterpretedSimulator` (``detect_mask``
     / ``detect_masks`` / ``detects``), with three extensions: an *empty*
     fault universe is allowed (every mask is 0), construction cost scales
-    with ``faults x patterns`` instead of test length, and
+    with the faults' cones x patterns instead of test length, and
     :meth:`detectable_mask` reads detectability off the tables.
-    Construction builds ``cells[fault, pattern]`` and the difference bitsets
-    ``differs[state][combo]`` and ``shows[state][combo]`` that both replay
-    and detectability read.  Replaying a test costs one big-int AND per
-    cycle plus one lookup per cycle of each fault off the fault-free
-    trajectory.
+    Construction builds the sparse tables ``fault_free``, ``word_rows`` and
+    ``patched`` and the difference bitsets ``differs[state][combo]`` and
+    ``shows[state][combo]`` that both replay and detectability read.
+    Replaying a test costs one big-int AND per cycle plus one lookup per
+    cycle of each fault off the fault-free trajectory.
     """
 
     def __init__(
@@ -324,7 +547,14 @@ class PpsfpSimulator:
         self._dtype = np.dtype(f"u{cell_bytes}")
         self._n_patterns = 1 << (sv + pi)
         self._code_of = list(circuit.encoding.codes)
-        self.cells = np.empty((len(self.faults), self._n_patterns), self._dtype)
+        n_words = max(1, self._n_patterns // 64)
+        #: the fault-free cells (empty for an empty universe)
+        self.fault_free = np.empty(0, self._dtype)
+        #: each fault's row of ``patched`` for each 64-pattern word, or -1
+        #: where its cells there are the fault-free ones
+        self.word_rows = np.full((len(self.faults), n_words), -1, dtype=np.int32)
+        #: the patched words, 64 cells each
+        self.patched = np.empty((0, 64), self._dtype)
         no_faults = [[0] * table.n_input_combinations for _ in range(table.n_states)]
         self.differs: _BitRows = no_faults
         self.shows: _BitRows = no_faults
@@ -336,22 +566,23 @@ class PpsfpSimulator:
             n_faults=len(self.faults),
             n_patterns=self._n_patterns,
         ) as span:
-            slabs, blocks, diff_words = self._build_tables()
-            span.set(slabs=slabs, blocks=blocks)
+            slabs, blocks, diff_words, pairs = self._build_tables()
+            span.set(slabs=slabs, blocks=blocks, pairs=pairs)
         registry = current_registry()
         if registry is not None:
             registry.counter("faultsim.ppsfp.tables").add(1)
             registry.counter("faultsim.ppsfp.fault_rows").add(len(self.faults))
             registry.counter("faultsim.ppsfp.pattern_words").add(
-                max(1, self._n_patterns // 64) * len(self.faults)
+                n_words * len(self.faults)
             )
             registry.counter("faultsim.ppsfp.diff_words").add(diff_words)
+            registry.counter("faultsim.ppsfp.pairs").add(pairs)
 
     # ---------------------------------------------------------- table build
 
-    def _build_tables(self) -> tuple[int, int, int]:
-        """Fill ``cells``, ``differs`` and ``shows``; returns (slabs, pattern
-        blocks, lane words in which some cell line differs)."""
+    def _build_tables(self) -> tuple[int, int, int, int]:
+        """Fill the tables, ``differs`` and ``shows``; returns (slabs, pattern
+        blocks, lane words in which some cell line differs, pairs)."""
         differs, shows, counts = self._sweep()
         patterns = self._assigned_patterns()
         n_combos = self.table.n_input_combinations
@@ -361,22 +592,24 @@ class PpsfpSimulator:
         self.shows = _bit_rows(shows, patterns, n_combos)
         return counts
 
-    def _sweep(self) -> tuple[np.ndarray, np.ndarray, tuple[int, int, int]]:
-        """Fill ``cells`` in one slab pass; returns the per-fault
-        ``differs`` and ``shows`` lanes, and the counts of
-        :meth:`_build_tables`."""
+    def _sweep(self) -> tuple[np.ndarray, np.ndarray, tuple[int, int, int, int]]:
+        """Fill the tables in one pass of every slab's pair program per
+        pattern block; returns the per-fault ``differs`` and ``shows``
+        lanes, and the counts of :meth:`_build_tables`."""
         netlist = self.circuit.netlist
         n_faults, n_patterns = len(self.faults), self._n_patterns
-        slabs, block_words, n_words = _plan(self.circuit, self.faults)
         pattern_words = exhaustive_pattern_words(self._sv + self._pi)
-        buffer = np.empty(
-            (
-                max(slab.n_slots for slab in slabs),
-                max(slab.hi - slab.lo for slab in slabs),
-                block_words,
-            ),
-            dtype=np.uint64,
-        )
+        n_words = self.word_rows.shape[1]
+        block_words = min(n_words, DEFAULT_PPSFP_PATTERN_BLOCK // 64)
+        programs, layout, n_rows = _programs(self.circuit, self.faults, block_words)
+        buffer = np.empty((n_rows, block_words), dtype=np.uint64)
+        buffer[layout.ones] = ALL_ONES
+        buffer[layout.zero] = 0
+        widest = max(end - start for p in programs for start, end, _, _ in p.steps)
+        scratch = np.empty((2, widest, block_words), dtype=np.uint64)
+        # The cell lines' faulty ^ good lanes, and a zero row past them.
+        n_cells = max(p.cell_rows.size for p in programs)
+        deltas = np.empty((2, n_cells + 1, block_words), dtype=np.uint64)
         # Per-fault lanes of the patterns where a cell (differs) or an
         # output (shows) differs, the fault axis padded for the transpose.
         padded = -(-n_faults // 64) * 64
@@ -386,56 +619,73 @@ class PpsfpSimulator:
         # one word.  The bits above are patterns whose inputs are all 0, as
         # in pattern 0, so a lane differs there only where it differs at
         # pattern 0 too: they need no mask.
-        lane = min(64, n_patterns)
-        cell_words = self.cells.reshape(n_faults, n_words, lane)
-        fault_free = np.empty(n_patterns, dtype=self._dtype)
+        fault_free = np.zeros(n_words * 64, dtype=self._dtype)
+        free_words = fault_free.reshape(n_words, 64)
         # Cell bits, MSB first: the next-state lines, then the outputs.
         machine = self.circuit.circuit
-        outputs = machine.primary_output_lines
-        lines = machine.next_state_lines + outputs
+        lines = machine.next_state_lines + machine.primary_output_lines
         shifts = range(len(lines) - 1, -1, -1)
-        is_output = [False] * len(machine.next_state_lines) + [True] * len(outputs)
-        diff_words = 0
-
-        def cell_bits(lanes: np.ndarray, shift: int) -> np.ndarray:
-            return np.left_shift(_unpack(lanes), shift, dtype=self._dtype)
+        one = self._dtype.type(1)
+        patched = []
+        n_patched = 0
 
         for word_lo in range(0, n_words, block_words):
             word_hi = min(word_lo + block_words, n_words)
-            good = netlist.evaluate(
+            n_block = word_hi - word_lo
+            values = buffer[:, :n_block]
+            first, other = scratch[:, :, :n_block]
+            good = values[layout.good : layout.good + netlist.n_gates]
+            good[...] = netlist.evaluate(
                 [words[word_lo:word_hi] for words in pattern_words]
             )
-            good_cells = np.zeros((word_hi - word_lo) * 64, dtype=self._dtype)
+            good_cells = fault_free[word_lo * 64 : word_hi * 64]
             for line, shift in zip(lines, shifts):
-                good_cells |= cell_bits(good[line], shift)
-            pattern_lo = word_lo * 64
-            pattern_hi = min(pattern_lo + good_cells.size, n_patterns)
-            fault_free[pattern_lo:pattern_hi] = good_cells[: pattern_hi - pattern_lo]
-            # Every row starts fault-free; only differing words are patched.
-            self.cells[:, pattern_lo:pattern_hi] = fault_free[pattern_lo:pattern_hi]
-            for slab in slabs:
-                n_rows, n_block = slab.hi - slab.lo, word_hi - word_lo
-                values = buffer[: slab.n_slots, :n_rows, :n_block]
-                self._forward(slab, good, values)
-                changed = differs[slab.lo : slab.hi, word_lo:word_hi]
-                deltas = []
-                for line, shift, output in zip(lines, shifts, is_output):
-                    if line in slab.slot:
-                        delta = values[slab.slot[line]] ^ good[line]
-                        changed |= delta
-                        if output:
-                            shows[slab.lo : slab.hi, word_lo:word_hi] |= delta
-                        deltas.append((delta, shift))
-                row, word = np.nonzero(changed)
-                if not row.size:
+                good_cells |= np.left_shift(
+                    _unpack(good[line]), shift, dtype=self._dtype
+                )
+            for program in programs:
+                _run(program.steps, values, first, other)
+                n_cell = program.cell_rows.size
+                if not n_cell:
                     continue
-                diff_words += row.size
-                patch = np.zeros((row.size, 64), dtype=self._dtype)
-                for delta, shift in deltas:
-                    patch |= cell_bits(delta[row, word], shift).reshape(-1, 64)
-                cell_words[slab.lo + row, word_lo + word] ^= patch[:, :lane]
-        self._check_fault_free(fault_free)
-        return differs, shows, (len(slabs), -(-n_words // block_words), diff_words)
+                delta, fault_free_lanes = deltas[:, : n_cell + 1, :n_block]
+                np.take(values, program.cell_rows, 0, delta[:-1], "clip")
+                np.take(values, program.cell_good, 0, fault_free_lanes[:-1], "clip")
+                delta[:-1] ^= fault_free_lanes[:-1]
+                delta[-1] = 0
+                lanes = np.bitwise_or.reduceat(delta, program.cell_starts, axis=0)
+                differs[program.lo + program.cell_faults, word_lo:word_hi] = lanes
+                if program.shown.size:
+                    shows[program.lo + program.shown_faults, word_lo:word_hi] = (
+                        np.bitwise_or.reduceat(
+                            delta[program.shown], program.shown_starts, axis=0
+                        )
+                    )
+                fault, word = np.nonzero(lanes)
+                if not fault.size:
+                    continue
+                # A differing word is the fault-free cells XOR its lines'
+                # differing bits, gathered MSB first into each of its cells.
+                line_words = delta[program.cell_at[fault], word[:, None]]
+                bits = _unpack(line_words).reshape(fault.size, len(lines), 64)
+                patch = free_words[word_lo + word]
+                change = np.zeros_like(patch)
+                for line_bits in bits.transpose(1, 0, 2):
+                    change <<= one
+                    change |= line_bits
+                patch ^= change
+                owners = program.lo + program.cell_faults[fault]
+                rows = n_patched + np.arange(fault.size)
+                self.word_rows[owners, word_lo + word] = rows
+                patched.append(patch)
+                n_patched += fault.size
+        self.fault_free = fault_free[:n_patterns]
+        if patched:
+            self.patched = np.concatenate(patched)
+        self._check_fault_free(self.fault_free)
+        n_pairs = sum(program.faults.size for program in programs)
+        n_blocks = -(-n_words // block_words)
+        return differs, shows, (len(programs), n_blocks, n_patched, n_pairs)
 
     def _assigned_patterns(self) -> np.ndarray:
         """The pattern of every assigned (state, input) row, state-major."""
@@ -465,57 +715,6 @@ class PpsfpSimulator:
                 f"input {combo} ({wrong.size} assigned rows disagree)"
             )
 
-    def _forward(self, slab: _Slab, good: np.ndarray, values: np.ndarray) -> None:
-        """One topological sweep of a slab's cone over one pattern block.
-
-        Fills ``values`` (shape ``(buffer rows, slab rows, block words)``)
-        in place, each gate at its ``slab.slot`` row; ``good`` holds every
-        line's fault-free lanes, which lines outside the cone keep in every
-        row.
-        """
-        slot = slab.slot
-        netlist = self.circuit.netlist
-
-        def read(line: int, reader: int, pin: int) -> np.ndarray:
-            k = slot.get(line)
-            value = good[line] if k is None else values[k]
-            forced = slab.pins.get((reader, pin))
-            if forced is not None:
-                ones, zeros = forced
-                value = np.array(np.broadcast_to(value, values.shape[1:]))
-                if ones.size:
-                    value[ones] = ALL_ONES
-                if zeros.size:
-                    value[zeros] = 0
-            return value
-
-        for index in slab.gates:
-            gate = netlist.gate(index)
-            fanins = gate.fanins
-            out = values[slot[index]]
-            if index not in slab.pinned and not any(f in slot for f in fanins):
-                # Fault-free inputs: only the gate's own faults act here.
-                out[:] = good[index]
-            elif gate.kind is GateType.NOT:
-                np.invert(read(fanins[0], index, 0), out=out)
-            else:
-                # All ufuncs write straight into the buffer row; a gate's row
-                # is never a row it reads (_buffer_rows), so no aliasing.
-                op = np.bitwise_and if gate.kind is GateType.AND else np.bitwise_or
-                op(read(fanins[0], index, 0), read(fanins[1], index, 1), out=out)
-                for pin in range(2, len(fanins)):
-                    op(out, read(fanins[pin], index, pin), out=out)
-            forced = slab.store.get(index)
-            if forced is not None:
-                ones, zeros = forced
-                if ones.size:
-                    out[ones] = ALL_ONES
-                if zeros.size:
-                    out[zeros] = 0
-            for row, partner, is_and in slab.bridges.get(index, ()):
-                op = np.bitwise_and if is_and else np.bitwise_or
-                out[row] = op(good[index], good[partner])
-
     # ------------------------------------------------------------ execution
 
     def detect_mask(self, test: ScanTest) -> int:
@@ -543,7 +742,10 @@ class PpsfpSimulator:
         next_rows, output_rows = self.table.next_rows, self.table.output_rows
         code_of, pi, po = self._code_of, self._pi, self._po
         out_mask = (1 << po) - 1
-        cells = memoryview(self.cells)
+        # A fault's cell is its patched word's, if it has one there.
+        fault_free = memoryview(self.fault_free)
+        word_rows = memoryview(self.word_rows)
+        patched = memoryview(self.patched)
         masks = []
         cycles = astray_steps = 0
         for test in tests:
@@ -563,7 +765,12 @@ class PpsfpSimulator:
                     )
                     stepped: dict[int, int] = {}
                     for fault, code in astray.items():
-                        cell = cells[fault, code << pi | combo]
+                        pattern = code << pi | combo
+                        row = word_rows[fault, pattern >> 6]
+                        if row < 0:
+                            cell = fault_free[pattern]
+                        else:
+                            cell = patched[row, pattern & 63]
                         if cell == good:
                             on |= 1 << fault
                         elif cycle == last or (cell ^ good) & out_mask:
@@ -579,11 +786,14 @@ class PpsfpSimulator:
                         shown = shows[state][combo] & moved
                         detected |= shown
                         strayed = moved ^ shown
+                        # A fault's cell differs here, so its word is patched.
                         pattern = code_of[state] << pi | combo
+                        word, column = pattern >> 6, pattern & 63
                         while strayed:
                             low = strayed & -strayed
                             fault = low.bit_length() - 1
-                            astray[fault] = cells[fault, pattern] >> po
+                            row = word_rows[fault, word]
+                            astray[fault] = patched[row, column] >> po
                             strayed ^= low
                 state = next_rows[state][combo]
             cycles += last + 1

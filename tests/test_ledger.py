@@ -165,9 +165,11 @@ class TestCliLedgering:
     def test_table6_records_the_ppsfp_replay_counters(self, capsys):
         # lion's two universes replay its 9 tests (28 cycles) once each;
         # the astray lookups count the per-fault steps off the fault-free
-        # trajectory, and the difference words the lane words of its 168
-        # fault rows that the table build patched.  None depends on how
-        # the sweep is scheduled.
+        # trajectory, the difference words the lane words of its 168
+        # fault rows that the table build patched, and the pairs the
+        # (fault, gate) rows of the faults' cones it evaluated: 531
+        # stuck-at and 530 bridging.  None depends on how the sweep is
+        # scheduled.
         assert main(["table6", "--circuits", "lion"]) == 0
         assert main(["table6", "--circuits", "lion", "--jobs", "2"]) == 0
         serial, parallel = read_ledger()
@@ -177,6 +179,7 @@ class TestCliLedgering:
             assert metrics["faultsim.ppsfp.astray_steps"]["value"] == 254
             assert metrics["faultsim.ppsfp.pattern_words"]["value"] == 168
             assert metrics["faultsim.ppsfp.diff_words"]["value"] == 153
+            assert metrics["faultsim.ppsfp.pairs"]["value"] == 1061
 
     def test_generate_is_ledgered(self, capsys):
         assert main(["generate", "lion", "--no-tests"]) == 0

@@ -200,9 +200,11 @@ class TestReachabilityMemo:
         netlist = xor_netlist()
         cold = pickle.dumps(netlist)
         netlist.reachability_matrix()
+        netlist.gate_tables()
         assert pickle.dumps(netlist) == cold
         restored = pickle.loads(cold)
         assert restored.fanout_closure([0]) == netlist.fanout_closure([0])
+        assert restored.gate_tables().starts == netlist.gate_tables().starts
 
 
 class TestPackUnpack:

@@ -10,7 +10,6 @@ shape, or pattern width fails loudly.
 
 from __future__ import annotations
 
-import dataclasses
 import random
 import tracemalloc
 from collections import Counter
@@ -46,11 +45,15 @@ from repro.gatelevel.dispatch import (
     make_fault_simulator,
     partition_by_mask,
 )
-from repro.gatelevel.fault_sim import InterpretedSimulator
-from repro.gatelevel.netlist import exhaustive_pattern_words
+from repro.gatelevel.fault_sim import InterpretedSimulator, injection_sites
+from repro.gatelevel.netlist import ALL_ONES, GateType, exhaustive_pattern_words
 from repro.gatelevel.ppsfp import PpsfpSimulator
 from repro.gatelevel.scan import ScanCircuit
-from repro.gatelevel.stuck_at import StuckAtFault, collapse_stuck_at
+from repro.gatelevel.stuck_at import (
+    StuckAtFault,
+    collapse_stuck_at,
+    enumerate_stuck_at,
+)
 from repro.gatelevel.synthesis import SynthesisOptions
 from repro.harness.experiments import StudyOptions
 from repro.obs.metrics import MetricsRegistry, set_registry
@@ -85,6 +88,20 @@ def _mixed_universe(circuit, max_bridges=6):
     stuck = sorted(set(collapse_stuck_at(circuit.netlist).values()))
     bridges = enumerate_bridging_faults(circuit.netlist)[:max_bridges]
     return stuck + bridges
+
+
+def _dense_cells(simulator):
+    """``cells[fault, pattern]``, rebuilt from the simulator's sparse tables:
+    every row starts as ``fault_free``, and each word ``word_rows`` names is
+    that row of ``patched``."""
+    fault_free = simulator.fault_free
+    n_faults, n_patterns = len(simulator.faults), fault_free.size
+    cells = np.tile(fault_free, (n_faults, 1))
+    lane = min(64, n_patterns)
+    words = cells.reshape(n_faults, -1, lane)
+    fault, word = np.nonzero(simulator.word_rows >= 0)
+    words[fault, word] = simulator.patched[simulator.word_rows[fault, word], :lane]
+    return cells
 
 
 def _assert_masks_match(circuit, table, faults, tests):
@@ -260,7 +277,9 @@ class TestTableCells:
     def test_cells_are_the_narrowest_dtype_that_fits(self, name, dtype):
         table, circuit = _synthesize(name)
         simulator = PpsfpSimulator(circuit, table, [StuckAtFault(0, None, 1)])
-        assert simulator.cells.dtype == dtype
+        assert simulator.fault_free.dtype == dtype
+        assert simulator.patched.dtype == dtype
+        assert simulator.word_rows.dtype == np.int32
 
     def test_auto_chunks_log_whole_and_dvram_in_three(self):
         # log's 3,324 stuck-at faults fill 104 MiB of uint16 cells, inside
@@ -443,8 +462,9 @@ def _stepped_replay(simulator, tests):
     trajectory read their test's column of ``cells``; faults whose state
     went astray without showing at an output are gathered from their own
     codes.
-    It shares only ``cells`` with the walk, so it checks the walk's
-    bitsets, its bookkeeping of astray faults and its scan-out compare.
+    It shares only the cells, rebuilt densely (:func:`_dense_cells`), with
+    the walk, so it checks the walk's bitsets, its lookups in the sparse
+    tables, its bookkeeping of astray faults and its scan-out compare.
 
     The counter names the walk's paths: ``departure`` (a fault leaves the
     trajectory with its state alone), ``rejoin`` (an astray state returns to
@@ -473,7 +493,8 @@ def _stepped_replay(simulator, tests):
     np.cumsum(active, out=starts[1:])
     rows = np.empty(int(starts[-1]), dtype=np.int64)
     combos = np.empty_like(rows)
-    good = np.empty(rows.size, dtype=simulator.cells.dtype)
+    all_cells = _dense_cells(simulator)
+    good = np.empty(rows.size, dtype=all_cells.dtype)
     for t, test in enumerate(tests):
         state = test.initial_state
         patterns, good_cells = [], []
@@ -486,15 +507,15 @@ def _stepped_replay(simulator, tests):
         combos[at] = test.inputs
         good[at] = good_cells
 
-    flat = simulator.cells.reshape(-1)
-    n_patterns = simulator.cells.shape[1]
+    flat = all_cells.reshape(-1)
+    n_patterns = all_cells.shape[1]
     out_mask = (1 << po) - 1
     detected = np.zeros((len(tests), n_faults), dtype=bool)
     astray_t = astray_f = astray_code = np.empty(0, dtype=np.int64)
     for c in range(max_len):
         k, lo = int(active[c]), int(starts[c])
         k_next = int(active[c + 1]) if c + 1 < max_len else 0
-        cells = simulator.cells[:, rows[lo : lo + k]].T
+        cells = all_cells[:, rows[lo : lo + k]].T
         was_astray = np.zeros((k, n_faults), dtype=bool)
         if astray_t.size:
             was_astray[astray_t, astray_f] = True
@@ -617,7 +638,7 @@ class TestEventReplay:
 # ------------------------------------- the table build against its reference
 
 
-#: The dense reference's slab working set: the build's default budget.
+#: The dense reference's slab working set: a row of every gate per fault.
 _REFERENCE_SLAB_BYTES = 64 << 20
 
 
@@ -627,19 +648,62 @@ def _pack_rows(flags):
     return [int.from_bytes(row.tobytes(), "little") for row in packed]
 
 
+def _reference_sweep(netlist, faults, good):
+    """Every cone gate's values for one slab of faults over one pattern
+    block, swept gate by gate: ``{gate: (faults, block words)}``.
+
+    The slab's cone is the union of its faults' fanout cones; lines outside
+    it hold ``good``, the block's fault-free values, in every row.  Output
+    stuck-ats force their rows at the store, pin stuck-ats the value that
+    one pin reads, and each bridged line's row is overwritten with the
+    bridge over the fault-free values.
+    """
+    store, pins, bridges = injection_sites(netlist, faults)
+    gates = netlist.fanout_closure({*store, *(gate for gate, _ in pins), *bridges})
+    shape = (len(faults), good.shape[1])
+    values = {}
+
+    def read(line, reader, pin):
+        value = np.array(np.broadcast_to(values.get(line, good[line]), shape))
+        ones, zeros = pins.get((reader, pin), ([], []))
+        value[ones] = ALL_ONES
+        value[zeros] = 0
+        return value
+
+    for index in gates:
+        gate = netlist.gate(index)
+        if not gate.fanins:
+            out = np.array(np.broadcast_to(good[index], shape))
+        elif gate.kind is GateType.NOT:
+            out = ~read(gate.fanins[0], index, 0)
+        else:
+            op = np.bitwise_and if gate.kind is GateType.AND else np.bitwise_or
+            out = read(gate.fanins[0], index, 0)
+            for pin in range(1, gate.n_fanins):
+                out = op(out, read(gate.fanins[pin], index, pin))
+        ones, zeros = store.get(index, ([], []))
+        out[ones] = ALL_ONES
+        out[zeros] = 0
+        for row, partner, is_and in bridges.get(index, ()):
+            op = np.bitwise_and if is_and else np.bitwise_or
+            out[row] = op(good[index], good[partner])
+        values[index] = out
+    return values
+
+
 def _dense_tables(simulator):
     """Pattern-major cells and the difference bitsets, built densely.
 
     This is how :class:`PpsfpSimulator` built its tables before it wrote
-    fault-major rows patched only where a fault differs.  Each slab's cone
-    is swept into a buffer with one row per cone gate.  Each slab's
-    ``(rows, patterns)`` cells are assembled from every cell line's lanes,
-    unpacked to one byte per pattern, and written transposed into
-    ``cells[pattern, fault]``.  A second pass then compares every assigned
-    row of ``cells`` with the state table's fault-free cell.  It shares
-    only the slab cones and the gate sweep (``_forward``) with the build,
-    so it checks the layout, the patched words, the lanes, the bit
-    transpose and the reuse of buffer rows.
+    sparse per-fault tables from each fault's own cone.  Each slab of
+    faults is swept gate by gate over the union of its faults' cones
+    (:func:`_reference_sweep`), on the netlist's own fault-free evaluation.
+    Each slab's ``(rows, patterns)`` cells are assembled from every cell
+    line's lanes, unpacked to one byte per pattern, and written transposed
+    into ``cells[pattern, fault]``.  A second pass then compares every
+    assigned row of ``cells`` with the state table's fault-free cell.  It
+    shares nothing with the build's pair programs, so it checks the cones,
+    the injection, the sparse words, the lanes and the bit transpose.
     """
     circuit, table = simulator.circuit, simulator.table
     netlist = circuit.netlist
@@ -647,23 +711,13 @@ def _dense_tables(simulator):
     sv, pi = circuit.n_state_variables, circuit.n_primary_inputs
     po = circuit.n_primary_outputs
     n_patterns = 1 << (sv + pi)
-    dtype = simulator.cells.dtype
+    dtype = simulator.fault_free.dtype
     cells = np.empty((n_patterns, n_faults), dtype=dtype)
     pattern_words = exhaustive_pattern_words(sv + pi)
     n_words = pattern_words[0].shape[0] if pattern_words else 1
     block_words = min(n_words, DEFAULT_PPSFP_PATTERN_BLOCK // 64)
     per_row_bytes = netlist.n_gates * block_words * 8
     slab_rows = max(1, min(n_faults, _REFERENCE_SLAB_BYTES // per_row_bytes))
-    slabs = [
-        dataclasses.replace(
-            slab,
-            slot={gate: k for k, gate in enumerate(slab.gates)},
-            n_slots=len(slab.gates),
-        )
-        for slab in ppsfp_module._slabs(circuit, simulator.faults, slab_rows)
-    ]
-    cone = max(slab.n_slots for slab in slabs)
-    buffer = np.empty((cone, slab_rows, block_words), dtype=np.uint64)
     machine = circuit.circuit
     lines = machine.next_state_lines + machine.primary_output_lines
     shifts = range(len(lines) - 1, -1, -1)
@@ -681,18 +735,15 @@ def _dense_tables(simulator):
             good_cells |= cell_bits(good[line], shift)
         pattern_lo = word_lo * 64
         width = min(good_cells.size, n_patterns - pattern_lo)
-        for slab in slabs:
-            rows = slab.hi - slab.lo
-            values = buffer[: slab.n_slots, :rows, : word_hi - word_lo]
-            simulator._forward(slab, good, values)
-            block = np.empty((rows, good_cells.size), dtype=dtype)
+        for lo in range(0, n_faults, slab_rows):
+            hi = min(lo + slab_rows, n_faults)
+            values = _reference_sweep(netlist, simulator.faults[lo:hi], good)
+            block = np.empty((hi - lo, good_cells.size), dtype=dtype)
             block[:] = good_cells
             for line, shift in zip(lines, shifts):
-                if line in slab.slot:
-                    block ^= cell_bits(values[slab.slot[line]] ^ good[line], shift)
-            cells[pattern_lo : pattern_lo + width, slab.lo : slab.hi] = (
-                block[:, :width].T
-            )
+                if line in values:
+                    block ^= cell_bits(values[line] ^ good[line], shift)
+            cells[pattern_lo : pattern_lo + width, lo:hi] = block[:, :width].T
 
     # The row compare, in blocks of at most 2^20 (row, fault) cells.
     codes = np.asarray(circuit.encoding.codes, dtype=np.int64)
@@ -716,20 +767,53 @@ def _dense_tables(simulator):
     )
 
 
+def _inverter_bridges(netlist):
+    """Bridges between NOT-gate outputs and multi-input gate outputs that
+    reach neither each other nor a common reader: no enumerated universe
+    bridges an inverter, so these drive the inverted bridge rows."""
+    fanouts = netlist.fanouts()
+    inverters = [g.index for g in netlist.gates if g.kind is GateType.NOT]
+    others = [g.index for g in netlist.gates if g.n_fanins >= 2]
+    bridges = []
+    for first in inverters:
+        for second in others:
+            line1, line2 = sorted((first, second))
+            if (
+                not netlist.reaches(line1, line2)
+                and not set(fanouts[line1]) & set(fanouts[line2])
+            ):
+                for kind in BridgeKind:
+                    bridges.append(BridgingFault(line1, line2, kind))
+                break
+    # Two inverters bridged together as well.
+    for line1, line2 in zip(inverters, inverters[1:]):
+        if not netlist.reaches(line1, line2):
+            bridges.append(BridgingFault(line1, line2, BridgeKind.AND))
+            break
+    return bridges
+
+
 def _reference_case(name):
     """A circuit's table, scan circuit and universe for the build checks.
 
     ``log`` gets its whole stuck-at universe: 3,324 faults, not a multiple
     of 64, over two pattern blocks.  ``unassigned`` is
     :data:`_UNASSIGNED_SPEC`, a machine with an unassigned state code.
+    ``inverters`` is bbtas with every uncollapsed stuck-at fault, so every
+    NOT gate's output and every pin, and bridges on NOT gates.
     """
     if name == "unassigned":
         table = generate_machine(_UNASSIGNED_SPEC)
         circuit = ScanCircuit.from_machine(table, SynthesisOptions(max_fanin=4))
     else:
-        table, circuit = _synthesize(name)
+        table, circuit = _synthesize("bbtas" if name == "inverters" else name)
     if name == "log":
         return table, circuit, sorted(set(collapse_stuck_at(circuit.netlist).values()))
+    if name == "inverters":
+        netlist = circuit.netlist
+        bridges = _inverter_bridges(netlist)
+        assert bridges
+        return table, circuit, enumerate_stuck_at(netlist) + bridges
     return table, circuit, _mixed_universe(circuit, max_bridges=40)
 
 
@@ -742,21 +826,30 @@ class TestTableBuild:
             "mark1",  # uint32 cells
             "log",  # 3,324 faults, two pattern blocks
             "unassigned",  # an unassigned state code
+            "inverters",  # NOT-gate stuck-ats, every pin, bridged inverters
         ],
     )
     def test_tables_equal_the_dense_reference(self, name, monkeypatch):
-        """Fault-major cells equal the dense build's, transposed, and the
-        lane bitsets equal the row compare's, with default and one-row
-        slabs."""
+        """The sparse tables, rebuilt densely, equal the dense build's cells
+        transposed, they patch only words whose cells differ, and the lane
+        bitsets equal the row compare's, with default and one-fault slabs."""
         table, circuit, faults = _reference_case(name)
         simulator = PpsfpSimulator(circuit, table, faults)
         cells, differs, shows = _dense_tables(simulator)
         assert any(any(row) for row in shows)  # some fault shows: not vacuous
+        lane = min(64, cells.shape[0])
         for budget in (ppsfp_module.SLAB_BYTES_BUDGET, 1):
             monkeypatch.setattr(ppsfp_module, "SLAB_BYTES_BUDGET", budget)
             simulator = PpsfpSimulator(circuit, table, faults)
-            assert simulator.cells.shape == (len(faults), cells.shape[0])
-            assert np.array_equal(simulator.cells, cells.T)
+            assert np.array_equal(_dense_cells(simulator), cells.T)
+            # Each patched row serves one (fault, word), and differs from
+            # the fault-free cells there.
+            word_rows = simulator.word_rows
+            fault, word = np.nonzero(word_rows >= 0)
+            used = word_rows[fault, word]
+            assert np.array_equal(np.sort(used), np.arange(len(simulator.patched)))
+            free = simulator.fault_free.reshape(-1, lane)[word]
+            assert (simulator.patched[used, :lane] != free).any(axis=1).all()
             assert simulator.differs == differs
             assert simulator.shows == shows
             del simulator
@@ -776,22 +869,25 @@ class TestTableBuild:
         PpsfpSimulator(circuit, table, faults)
 
 
-def _live_peak(netlist, keep):
-    """The most values live at once in a topological sweep of the whole
-    netlist: a line is live from its gate to its last reader, and the lines
-    of ``keep`` to the end."""
-    last = {}
-    for gate in netlist.gates:
-        for fanin in gate.fanins:
-            last[fanin] = gate.index
-    live, peak = set(), 0
-    for gate in netlist.gates:
-        live.add(gate.index)
-        peak = max(peak, len(live))
-        for line in (*gate.fanins, gate.index):
-            if line not in keep and last.get(line, gate.index) == gate.index:
-                live.discard(line)
-    return peak
+# ------------------------------------------------------------- pair programs
+
+
+def _program_rows(steps):
+    """``row -> (kind, sources)`` for every row the steps write."""
+    rows = {}
+    for start, end, kind, sources in steps:
+        for k, row in enumerate(range(start, end)):
+            assert row not in rows  # each row is written once
+            rows[row] = (kind, tuple(int(column[k]) for column in sources))
+    return rows
+
+
+def _graded_universes(name, netlist):
+    """The universes grading builds, the stuck-at one uncollapsed: every
+    stuck-at fault, and the study's sample of bridging pairs."""
+    limit = StudyOptions().bridging_pair_limit
+    bridges = enumerate_bridging_faults(netlist, limit=limit, seed=name)
+    return [faults for faults in (enumerate_stuck_at(netlist), bridges) if faults]
 
 
 class TestBufferRows:
@@ -800,36 +896,134 @@ class TestBufferRows:
     def test_rows_are_reused_only_after_their_last_reader(
         self, name, budget, monkeypatch
     ):
+        """Every slab reuses the value buffer, so a slab's steps must write
+        each of its rows once and read only rows written before: the
+        block's fault-free rows, the constants, or rows of an earlier step
+        of the slab.  The next slab then rewrites a row only after the cell
+        pass, its last reader, has read it."""
         if budget is not None:
             monkeypatch.setattr(ppsfp_module, "SLAB_BYTES_BUDGET", budget)
         _, circuit = _synthesize(name)
         netlist = circuit.netlist
-        machine = circuit.circuit
-        keep = set(machine.next_state_lines + machine.primary_output_lines)
-        peak = _live_peak(netlist, keep)
-        fanouts = netlist.fanouts()
-        # The universes grading builds: every collapsed stuck-at fault, and
-        # the study's sample of bridging pairs.
-        stuck = sorted(set(collapse_stuck_at(netlist).values()))
-        limit = StudyOptions().bridging_pair_limit
-        bridges = enumerate_bridging_faults(netlist, limit=limit, seed=name)
-        for faults in (stuck, bridges):
-            if not faults:
-                continue
-            slabs, _, _ = ppsfp_module._plan(circuit, faults)
-            for slab in slabs:
-                position = {gate: k for k, gate in enumerate(slab.gates)}
-                holder = {}
-                for k, gate in enumerate(slab.gates):
-                    row = slab.slot[gate]
-                    assert 0 <= row < slab.n_slots
-                    previous = holder.get(row)
-                    if previous is not None:
-                        # The row's last holder is read by no gate from here on.
-                        assert previous not in keep
-                        assert all(position[r] < k for r in fanouts[previous])
-                    holder[row] = gate
-                # Next-state and output rows survive to the end of the sweep.
-                for line in keep & set(position):
-                    assert holder[slab.slot[line]] == line
-                assert slab.n_slots <= peak
+        for faults in _graded_universes(name, netlist):
+            programs, layout, n_rows = ppsfp_module._programs(circuit, faults, 2)
+            # Written before any slab runs: fault-free rows and constants.
+            written = {layout.ones, layout.zero}
+            written |= set(range(layout.good, layout.good + netlist.n_gates))
+
+            def sweep(steps, written):
+                for start, end, _, sources in steps:
+                    for column in sources:
+                        assert set(column.tolist()) <= written
+                    rows = set(range(start, end))
+                    assert not rows & written and end <= n_rows
+                    written |= rows
+
+            for program in programs:
+                mine = set(written)
+                sweep(program.steps, mine)
+                for row in mine - written:
+                    assert row < layout.good or row >= layout.bridges
+                assert set(range(program.faults.size)) <= mine
+                assert set(program.cell_rows.tolist()) <= mine
+                assert set(program.cell_good.tolist()) <= written
+
+
+class TestPairProgram:
+    @pytest.mark.parametrize("budget", [None, 1])
+    @pytest.mark.parametrize("name", circuit_names(tier="small"))
+    def test_pairs_are_the_cones_and_sources_encode_the_faults(
+        self, name, budget, monkeypatch
+    ):
+        if budget is not None:
+            monkeypatch.setattr(ppsfp_module, "SLAB_BYTES_BUDGET", budget)
+        _, circuit = _synthesize(name)
+        netlist = circuit.netlist
+        tables = netlist.gate_tables()
+        for faults in _graded_universes(name, netlist):
+            programs, layout, n_rows = ppsfp_module._programs(circuit, faults, 2)
+            good = {layout.good + line: line for line in range(netlist.n_gates)}
+            constant = {layout.ones: 1, layout.zero: 0}
+            # The slabs tile the universe; the pair rows sit below the rest.
+            assert [p.lo for p in programs] == [0] + [p.hi for p in programs[:-1]]
+            assert programs[-1].hi == len(faults)
+            for program in programs:
+                rows = _program_rows(program.steps)
+                n_pairs = program.faults.size
+                assert n_pairs <= layout.good
+                if budget == 1:
+                    assert program.hi - program.lo == 1
+                # Each fault's pairs are exactly its cone.
+                for local, fault in enumerate(faults[program.lo : program.hi]):
+                    seeds = (
+                        [fault.gate]
+                        if isinstance(fault, StuckAtFault)
+                        else [fault.line1, fault.line2]
+                    )
+                    gates = program.gates[program.faults == local]
+                    assert sorted(gates.tolist()) == netlist.fanout_closure(seeds)
+                pair_of = {
+                    (int(f), int(g)): r
+                    for r, (f, g) in enumerate(zip(program.faults, program.gates))
+                }
+                bridge_rows = {}
+                for row in range(layout.bridges, n_rows):
+                    if row in rows:
+                        bridge_rows[row] = rows.pop(row)
+                for row in range(n_pairs):
+                    local, gate = int(program.faults[row]), int(program.gates[row])
+                    fault = faults[program.lo + local]
+                    kind, sources = rows.pop(row)
+                    netlist_gate = netlist.gate(gate)
+                    assert kind is netlist_gate.kind
+                    assert len(sources) == max(1, netlist_gate.n_fanins)
+                    group = tables.group[gate]
+                    for pin, source in enumerate(sources):
+                        # An earlier group's pair of the same fault, a
+                        # fault-free row, a constant or a bridge row.
+                        if source < n_pairs:
+                            assert program.faults[source] == local
+                            assert tables.group[program.gates[source]] < group
+                            assert netlist_gate.fanins[pin] == program.gates[source]
+                        elif source in good:
+                            # Only a fanin outside the fault's cone.
+                            line = good[source]
+                            assert line == netlist_gate.fanins[pin]
+                            assert (local, line) not in pair_of
+                        else:
+                            assert source in constant or source in bridge_rows
+                    _assert_site_encoded(
+                        fault, gate, kind, sources, bridge_rows, layout
+                    )
+                assert not rows
+
+
+def _assert_site_encoded(fault, gate, kind, sources, bridge_rows, layout):
+    """The sources of ``fault``'s pair at ``gate`` encode the fault there."""
+    constant = (layout.ones, layout.zero)
+    identity = layout.zero if kind is GateType.OR else layout.ones
+    if isinstance(fault, StuckAtFault):
+        if fault.gate != gate:
+            assert all(s not in constant for s in sources)
+            return
+        forced = layout.ones if fault.value else layout.zero
+        if fault.pin is not None:
+            assert sources[fault.pin] == forced
+            others = sources[: fault.pin] + sources[fault.pin + 1 :]
+            assert all(s not in constant for s in others)
+            return
+        if kind is GateType.NOT:
+            forced = layout.ones + layout.zero - forced
+        assert sources == (forced, *[identity] * (len(sources) - 1))
+        return
+    if gate not in (fault.line1, fault.line2):
+        assert all(s not in constant and s not in bridge_rows for s in sources)
+        return
+    assert sources[1:] == (identity,) * (len(sources) - 1)
+    op, (first, second) = bridge_rows[sources[0]]
+    if kind is GateType.NOT:
+        # The inverted bridge row, over the bridge row.
+        assert op is GateType.NOT
+        op, (first, second) = bridge_rows[first]
+    assert op is (GateType.AND if fault.kind is BridgeKind.AND else GateType.OR)
+    assert {layout.good + fault.line1, layout.good + fault.line2} == {first, second}
