@@ -52,7 +52,7 @@ from repro.gatelevel.dispatch import (
     make_fault_simulator,
 )
 from repro.gatelevel.scan import ScanCircuit
-from repro.gatelevel.stuck_at import StuckAtFault, collapse_stuck_at
+from repro.gatelevel.stuck_at import StuckAtFault, stuck_at_representatives
 from repro.obs.metrics import counter_add, histogram_observe
 from repro.sca.certificates import UntestableCertificate
 from repro.sca.scoap import ScoapMeasures, compute_scoap
@@ -317,7 +317,7 @@ def generate_structural_tests(
         raise AtpgError("backtrack limit must be >= 0")
     netlist = circuit.netlist
     if faults is None:
-        faults = sorted(set(collapse_stuck_at(netlist).values()))
+        faults = stuck_at_representatives(netlist)
     if scoap is None:
         scoap = compute_scoap(netlist)
     certified: dict[StuckAtFault, UntestableCertificate] = {}

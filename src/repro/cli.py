@@ -441,7 +441,7 @@ def _cmd_atpg(args: argparse.Namespace) -> int:
                 table,
                 study.stuck_at_faults,
                 study.stuck_at_selection.detected,
-                proven_untestable=study.stuck_at_proven,
+                proven_untestable=sca.untestable_representatives,
                 algorithm=args.algorithm,
                 backtrack_limit=args.backtrack_limit,
                 scoap=sca.scoap,
@@ -1579,7 +1579,7 @@ _LEDGER_COMMANDS = frozenset(
 #: Span names that are pipeline stages (see ``repro.perf.artifacts``).
 _STAGE_SPAN_NAMES = frozenset(
     {"uio", "synthesis", "generation", "detectability", "fault-sim", "sca",
-     "bridging", "atpg"}
+     "collapse", "bridging", "atpg"}
 )
 
 

@@ -73,9 +73,10 @@ def split_undetected(
 ) -> FaultSplit:
     """Classify every fault as detected, redundant (proved), or missed.
 
-    ``proven_untestable`` must hold only certificate-backed faults; a fault
-    that is both detected and claimed untestable indicates an unsound
-    certificate and raises :class:`GenerationError` rather than silently
+    ``proven_untestable`` must hold only proved faults: certificate-backed
+    ones, or the undetectable set of exhaustive tables under full scan.  A
+    fault that is both detected and claimed untestable indicates an
+    unsound proof and raises :class:`GenerationError` rather than silently
     picking a bin.
     """
     universe = set(all_faults)

@@ -422,13 +422,13 @@ def _synthesis_replay(case: FuzzCase) -> None:
 )
 def _atpg_vs_faultsim(case: FuzzCase) -> None:
     from repro.atpg import STATUS_ABORTED, generate_structural_tests
-    from repro.gatelevel.stuck_at import collapse_stuck_at
+    from repro.gatelevel.stuck_at import stuck_at_representatives
 
     _gate_level_case(case)
     table = case.table
     circuit = case.scan_circuit()
     netlist = circuit.netlist
-    representatives = sorted(set(collapse_stuck_at(netlist).values()))
+    representatives = stuck_at_representatives(netlist)
     _require(bool(representatives), "empty collapsed stuck-at universe")
     # The ground truth must judge only patterns a scan test can establish
     # (assigned state codes), exactly the constraint the search honours.

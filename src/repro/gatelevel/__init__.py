@@ -24,7 +24,12 @@ whole stack from scratch:
 from repro.gatelevel.netlist import Gate, GateType, Netlist
 from repro.gatelevel.synthesis import SynthesisOptions, synthesize
 from repro.gatelevel.scan import ScanCircuit
-from repro.gatelevel.stuck_at import StuckAtFault, collapse_stuck_at, enumerate_stuck_at
+from repro.gatelevel.stuck_at import (
+    StuckAtFault,
+    collapse_stuck_at,
+    enumerate_stuck_at,
+    stuck_at_representatives,
+)
 from repro.gatelevel.bridging import BridgingFault, BridgeKind, enumerate_bridging_faults
 from repro.gatelevel.detectability import assigned_pattern_mask, detectable_faults
 from repro.gatelevel.fault_sim import FaultSimResult, simulate_tests
@@ -46,6 +51,7 @@ __all__ = [
     "StuckAtFault",
     "collapse_stuck_at",
     "enumerate_stuck_at",
+    "stuck_at_representatives",
     "BridgingFault",
     "BridgeKind",
     "enumerate_bridging_faults",

@@ -583,7 +583,12 @@ class PpsfpSimulator:
     def _build_tables(self) -> tuple[int, int, int, int]:
         """Fill the tables, ``differs`` and ``shows``; returns (slabs, pattern
         blocks, lane words in which some cell line differs, pairs)."""
-        differs, shows, counts = self._sweep()
+        differs, shows, patched, counts = self._sweep()
+        # The sweep's value buffer and scratch rows are freed by now, so
+        # the patched words are joined without them.
+        if patched:
+            self.patched = np.concatenate(patched)
+        del patched
         patterns = self._assigned_patterns()
         n_combos = self.table.n_input_combinations
         self.differs = _bit_rows(differs, patterns, n_combos)
@@ -592,10 +597,13 @@ class PpsfpSimulator:
         self.shows = _bit_rows(shows, patterns, n_combos)
         return counts
 
-    def _sweep(self) -> tuple[np.ndarray, np.ndarray, tuple[int, int, int, int]]:
-        """Fill the tables in one pass of every slab's pair program per
-        pattern block; returns the per-fault ``differs`` and ``shows``
-        lanes, and the counts of :meth:`_build_tables`."""
+    def _sweep(
+        self,
+    ) -> tuple[np.ndarray, np.ndarray, list[np.ndarray], tuple[int, int, int, int]]:
+        """Fill ``fault_free`` and ``word_rows`` in one pass of every slab's
+        pair program per pattern block; returns the per-fault ``differs``
+        and ``shows`` lanes, the patched words in row order, and the counts
+        of :meth:`_build_tables`."""
         netlist = self.circuit.netlist
         n_faults, n_patterns = len(self.faults), self._n_patterns
         pattern_words = exhaustive_pattern_words(self._sv + self._pi)
@@ -665,14 +673,14 @@ class PpsfpSimulator:
                 if not fault.size:
                     continue
                 # A differing word is the fault-free cells XOR its lines'
-                # differing bits, gathered MSB first into each of its cells.
-                line_words = delta[program.cell_at[fault], word[:, None]]
-                bits = _unpack(line_words).reshape(fault.size, len(lines), 64)
+                # differing bits, gathered MSB first into each of its cells,
+                # one line at a time.
+                line_rows = program.cell_at[fault]
                 patch = free_words[word_lo + word]
                 change = np.zeros_like(patch)
-                for line_bits in bits.transpose(1, 0, 2):
+                for column in line_rows.T:
                     change <<= one
-                    change |= line_bits
+                    change |= _unpack(delta[column, word][:, None])
                 patch ^= change
                 owners = program.lo + program.cell_faults[fault]
                 rows = n_patched + np.arange(fault.size)
@@ -680,12 +688,10 @@ class PpsfpSimulator:
                 patched.append(patch)
                 n_patched += fault.size
         self.fault_free = fault_free[:n_patterns]
-        if patched:
-            self.patched = np.concatenate(patched)
         self._check_fault_free(self.fault_free)
         n_pairs = sum(program.faults.size for program in programs)
         n_blocks = -(-n_words // block_words)
-        return differs, shows, (len(programs), n_blocks, n_patched, n_pairs)
+        return differs, shows, patched, (len(programs), n_blocks, n_patched, n_pairs)
 
     def _assigned_patterns(self) -> np.ndarray:
         """The pattern of every assigned (state, input) row, state-major."""

@@ -27,7 +27,7 @@ from repro.core.generator import GenerationResult, generate_tests
 from repro.core.testset import ScanTest, baseline_clock_cycles
 from repro.gatelevel.bridging import BridgingFault, enumerate_bridging_faults
 from repro.gatelevel.scan import ScanCircuit
-from repro.gatelevel.stuck_at import StuckAtFault
+from repro.gatelevel.stuck_at import StuckAtFault, stuck_at_representatives
 from repro.gatelevel.synthesis import SynthesisOptions
 from repro.harness.runtime import StageTimings
 from repro.harness.tables import format_csv, format_table
@@ -169,7 +169,10 @@ class CircuitStudy:
 
     @cached_property
     def sca(self):
-        """Static analysis of the synthesized netlist (cached per hash)."""
+        """Static analysis of the synthesized netlist (cached per hash).
+
+        Grading never reads it; ``atpg`` and ``explain --fault`` do.
+        """
         from repro.perf.artifacts import cached_sca
 
         return cached_sca(
@@ -178,12 +181,12 @@ class CircuitStudy:
 
     @cached_property
     def stuck_at_faults(self) -> list[StuckAtFault]:
-        return list(self.sca.universe.representatives)
+        """The collapsed stuck-at universe, one representative per class."""
+        from repro.perf.artifacts import STAGE_COLLAPSE
 
-    @cached_property
-    def stuck_at_proven(self) -> frozenset[StuckAtFault]:
-        """Representatives whose untestability has a verified certificate."""
-        return frozenset(self.sca.untestable_representatives)
+        netlist = self.scan_circuit.netlist  # synthesis is its own stage
+        with self.timings.stage(self.name, STAGE_COLLAPSE):
+            return stuck_at_representatives(netlist)
 
     @cached_property
     def bridging_faults(self) -> list[BridgingFault]:
@@ -198,21 +201,8 @@ class CircuitStudy:
             )
 
     def faults(self, model: str) -> list:
-        """``model``'s fault universe: every fault grading judges."""
+        """``model``'s fault universe: every fault grading simulates."""
         return self.stuck_at_faults if model == "stuck_at" else self.bridging_faults
-
-    def simulated_faults(self, model: str) -> list:
-        """The faults of ``model`` that grading simulates.
-
-        Certificate-proved stuck-at representatives are left out: a
-        verified certificate already places them in the undetectable bin,
-        and equivalent faults share verdicts, so the merged split is
-        identical to grading the full representative list.
-        """
-        if model == "bridging":
-            return self.bridging_faults
-        proven = self.stuck_at_proven
-        return [f for f in self.stuck_at_faults if f not in proven]
 
     # -------------------------------------------------------------- grading
 
@@ -233,13 +223,17 @@ class CircuitStudy:
 
     @property
     def stuck_at_split(self):
-        """Detected / redundant (proved) / missed split of the universe."""
+        """Detected / redundant / missed split of the universe.
+
+        The redundant bin is the graded undetectable set: under full scan
+        the exhaustive tables prove a fault undetectable.
+        """
         from repro.core.coverage import split_undetected
 
         return split_undetected(
             self.stuck_at_faults,
             self.stuck_at_selection.detected,
-            self.stuck_at_proven,
+            self.stuck_at_detectability[1],
         )
 
     @property

@@ -42,6 +42,7 @@ from repro.uio.search import UioTable, compute_uio_table
 __all__ = [
     "STAGE_ATPG",
     "STAGE_BRIDGING",
+    "STAGE_COLLAPSE",
     "STAGE_DETECTABILITY",
     "STAGE_FAULT_SIM",
     "STAGE_GENERATION",
@@ -68,6 +69,7 @@ STAGE_DETECTABILITY = "detectability"
 STAGE_FAULT_SIM = "fault-sim"
 STAGE_SCA = "sca"
 STAGE_BRIDGING = "bridging"
+STAGE_COLLAPSE = "collapse"
 STAGE_ATPG = "atpg"
 
 
@@ -284,13 +286,13 @@ def cached_atpg(
     import dataclasses
 
     from repro.atpg import DEFAULT_BACKTRACK_LIMIT, generate_structural_tests
-    from repro.gatelevel.stuck_at import collapse_stuck_at
+    from repro.gatelevel.stuck_at import stuck_at_representatives
 
     if backtrack_limit is None:
         backtrack_limit = DEFAULT_BACKTRACK_LIMIT
     netlist = scan.netlist
     if faults is None:
-        faults = sorted(set(collapse_stuck_at(netlist).values()))
+        faults = stuck_at_representatives(netlist)
     label = circuit or table.name
     cache = active_cache()
     key = ""

@@ -5,8 +5,12 @@ The engine runs every circuit through three phases:
 1. **Prepare** (one task per circuit): build the circuit's
    :class:`~repro.harness.experiments.CircuitStudy` and ask it for its
    inputs — UIO table, functional tests, synthesized and verified scan
-   circuit, static analysis, fault universes.  The artifact cache serves
-   UIO tables, synthesized circuits and static analyses across runs.
+   circuit, fault universes.  No static analysis runs: the collapsed
+   stuck-at universe comes from
+   :func:`~repro.gatelevel.stuck_at.stuck_at_representatives`, and the
+   exhaustive tables decide every fault's detectability, certified
+   untestable faults included.  The artifact cache serves UIO tables and
+   synthesized circuits across runs.
 2. **Simulate** (one task per fault chunk): every (circuit, fault model)
    universe is cut by :func:`repro.gatelevel.dispatch.fault_chunks` — one
    engine per universe, PPSFP chunks that each fit the table byte budget
@@ -90,10 +94,7 @@ def _prepare_task(
         _ = study.tests
         if scope == "full":
             for model in MODELS:
-                study.simulated_faults(model)
-            # The universes are computed; the analysis behind them is most
-            # of a pickled study.
-            del study.sca
+                study.faults(model)
     return study, worker_snapshot()
 
 
@@ -239,8 +240,6 @@ def _grade(
 ) -> tuple[Split, EffectiveSelection]:
     """One model's detectability split and effective-test selection."""
     split = _assemble_split(chunks, results)
-    if model == "stuck_at":
-        split = (split[0], split[1] | set(study.stuck_at_proven))
     selection = _select_from_masks(
         study, study.faults(model), chunks,
         [result.masks for result in results], split[1],
@@ -313,7 +312,7 @@ def grade_studies(
         circuits.append((study.name, scan, study.table, tests))
         for model in models:
             engine, model_chunks = circuit_chunks(
-                scan, study.simulated_faults(model), faultsim
+                scan, study.faults(model), faultsim
             )
             plan[position, model] = (
                 model_chunks,

@@ -2,13 +2,14 @@
 
 :func:`repro.gatelevel.stuck_at.collapse_stuck_at` produces the raw
 fault → representative mapping; this module packages it as a
-:class:`CollapsedUniverse` that the pipeline consumes: the deterministic
-representative list (exactly ``sorted(set(mapping.values()))``, which is
-what the fault-simulation stages already simulate), the inverse
-representative → class mapping, and :meth:`CollapsedUniverse.expand` to
-reconstruct full-universe verdicts from representative verdicts —
-bit-identically, because structural equivalence means every member of a
-class is detected by exactly the same tests.
+:class:`CollapsedUniverse` for the static analysis: the deterministic
+representative list (exactly ``sorted(set(mapping.values()))``, the list
+:func:`~repro.gatelevel.stuck_at.stuck_at_representatives` gives grading
+without building the mapping), the inverse representative → class
+mapping, and :meth:`CollapsedUniverse.expand` to reconstruct
+full-universe verdicts from representative verdicts — bit-identically,
+because structural equivalence means every member of a class is detected
+by exactly the same tests.
 
 Only *equivalence* shrinks the simulated universe.  Structural dominance
 (fault A dominates B when every test for B also detects A — e.g. a region

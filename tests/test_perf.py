@@ -286,7 +286,6 @@ class TestOnePipeline:
         study, _ = engine_module._prepare_task(snapshot, 0)
         assert "sca" not in vars(study)
         assert study.stuck_at_faults and study.bridging_faults
-        assert set(study.stuck_at_proven) <= set(study.stuck_at_faults)
 
 
 # ------------------------------------------- detectability from simulators
@@ -356,14 +355,14 @@ class TestDetectabilityFromSimulators:
                     repr(fault)
                     for study in studies.values()
                     for model in ("stuck_at", "bridging")
-                    for fault in study.simulated_faults(model)
+                    for fault in study.faults(model)
                 )
                 records = [r for r in timings.records if r.stage == "detectability"]
                 assert records and all(r.cache == "" for r in records)
                 runs.append(studies)
             kinds = cache.info()["kinds"]
         assert "detectability" not in kinds
-        assert set(kinds) <= {"uio", "synthesis", "sca", "atpg"}
+        assert set(kinds) == {"uio", "synthesis"}
         for studies in runs:
             assert _signatures(studies) == _signatures(uncached)
             for name in names:
