@@ -85,8 +85,9 @@ def select_effective_tests(
     """
     universe = set(all_faults)
     n_faults = len(universe)
-    undetectable = set(stop_when_exhausted)
-    remaining = universe - undetectable
+    # Replaced only when a test detects something: a test that detects
+    # nothing costs no copy of the remaining faults.
+    remaining = frozenset(universe.difference(stop_when_exhausted))
     detected: set[Hashable] = set()
     effective: list[ScanTest] = []
     rows: list[tuple[ScanTest, int, bool]] = []
@@ -94,13 +95,13 @@ def select_effective_tests(
         if not remaining:
             rows.append((test, len(detected), False))
             continue
-        newly = set(simulate(test, frozenset(remaining)))
+        newly = set(simulate(test, remaining))
         if not newly <= remaining:
             raise GenerationError("simulate() reported faults outside the remainder")
-        remaining -= newly
-        detected |= newly
         is_effective = bool(newly)
         if is_effective:
+            remaining -= newly
+            detected |= newly
             effective.append(test)
         rows.append((test, len(detected), is_effective))
     return EffectiveSelection(

@@ -30,7 +30,11 @@ synthesized netlist is verified against (see
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from itertools import chain
+from typing import Iterable, NamedTuple, Sequence
+
+import numpy as np
+import numpy.typing as npt
 
 from repro.core.config import adaptive_batch_bits
 from repro.core.testset import ScanTest, TestSet
@@ -48,15 +52,27 @@ __all__ = [
     "simulate_tests",
     "detects",
     "injection_sites",
+    "InjectionSites",
     "adaptive_batch_bits",
 ]
 
 Fault = StuckAtFault | BridgingFault
 
-#: Fault indices injected at one stuck-at site: ``(stuck at 1, stuck at 0)``.
-StuckSplit = tuple[list[int], list[int]]
-#: Bridges touching one line: ``(fault index, partner line, is AND-type)``.
-BridgeRules = list[tuple[int, int, bool]]
+
+class InjectionSites(NamedTuple):
+    """Where each fault of a universe is injected: one int64 entry per
+    fault, in universe order."""
+
+    #: the stuck gate, or a bridge's first line
+    site: npt.NDArray[np.int64]
+    #: a bridge's second line; the site itself for a stuck-at
+    partner: npt.NDArray[np.int64]
+    #: a pin stuck-at's pin, else -1
+    pin: npt.NDArray[np.int64]
+    #: the stuck value, 0 for a bridge
+    value: npt.NDArray[np.int64]
+    #: 1 for an AND-type bridge, 0 for an OR-type one, -1 for a stuck-at
+    bridge: npt.NDArray[np.int64]
 
 
 @dataclass
@@ -79,52 +95,61 @@ class FaultSimResult:
         return 100.0 * len(self.detected) / self.n_faults
 
 
-def injection_sites(
-    netlist: Netlist, faults: Sequence[Fault]
-) -> tuple[
-    dict[int, StuckSplit], dict[tuple[int, int], StuckSplit], dict[int, BridgeRules]
-]:
-    """Where each fault is injected, as ascending indices into ``faults``.
+def injection_sites(netlist: Netlist, faults: Sequence[Fault]) -> InjectionSites:
+    """Where each fault of ``faults`` is injected, as :class:`InjectionSites`.
 
-    Returns ``(store, pins, bridges)``:
-
-    * ``store[line]`` — output stuck-at faults on ``line``, as
-      ``(indices stuck at 1, indices stuck at 0)``;
-    * ``pins[(gate, pin)]`` — pin stuck-at faults, split the same way;
-    * ``bridges[line]`` — ``(index, partner line, is AND-type)`` for every
-      bridge touching ``line`` (each bridge is listed under both lines).
-
-    Every engine folds these into its own representation: bit masks for
-    the interpreted engine, row arrays for PPSFP.  Bridged lines must be gate
-    outputs; a bridged primary input is rejected here, once for all.
+    The one fault-site encoder: each engine folds these arrays into its own
+    representation, bit masks and dicts for the interpreted engine, pair
+    sources for PPSFP.  The faults' attributes are read in one pass, and
+    the sites are validated once, here.  A fault that is not a site of
+    ``netlist`` raises :class:`~repro.errors.FaultSimulationError` naming
+    it: a gate or a bridged line outside the netlist, or a pin past its
+    gate's own fanins (an input or a constant has none; a NOT gate has pin
+    0).  Bridged lines must be gate outputs, so a bridged primary input is
+    rejected as well.
     """
-    store: dict[int, StuckSplit] = {}
-    pins: dict[tuple[int, int], StuckSplit] = {}
-    bridges: dict[int, BridgeRules] = {}
-    for index, fault in enumerate(faults):
-        if isinstance(fault, StuckAtFault):
-            if fault.pin is None:
-                ones, zeros = store.setdefault(fault.gate, ([], []))
-            else:
-                ones, zeros = pins.setdefault((fault.gate, fault.pin), ([], []))
-            (ones if fault.value else zeros).append(index)
-            continue
-        for line in (fault.line1, fault.line2):
-            if netlist.gate(line).kind is GateType.INPUT:
-                raise FaultSimulationError(
-                    f"bridged primary input unsupported: {fault.site()}"
-                )
-        is_and = fault.kind is BridgeKind.AND
-        bridges.setdefault(fault.line1, []).append((index, fault.line2, is_and))
-        bridges.setdefault(fault.line2, []).append((index, fault.line1, is_and))
-    return store, pins, bridges
-
-
-def _bit_mask(indices: Iterable[int]) -> int:
-    mask = 0
-    for index in indices:
-        mask |= 1 << index
-    return mask
+    # A pin stuck-at is kind -2 until its pin is validated, so that no pin
+    # number can pass for the output's -1.
+    and_type = BridgeKind.AND
+    rows = [
+        (
+            (fault.gate, fault.gate, -1, fault.value, -1)
+            if fault.pin is None
+            else (fault.gate, fault.gate, fault.pin, fault.value, -2)
+        )
+        if isinstance(fault, StuckAtFault)
+        else (fault.line1, fault.line2, -1, 0, fault.kind is and_type)
+        for fault in faults
+    ]
+    try:
+        flat = np.fromiter(chain.from_iterable(rows), np.int64, 5 * len(rows))
+    except OverflowError:
+        # A line or pin past int64 is past every netlist.
+        fault = next(f for f, row in zip(faults, rows) if max(map(abs, row)) >> 63)
+        raise FaultSimulationError(
+            f"{fault.site()} is not a site of the netlist"
+        ) from None
+    site, partner, pin, value, bridge = flat.reshape(-1, 5).T.copy()
+    tables = netlist.gate_tables()
+    n_gates = netlist.n_gates
+    on_netlist = (site >= 0) & (site < n_gates) & (partner >= 0) & (partner < n_gates)
+    # Per-gate lookups of the lines on the netlist; the others read gate 0.
+    first, second = np.where(on_netlist, site, 0), np.where(on_netlist, partner, 0)
+    n_fanins = np.asarray(tables.n_fanins, dtype=np.int64)[tables.group]
+    pinned = bridge == -2
+    stray = ~on_netlist | pinned & ((pin < 0) | (pin >= n_fanins[first]))
+    is_input = np.asarray([kind is GateType.INPUT for kind in tables.kinds])
+    bridged_input = (bridge >= 0) & (
+        is_input[tables.group[first]] | is_input[tables.group[second]]
+    )
+    wrong = np.flatnonzero(stray | bridged_input)
+    if wrong.size:
+        fault = faults[int(wrong[0])]
+        if stray[wrong[0]]:
+            raise FaultSimulationError(f"{fault.site()} is not a site of the netlist")
+        raise FaultSimulationError(f"bridged primary input unsupported: {fault.site()}")
+    bridge[pinned] = -1
+    return InjectionSites(site, partner, pin, value, bridge)
 
 
 class _Batch:
@@ -136,22 +161,24 @@ class _Batch:
         self.faults = list(faults)
         #: the all-ones word of this batch's width
         self.ones = (1 << len(self.faults)) - 1
-        store, pins, bridges = injection_sites(netlist, self.faults)
         #: line -> (force_mask_1, force_mask_0) for stuck outputs
-        self.store_force = {
-            line: (_bit_mask(ones), _bit_mask(zeros))
-            for line, (ones, zeros) in store.items()
-        }
+        self.store_force: dict[int, tuple[int, int]] = {}
         #: (gate, pin) -> (force_mask_1, force_mask_0)
-        self.pin_force = {
-            key: (_bit_mask(ones), _bit_mask(zeros))
-            for key, (ones, zeros) in pins.items()
-        }
+        self.pin_force: dict[tuple[int, int], tuple[int, int]] = {}
         #: line -> list of (mask, partner_line, is_and)
-        self.bridges = {
-            line: [(1 << index, partner, is_and) for index, partner, is_and in rules]
-            for line, rules in bridges.items()
-        }
+        self.bridges: dict[int, list[tuple[int, int, bool]]] = {}
+        sites = injection_sites(netlist, self.faults)
+        columns = zip(*(column.tolist() for column in sites))
+        for index, (site, partner, pin, value, bridge) in enumerate(columns):
+            bit = 1 << index
+            if bridge >= 0:
+                self.bridges.setdefault(site, []).append((bit, partner, bridge == 1))
+                self.bridges.setdefault(partner, []).append((bit, site, bridge == 1))
+                continue
+            forces: dict = self.store_force if pin < 0 else self.pin_force
+            key = site if pin < 0 else (site, pin)
+            ones, zeros = forces.get(key, (0, 0))
+            forces[key] = (ones | bit, zeros) if value else (ones, zeros | bit)
 
 
 def _forward(

@@ -142,19 +142,24 @@ class Netlist:
         self._fanouts: list[list[int]] | None = None
         self._reach: Words | None = None
         self._tables: GateTables | None = None
+        #: whether the netlist passed its structural rules since it last
+        #: changed: a passing :meth:`check` or preflight sets it
+        #: (:func:`repro.lint.preflight.preflight_netlist`)
+        self._checked = False
 
     def __getstate__(self) -> dict:
         # The reachability memo is n²/8 bytes and the gate tables a few
-        # arrays, both cheap to rebuild; keep them out of pickled cache
-        # entries and worker-pool snapshots.
+        # arrays, both cheap to rebuild; keep them and the rules' verdict
+        # out of pickled cache entries and worker-pool snapshots.
         state = self.__dict__.copy()
-        del state["_reach"], state["_tables"]
+        del state["_reach"], state["_tables"], state["_checked"]
         return state
 
     def __setstate__(self, state: dict) -> None:
         self.__dict__.update(state)
         self._reach = None
         self._tables = None
+        self._checked = False
 
     # --------------------------------------------------------- construction
 
@@ -165,6 +170,7 @@ class Netlist:
         self._fanouts = None
         self._reach = None
         self._tables = None
+        self._checked = False
         return index
 
     def add_gate(self, kind: GateType, fanins: Iterable[int], name: str = "") -> int:
@@ -193,6 +199,7 @@ class Netlist:
         self._fanouts = None
         self._reach = None
         self._tables = None
+        self._checked = False
         return index
 
     def set_outputs(self, outputs: Iterable[int]) -> None:
@@ -201,6 +208,7 @@ class Netlist:
             if not 0 <= line < len(self._gates):
                 raise NetlistError(f"output line {line} does not exist")
         self._outputs = output_list
+        self._checked = False
 
     # ------------------------------------------------------------ structure
 
@@ -319,12 +327,15 @@ class Netlist:
         so construction-time call sites catch combinational cycles, undriven
         nets, arity violations, and missing outputs — not just the
         topological-order fragment this method used to enforce.  The import
-        is lazy because the analyzer builds on this module.
+        is lazy because the analyzer builds on this module.  Its rules
+        include the preflight's, so a pass records the preflight's verdict
+        too, until the next ``add_input``, ``add_gate`` or ``set_outputs``.
         """
         from repro.lint.netlist_rules import analyze_netlist
 
         report = analyze_netlist(self, errors_only=True)
         report.raise_on_errors(NetlistError)
+        self._checked = True
 
     # ----------------------------------------------------------- evaluation
 

@@ -54,10 +54,15 @@ pairs are ordered by their gate's group of
 :meth:`~repro.gatelevel.netlist.Netlist.gate_tables` — (level, kind, fanin
 count) — so each group is a range of rows, evaluated by one ``np.take`` per
 fanin and an AND, OR or NOT over the whole range, whatever the number of
-gates.  A pair's sources are the rows of its gate's fanins in the fault's
-machine: a fanin's pair when the fanin is in the fault's cone, else its
-fault-free row.  Each fault is injected by rewriting the sources of its
-site pair (:func:`repro.gatelevel.fault_sim.injection_sites`):
+gates.  The pairs are enumerated in that order straight from the cone bits,
+unpacked once per universe: one ``np.flatnonzero`` per group over the
+group's columns, fault by fault.  A pair's sources are the rows of its
+gate's fanins in the fault's machine: a fanin's pair when the fanin is in
+the fault's cone, else its fault-free row.  A slab's int32 index of (fault,
+line) holds exactly that row, so every fanin, injection-site and cell-line
+lookup is one array read.  Each fault is injected by rewriting the sources
+of its site pair, from the site arrays of
+:func:`repro.gatelevel.fault_sim.injection_sites`:
 
 * stuck-at on a gate output — the site reads the constant, padded with the
   gate's identity (the constant is inverted for a NOT gate);
@@ -87,11 +92,11 @@ from repro.core.config import DEFAULT_PPSFP_PATTERN_BLOCK, table_cell_bytes
 from repro.core.testset import ScanTest
 from repro.errors import FaultSimulationError
 from repro.fsm.state_table import StateTable
-from repro.gatelevel.fault_sim import Fault, injection_sites
+from repro.gatelevel.fault_sim import Fault, InjectionSites, injection_sites
 from repro.gatelevel.netlist import (
     ALL_ONES,
+    GateTables,
     GateType,
-    Netlist,
     exhaustive_pattern_words,
 )
 from repro.gatelevel.scan import ScanCircuit
@@ -269,7 +274,7 @@ def _steps(
             start + lo,
             start + lo + len(piece),
             kind,
-            tuple(np.ascontiguousarray(column) for column in piece.T),
+            tuple(np.ascontiguousarray(column, dtype=np.intp) for column in piece.T),
         )
         for lo in range(0, len(sources), rows)
         for piece in (sources[lo : lo + rows],)
@@ -277,66 +282,71 @@ def _steps(
 
 
 def _cone_bits(cones: np.ndarray, n_gates: int) -> np.ndarray:
-    """One uint8 0/1 per (fault, gate) from packed reachability rows."""
+    """One bool per (fault, gate) from packed reachability rows."""
     packed = cones.astype("<u8", copy=False).view(np.uint8)
-    return np.unpackbits(packed, axis=1, bitorder="little")[:, :n_gates]
+    return np.unpackbits(packed, axis=1, bitorder="little")[:, :n_gates].view(bool)
 
 
-def _is_not(netlist: Netlist) -> np.ndarray:
-    """Whether each gate is a NOT gate."""
-    tables = netlist.gate_tables()
-    return np.asarray([kind is GateType.NOT for kind in tables.kinds])[tables.group]
+def _slabs(sizes: np.ndarray, pair_limit: int) -> list[tuple[int, int]]:
+    """Faults of ``sizes`` pairs each, cut greedily in order into slabs of
+    at most ``pair_limit`` pairs and one fault at least: ``(lo, hi)`` each."""
+    ends = np.cumsum(sizes)
+    bounds = []
+    lo = 0
+    while lo < ends.size:
+        before = int(ends[lo - 1]) if lo else 0
+        # A fault holds one pair at least, so at most pair_limit faults fit.
+        fits = np.count_nonzero(ends[lo : lo + pair_limit] <= before + pair_limit)
+        hi = lo + max(1, int(fits))
+        bounds.append((lo, hi))
+        lo = hi
+    return bounds
 
 
-class _Sites(NamedTuple):
-    """Each fault's injection, from :func:`injection_sites`, as arrays."""
+class _Pairs(NamedTuple):
+    """A slab's pairs, in program order."""
 
-    #: the stuck line or gate, or a bridge's first line
-    site: np.ndarray
-    #: a bridge's second line; the site for a stuck-at
-    partner: np.ndarray
-    #: a pin stuck-at's pin, else -1
-    pin: np.ndarray
-    stuck_at_1: np.ndarray
-    #: 1 for an AND-type bridge, 0 for an OR-type one, -1 for a stuck-at
-    bridge: np.ndarray
+    #: each pair's slab-local fault and gate (int32)
+    faults: np.ndarray
+    gates: np.ndarray
+    #: ``(group, start, end)``: the pair rows of each group the slab holds
+    groups: list[tuple[int, int, int]]
 
 
-def _sites(netlist: Netlist, faults: Sequence[Fault]) -> _Sites:
-    """The :class:`_Sites` of ``faults``."""
-    n_faults = len(faults)
-    site = np.empty(n_faults, dtype=np.int64)
-    partner = np.empty(n_faults, dtype=np.int64)
-    pin = np.full(n_faults, -1, dtype=np.int64)
-    stuck_at_1 = np.zeros(n_faults, dtype=bool)
-    bridge = np.full(n_faults, -1, dtype=np.int64)
-    store, pins, bridges = injection_sites(netlist, faults)
-    stuck = [
-        (fault, line, -1, value)
-        for line, split in store.items()
-        for value, indices in zip((True, False), split)
-        for fault in indices
-    ]
-    stuck += [
-        (fault, gate, index, value)
-        for (gate, index), split in pins.items()
-        for value, indices in zip((True, False), split)
-        for fault in indices
-    ]
-    if stuck:
-        fault, line, index, value = (list(column) for column in zip(*stuck))
-        site[fault], pin[fault], stuck_at_1[fault] = line, index, value
-    # Each bridge is listed under both its lines; take it from the first.
-    shorts = [
-        (fault, line, other, is_and)
-        for line, rules in bridges.items()
-        for fault, other, is_and in rules
-        if line < other
-    ]
-    if shorts:
-        fault, line, other, is_and = (list(column) for column in zip(*shorts))
-        site[fault], partner[fault], bridge[fault] = line, other, is_and
-    return _Sites(site, np.where(bridge >= 0, partner, site), pin, stuck_at_1, bridge)
+def _pairs(bits: np.ndarray, tables: GateTables) -> _Pairs:
+    """The pairs of the faults whose cone bits are ``bits`` (fault x gate).
+
+    Each group's columns, taken in :attr:`GateTables.order`, give its pairs
+    by one ``np.flatnonzero``: group by group, and in a group fault by
+    fault, each fault's gates ascending.
+    """
+    faults, gates, groups = [], [], []
+    start = 0
+    for number, (lo, hi) in enumerate(zip(tables.starts, tables.starts[1:])):
+        columns = tables.order[lo:hi]
+        fault, column = np.divmod(np.flatnonzero(bits[:, columns]), hi - lo)
+        if fault.size:
+            faults.append(fault.astype(np.int32))
+            gates.append(columns[column].astype(np.int32))
+            groups.append((number, start, start + fault.size))
+            start += fault.size
+    return _Pairs(np.concatenate(faults), np.concatenate(gates), groups)
+
+
+class _Lines(NamedTuple):
+    """What every slab's program reads of the netlist's lines."""
+
+    tables: GateTables
+    #: ``tables.fanins`` as int32: pin ``j``'s line of gate ``g``, or -1
+    fanins: np.ndarray
+    #: whether each gate is a NOT gate
+    is_not: np.ndarray
+    #: the row a forced gate's other pins read: its kind's identity, the
+    #: zero row for an OR gate and the all-ones row otherwise
+    identity: np.ndarray
+    #: the cell lines: the next-state lines, then the output lines
+    cells: np.ndarray
+    n_next: int
 
 
 def _programs(
@@ -346,100 +356,101 @@ def _programs(
     buffer's rows.
 
     Slabs are cut greedily in fault order, each at the pairs whose rows of
-    ``block_words`` lanes fit :data:`SLAB_BYTES_BUDGET`.
+    ``block_words`` lanes fit :data:`SLAB_BYTES_BUDGET`.  The cone bits are
+    unpacked once, and each slab's pairs enumerated from them, before any
+    program builds its pair index.
     """
     netlist = circuit.netlist
     n_gates = netlist.n_gates
-    is_not = _is_not(netlist)
-    sites = _sites(netlist, faults)
+    tables = netlist.gate_tables()
+    is_not = np.asarray([kind is GateType.NOT for kind in tables.kinds])[tables.group]
+    sites = injection_sites(netlist, faults)
     reach = netlist.reachability_matrix()
-    cones = reach[sites.site] | reach[sites.partner]
-    sizes = _cone_bits(cones, n_gates).sum(axis=1, dtype=np.int64)
+    bits = _cone_bits(reach[sites.site] | reach[sites.partner], n_gates)
+    pair_limit = max(1, SLAB_BYTES_BUDGET // (8 * block_words))
+    bounds = _slabs(np.count_nonzero(bits, axis=1), pair_limit)
+    pairs = [_pairs(bits[lo:hi], tables) for lo, hi in bounds]
+    # An index holds 4 bytes per (fault, gate), the bits one: free them first.
+    del bits
+    good = max(slab.faults.size for slab in pairs)
+    layout = _Layout(good, good + n_gates, good + n_gates + 1, good + n_gates + 2)
     # A bridge needs its row, and one inverted row per bridged NOT gate.
     bridge_rows = np.where(
         sites.bridge >= 0, 1 + is_not[sites.site] + is_not[sites.partner], 0
     )
-    pair_limit = max(1, SLAB_BYTES_BUDGET // (8 * block_words))
-    bounds = []
-    ends = np.cumsum(sizes)
-    lo = 0
-    while lo < len(faults):
-        before = int(ends[lo - 1]) if lo else 0
-        hi = max(lo + 1, int(np.searchsorted(ends, before + pair_limit, "right")))
-        bounds.append((lo, hi))
-        lo = hi
-    good = max(int(sizes[lo:hi].sum()) for lo, hi in bounds)
-    layout = _Layout(good, good + n_gates, good + n_gates + 1, good + n_gates + 2)
     n_rows = layout.bridges + max(int(bridge_rows[lo:hi].sum()) for lo, hi in bounds)
+    is_or = np.asarray([kind is GateType.OR for kind in tables.kinds])[tables.group]
+    machine = circuit.circuit
+    lines = _Lines(
+        tables,
+        tables.fanins.astype(np.int32),
+        is_not,
+        np.where(is_or, np.int32(layout.zero), np.int32(layout.ones)),
+        np.asarray(
+            machine.next_state_lines + machine.primary_output_lines, dtype=np.int64
+        ),
+        len(machine.next_state_lines),
+    )
     step_rows = max(1, _STEP_BYTES // (8 * block_words))
     programs = [
         _program(
-            circuit,
+            lines,
             lo,
-            _Sites(*(column[lo:hi] for column in sites)),
-            cones[lo:hi],
+            InjectionSites(*(column[lo:hi] for column in sites)),
+            slab,
             layout,
             step_rows,
         )
-        for lo, hi in bounds
+        for (lo, hi), slab in zip(bounds, pairs)
     ]
     return programs, layout, n_rows
 
 
 def _program(
-    circuit: ScanCircuit,
+    lines: _Lines,
     lo: int,
-    sites: _Sites,
-    cones: np.ndarray,
+    sites: InjectionSites,
+    pairs: _Pairs,
     layout: _Layout,
     step_rows: int,
 ) -> _Program:
     """The pair program of the faults ``lo ...`` with ``sites`` and
-    ``cones``."""
-    netlist = circuit.netlist
-    n_gates = netlist.n_gates
-    tables = netlist.gate_tables()
-    fault_of, gate_of = np.nonzero(_cone_bits(cones, n_gates))
-    keys = fault_of * n_gates + gate_of
-    order = np.argsort(tables.group[gate_of], kind="stable")
-    row = np.empty_like(order)
-    row[order] = np.arange(order.size)
-    fault_of, gate_of = fault_of[order], gate_of[order]
+    ``pairs``."""
+    tables = lines.tables
+    n_faults = sites.site.size
+    n_gates = lines.fanins.shape[0]
+    fault_of, gate_of = pairs.faults, pairs.gates
+    # at[fault, line]: the row the slab-local fault's machine reads the line
+    # from, its pair where the line is in the fault's cone and the line's
+    # fault-free row elsewhere.  Pair rows lie below layout.good.
+    at = np.empty((n_faults, n_gates), dtype=np.int32)
+    at[...] = layout.good + np.arange(n_gates, dtype=np.int32)
+    at[fault_of, gate_of] = np.arange(fault_of.size, dtype=np.int32)
 
-    def find(wanted: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The pair row of each (fault, line) key, and whether the line is
-        in the fault's cone."""
-        at = np.minimum(np.searchsorted(keys, wanted), keys.size - 1)
-        return row[at], keys[at] == wanted
-
-    # A fanin in the fault's cone is read from its pair, any other from its
-    # fault-free row.
-    fanins = tables.fanins[gate_of]
-    pair, in_cone = find(fault_of[:, None] * n_gates + fanins)
-    sources = np.where(
-        in_cone & (fanins >= 0),
-        pair,
-        layout.good + np.where(fanins >= 0, fanins, gate_of[:, None]),
-    )
+    # Each pin reads its fanin's row in the fault's machine.  A pad pin, -1
+    # in the fanin table, reads some row that no step keeps, except the one
+    # pin of a gate without fanins: it copies the gate's fault-free row.
+    keys = fault_of[:, None] * np.int32(n_gates) + lines.fanins[gate_of]
+    sources = at.ravel().take(keys, mode="clip")
+    del keys
+    for number, start, end in pairs.groups:
+        if not tables.n_fanins[number]:
+            sources[start:end, 0] = layout.good + gate_of[start:end]
 
     # Injection: a pin stuck-at's pin reads the constant.
-    constant = np.where(sites.stuck_at_1, layout.ones, layout.zero)
+    constant = np.where(sites.value == 1, np.int32(layout.ones), np.int32(layout.zero))
     pinned = np.flatnonzero(sites.pin >= 0)
-    sources[find(pinned * n_gates + sites.site[pinned])[0], sites.pin[pinned]] = (
-        constant[pinned]
-    )
+    sources[at[pinned, sites.site[pinned]], sites.pin[pinned]] = constant[pinned]
     # Bridge rows: the AND-type bridges', then the OR-type ones'.
     bridged = np.concatenate(
         [np.flatnonzero(sites.bridge == 1), np.flatnonzero(sites.bridge == 0)]
     )
-    own_row = np.empty(sites.site.size, dtype=np.int64)
+    own_row = np.empty(n_faults, dtype=np.int32)
     own_row[bridged] = layout.bridges + np.arange(bridged.size)
     n_and = int((sites.bridge == 1).sum())
-    lines = layout.good + np.stack(
-        [sites.site[bridged], sites.partner[bridged]], axis=1
-    )
-    steps = _steps(layout.bridges, GateType.AND, lines[:n_and], step_rows)
-    steps += _steps(layout.bridges + n_and, GateType.OR, lines[n_and:], step_rows)
+    ends = layout.good + np.stack([sites.site[bridged], sites.partner[bridged]], 1)
+    steps = _steps(layout.bridges, GateType.AND, ends[:n_and], step_rows)
+    steps += _steps(layout.bridges + n_and, GateType.OR, ends[n_and:], step_rows)
     # An output stuck-at's site and both bridged lines read the forced value,
     # padded with the gate's identity; a NOT gate reads it inverted: the
     # other constant, or an inverted bridge row.
@@ -449,7 +460,7 @@ def _program(
         [sites.site[outputs], sites.site[bridged], sites.partner[bridged]]
     )
     value = np.concatenate([constant[outputs], own_row[bridged], own_row[bridged]])
-    flip = _is_not(netlist)[line]
+    flip = lines.is_not[line]
     from_bridge = np.arange(fault.size) >= outputs.size
     inverted = np.flatnonzero(flip & from_bridge)
     start = layout.bridges + bridged.size
@@ -457,51 +468,43 @@ def _program(
     value[inverted] = start + np.arange(inverted.size)
     flipped = flip & ~from_bridge
     value[flipped] = layout.ones + layout.zero - value[flipped]
-    identity = np.asarray(
-        [layout.zero if kind is GateType.OR else layout.ones for kind in tables.kinds]
-    )
-    forced = find(fault * n_gates + line)[0]
+    forced = at[fault, line]
     sources[forced, 0] = value
-    sources[forced, 1:] = identity[tables.group[line]][:, None]
+    sources[forced, 1:] = lines.identity[line][:, None]
 
     # The pair groups, in program order.
-    groups = tables.group[gate_of]
-    cuts = [0, *(np.flatnonzero(groups[1:] != groups[:-1]) + 1).tolist(), groups.size]
-    for start, end in zip(cuts, cuts[1:]):
-        number = int(groups[start])
+    for number, start, end in pairs.groups:
         width = max(1, tables.n_fanins[number])
         steps += _steps(
             start, tables.kinds[number], sources[start:end, :width], step_rows
         )
 
-    machine = circuit.circuit
-    cell_lines = np.asarray(
-        machine.next_state_lines + machine.primary_output_lines, dtype=np.int64
-    )
-    local = np.arange(sites.site.size)
-    cell_row, has_line = find(local[:, None] * n_gates + cell_lines)
+    # The pairs of the cell lines, fault-major, and where each fault's pairs
+    # and its output lines' pairs start.
+    cell_row = at[:, lines.cells]
+    del at
+    has_line = cell_row < layout.good
     owner, position = np.nonzero(has_line)
-    cell_faults, cell_starts, cell_owner = np.unique(
-        owner, return_index=True, return_inverse=True
-    )
-    cell_at = np.full((cell_faults.size, cell_lines.size), owner.size)
-    cell_at[cell_owner, position] = np.arange(owner.size)
-    shown = np.flatnonzero(position >= len(machine.next_state_lines))
-    shown_faults, shown_starts = np.unique(owner[shown], return_index=True)
+    counts = has_line.sum(axis=1)
+    cell_faults = np.flatnonzero(counts)
+    numbered = np.full(has_line.shape, owner.size, dtype=np.int64)
+    numbered[owner, position] = np.arange(owner.size)
+    seen = has_line[:, lines.n_next :].sum(axis=1)
+    shown_faults = np.flatnonzero(seen)
     return _Program(
         lo,
-        lo + sites.site.size,
+        lo + n_faults,
         fault_of,
         gate_of,
         steps,
         cell_row[owner, position],
-        layout.good + cell_lines[position],
+        layout.good + lines.cells[position],
         cell_faults,
-        cell_starts,
-        cell_at,
-        shown,
+        (np.cumsum(counts) - counts)[cell_faults],
+        numbered[cell_faults],
+        np.flatnonzero(position >= lines.n_next),
         shown_faults,
-        shown_starts,
+        (np.cumsum(seen) - seen)[shown_faults],
     )
 
 

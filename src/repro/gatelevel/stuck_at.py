@@ -99,9 +99,11 @@ def _width(netlist: Netlist) -> int:
 
 
 def _code(fault: StuckAtFault, netlist: Netlist, width: int) -> int:
+    """The fault's code; a gate outside the netlist, or a pin past the
+    gate's own fanins, is not a site of it."""
     pin = fault.pin
     if not 0 <= fault.gate < netlist.n_gates or (
-        pin is not None and not 0 <= pin < width - 1
+        pin is not None and not 0 <= pin < netlist.gate(fault.gate).n_fanins
     ):
         raise FaultSimulationError(f"{fault.site()} is not a site of the netlist")
     slot = 0 if pin is None else pin + 1

@@ -7,13 +7,14 @@ subclass on findings — so ``generate_tests`` keeps raising
 ``FaultSimulationError``, but both now reject malformed inputs *before*
 spending time on UIO search or fault batches.
 
-The netlist preflight memoizes per netlist object (weakly, so simulation
-loops pay the structural sweep once, not per test).
+The netlist preflight keeps its verdict with the netlist's other memos, so
+simulation loops pay the structural sweep once, not per test.  The
+netlist's mutators reset it, and a passing ``Netlist.check()``, whose
+rules include the preflight's, records it.
 """
 
 from __future__ import annotations
 
-import weakref
 from typing import TYPE_CHECKING
 
 from repro.errors import LintError, ReproError
@@ -24,9 +25,6 @@ if TYPE_CHECKING:  # pragma: no cover - types only
     from repro.gatelevel.netlist import Netlist
 
 __all__ = ["preflight_machine", "preflight_netlist", "forget_netlist"]
-
-#: Netlists that already passed the structural preflight.
-_CLEAN_NETLISTS: "weakref.WeakSet[object]" = weakref.WeakSet()
 
 
 def preflight_machine(
@@ -46,18 +44,20 @@ def preflight_netlist(
 ) -> None:
     """Raise ``exc_type`` if cheap ERROR-level netlist rules fire.
 
-    Results are memoized per object: a netlist that passed once is never
-    re-swept, which keeps the hook free inside fault-simulation loops.
+    A netlist that passed them, or ``Netlist.check()``, since it last
+    changed is not swept again, which keeps the hook free inside
+    fault-simulation loops.
     """
-    if netlist in _CLEAN_NETLISTS:
+    if netlist._checked:
         return
     from repro.lint.netlist_rules import analyze_netlist
 
     report = analyze_netlist(netlist, errors_only=True, include_expensive=False)
     report.raise_on_errors(exc_type)
-    _CLEAN_NETLISTS.add(netlist)
+    netlist._checked = True
 
 
 def forget_netlist(netlist: "Netlist") -> None:
-    """Drop a netlist from the preflight cache (after in-place mutation)."""
-    _CLEAN_NETLISTS.discard(netlist)
+    """Drop a netlist's recorded verdict, after mutating it other than
+    through its own methods."""
+    netlist._checked = False

@@ -174,28 +174,27 @@ def _select_from_masks(
     study: CircuitStudy,
     faults: list[Fault],
     chunks: list[list[Fault]],
-    chunk_masks: list[list[int]],
+    results: list[_ChunkResult],
     undetectable: set[Fault],
 ) -> EffectiveSelection:
     """Replay the effective-test selection from precomputed masks.
 
-    The chunks' per-test masks are shifted into one mask per test over
-    the simulated faults in chunk order.  ``live`` holds the simulated
-    faults outside ``undetectable`` that no earlier test reported, which
-    is ``remaining`` restricted to the simulated faults, so only
+    The chunks' per-test masks, and their detectable masks, are shifted
+    into one mask each over the simulated faults in chunk order.  ``live``
+    starts as the detectable faults, the simulated faults outside
+    ``undetectable``, and loses the faults each test reports, so it is
+    ``remaining`` restricted to the simulated faults and only
     ``mask & live`` needs decoding.
     """
     simulated = [fault for chunk in chunks for fault in chunk]
     per_test = [0] * len(study.tests)
-    offset = 0
-    for chunk, masks in zip(chunks, chunk_masks):
-        for index, mask in enumerate(masks):
-            per_test[index] |= mask << offset
-        offset += len(chunk)
     live = 0
-    for bit, fault in enumerate(simulated):
-        if fault not in undetectable:
-            live |= 1 << bit
+    offset = 0
+    for chunk, result in zip(chunks, results):
+        for index, mask in enumerate(result.masks):
+            per_test[index] |= mask << offset
+        live |= result.detectable << offset
+        offset += len(chunk)
     iterator = iter(per_test)
 
     def simulate(test: ScanTest, remaining: frozenset[Fault]) -> list[Fault]:
@@ -241,8 +240,7 @@ def _grade(
     """One model's detectability split and effective-test selection."""
     split = _assemble_split(chunks, results)
     selection = _select_from_masks(
-        study, study.faults(model), chunks,
-        [result.masks for result in results], split[1],
+        study, study.faults(model), chunks, results, split[1]
     )
     return split, selection
 

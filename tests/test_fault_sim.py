@@ -3,15 +3,19 @@ and its agreement with the dispatched production engine."""
 
 from __future__ import annotations
 
+import re
+
 import pytest
 
 from repro.benchmarks import load_circuit, load_kiss_machine
 from repro.core.baseline import per_transition_tests
 from repro.core.generator import generate_tests
+from repro.errors import FaultSimulationError
 from repro.gatelevel.bridging import BridgeKind, BridgingFault, enumerate_bridging_faults
 from repro.gatelevel.detectability import detectable_faults
 from repro.gatelevel.dispatch import make_fault_simulator
 from repro.gatelevel.fault_sim import InterpretedSimulator, detects, simulate_tests
+from repro.gatelevel.ppsfp import PpsfpSimulator
 from repro.gatelevel.scan import ScanCircuit
 from repro.gatelevel.stuck_at import StuckAtFault, collapse_stuck_at
 from repro.gatelevel.synthesis import SynthesisOptions
@@ -131,8 +135,6 @@ class TestCompiledEquivalence:
 
     def test_empty_universe_rejected(self, lion_setup):
         table, circuit, _ = lion_setup
-        from repro.errors import FaultSimulationError
-
         with pytest.raises(FaultSimulationError):
             InterpretedSimulator(circuit, table, [])
 
@@ -236,3 +238,43 @@ class TestPinFaultSemantics:
         stem_hits = simulate_tests(circuit, table, tests, [stem_fault]).detected
         # The stem fault must be at least as detectable as its branch fault.
         assert len(stem_hits) >= len(pin_hits)
+
+
+class TestSitesOffTheNetlist:
+    """A fault that is not a site of the netlist is refused, by name, by
+    the one site encoder both engines read, and a stuck-at one by the
+    collapse too."""
+
+    @staticmethod
+    def _assert_refused(lion_setup, fault):
+        table, circuit, _ = lion_setup
+        # A valid fault first: the error names the one that is not a site.
+        faults = [StuckAtFault(0, None, 1), fault]
+        for engine in (PpsfpSimulator, InterpretedSimulator):
+            with pytest.raises(FaultSimulationError, match=re.escape(fault.site())):
+                engine(circuit, table, faults)
+        if isinstance(fault, StuckAtFault):
+            with pytest.raises(FaultSimulationError, match="not a site"):
+                collapse_stuck_at(circuit.netlist, faults)
+
+    def test_gate_off_the_netlist(self, lion_setup):
+        self._assert_refused(lion_setup, StuckAtFault(10**6, None, 0))
+
+    def test_gate_past_int64(self, lion_setup):
+        self._assert_refused(lion_setup, StuckAtFault(10**30, None, 0))
+
+    def test_pin_past_the_gates_own_fanins(self, lion_setup):
+        netlist = lion_setup[1].netlist
+        gate = next(g.index for g in netlist.gates if g.n_fanins == 2)
+        # Pin 3 is inside the netlist's widest gate, not inside this one.
+        assert max(g.n_fanins for g in netlist.gates) > 3
+        self._assert_refused(lion_setup, StuckAtFault(gate, 3, 0))
+
+    def test_pin_of_an_input(self, lion_setup):
+        line = lion_setup[1].netlist.inputs[0]
+        self._assert_refused(lion_setup, StuckAtFault(line, 0, 1))
+
+    def test_bridge_off_the_netlist(self, lion_setup):
+        netlist = lion_setup[1].netlist
+        gate = next(g.index for g in netlist.gates if g.n_fanins == 2)
+        self._assert_refused(lion_setup, BridgingFault(gate, 10**6, BridgeKind.AND))

@@ -711,6 +711,50 @@ def test_preflight_netlist_memoizes_until_forgotten():
         preflight_netlist(net)
 
 
+def test_preflight_verdict_follows_set_outputs():
+    net = clean_netlist()
+    preflight_netlist(net)
+    net.set_outputs([])
+    with pytest.raises(LintError, match="NET005"):
+        preflight_netlist(net)
+    net.set_outputs([2])
+    preflight_netlist(net)
+
+
+def test_a_passing_check_spares_the_preflight(monkeypatch):
+    """``Netlist.check()`` runs every ERROR rule, the preflight's among
+    them, so the preflight does not run them again until the netlist
+    changes."""
+    import repro.lint.netlist_rules as netlist_rules
+
+    runs = []
+    analyze = netlist_rules.analyze_netlist
+
+    def counted(*args, **kwargs):
+        runs.append(kwargs.get("include_expensive", True))
+        return analyze(*args, **kwargs)
+
+    monkeypatch.setattr(netlist_rules, "analyze_netlist", counted)
+    net = clean_netlist()
+    net.check()
+    preflight_netlist(net)
+    assert runs == [True]
+    net.set_outputs([2])
+    preflight_netlist(net)
+    preflight_netlist(net)
+    assert runs == [True, False]
+
+
+def test_the_verdict_stays_out_of_pickles():
+    import pickle
+
+    fresh = pickle.dumps(clean_netlist())
+    net = clean_netlist()
+    net.check()
+    preflight_netlist(net)
+    assert pickle.dumps(net) == fresh
+
+
 def test_preflight_machine_custom_exception():
     table = toggle_table()
     object.__setattr__(table, "state_names", ("off", "off"))

@@ -16,7 +16,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, example, given, settings
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from repro.benchmarks import circuit_names, load_circuit, load_kiss_machine
 from repro.core.config import (
@@ -30,7 +30,7 @@ from repro.errors import FaultSimulationError
 from repro.fsm.state_table import StateTable
 from repro.fuzz import MachineSpec, generate_machine
 from repro.fuzz.generators import random_gate_faults
-from repro.fuzz.strategies import machine_specs
+from repro.fuzz.strategies import machine_specs, state_tables
 from repro.gatelevel import ppsfp as ppsfp_module
 from repro.gatelevel.bridging import (
     BridgeKind,
@@ -658,7 +658,18 @@ def _reference_sweep(netlist, faults, good):
     one pin reads, and each bridged line's row is overwritten with the
     bridge over the fault-free values.
     """
-    store, pins, bridges = injection_sites(netlist, faults)
+    # Fold the sites into dicts: stuck-at splits (faults at 1, faults at 0)
+    # by output line and by (gate, pin), and each bridged line's bridges.
+    store, pins, bridges = {}, {}, {}
+    sites = zip(*(column.tolist() for column in injection_sites(netlist, faults)))
+    for index, (site, partner, pin, value, bridge) in enumerate(sites):
+        if bridge >= 0:
+            bridges.setdefault(site, []).append((index, partner, bridge == 1))
+            bridges.setdefault(partner, []).append((index, site, bridge == 1))
+        elif pin < 0:
+            store.setdefault(site, ([], []))[0 if value else 1].append(index)
+        else:
+            pins.setdefault((site, pin), ([], []))[0 if value else 1].append(index)
     gates = netlist.fanout_closure({*store, *(gate for gate, _ in pins), *bridges})
     shape = (len(faults), good.shape[1])
     values = {}
@@ -929,6 +940,125 @@ class TestBufferRows:
                 assert set(program.cell_good.tolist()) <= written
 
 
+def _first_positions(owners):
+    """Each distinct owner, in order, with the position it first has."""
+    first = {}
+    for at, owner in enumerate(owners):
+        first.setdefault(owner, at)
+    return first
+
+
+def _assert_programs_encode(circuit, faults, one_fault_slabs=False):
+    """The pair programs of ``faults`` hold each fault's cone as its pairs,
+    read each fanin from its pair or its fault-free row, and rewrite each
+    fault's site pair (:func:`_assert_site_encoded`)."""
+    netlist = circuit.netlist
+    tables = netlist.gate_tables()
+    programs, layout, n_rows = ppsfp_module._programs(circuit, faults, 2)
+    good = {layout.good + line: line for line in range(netlist.n_gates)}
+    constant = {layout.ones: 1, layout.zero: 0}
+    # The slabs tile the universe; the pair rows sit below the rest.
+    assert [p.lo for p in programs] == [0] + [p.hi for p in programs[:-1]]
+    assert programs[-1].hi == len(faults)
+    machine = circuit.circuit
+    cell_lines = machine.next_state_lines + machine.primary_output_lines
+    for program in programs:
+        rows = _program_rows(program.steps)
+        n_pairs = program.faults.size
+        assert n_pairs <= layout.good
+        if one_fault_slabs:
+            assert program.hi - program.lo == 1
+        # Each fault's pairs are exactly its cone.
+        for local, fault in enumerate(faults[program.lo : program.hi]):
+            seeds = (
+                [fault.gate]
+                if isinstance(fault, StuckAtFault)
+                else [fault.line1, fault.line2]
+            )
+            gates = program.gates[program.faults == local]
+            assert sorted(gates.tolist()) == netlist.fanout_closure(seeds)
+        pair_of = {
+            (int(f), int(g)): r
+            for r, (f, g) in enumerate(zip(program.faults, program.gates))
+        }
+        # The cell pairs are each fault's pairs of the cell lines, in the
+        # faults' order and then the lines': (fault, cell line) each.
+        cells = [
+            (local, column)
+            for local in range(program.hi - program.lo)
+            for column, line in enumerate(cell_lines)
+            if (local, line) in pair_of
+        ]
+        assert program.cell_rows.tolist() == [
+            pair_of[local, cell_lines[column]] for local, column in cells
+        ]
+        assert program.cell_good.tolist() == [
+            layout.good + cell_lines[column] for _, column in cells
+        ]
+        position = {cell: at for at, cell in enumerate(cells)}
+        starts = _first_positions(local for local, _ in cells)
+        assert program.cell_faults.tolist() == list(starts)
+        assert program.cell_starts.tolist() == list(starts.values())
+        for k, local in enumerate(program.cell_faults.tolist()):
+            assert program.cell_at[k].tolist() == [
+                position.get((local, column), len(cells))
+                for column in range(len(cell_lines))
+            ]
+        n_next = len(machine.next_state_lines)
+        shown = [at for at, (_, column) in enumerate(cells) if column >= n_next]
+        assert program.shown.tolist() == shown
+        starts = _first_positions(cells[at][0] for at in shown)
+        assert program.shown_faults.tolist() == list(starts)
+        assert program.shown_starts.tolist() == list(starts.values())
+        bridge_rows = {}
+        for row in range(layout.bridges, n_rows):
+            if row in rows:
+                bridge_rows[row] = rows.pop(row)
+        for row in range(n_pairs):
+            local, gate = int(program.faults[row]), int(program.gates[row])
+            fault = faults[program.lo + local]
+            kind, sources = rows.pop(row)
+            netlist_gate = netlist.gate(gate)
+            assert kind is netlist_gate.kind
+            assert len(sources) == max(1, netlist_gate.n_fanins)
+            group = tables.group[gate]
+            for pin, source in enumerate(sources):
+                # An earlier group's pair of the same fault, a fault-free
+                # row, a constant or a bridge row.
+                if source < n_pairs:
+                    assert program.faults[source] == local
+                    assert tables.group[program.gates[source]] < group
+                    assert netlist_gate.fanins[pin] == program.gates[source]
+                elif source in good:
+                    # Only a fanin outside the fault's cone.
+                    line = good[source]
+                    assert line == netlist_gate.fanins[pin]
+                    assert (local, line) not in pair_of
+                else:
+                    assert source in constant or source in bridge_rows
+            _assert_site_encoded(fault, gate, kind, sources, bridge_rows, layout)
+        assert not rows
+
+
+#: Hypothesis settings of the checks on synthesized hypothesis machines.
+_PROGRAM_SETTINGS = settings(
+    max_examples=20,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+
+
+def _program_universes(netlist, seed):
+    """Every uncollapsed stuck-at fault, a sample of bridging pairs, and
+    the inverter bridges, each universe that is not empty."""
+    universes = (
+        enumerate_stuck_at(netlist),
+        enumerate_bridging_faults(netlist, limit=20, seed=seed),
+        _inverter_bridges(netlist),
+    )
+    return [faults for faults in universes if faults]
+
+
 class TestPairProgram:
     @pytest.mark.parametrize("budget", [None, 1])
     @pytest.mark.parametrize("name", circuit_names(tier="small"))
@@ -938,64 +1068,72 @@ class TestPairProgram:
         if budget is not None:
             monkeypatch.setattr(ppsfp_module, "SLAB_BYTES_BUDGET", budget)
         _, circuit = _synthesize(name)
+        for faults in _graded_universes(name, circuit.netlist):
+            _assert_programs_encode(circuit, faults, budget == 1)
+
+    @_PROGRAM_SETTINGS
+    @given(
+        state_tables(min_states=2, max_states=6, min_inputs=1, min_outputs=1),
+        st.integers(2, 4),
+    )
+    def test_programs_of_hypothesis_machines(self, table, max_fanin):
+        """The same invariants on synthesized hypothesis machines, under
+        the default slab budget and one-fault slabs."""
+        circuit = ScanCircuit.from_machine(
+            table, SynthesisOptions(max_fanin=max_fanin)
+        )
+        universes = _program_universes(circuit.netlist, table.name)
+        for budget in (ppsfp_module.SLAB_BYTES_BUDGET, 1):
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(ppsfp_module, "SLAB_BYTES_BUDGET", budget)
+                for faults in universes:
+                    _assert_programs_encode(circuit, faults, budget == 1)
+
+
+def _every_site(netlist):
+    """Every stuck-at site of ``netlist`` at 0 and 1: each line's output,
+    inputs and constants included, and every pin of every gate, a NOT
+    gate's included."""
+    return [
+        StuckAtFault(gate.index, pin, value)
+        for gate in netlist.gates
+        for pin in (None, *range(gate.n_fanins))
+        for value in (0, 1)
+    ]
+
+
+class TestEverySite:
+    @_PROGRAM_SETTINGS
+    @given(
+        state_tables(min_states=2, max_states=6, min_inputs=1, min_outputs=1),
+        st.integers(2, 4),
+    )
+    def test_ppsfp_equals_the_interpreted_engine(self, table, max_fanin):
+        """PPSFP and the interpreted engine give equal masks on every valid
+        stuck-at site, sampled bridges and the inverter bridges."""
+        circuit = ScanCircuit.from_machine(
+            table, SynthesisOptions(max_fanin=max_fanin)
+        )
         netlist = circuit.netlist
-        tables = netlist.gate_tables()
-        for faults in _graded_universes(name, netlist):
-            programs, layout, n_rows = ppsfp_module._programs(circuit, faults, 2)
-            good = {layout.good + line: line for line in range(netlist.n_gates)}
-            constant = {layout.ones: 1, layout.zero: 0}
-            # The slabs tile the universe; the pair rows sit below the rest.
-            assert [p.lo for p in programs] == [0] + [p.hi for p in programs[:-1]]
-            assert programs[-1].hi == len(faults)
-            for program in programs:
-                rows = _program_rows(program.steps)
-                n_pairs = program.faults.size
-                assert n_pairs <= layout.good
-                if budget == 1:
-                    assert program.hi - program.lo == 1
-                # Each fault's pairs are exactly its cone.
-                for local, fault in enumerate(faults[program.lo : program.hi]):
-                    seeds = (
-                        [fault.gate]
-                        if isinstance(fault, StuckAtFault)
-                        else [fault.line1, fault.line2]
-                    )
-                    gates = program.gates[program.faults == local]
-                    assert sorted(gates.tolist()) == netlist.fanout_closure(seeds)
-                pair_of = {
-                    (int(f), int(g)): r
-                    for r, (f, g) in enumerate(zip(program.faults, program.gates))
-                }
-                bridge_rows = {}
-                for row in range(layout.bridges, n_rows):
-                    if row in rows:
-                        bridge_rows[row] = rows.pop(row)
-                for row in range(n_pairs):
-                    local, gate = int(program.faults[row]), int(program.gates[row])
-                    fault = faults[program.lo + local]
-                    kind, sources = rows.pop(row)
-                    netlist_gate = netlist.gate(gate)
-                    assert kind is netlist_gate.kind
-                    assert len(sources) == max(1, netlist_gate.n_fanins)
-                    group = tables.group[gate]
-                    for pin, source in enumerate(sources):
-                        # An earlier group's pair of the same fault, a
-                        # fault-free row, a constant or a bridge row.
-                        if source < n_pairs:
-                            assert program.faults[source] == local
-                            assert tables.group[program.gates[source]] < group
-                            assert netlist_gate.fanins[pin] == program.gates[source]
-                        elif source in good:
-                            # Only a fanin outside the fault's cone.
-                            line = good[source]
-                            assert line == netlist_gate.fanins[pin]
-                            assert (local, line) not in pair_of
-                        else:
-                            assert source in constant or source in bridge_rows
-                    _assert_site_encoded(
-                        fault, gate, kind, sources, bridge_rows, layout
-                    )
-                assert not rows
+        faults = _every_site(netlist)
+        faults += enumerate_bridging_faults(netlist, limit=20, seed=table.name)
+        faults += _inverter_bridges(netlist)
+        tests = list(generate_tests(table).test_set)
+        tests += _walk_tests(table, n_tests=4, length=12, seed="sites")
+        _assert_masks_match(circuit, table, faults, tests)
+
+    @pytest.mark.parametrize("name", ["lion", "bbtas", "dk27"])
+    def test_registry_circuits(self, name):
+        table, circuit = _synthesize(name)
+        faults = _every_site(circuit.netlist)
+        not_pins = [
+            fault
+            for fault in faults
+            if fault.pin is not None
+            and circuit.netlist.gate(fault.gate).kind is GateType.NOT
+        ]
+        assert not_pins  # NOT-gate pins are in the universe: not vacuous
+        _assert_masks_match(circuit, table, faults, _walk_tests(table, length=12))
 
 
 def _assert_site_encoded(fault, gate, kind, sources, bridge_rows, layout):
@@ -1020,10 +1158,11 @@ def _assert_site_encoded(fault, gate, kind, sources, bridge_rows, layout):
         assert all(s not in constant and s not in bridge_rows for s in sources)
         return
     assert sources[1:] == (identity,) * (len(sources) - 1)
-    op, (first, second) = bridge_rows[sources[0]]
+    op, rows = bridge_rows[sources[0]]
     if kind is GateType.NOT:
         # The inverted bridge row, over the bridge row.
         assert op is GateType.NOT
-        op, (first, second) = bridge_rows[first]
+        op, rows = bridge_rows[rows[0]]
+    first, second = rows
     assert op is (GateType.AND if fault.kind is BridgeKind.AND else GateType.OR)
     assert {layout.good + fault.line1, layout.good + fault.line2} == {first, second}
