@@ -160,7 +160,7 @@ def check_payload(payload: dict) -> list[str]:
         problems.append(
             f"schema is {payload.get('schema')!r}, expected {SCHEMA!r}"
         )
-    if payload.get("algorithm") not in ("podem", "d"):
+    if payload.get("algorithm") != "podem":
         problems.append(f"unknown algorithm {payload.get('algorithm')!r}")
     runs = payload.get("runs")
     if not isinstance(runs, list) or not runs:

@@ -1,18 +1,18 @@
-"""Structural gate-level ATPG: D-algorithm and PODEM with proofs.
+"""Structural gate-level ATPG: PODEM with proofs.
 
 The functional generator (:mod:`repro.core`) derives tests from the state
 table; this package closes the loop at the gate level.  It implements the
-five-valued composite calculus (:mod:`repro.atpg.values`), a complete
-D-algorithm with D-/J-frontier bookkeeping (:mod:`repro.atpg.dalg`) and
-PODEM with SCOAP-guided backtrace (:mod:`repro.atpg.podem`), and an
-engine (:mod:`repro.atpg.engine`) whose verdicts are machine-checked:
-test cubes are replayed through the production fault simulator,
-untestability claims carry bounded-search certificates and are
-cross-validated against the static proofs of :mod:`repro.sca`.
+five-valued composite calculus (:mod:`repro.atpg.values`), PODEM with
+SCOAP-guided backtrace (:mod:`repro.atpg.podem`), and an engine
+(:mod:`repro.atpg.engine`) whose verdicts are machine-checked: test cubes
+are replayed through the production fault simulator, untestability
+claims carry bounded-search certificates and are cross-validated against
+the static proofs of :mod:`repro.sca`.  One search answers "is this fault
+testable?"; the D-algorithm, a second search for the same question that
+returned the same verdicts on every circuit tried, was removed.
 """
 
 from repro.atpg.engine import (
-    ALGORITHMS,
     ATPG_SCHEMA,
     AtpgRun,
     FaultVerdict,
@@ -31,13 +31,11 @@ from repro.atpg.search import (
     SearchBudget,
     SearchOutcome,
 )
-from repro.atpg.dalg import d_algorithm_search
 from repro.atpg.podem import podem_search
 
 __all__ = [
     "ABORT_BACKTRACKS",
     "ABORT_TIME",
-    "ALGORITHMS",
     "ATPG_SCHEMA",
     "AtpgRun",
     "DEFAULT_BACKTRACK_LIMIT",
@@ -50,7 +48,6 @@ __all__ = [
     "SearchOutcome",
     "StateCodeConstraint",
     "TopOffReport",
-    "d_algorithm_search",
     "generate_structural_tests",
     "podem_search",
     "top_off",

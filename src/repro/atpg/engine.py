@@ -1,8 +1,8 @@
 """Structural ATPG engine: targets, verdicts, witnesses, and top-off.
 
-:func:`generate_structural_tests` drives the D-algorithm or PODEM over a
-collapsed fault list of a synthesized scan circuit.  Every verdict is
-defended, not just asserted:
+:func:`generate_structural_tests` drives PODEM over a collapsed fault list
+of a synthesized scan circuit.  Every verdict is defended, not just
+asserted:
 
 * a ``test`` verdict carries a cube that is expanded to a concrete scan
   pattern (state bits restricted to *assigned* codes) and immediately
@@ -28,7 +28,6 @@ from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Sequence
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs.progress import ProgressMeter
 
-from repro.atpg.dalg import d_algorithm_search
 from repro.atpg.model import FaultedCircuit, StateCodeConstraint
 from repro.atpg.podem import podem_search
 from repro.atpg.search import (
@@ -58,7 +57,6 @@ from repro.sca.certificates import UntestableCertificate
 from repro.sca.scoap import ScoapMeasures, compute_scoap
 
 __all__ = [
-    "ALGORITHMS",
     "ATPG_SCHEMA",
     "AtpgRun",
     "FaultVerdict",
@@ -69,10 +67,6 @@ __all__ = [
 
 #: JSON schema identifier of :meth:`AtpgRun.to_dict` payloads.
 ATPG_SCHEMA = "repro-fsatpg-atpg/1"
-
-ALGORITHMS = ("podem", "d")
-
-_SEARCHERS = {"podem": podem_search, "d": d_algorithm_search}
 
 
 def cube_string(cube: tuple[int, ...]) -> str:
@@ -143,7 +137,6 @@ class AtpgRun:
     """Per-circuit result of one structural ATPG sweep."""
 
     circuit: str
-    algorithm: str
     backtrack_limit: int
     verdicts: tuple[FaultVerdict, ...]
 
@@ -189,7 +182,8 @@ class AtpgRun:
     def to_dict(self, *, include_verdicts: bool = True) -> dict[str, object]:
         payload: dict[str, object] = {
             "circuit": self.circuit,
-            "algorithm": self.algorithm,
+            # The schema names the search; PODEM is the only one.
+            "algorithm": "podem",
             "backtrack_limit": self.backtrack_limit,
             "targets": self.n_targets,
             "tests": len(self.tests),
@@ -284,7 +278,6 @@ def generate_structural_tests(
     table: StateTable,
     faults: Sequence[StuckAtFault] | None = None,
     *,
-    algorithm: str = "podem",
     backtrack_limit: int = DEFAULT_BACKTRACK_LIMIT,
     time_budget_s: float | None = None,
     scoap: ScoapMeasures | None = None,
@@ -309,12 +302,10 @@ def generate_structural_tests(
     ``repro-fsatpg explain --fault`` replays.  ``trace_capacity=0``
     disables tracing entirely.
     """
-    if algorithm not in _SEARCHERS:
-        raise AtpgError(
-            f"unknown algorithm {algorithm!r}; expected one of {ALGORITHMS}"
-        )
     if backtrack_limit < 0:
         raise AtpgError("backtrack limit must be >= 0")
+    if trace_capacity < 0:
+        raise AtpgError("trace capacity must be >= 0")
     netlist = circuit.netlist
     if faults is None:
         faults = stuck_at_representatives(netlist)
@@ -329,7 +320,6 @@ def generate_structural_tests(
     constraint = StateCodeConstraint(
         circuit.encoding.codes, circuit.encoding.width
     )
-    searcher = _SEARCHERS[algorithm]
     replayed = _witness_replay(circuit, table, faults, config) if replay else None
     verdicts: list[FaultVerdict] = []
     traces: list[SearchTrace | None] = []
@@ -337,7 +327,7 @@ def generate_structural_tests(
     for fault in faults:
         trace = SearchTrace(trace_capacity) if trace_capacity > 0 else None
         budget = SearchBudget(backtrack_limit, time_budget_s, trace)
-        outcome: SearchOutcome = searcher(
+        outcome: SearchOutcome = podem_search(
             FaultedCircuit(netlist, fault), scoap, constraint, budget
         )
         traces.append(trace)
@@ -350,7 +340,7 @@ def generate_structural_tests(
             )
             if fault in certified:
                 raise AtpgError(
-                    f"{algorithm} found a test for {fault.site()} but a "
+                    f"podem found a test for {fault.site()} but a "
                     "static certificate proves it untestable"
                 )
             if replayed is not None:
@@ -410,7 +400,6 @@ def generate_structural_tests(
             )
     run = AtpgRun(
         circuit=netlist.name or table.name,
-        algorithm=algorithm,
         backtrack_limit=backtrack_limit,
         verdicts=tuple(verdicts),
     )

@@ -1,13 +1,12 @@
 """Five-valued view of a netlist under one stuck-at fault.
 
-:class:`FaultedCircuit` is the shared substrate of the D-algorithm and
-PODEM: it evaluates gates in the composite calculus with the fault wired
-in (a stuck output forces the faulty component of its line, a stuck pin
-forces the faulty component *as seen by that one reader*), knows which
-lines can ever carry a deviation (the fanout cone of the fault site), and
-answers the reachability questions both engines prune with — "can this
-gate's output still take value v given its current fanin values?" via an
-exact 4-state dynamic program over (good, faulty) pairs.
+:class:`FaultedCircuit` is PODEM's substrate: it evaluates gates in the
+composite calculus with the fault wired in (a stuck output forces the
+faulty component of its line, a stuck pin forces the faulty component *as
+seen by that one reader*), knows which lines can ever carry a deviation
+(the fanout cone of the fault site), and answers the questions the search
+prunes with: is the fault observed, where is the D-frontier, and which
+lines still have an X-path to an observed output.
 """
 
 from __future__ import annotations
@@ -20,15 +19,13 @@ from repro.atpg.values import (
     D_BAR,
     FAULTY,
     GOOD,
-    ONE,
     UNKNOWN,
     X3,
-    ZERO,
     eval3,
     from_components,
 )
 from repro.errors import AtpgError
-from repro.gatelevel.netlist import CONTROLLING_VALUE, GateType, Netlist
+from repro.gatelevel.netlist import GateType, Netlist
 from repro.gatelevel.stuck_at import StuckAtFault
 
 __all__ = ["FaultedCircuit", "StateCodeConstraint", "input_closure"]
@@ -53,11 +50,6 @@ def input_closure(netlist: Netlist, line: int) -> tuple[int, ...]:
         closure = tuple(netlist.fanout_closure([line]))
         per_netlist[line] = closure
     return closure
-
-#: All four (good, faulty) pairs a free line inside the fault cone may take.
-_PAIRS_CONE = ((0, 0), (1, 1), (1, 0), (0, 1))
-#: Outside the cone both circuits agree, so only the diagonal is possible.
-_PAIRS_AGREE = ((0, 0), (1, 1))
 
 
 class FaultedCircuit:
@@ -137,99 +129,7 @@ class FaultedCircuit:
         faulty = eval3(gate.kind, [FAULTY[v] for v in seen])
         return from_components(good, faulty)
 
-    # ------------------------------------------------------- reachable pairs
-
-    def _fanin_pairs(
-        self, index: int, values: Sequence[int]
-    ) -> list[tuple[tuple[int, int], ...]]:
-        """Candidate (good, faulty) pairs per fanin of gate ``index``.
-
-        A known fanin contributes its single pair; an unknown one the full
-        set its position allows (diagonal outside the cone).  The faulted
-        pin's faulty component is forced either way.  This is a sound
-        over-approximation of the values a consistent completion can give
-        the fanin, which is exactly what the feasibility pruning needs.
-        """
-        gate = self.netlist.gate(index)
-        fault = self.fault
-        candidates: list[tuple[tuple[int, int], ...]] = []
-        for pin, line in enumerate(gate.fanins):
-            value = values[line]
-            if value != UNKNOWN:
-                pairs: tuple[tuple[int, int], ...] = (
-                    (GOOD[value], FAULTY[value]),
-                )
-            elif line in self.cone:
-                pairs = _PAIRS_CONE
-            else:
-                pairs = _PAIRS_AGREE
-            if fault.pin is not None and index == fault.gate and pin == fault.pin:
-                pairs = tuple(sorted({(g, fault.value) for g, _ in pairs}))
-            candidates.append(pairs)
-        return candidates
-
-    def reachable_outputs(
-        self, index: int, values: Sequence[int]
-    ) -> frozenset[int]:
-        """Composite values gate ``index`` can still produce.
-
-        Exact dynamic program over the 4-state (good, faulty) pair space:
-        fold the per-fanin candidate pairs through the gate function.  The
-        stuck-output gate folds good components only (its faulty component
-        is forced).
-        """
-        gate = self.netlist.gate(index)
-        kind = gate.kind
-        fault = self.fault
-        if kind is GateType.CONST0:
-            pairs = {(0, 0)}
-        elif kind is GateType.INPUT:
-            raise AtpgError("input lines have no gate function")
-        else:
-            candidates = self._fanin_pairs(index, values)
-            if kind is GateType.NOT:
-                pairs = {(1 - g, 1 - f) for g, f in candidates[0]}
-            else:
-                # The non-controlling value is the fold's identity.
-                identity = 1 - CONTROLLING_VALUE[kind]
-                pairs = {(identity, identity)}
-                for pin_pairs in candidates:
-                    if kind is GateType.AND:
-                        pairs = {
-                            (ag & g, af & f)
-                            for ag, af in pairs
-                            for g, f in pin_pairs
-                        }
-                    else:
-                        pairs = {
-                            (ag | g, af | f)
-                            for ag, af in pairs
-                            for g, f in pin_pairs
-                        }
-        if fault.pin is None and index == fault.gate:
-            return frozenset(
-                from_components(g, fault.value) for g, _ in pairs
-            )
-        return frozenset(from_components(g, f) for g, f in pairs)
-
-    def can_output(self, index: int, values: Sequence[int], required: int) -> bool:
-        """Is there a completion under which gate ``index`` outputs ``required``?"""
-        return required in self.reachable_outputs(index, values)
-
     # ---------------------------------------------------------- search state
-
-    def line_domain(self, line: int) -> tuple[int, ...]:
-        """Composite values ``line`` may be assigned during the search."""
-        gate = self.netlist.gate(line)
-        fault = self.fault
-        if gate.kind is GateType.INPUT:
-            if fault.pin is None and line == fault.gate:
-                # The stuck input line itself: its only consistent values.
-                return (D,) if fault.value == 0 else (D_BAR,)
-            return (ZERO, ONE)
-        if line in self.cone:
-            return (ZERO, ONE, D, D_BAR)
-        return (ZERO, ONE)
 
     def detected(self, values: Sequence[int]) -> bool:
         """Does some observed output currently carry D or D'?"""

@@ -27,7 +27,7 @@ from repro.atpg.search import (
     SearchBudget,
     SearchOutcome,
 )
-from repro.atpg.values import GOOD, UNKNOWN, X3, eval3, is_deviation
+from repro.atpg.values import GOOD, UNKNOWN, X3, eval3
 from repro.errors import AtpgError
 from repro.gatelevel.netlist import CONTROLLING_VALUE, GateType
 from repro.sca.scoap import ScoapMeasures

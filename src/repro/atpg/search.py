@@ -1,20 +1,20 @@
-"""Shared search-outcome vocabulary for the structural ATPG engines.
+"""Search-outcome vocabulary and budget of the structural ATPG search.
 
-Both engines are *complete* bounded searches: they return
-:data:`STATUS_TEST` with a cube, :data:`STATUS_UNTESTABLE` only after the
-whole decision tree was explored without exceeding the budget (which makes
-the verdict a proof), or :data:`STATUS_ABORTED` the moment the backtrack
-limit or time budget is exhausted — an aborted search proves nothing and
-must never be read as "untestable".
+PODEM is a *complete* bounded search: it returns :data:`STATUS_TEST` with
+a cube, :data:`STATUS_UNTESTABLE` only after the whole decision tree was
+explored without exceeding the budget (which makes the verdict a proof),
+or :data:`STATUS_ABORTED` the moment the backtrack limit or time budget
+is exhausted — an aborted search proves nothing and must never be read as
+"untestable".
 
-Search forensics: attach a :class:`SearchTrace` to the budget and both
-engines record every decision and backtrack — line, value, stack depth,
-D-frontier and J-frontier sizes — into a bounded ring buffer.  The last
-``capacity`` events survive, plus the total recorded, so an aborted
-verdict carries a replayable record of *how* the search died (thrashing
-one reconvergent region vs. wandering a huge tree) instead of a one-word
-reason.  Events are plain frozen dataclasses: picklable, JSON-friendly,
-deterministic for a deterministic search.
+Search forensics: attach a :class:`SearchTrace` to the budget and the
+search records every decision and backtrack — line, value, stack depth
+and D-frontier size — into a bounded ring buffer.  The last ``capacity``
+events survive, plus the total recorded, so an aborted verdict carries a
+replayable record of *how* the search died (thrashing one reconvergent
+region vs. wandering a huge tree) instead of a one-word reason.  Events
+are plain frozen dataclasses: picklable, JSON-friendly, deterministic for
+a deterministic search.
 """
 
 from __future__ import annotations
@@ -58,12 +58,10 @@ DEFAULT_TRACE_CAPACITY = 256
 class SearchEvent:
     """One recorded search step.
 
-    ``kind`` is ``"decision"`` (a new assignment was pushed),
-    ``"backtrack"`` (the engine flipped or popped a decision), or
-    ``"implication"`` (an implication pass completed; only recorded at
-    decision granularity, never per-line).  ``depth`` is the decision-stack
-    depth *after* the step; ``d_frontier``/``j_frontier`` are the frontier
-    sizes at that moment (PODEM has no J-frontier and records 0).
+    ``kind`` is ``"decision"`` (a new assignment was pushed) or
+    ``"backtrack"`` (the search flipped or popped a decision).  ``depth``
+    is the decision-stack depth *after* the step; ``d_frontier`` is the
+    open D-frontier's size at that moment.
     """
 
     kind: str
@@ -71,7 +69,6 @@ class SearchEvent:
     value: int
     depth: int
     d_frontier: int
-    j_frontier: int
 
     def to_dict(self) -> dict[str, Any]:
         return {
@@ -80,7 +77,9 @@ class SearchEvent:
             "value": self.value,
             "depth": self.depth,
             "d_frontier": self.d_frontier,
-            "j_frontier": self.j_frontier,
+            # PODEM justifies no internal lines, so its J-frontier is
+            # always empty; the key stays for the payload's readers.
+            "j_frontier": 0,
         }
 
     @classmethod
@@ -91,7 +90,6 @@ class SearchEvent:
             value=int(data["value"]),
             depth=int(data["depth"]),
             d_frontier=int(data["d_frontier"]),
-            j_frontier=int(data["j_frontier"]),
         )
 
 
@@ -115,9 +113,8 @@ class SearchTrace:
         value: int,
         depth: int,
         d_frontier: int = 0,
-        j_frontier: int = 0,
     ) -> None:
-        event = SearchEvent(kind, line, value, depth, d_frontier, j_frontier)
+        event = SearchEvent(kind, line, value, depth, d_frontier)
         if len(self._events) < self.capacity:
             self._events.append(event)
         else:
@@ -144,7 +141,7 @@ class SearchTrace:
 
 
 class SearchBudget:
-    """Backtrack / wall-clock budget (and optional trace) shared by engines."""
+    """Backtrack / wall-clock budget (and optional trace) of one search."""
 
     def __init__(
         self,
@@ -168,7 +165,7 @@ class SearchOutcome:
 
     ``cube`` (only for :data:`STATUS_TEST`) holds one entry per circuit
     input: 0, 1, or -1 for don't-care.  ``decisions``/``backtracks`` are
-    the bounded-search certificate: an untestable verdict says the engine
+    the bounded-search certificate: an untestable verdict says the search
     explored every branch within ``backtracks <= limit``.
     """
 

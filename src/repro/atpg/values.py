@@ -10,9 +10,9 @@ component through the plain gate function, the faulty component through
 the gate function with the stuck line forced.
 
 This module is pure calculus: composite constants, the component
-projections, three-valued gate folds, and the componentwise five-valued
-gate evaluation used by both the D-algorithm and PODEM.  Nothing here
-knows about faults or netlists beyond :class:`~repro.gatelevel.netlist.GateType`.
+projections and the three-valued gate fold PODEM evaluates each rail
+with.  Nothing here knows about faults or netlists beyond
+:class:`~repro.gatelevel.netlist.GateType`.
 """
 
 from __future__ import annotations
@@ -28,15 +28,11 @@ __all__ = [
     "UNKNOWN",
     "D",
     "D_BAR",
-    "VALUE_NAMES",
     "GOOD",
     "FAULTY",
     "X3",
     "from_components",
-    "is_deviation",
-    "invert5",
     "eval3",
-    "eval5",
 ]
 
 #: Composite values.  ``ZERO``/``ONE`` double as plain bits on purpose so
@@ -46,8 +42,6 @@ ONE = 1
 UNKNOWN = 2
 D = 3
 D_BAR = 4
-
-VALUE_NAMES = ("0", "1", "X", "D", "D'")
 
 #: Three-valued "unknown" used for the individual components.
 X3 = 2
@@ -63,30 +57,14 @@ def from_components(good: int, faulty: int) -> int:
 
     Any unknown component collapses to :data:`UNKNOWN`: the five-valued
     domain cannot represent "good known, faulty unknown", and rounding up
-    to X is the sound direction (the implication engines only act on
-    fully-known values).
+    to X is the sound direction (the search only acts on fully-known
+    values).
     """
     if good == X3 or faulty == X3:
         return UNKNOWN
     if good == faulty:
         return good
     return D if good == 1 else D_BAR
-
-
-def is_deviation(value: int) -> bool:
-    """Does ``value`` expose the fault (good and faulty components differ)?"""
-    return value == D or value == D_BAR
-
-
-def invert5(value: int) -> int:
-    """Composite NOT: flips both components, maps D <-> D'."""
-    if value == UNKNOWN:
-        return UNKNOWN
-    if value == D:
-        return D_BAR
-    if value == D_BAR:
-        return D
-    return 1 - value
 
 
 def _not3(value: int) -> int:
@@ -112,16 +90,3 @@ def eval3(kind: GateType, values: Sequence[int]) -> int:
     if X3 in values:
         return X3
     return 1 - control
-
-
-def eval5(kind: GateType, values: Sequence[int]) -> int:
-    """Componentwise five-valued gate evaluation.
-
-    Evaluates the good and faulty components independently with
-    :func:`eval3` and recombines.  Note the components may resolve even
-    when some inputs are X (controlling values), and an all-known input
-    vector always yields a known output.
-    """
-    good = eval3(kind, [GOOD[v] for v in values])
-    faulty = eval3(kind, [FAULTY[v] for v in values])
-    return from_components(good, faulty)

@@ -11,8 +11,8 @@ Subcommands
 ``all``        — regenerate every table over a tier
 ``lint``       — static analysis of machines, netlists, and test programs
 ``analyze``    — static netlist analysis: collapsing, SCOAP, redundancy
-``atpg``       — structural ATPG (D-algorithm / PODEM), every verdict
-                 machine-checked; ``--top-off`` closes the functional gap
+``atpg``       — structural ATPG (PODEM), every verdict machine-checked;
+                 ``--top-off`` closes the functional gap
 ``fuzz``       — differential fuzzing of the whole stack (exit 1 on failure)
 ``claims``     — run the reproduction certificate (exit 1 on any failure)
 ``bench``      — serial vs parallel vs warm-cache timing (BENCH_perf.json)
@@ -85,6 +85,17 @@ def _config_from(args: argparse.Namespace) -> GeneratorConfig:
         max_transfer_length=getattr(args, "transfer_length", 1),
         scan_ratio=getattr(args, "scan_ratio", 1),
     )
+
+
+def _non_negative_int(text: str) -> int:
+    """``type=`` of the search limits: an int >= 0, refused at parse time."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
 
 
 def _options_from(args: argparse.Namespace) -> StudyOptions:
@@ -442,7 +453,6 @@ def _cmd_atpg(args: argparse.Namespace) -> int:
                 study.stuck_at_faults,
                 study.stuck_at_selection.detected,
                 proven_untestable=sca.untestable_representatives,
-                algorithm=args.algorithm,
                 backtrack_limit=args.backtrack_limit,
                 scoap=sca.scoap,
                 certificates=sca.certificates,
@@ -455,7 +465,6 @@ def _cmd_atpg(args: argparse.Namespace) -> int:
                 scan,
                 table,
                 study.stuck_at_faults,
-                algorithm=args.algorithm,
                 backtrack_limit=args.backtrack_limit,
                 certificates=sca.certificates,
                 circuit=name,
@@ -475,14 +484,13 @@ def _cmd_atpg(args: argparse.Namespace) -> int:
     args._ledger_circuits = list(args.circuits)
     args._ledger_results = results
     args._ledger_semantics = {
-        "algorithm": args.algorithm,
         "backtrack_limit": args.backtrack_limit,
         "top_off": bool(args.top_off),
     }
     if args.format == "json":
         print(_json.dumps(
             {"schema": ATPG_SCHEMA,
-             "algorithm": args.algorithm,
+             "algorithm": "podem",
              "backtrack_limit": args.backtrack_limit,
              "max_fanin": args.max_fanin,
              "runs": [payload for _, _, _, payload in runs]},
@@ -492,8 +500,7 @@ def _cmd_atpg(args: argparse.Namespace) -> int:
     for name, run, report, _ in runs:
         certified = sum(1 for v in run.untestable if v.certified)
         print(f"circuit      {name}")
-        print(f"algorithm    {run.algorithm} "
-              f"(backtrack limit {run.backtrack_limit})")
+        print(f"algorithm    podem (backtrack limit {run.backtrack_limit})")
         print(f"targets      {run.n_targets} collapsed representative(s)")
         print(f"tests        {len(run.tests)} found, every witness "
               f"replayed through the fault simulator")
@@ -920,7 +927,6 @@ def _explain_fault(args: argparse.Namespace, circuits: tuple[str, ...]) -> int:
         scan,
         table,
         matches[:1],
-        algorithm=args.algorithm,
         backtrack_limit=args.backtrack_limit,
         certificates=sca.certificates,
         trace_capacity=args.trace_capacity,
@@ -930,12 +936,11 @@ def _explain_fault(args: argparse.Namespace, circuits: tuple[str, ...]) -> int:
     if args.format == "json":
         payload = verdict.to_dict()
         payload["circuit"] = name
-        payload["algorithm"] = args.algorithm
+        payload["algorithm"] = "podem"
         print(_json.dumps(payload, indent=2, sort_keys=True))
         return 0
     print(f"fault        {verdict.fault.site()}  (circuit {name})")
-    print(f"algorithm    {args.algorithm} "
-          f"(backtrack limit {args.backtrack_limit})")
+    print(f"algorithm    podem (backtrack limit {args.backtrack_limit})")
     outcome = verdict.status
     if verdict.aborted_reason:
         outcome += f" [{verdict.aborted_reason}]"
@@ -951,11 +956,9 @@ def _explain_fault(args: argparse.Namespace, circuits: tuple[str, ...]) -> int:
           f"search event(s){suffix}")
     for position, event in enumerate(events, 1):
         indent = "  " * max(1, event.depth)
-        frontier = f"|D|={event.d_frontier}"
-        if event.j_frontier:
-            frontier += f" |J|={event.j_frontier}"
         print(f"  #{position:<4d}{indent}{event.kind:<9s} "
-              f"{event.line}={event.value}  depth {event.depth}  {frontier}")
+              f"{event.line}={event.value}  depth {event.depth}  "
+              f"|D|={event.d_frontier}")
     return 0
 
 
@@ -1269,17 +1272,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     atpg = sub.add_parser(
         "atpg",
-        help="structural ATPG: D-algorithm / PODEM over the collapsed "
-        "fault list with machine-checked verdicts",
+        help="structural ATPG: PODEM over the collapsed fault list with "
+        "machine-checked verdicts",
     )
     atpg.add_argument("circuits", nargs="+", metavar="circuit",
                       help="benchmark circuit name(s)")
-    atpg.add_argument("--algorithm", choices=("podem", "d"),
-                      default="podem",
-                      help="search engine: PODEM (input branching) or the "
-                      "D-algorithm (internal-line branching)")
-    atpg.add_argument("--backtrack-limit", type=int, default=100_000,
-                      metavar="N",
+    atpg.add_argument("--backtrack-limit", type=_non_negative_int,
+                      default=100_000, metavar="N",
                       help="abort a fault's search after N backtracks "
                       "(aborts claim nothing; default: 100000)")
     atpg.add_argument("--top-off", action="store_true",
@@ -1513,14 +1512,11 @@ def build_parser() -> argparse.ArgumentParser:
                          help="replay one collapsed fault's structural "
                          "search (an ID like 'g7.pin1/sa1' from "
                          "`atpg --format json`) with a deep trace")
-    explain.add_argument("--algorithm", choices=("podem", "d"),
-                         default="podem",
-                         help="search algorithm for --fault replays")
-    explain.add_argument("--backtrack-limit", type=int, default=100_000,
-                         metavar="N",
+    explain.add_argument("--backtrack-limit", type=_non_negative_int,
+                         default=100_000, metavar="N",
                          help="backtrack budget for --fault replays")
-    explain.add_argument("--trace-capacity", type=int, default=65536,
-                         metavar="N",
+    explain.add_argument("--trace-capacity", type=_non_negative_int,
+                         default=65536, metavar="N",
                          help="forensic ring-buffer size for --fault "
                          "replays (default: 65536 events)")
     explain.add_argument("--max-fanin", type=int, default=4,

@@ -436,29 +436,22 @@ def _atpg_vs_faultsim(case: FuzzCase) -> None:
     detectable, undetectable = detectable_faults(
         netlist, representatives, pattern_mask=mask
     )
-    for algorithm in ("podem", "d"):
-        run = generate_structural_tests(
-            circuit, table, representatives, algorithm=algorithm, replay=True
-        )
-        for verdict in run.verdicts:
-            if verdict.status == STATUS_ABORTED:
-                raise OracleFailure(
-                    f"{algorithm} aborted on {verdict.fault.site()} under "
-                    "the default budget; complete searches must terminate"
-                )
-        found = {verdict.fault for verdict in run.tests}
-        untestable = {verdict.fault for verdict in run.untestable}
-        if found != detectable or untestable != undetectable:
-            false_negative = sorted(
-                fault.site() for fault in detectable - found
-            )
-            false_positive = sorted(
-                fault.site() for fault in found - detectable
-            )
+    run = generate_structural_tests(circuit, table, representatives, replay=True)
+    for verdict in run.verdicts:
+        if verdict.status == STATUS_ABORTED:
             raise OracleFailure(
-                f"{algorithm} disagrees with exhaustive detectability: "
-                f"missed={false_negative[:4]} phantom={false_positive[:4]}"
+                f"podem aborted on {verdict.fault.site()} under "
+                "the default budget; complete searches must terminate"
             )
+    found = {verdict.fault for verdict in run.tests}
+    untestable = {verdict.fault for verdict in run.untestable}
+    if found != detectable or untestable != undetectable:
+        false_negative = sorted(fault.site() for fault in detectable - found)
+        false_positive = sorted(fault.site() for fault in found - detectable)
+        raise OracleFailure(
+            "podem disagrees with exhaustive detectability: "
+            f"missed={false_negative[:4]} phantom={false_positive[:4]}"
+        )
 
 
 def pairwise_bridging_faults(

@@ -267,7 +267,6 @@ def cached_atpg(
     table: StateTable,
     faults: Sequence[StuckAtFault] | None = None,
     *,
-    algorithm: str = "podem",
     backtrack_limit: int | None = None,
     certificates: Sequence = (),
     circuit: str = "",
@@ -304,7 +303,6 @@ def cached_atpg(
             scan.encoding.codes,
             scan.encoding.width,
             fault_universe_parts(faults),
-            algorithm,
             backtrack_limit,
             fault_universe_parts(sorted(c.fault for c in certificates)),
         )
@@ -321,7 +319,6 @@ def cached_atpg(
             scan,
             table,
             faults,
-            algorithm=algorithm,
             backtrack_limit=backtrack_limit,
             certificates=certificates,
             replay=True,

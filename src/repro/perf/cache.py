@@ -63,7 +63,9 @@ ARTIFACT_VERSIONS: dict[str, int] = {
     "sca": 1,
     # 2: AtpgRun verdicts carry search-forensics traces (aborted and
     # hardest-N targets); entries stored by version 1 lack them.
-    "atpg": 2,
+    # 3: AtpgRun has no ``algorithm`` field and search events no
+    # ``j_frontier``; PODEM is the only search.
+    "atpg": 3,
 }
 
 #: On-disk layout version; bump to orphan every existing entry at once.
@@ -190,9 +192,11 @@ class ArtifactCache:
             counter_add("cache.miss")
             counter_add(f"cache.miss.{kind}")
             return None
-        except (OSError, pickle.UnpicklingError, EOFError, AttributeError,
-                ImportError, IndexError, MemoryError):
+        except Exception:
             # Corrupt / stale / unreadable entry: drop it and treat as a miss.
+            # Damaged pickles raise no one type: UnpicklingError, EOFError,
+            # ValueError, TypeError, OverflowError, AttributeError and
+            # MemoryError all occur, and a stale class may raise anything.
             try:
                 path.unlink()
             except OSError:

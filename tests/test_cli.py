@@ -19,6 +19,48 @@ class TestParser:
         assert args.transfer_length == 1
         assert args.show_tests
 
+    @pytest.mark.parametrize(
+        "argv, option",
+        [
+            (["atpg", "lion", "--backtrack-limit", "-1"], "--backtrack-limit"),
+            (["explain", "lion", "--fault", "g0.out/sa0",
+              "--backtrack-limit", "-1"], "--backtrack-limit"),
+            (["explain", "lion", "--fault", "g0.out/sa0",
+              "--trace-capacity", "-1"], "--trace-capacity"),
+        ],
+    )
+    def test_negative_search_limits_are_refused(self, argv, option, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args(argv)
+        assert exit_info.value.code == 2
+        errors = [
+            line for line in capsys.readouterr().err.splitlines()
+            if "error:" in line
+        ]
+        assert errors == [
+            f"repro-fsatpg {argv[0]}: error: argument {option}: "
+            "must be >= 0, got -1"
+        ]
+
+    def test_zero_search_limits_parse(self):
+        args = build_parser().parse_args(
+            ["explain", "lion", "--fault", "g0.out/sa0",
+             "--backtrack-limit", "0", "--trace-capacity", "0"]
+        )
+        assert (args.backtrack_limit, args.trace_capacity) == (0, 0)
+
+    def test_search_limit_must_be_an_int(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args(["atpg", "lion", "--backtrack-limit", "x"])
+        assert exit_info.value.code == 2
+        assert "invalid int value: 'x'" in capsys.readouterr().err
+
+    def test_atpg_has_no_algorithm_option(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args(["atpg", "lion", "--algorithm", "d"])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --algorithm d" in capsys.readouterr().err
+
 
 class TestCommands:
     def test_info(self, capsys):

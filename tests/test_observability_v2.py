@@ -347,8 +347,8 @@ class TestSearchTrace:
         assert [e.line for e in trace.events()] == ["g2", "g3", "g4"]
 
     def test_event_roundtrip(self):
-        event = SearchEvent("backtrack", "g7", 0, 3, d_frontier=2,
-                            j_frontier=1)
+        event = SearchEvent("backtrack", "g7", 0, 3, d_frontier=2)
+        assert event.to_dict()["j_frontier"] == 0
         assert SearchEvent.from_dict(event.to_dict()) == event
 
     def test_budget_carries_trace(self):
@@ -401,20 +401,15 @@ class TestEngineForensics:
         assert {"kind", "line", "value", "depth"} <= set(block["events"][0])
         json.dumps(payload)  # JSON-ready
 
-    @pytest.mark.parametrize("algorithm", ("podem", "d"))
-    def test_both_algorithms_emit_events(self, algorithm):
+    def test_podem_emits_events(self):
         scan, table, _sca = _lion_scan()
         run = generate_structural_tests(
-            scan, table, algorithm=algorithm, trace_hardest=5, replay=False
+            scan, table, trace_hardest=5, replay=False
         )
         traced = [v for v in run.verdicts if v.search_trace]
         assert traced
         event = traced[0].search_trace[0]
         assert event.depth >= 1
-        if algorithm == "d":
-            assert any(
-                e.j_frontier >= 0 for v in traced for e in v.search_trace
-            )
 
 
 class TestExplainFaultCli:

@@ -108,11 +108,19 @@ class TestArtifactCache:
     def test_corrupt_entry_is_a_miss_and_removed(self, tmp_path):
         cache = ArtifactCache(tmp_path)
         key = stable_hash("x")
-        cache.put("uio", key, [1, 2])
         path = cache._path("uio", key)
-        path.write_bytes(b"not a pickle")
-        assert cache.get("uio", key) is None
-        assert not path.exists()
+        for entry in (
+            b"not a pickle",  # UnpicklingError
+            b"\x80\xc8",  # protocol 200: ValueError
+            b"N)R.",  # REDUCE on None: TypeError
+            b"X\x02\x00\x00\x00\xff\xfe.",  # UnicodeDecodeError
+            b"\x95" + b"\xff" * 8,  # FRAME too long: OverflowError
+        ):
+            cache.put("uio", key, [1, 2])
+            path.write_bytes(entry)
+            assert cache.get("uio", key) is None, entry
+            assert not path.exists(), entry
+        assert (cache.hits, cache.misses) == (0, 5)
 
     def test_info_and_clear(self, tmp_path):
         cache = ArtifactCache(tmp_path)

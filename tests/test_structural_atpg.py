@@ -1,4 +1,4 @@
-"""Structural ATPG (D-algorithm + PODEM) vs exhaustive ground truth.
+"""Structural ATPG (PODEM) vs exhaustive ground truth.
 
 The load-bearing property is *verdict equivalence*: for any fault the
 bounded structural search must return a test exactly when exhaustive
@@ -9,10 +9,11 @@ bundled benchmark circuit with a deterministic fault subset sized so the
 widest netlists stay cheap; lion/bbtas/bbara run their full collapsed
 universes with pinned counts.
 
-On top of the sweep: hypothesis properties over random machines (every
-returned cube, expanded and replayed through BOTH the PPSFP and big-int
-engines, detects its target fault; untestable verdicts agree with static
-sca certificates whenever one exists), certificate cross-validation on a
+On top of the sweep: hypothesis properties over random machines (the test
+and untestable sets equal exhaustive detectability; every returned cube,
+expanded and replayed through BOTH the PPSFP and big-int engines, detects
+its target fault; untestable verdicts agree with static sca certificates
+whenever one exists), certificate cross-validation on a
 netlist with genuine structural redundancy, and budget-exhaustion edge
 cases on a deep-reconvergence fixture — an exhausted budget must produce
 an explicit ``aborted`` verdict, never ``untestable``.
@@ -26,7 +27,6 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 
 from repro.atpg import (
-    ALGORITHMS,
     DEFAULT_BACKTRACK_LIMIT,
     STATUS_ABORTED,
     STATUS_TEST,
@@ -36,7 +36,6 @@ from repro.atpg import (
 from repro.atpg import engine as atpg_engine
 from repro.atpg.model import FaultedCircuit, StateCodeConstraint
 from repro.atpg.podem import podem_search
-from repro.atpg.dalg import d_algorithm_search
 from repro.atpg.search import ABORT_BACKTRACKS, ABORT_TIME, SearchBudget
 from repro.benchmarks import circuit_names, load_circuit
 from repro.core.testset import ScanTest
@@ -52,8 +51,6 @@ from repro.gatelevel.synthesis import SynthesisOptions
 from repro.sca.analysis import analyze
 from repro.sca.certificates import UntestableCertificate
 from repro.sca.scoap import compute_scoap
-
-_SEARCHERS = {"podem": podem_search, "d": d_algorithm_search}
 
 #: Cap on faults x exhaustive patterns for the all-circuits sweep ground
 #: truth; keeps the widest machines to a few representative faults.
@@ -109,21 +106,18 @@ def _expanded_test(table, verdict):
 
 
 class TestVerdictEquivalenceAllCircuits:
-    """Both engines agree with exhaustive detectability on every circuit."""
+    """PODEM agrees with exhaustive detectability on every circuit."""
 
     @pytest.mark.parametrize("name", sorted(circuit_names()))
     def test_verdicts_match_exhaustive_detectability(self, name):
         table, circuit = _synthesize(name)
         faults = _pinned_subset(circuit, _representatives(circuit))
         detectable, undetectable = _ground_truth(circuit, faults)
-        for algorithm in ALGORITHMS:
-            run = generate_structural_tests(
-                circuit, table, faults, algorithm=algorithm, replay=True
-            )
-            assert not run.aborted, f"{name}/{algorithm} aborted"
-            assert {v.fault for v in run.tests} == detectable
-            assert {v.fault for v in run.untestable} == undetectable
-            assert all(v.witness for v in run.tests)
+        run = generate_structural_tests(circuit, table, faults, replay=True)
+        assert not run.aborted, f"{name} aborted"
+        assert {v.fault for v in run.tests} == detectable
+        assert {v.fault for v in run.untestable} == undetectable
+        assert all(v.witness for v in run.tests)
 
 
 # ------------------------------------------------------------ pinned counts
@@ -140,15 +134,12 @@ class TestPinnedCounts:
         table, circuit = _synthesize(name)
         faults = _representatives(circuit)
         assert len(faults) == targets
-        for algorithm in ALGORITHMS:
-            run = generate_structural_tests(
-                circuit, table, faults, algorithm=algorithm, replay=True
-            )
-            assert run.n_targets == targets
-            assert len(run.tests) == tests
-            assert len(run.untestable) == untestable
-            assert not run.aborted
-            assert all(v.witness for v in run.tests)
+        run = generate_structural_tests(circuit, table, faults, replay=True)
+        assert run.n_targets == targets
+        assert len(run.tests) == tests
+        assert len(run.untestable) == untestable
+        assert not run.aborted
+        assert all(v.witness for v in run.tests)
 
     def test_witnesses_replay_on_budget_sized_chunks(self, monkeypatch):
         """A byte budget of four lion tables cuts the replay into chunks;
@@ -235,21 +226,19 @@ class TestAtpgProperties:
 
     @SETTINGS
     @given(_machines())
-    def test_podem_and_d_return_identical_verdict_sets(self, table):
+    def test_podem_matches_exhaustive_detectability(self, table):
+        """PODEM's test and untestable sets are exactly the faults that
+        exhaustive simulation over the assigned state codes detects and
+        does not detect: an answer computed without any search."""
         circuit = ScanCircuit.from_machine(table, SynthesisOptions(max_fanin=4))
         faults = _representatives(circuit)
         if not faults:
             return
-        runs = {
-            algorithm: generate_structural_tests(
-                circuit, table, faults, algorithm=algorithm, replay=False
-            )
-            for algorithm in ALGORITHMS
-        }
-        tests = {a: {v.fault for v in r.tests} for a, r in runs.items()}
-        untestable = {a: {v.fault for v in r.untestable} for a, r in runs.items()}
-        assert tests["podem"] == tests["d"]
-        assert untestable["podem"] == untestable["d"]
+        detectable, undetectable = _ground_truth(circuit, faults)
+        run = generate_structural_tests(circuit, table, faults, replay=False)
+        assert not run.aborted
+        assert {v.fault for v in run.tests} == detectable
+        assert {v.fault for v in run.untestable} == undetectable
 
 
 # --------------------------------------------- certificate cross-validation
@@ -282,17 +271,16 @@ class TestCertificateCrossValidation:
         scoap = compute_scoap(netlist)
         constraint = _free_constraint(2)
         for certificate in certificates:
-            for algorithm, search in _SEARCHERS.items():
-                outcome = search(
-                    FaultedCircuit(netlist, certificate.fault),
-                    scoap,
-                    constraint,
-                    SearchBudget(DEFAULT_BACKTRACK_LIMIT),
-                )
-                assert outcome.status == STATUS_UNTESTABLE, (
-                    f"{algorithm} disagrees with certificate for "
-                    f"{certificate.fault.site()}"
-                )
+            outcome = podem_search(
+                FaultedCircuit(netlist, certificate.fault),
+                scoap,
+                constraint,
+                SearchBudget(DEFAULT_BACKTRACK_LIMIT),
+            )
+            assert outcome.status == STATUS_UNTESTABLE, (
+                "podem disagrees with certificate for "
+                f"{certificate.fault.site()}"
+            )
 
     def test_engine_marks_certified_untestable_verdicts(self):
         table, circuit = _synthesize("lion")
@@ -351,16 +339,20 @@ def _deep_reconvergence_netlist(depth=6):
     return netlist, out
 
 
+#: The search under test, passed in so its name stays in the test ids
+#: (``[podem]``) that test records already know these cases by.
+_SEARCH = pytest.mark.parametrize("search", [podem_search], ids=["podem"])
+
+
 class TestBudgetExhaustion:
     """An exhausted budget must abort explicitly — never claim untestable."""
 
-    @pytest.mark.parametrize("algorithm", ALGORITHMS)
-    def test_backtrack_limit_zero_aborts_detectable_fault(self, algorithm):
+    @_SEARCH
+    def test_backtrack_limit_zero_aborts_detectable_fault(self, search):
         netlist, out = _deep_reconvergence_netlist()
         fault = StuckAtFault(out, None, 1)
         scoap = compute_scoap(netlist)
         constraint = _free_constraint(2)
-        search = _SEARCHERS[algorithm]
         full = search(
             FaultedCircuit(netlist, fault),
             scoap,
@@ -376,12 +368,12 @@ class TestBudgetExhaustion:
         assert starved.aborted_reason == ABORT_BACKTRACKS
         assert starved.cube is None
 
-    @pytest.mark.parametrize("algorithm", ALGORITHMS)
-    def test_time_budget_zero_aborts(self, algorithm):
+    @_SEARCH
+    def test_time_budget_zero_aborts(self, search):
         netlist, out = _deep_reconvergence_netlist()
         fault = StuckAtFault(out, None, 1)
         scoap = compute_scoap(netlist)
-        outcome = _SEARCHERS[algorithm](
+        outcome = search(
             FaultedCircuit(netlist, fault),
             scoap,
             _free_constraint(2),
@@ -396,22 +388,20 @@ class TestBudgetExhaustion:
         table, circuit = _synthesize("lion")
         faults = _representatives(circuit)
         detectable, undetectable = _ground_truth(circuit, faults)
-        for algorithm in ALGORITHMS:
-            run = generate_structural_tests(
-                circuit, table, faults, algorithm=algorithm,
-                backtrack_limit=0, replay=True,
-            )
-            assert run.aborted, "limit 0 must starve at least one fault"
-            assert {v.fault for v in run.tests} <= detectable
-            assert {v.fault for v in run.untestable} <= undetectable
-            for verdict in run.aborted:
-                assert verdict.aborted_reason == ABORT_BACKTRACKS
-            counted = len(run.tests) + len(run.untestable) + len(run.aborted)
-            assert counted == run.n_targets
+        run = generate_structural_tests(
+            circuit, table, faults, backtrack_limit=0, replay=True
+        )
+        assert run.aborted, "limit 0 must starve at least one fault"
+        assert {v.fault for v in run.tests} <= detectable
+        assert {v.fault for v in run.untestable} <= undetectable
+        for verdict in run.aborted:
+            assert verdict.aborted_reason == ABORT_BACKTRACKS
+        counted = len(run.tests) + len(run.untestable) + len(run.aborted)
+        assert counted == run.n_targets
 
     def test_engine_rejects_bad_arguments(self):
         table, circuit = _synthesize("lion")
-        with pytest.raises(AtpgError, match="algorithm"):
-            generate_structural_tests(circuit, table, algorithm="fan")
         with pytest.raises(AtpgError, match="backtrack"):
             generate_structural_tests(circuit, table, backtrack_limit=-1)
+        with pytest.raises(AtpgError, match="trace capacity"):
+            generate_structural_tests(circuit, table, trace_capacity=-1)
