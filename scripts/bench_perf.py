@@ -1,13 +1,13 @@
 #!/usr/bin/env python
-"""Measure serial vs parallel vs warm-cache sweep times (BENCH_perf.json).
+"""Measure serial vs parallel sweep times (BENCH_perf.json).
 
-Usage:  python scripts/bench_perf.py [--quick] [--jobs N] [--cache-dir PATH]
-                                     [--circuits a,b,c] [-o PATH]
+Usage:  python scripts/bench_perf.py [--quick] [--jobs N] [--circuits a,b,c]
+                                     [-o PATH]
 
 Thin wrapper over :mod:`repro.perf.bench` so the perf trajectory can be
 recorded without installing the package (``src/`` is added to the path when
-``repro`` is not importable).  Exits non-zero if the parallel or warm runs
-diverge from the serial results — never because of timing.
+``repro`` is not importable).  Exits non-zero if the parallel run diverges
+from the serial results — never because of timing.
 """
 
 from __future__ import annotations

@@ -15,8 +15,8 @@ Subcommands
                  ``--top-off`` closes the functional gap
 ``fuzz``       — differential fuzzing of the whole stack (exit 1 on failure)
 ``claims``     — run the reproduction certificate (exit 1 on any failure)
-``bench``      — serial vs parallel vs warm-cache timing (BENCH_perf.json)
-``cache``      — inspect (``info``) or wipe (``clear``) the artifact cache
+``bench``      — serial vs parallel sweep timing (BENCH_perf.json)
+``cache``      — inspect (``info``) or wipe (``clear``) the ATPG-run cache
 ``trace``      — run a table/circuit pipeline with span tracing on and
                  write a Chrome ``trace_event`` file (chrome://tracing,
                  Perfetto)
@@ -35,12 +35,11 @@ under ``~/.local/state/repro-fsatpg/ledger`` by default; see
 ``REPRO_LEDGER_DIR``, ``--ledger-dir``, and ``--no-ledger``).
 
 Table-regeneration commands accept ``--jobs N`` to fan the per-circuit
-pipeline across worker processes and ``--cache-dir PATH`` to reuse
-artifacts (UIO tables, synthesized netlists, static analyses, ATPG runs)
-across invocations; results are identical either way.
+pipeline across worker processes; results are identical either way.
 They also accept ``--trace-out PATH`` / ``--metrics-out PATH`` to capture
 a trace or metrics snapshot of any normal run (see docs/observability.md),
 and the top-level ``-v``/``-q`` flags gate the structured stderr logger.
+``atpg --cache-dir PATH`` reuses verified ATPG runs across invocations.
 
 Examples
 --------
@@ -87,15 +86,63 @@ def _config_from(args: argparse.Namespace) -> GeneratorConfig:
     )
 
 
-def _non_negative_int(text: str) -> int:
-    """``type=`` of the search limits: an int >= 0, refused at parse time."""
+def _int(text: str) -> int:
     try:
-        value = int(text)
+        return int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+
+
+def _non_negative_int(text: str) -> int:
+    """``type=`` of the search and generator limits: an int >= 0, refused
+    at parse time."""
+    value = _int(text)
     if value < 0:
         raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
     return value
+
+
+def _positive_int(text: str) -> int:
+    """``type=`` of ``--scan-ratio`` and ``stats --top``: an int >= 1."""
+    value = _int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
+def _fanin_bound(text: str) -> int:
+    """``type=`` of ``--max-fanin``: 0 (unbounded) or an int >= 2."""
+    value = _int(text)
+    if value != 0 and value < 2:
+        raise argparse.ArgumentTypeError(
+            f"must be 0 (unbounded) or >= 2, got {value}"
+        )
+    return value
+
+
+#: The generator and synthesis limits, each defined once: the keywords of
+#: its ``add_argument``.  The ``type=`` validators refuse at parse time what
+#: :class:`GeneratorConfig` and ``SynthesisOptions`` would refuse later.
+_LIMITS: dict[str, dict] = {
+    "--uio-length": dict(type=_non_negative_int, default=None,
+                         help="bound L on UIO length (default: N_SV)"),
+    "--transfer-length": dict(type=_non_negative_int, default=1,
+                              help="bound T on transfer length (0 disables)"),
+    "--scan-ratio": dict(type=_positive_int, default=1,
+                         help="scan clock period in functional clock periods"),
+    "--max-fanin": dict(type=_fanin_bound, default=4,
+                        help="gate fanin bound for synthesis (0 = unbounded)"),
+    "--bridging-limit": dict(type=_non_negative_int, default=500,
+                             help="max bridging line pairs (0 = unlimited)"),
+}
+
+#: The limits of test generation, which every generating command takes.
+_GENERATOR_LIMITS = ("--uio-length", "--transfer-length", "--scan-ratio")
+
+
+def _add_limits(parser: argparse.ArgumentParser, *flags: str) -> None:
+    for flag in flags:
+        parser.add_argument(flag, **_LIMITS[flag])
 
 
 def _options_from(args: argparse.Namespace) -> StudyOptions:
@@ -310,8 +357,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     argv: list[str] = ["--jobs", str(args.jobs), "-o", args.output]
     if args.circuits:
         argv += ["--circuits", args.circuits]
-    if args.cache_dir:
-        argv += ["--cache-dir", args.cache_dir]
     if args.quick:
         argv.append("--quick")
     if args.engine:
@@ -324,8 +369,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 
 
 def _cache_root(args: argparse.Namespace) -> str | None:
-    root = getattr(args, "cache_dir", None)
-    return None if root in (None, "", "default") else root
+    return None if args.cache_dir in (None, "", "default") else args.cache_dir
 
 
 def _cmd_cache_info(args: argparse.Namespace) -> int:
@@ -357,20 +401,11 @@ def _cmd_cache_info(args: argparse.Namespace) -> int:
 def _cmd_analyze(args: argparse.Namespace) -> int:
     import json as _json
 
-    from repro.benchmarks import load_kiss_machine
-    from repro.perf.artifacts import cached_scan_circuit, cached_sca
+    from repro.harness.experiments import CircuitStudy
     from repro.sca import INFINITY
 
-    table = load_circuit(args.circuit)
-    options = _options_from(args)
-    scan = cached_scan_circuit(
-        load_kiss_machine(args.circuit), options.synthesis, table,
-        circuit=args.circuit,
-    )
-    sca = cached_sca(scan.netlist, circuit=args.circuit)
-    # cached_sca verifies before storing; re-check here so what gets printed
-    # is machine-checked in this very process, even on a cache hit.
-    sca.verify()
+    study = CircuitStudy(args.circuit, _options_from(args))
+    scan, sca = study.scan_circuit, study.sca  # both verified
     universe = sca.universe
     args._ledger_circuits = [args.circuit]
     args._ledger_results = {
@@ -1124,12 +1159,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     gen = sub.add_parser("generate", help="generate functional scan tests")
     gen.add_argument("circuit")
-    gen.add_argument("--uio-length", type=int, default=None,
-                     help="bound L on UIO length (default: N_SV)")
-    gen.add_argument("--transfer-length", type=int, default=1,
-                     help="bound T on transfer length (0 disables)")
-    gen.add_argument("--scan-ratio", type=int, default=1,
-                     help="scan clock period in functional clock periods")
+    _add_limits(gen, *_GENERATOR_LIMITS)
     gen.add_argument("--no-tests", dest="show_tests", action="store_false",
                      help="print statistics only")
     gen.add_argument("--verify", action="store_true",
@@ -1141,28 +1171,21 @@ def build_parser() -> argparse.ArgumentParser:
     export.add_argument("--format", choices=("json", "vectors"), default="json")
     export.add_argument("-o", "--output", default="-",
                         help="output path ('-' prints to stdout)")
-    export.add_argument("--uio-length", type=int, default=None)
-    export.add_argument("--transfer-length", type=int, default=1)
-    export.add_argument("--scan-ratio", type=int, default=1)
+    _add_limits(export, *_GENERATOR_LIMITS)
     export.set_defaults(func=_cmd_export)
 
     nonscan = sub.add_parser(
         "nonscan", help="non-scan checking sequence vs scan coverage"
     )
     nonscan.add_argument("circuit")
-    nonscan.add_argument("--uio-length", type=int, default=None)
-    nonscan.add_argument("--transfer-length", type=int, default=1)
-    nonscan.add_argument("--scan-ratio", type=int, default=1)
+    _add_limits(nonscan, *_GENERATOR_LIMITS)
     nonscan.set_defaults(func=_cmd_nonscan)
 
     delay = sub.add_parser(
         "delay", help="transition-delay coverage, chained vs baseline"
     )
     delay.add_argument("circuit")
-    delay.add_argument("--max-fanin", type=int, default=4)
-    delay.add_argument("--uio-length", type=int, default=None)
-    delay.add_argument("--transfer-length", type=int, default=1)
-    delay.add_argument("--scan-ratio", type=int, default=1)
+    _add_limits(delay, "--max-fanin", *_GENERATOR_LIMITS)
     delay.set_defaults(func=_cmd_delay)
 
     def add_common(p: argparse.ArgumentParser, with_circuit_list: bool) -> None:
@@ -1172,13 +1195,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--tier", default="default",
                            choices=("small", "medium", "large", "all", "default"),
                            help="circuit tier (default: small+medium)")
-        p.add_argument("--uio-length", type=int, default=None)
-        p.add_argument("--transfer-length", type=int, default=1)
-        p.add_argument("--scan-ratio", type=int, default=1)
-        p.add_argument("--max-fanin", type=int, default=4,
-                       help="gate fanin bound for synthesis (0 = unbounded)")
-        p.add_argument("--bridging-limit", type=int, default=500,
-                       help="max bridging line pairs (0 = unlimited)")
+        _add_limits(p, *_GENERATOR_LIMITS, "--max-fanin", "--bridging-limit")
         p.add_argument("--engine", default="auto", choices=FAULT_SIM_ENGINES,
                        help="fault-sim engine: ppsfp (pattern-parallel "
                        "tables), bigint (the interpreted parallel-fault "
@@ -1190,9 +1207,6 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--jobs", type=int, default=1,
                            help="worker processes for the per-circuit "
                            "pipeline (1 = serial)")
-        p.add_argument("--cache-dir", default=None, metavar="PATH",
-                       help="enable the artifact cache rooted at PATH "
-                       "('default' = ~/.cache/repro-fsatpg)")
         p.add_argument("--trace-out", default=None, metavar="PATH",
                        help="write a Chrome trace_event file of this run "
                        "(chrome://tracing / Perfetto)")
@@ -1237,11 +1251,7 @@ def build_parser() -> argparse.ArgumentParser:
                       help="skip synthesizing and linting the netlist")
     lint.add_argument("--no-tests", dest="run_tests", action="store_false",
                       help="skip generating and linting the test program")
-    lint.add_argument("--max-fanin", type=int, default=4,
-                      help="gate fanin bound for synthesis (0 = unbounded)")
-    lint.add_argument("--uio-length", type=int, default=None)
-    lint.add_argument("--transfer-length", type=int, default=1)
-    lint.add_argument("--scan-ratio", type=int, default=1)
+    _add_limits(lint, "--max-fanin", *_GENERATOR_LIMITS)
     lint.set_defaults(func=_cmd_lint)
 
     analyze = sub.add_parser(
@@ -1250,8 +1260,7 @@ def build_parser() -> argparse.ArgumentParser:
         "and machine-checked redundancy proofs",
     )
     analyze.add_argument("circuit")
-    analyze.add_argument("--max-fanin", type=int, default=4,
-                         help="gate fanin bound for synthesis (0 = unbounded)")
+    _add_limits(analyze, "--max-fanin")
     analyze.add_argument("--format", choices=("human", "json"),
                          default="human",
                          help="json emits the full repro-fsatpg-sca/1 "
@@ -1261,9 +1270,6 @@ def build_parser() -> argparse.ArgumentParser:
                          "(human format; default: 10)")
     analyze.add_argument("--no-scoap", action="store_true",
                          help="omit the per-net SCOAP block from JSON output")
-    analyze.add_argument("--cache-dir", default=None, metavar="PATH",
-                         help="enable the artifact cache rooted at PATH "
-                         "('default' = ~/.cache/repro-fsatpg)")
     analyze.add_argument("--trace-out", default=None, metavar="PATH",
                          help="write a Chrome trace_event file of this run")
     analyze.add_argument("--metrics-out", default=None, metavar="PATH",
@@ -1284,15 +1290,14 @@ def build_parser() -> argparse.ArgumentParser:
     atpg.add_argument("--top-off", action="store_true",
                       help="target only the representatives the functional "
                       "test set missed and report combined coverage")
-    atpg.add_argument("--max-fanin", type=int, default=4,
-                      help="gate fanin bound for synthesis (0 = unbounded)")
+    _add_limits(atpg, "--max-fanin")
     atpg.add_argument("--format", choices=("human", "json"),
                       default="human",
                       help="json emits the full repro-fsatpg-atpg/1 "
                       "payload (see scripts/validate_atpg.py)")
     atpg.add_argument("--cache-dir", default=None, metavar="PATH",
-                      help="enable the artifact cache rooted at PATH "
-                      "('default' = ~/.cache/repro-fsatpg)")
+                      help="reuse verified ATPG runs from the cache rooted "
+                      "at PATH ('default' = ~/.cache/repro-fsatpg)")
     atpg.add_argument("--trace-out", default=None, metavar="PATH",
                       help="write a Chrome trace_event file of this run")
     atpg.add_argument("--metrics-out", default=None, metavar="PATH",
@@ -1349,14 +1354,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     bench = sub.add_parser(
         "bench",
-        help="serial vs parallel vs warm-cache sweep timing (BENCH_perf.json)",
+        help="serial vs parallel sweep timing (BENCH_perf.json)",
     )
     bench.add_argument("--circuits", default="",
                        help="comma-separated circuit names")
     bench.add_argument("--jobs", type=int, default=4,
-                       help="worker processes for the parallel runs")
-    bench.add_argument("--cache-dir", default=None, metavar="PATH",
-                       help="cache directory for the cold/warm runs")
+                       help="worker processes for the parallel run")
     bench.add_argument("--engine", default=None, choices=FAULT_SIM_ENGINES,
                        help="fault-sim engine for every bench run")
     bench.add_argument("--quick", action="store_true",
@@ -1375,11 +1378,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--jobs", type=int, default=1,
                        help="worker processes; worker spans merge under "
                        "the parent sweep span")
-        p.add_argument("--uio-length", type=int, default=None)
-        p.add_argument("--transfer-length", type=int, default=1)
-        p.add_argument("--scan-ratio", type=int, default=1)
-        p.add_argument("--max-fanin", type=int, default=4)
-        p.add_argument("--bridging-limit", type=int, default=500)
+        _add_limits(p, *_GENERATOR_LIMITS, "--max-fanin", "--bridging-limit")
         p.add_argument("--metrics-out", default=None, metavar="PATH",
                        help="also write a JSON metrics snapshot")
         p.add_argument("--format", choices=("human", "json"), default="human",
@@ -1403,7 +1402,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     stats.add_argument("--trace-out", default=None, metavar="PATH",
                        help="also write a Chrome trace_event file")
-    stats.add_argument("--top", type=int, default=15,
+    stats.add_argument("--top", type=_positive_int, default=15,
                        help="span rows to show (default: 15)")
     stats.set_defaults(func=_cmd_stats, obs_managed=True)
 
@@ -1519,14 +1518,9 @@ def build_parser() -> argparse.ArgumentParser:
                          default=65536, metavar="N",
                          help="forensic ring-buffer size for --fault "
                          "replays (default: 65536 events)")
-    explain.add_argument("--max-fanin", type=int, default=4,
-                         help="synthesis fan-in bound for --fault replays "
-                         "(0 = unbounded)")
     explain.add_argument("--format", choices=("human", "json"),
                          default="human")
-    explain.add_argument("--uio-length", type=int, default=None)
-    explain.add_argument("--transfer-length", type=int, default=1)
-    explain.add_argument("--scan-ratio", type=int, default=1)
+    _add_limits(explain, "--max-fanin", *_GENERATOR_LIMITS)
     explain.set_defaults(func=_cmd_explain)
 
     cache = sub.add_parser(
@@ -1540,7 +1534,7 @@ def build_parser() -> argparse.ArgumentParser:
         p = cache_sub.add_parser(name, help=help_text)
         p.add_argument("--cache-dir", default=None, metavar="PATH",
                        help="cache root (default: ~/.cache/repro-fsatpg)")
-        p.set_defaults(func=function, cache_management=True)
+        p.set_defaults(func=function)
 
     ledger = sub.add_parser(
         "ledger", help="maintain the on-disk run ledger"
@@ -1572,7 +1566,7 @@ _LEDGER_COMMANDS = frozenset(
     | {"all", "generate", "claims", "fuzz", "analyze", "atpg"}
 )
 
-#: Span names that are pipeline stages (see ``repro.perf.artifacts``).
+#: Span names that are pipeline stages (see ``repro.harness.runtime``).
 _STAGE_SPAN_NAMES = frozenset(
     {"uio", "synthesis", "generation", "detectability", "fault-sim", "sca",
      "collapse", "bridging", "atpg"}
@@ -1706,14 +1700,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     elif args.ledger_dir:
         os.environ[LEDGER_ENV] = args.ledger_dir
     try:
-        # `bench` and `cache` manage the cache themselves; everything else
-        # opts in through --cache-dir (artifacts are then reused across
-        # invocations, including by the worker processes of --jobs).
-        if (
-            getattr(args, "cache_dir", None)
-            and not getattr(args, "cache_management", False)
-            and args.command != "bench"
-        ):
+        # `atpg --cache-dir` reuses verified runs across invocations; the
+        # `cache` subcommands open the directory themselves.
+        if args.command == "atpg" and args.cache_dir:
             from repro.perf.cache import cache_enabled
 
             with cache_enabled(_cache_root(args)):

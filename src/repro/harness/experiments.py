@@ -29,15 +29,23 @@ from repro.gatelevel.bridging import BridgingFault, enumerate_bridging_faults
 from repro.gatelevel.scan import ScanCircuit
 from repro.gatelevel.stuck_at import StuckAtFault, stuck_at_representatives
 from repro.gatelevel.synthesis import SynthesisOptions
-from repro.harness.runtime import StageTimings
+from repro.harness.runtime import (
+    STAGE_BRIDGING,
+    STAGE_COLLAPSE,
+    STAGE_GENERATION,
+    STAGE_SCA,
+    STAGE_SYNTHESIS,
+    STAGE_UIO,
+    StageTimings,
+)
 from repro.harness.tables import format_csv, format_table
 from repro.obs.log import get_logger
+from repro.obs.metrics import counter_add, histogram_observe
+from repro.sca import ScaAnalysis, analyze
 from repro.uio.search import UioTable, compute_uio_table
 
-# NOTE: repro.perf is imported inside the methods that use it.
-# ``repro.harness.__init__`` eagerly imports this module, and
-# ``repro.perf.artifacts`` imports ``repro.harness.runtime`` — a module-level
-# import here would make either import order circular.
+# NOTE: the sweep engine is imported inside the functions that use it:
+# ``repro.perf.engine`` imports this module for :class:`StudyOptions`.
 
 __all__ = [
     "StudyOptions",
@@ -115,14 +123,11 @@ class CircuitStudy:
 
     @cached_property
     def _uio(self) -> tuple[UioTable, float]:
-        from repro.perf.artifacts import cached_uio_table
-
-        config = self.options.config
-        length = config.resolved_uio_length(self.table.n_state_variables)
-        return cached_uio_table(
-            self.table, length, config.uio_node_budget,
-            circuit=self.name, timings=self.timings,
-        )
+        table, config = self.table, self.options.config
+        length = config.resolved_uio_length(table.n_state_variables)
+        with self.timings.stage(self.name, STAGE_UIO) as sp:
+            uio = compute_uio_table(table, length, config.uio_node_budget)
+        return uio, sp.elapsed_s
 
     @property
     def uio_table(self) -> UioTable:
@@ -134,8 +139,6 @@ class CircuitStudy:
 
     @cached_property
     def generation(self) -> GenerationResult:
-        from repro.perf.artifacts import STAGE_GENERATION
-
         table, uio = self.table, self.uio_table
         with self.timings.stage(self.name, STAGE_GENERATION):
             return generate_tests(table, self.options.config, uio)
@@ -157,41 +160,46 @@ class CircuitStudy:
 
     @cached_property
     def scan_circuit(self) -> ScanCircuit:
-        from repro.perf.artifacts import cached_scan_circuit
-
-        return cached_scan_circuit(
-            load_kiss_machine(self.name),
-            self.options.synthesis,
-            self.table,
-            circuit=self.name,
-            timings=self.timings,
-        )
+        """The synthesized scan circuit, verified against the state table."""
+        machine, table = load_kiss_machine(self.name), self.table
+        with self.timings.stage(self.name, STAGE_SYNTHESIS):
+            scan = ScanCircuit.from_machine(machine, self.options.synthesis)
+            scan.verify_against(table)
+        return scan
 
     @cached_property
-    def sca(self):
-        """Static analysis of the synthesized netlist (cached per hash).
+    def sca(self) -> ScaAnalysis:
+        """Static analysis of the synthesized netlist, every derivation and
+        certificate replayed by :meth:`~repro.sca.ScaAnalysis.verify`.
 
-        Grading never reads it; ``atpg`` and ``explain --fault`` do.
+        Grading never reads it; ``analyze``, ``atpg`` and ``explain
+        --fault`` do.
         """
-        from repro.perf.artifacts import cached_sca
-
-        return cached_sca(
-            self.scan_circuit.netlist, circuit=self.name, timings=self.timings
-        )
+        netlist = self.scan_circuit.netlist  # synthesis is its own stage
+        with self.timings.stage(self.name, STAGE_SCA) as sp:
+            sca = analyze(netlist).materialize()
+            sca.verify()
+            sp.set(
+                representatives=sca.universe.n_representatives,
+                certificates=len(sca.certificates),
+            )
+        universe = sca.universe
+        counter_add("sca.faults", universe.n_faults)
+        counter_add("sca.representatives", universe.n_representatives)
+        counter_add("sca.certificates", len(sca.certificates))
+        counter_add("sca.constant_lines", len(sca.constants.constant_lines))
+        histogram_observe("sca.collapse_ratio", universe.ratio)
+        return sca
 
     @cached_property
     def stuck_at_faults(self) -> list[StuckAtFault]:
         """The collapsed stuck-at universe, one representative per class."""
-        from repro.perf.artifacts import STAGE_COLLAPSE
-
         netlist = self.scan_circuit.netlist  # synthesis is its own stage
         with self.timings.stage(self.name, STAGE_COLLAPSE):
             return stuck_at_representatives(netlist)
 
     @cached_property
     def bridging_faults(self) -> list[BridgingFault]:
-        from repro.perf.artifacts import STAGE_BRIDGING
-
         netlist = self.scan_circuit.netlist  # synthesis is its own stage
         with self.timings.stage(self.name, STAGE_BRIDGING):
             return enumerate_bridging_faults(

@@ -2,19 +2,18 @@
 
 :class:`Stopwatch`/:func:`stopwatch` time a single block.  :class:`StageTimings`
 extends that into structured per-stage records — one :class:`StageRecord` per
-(circuit, stage) pair, each tagged with whether the artifact cache served it —
-plus cache hit/miss counters.  The perf engine merges the timings of its
-worker processes into one object, and ``repro-fsatpg bench`` serializes them
-into ``BENCH_perf.json``.
+(circuit, stage) pair.  The perf engine merges the timings of its worker
+processes into one object, and ``repro-fsatpg bench`` serializes them into
+``BENCH_perf.json``.
 
 Since the :mod:`repro.obs` subsystem landed, ``StageTimings`` is a thin
 wrapper over the span tracer: :meth:`StageTimings.stage` *is* a span — the
 recorded seconds are read back from the span's own measurement — and
-explicitly-recorded stages (:meth:`StageTimings.add`, e.g. zero-second
-cache hits) emit an equivalent completed span.  When tracing is enabled,
-``BENCH_perf.json`` stage totals and the exported trace therefore come from
-the same clock readings and can never disagree; when tracing is disabled
-the span calls degrade to bare monotonic-clock reads.
+explicitly-recorded stages (:meth:`StageTimings.add`) emit an equivalent
+completed span.  When tracing is enabled, ``BENCH_perf.json`` stage totals
+and the exported trace therefore come from the same clock readings and can
+never disagree; when tracing is disabled the span calls degrade to bare
+monotonic-clock reads.
 """
 
 from __future__ import annotations
@@ -27,7 +26,32 @@ from typing import Iterator
 from repro.obs.trace import _SpanContext, complete_event
 from repro.obs.trace import span as trace_span
 
-__all__ = ["Stopwatch", "stopwatch", "StageRecord", "StageTimings"]
+__all__ = [
+    "STAGE_ATPG",
+    "STAGE_BRIDGING",
+    "STAGE_COLLAPSE",
+    "STAGE_DETECTABILITY",
+    "STAGE_FAULT_SIM",
+    "STAGE_GENERATION",
+    "STAGE_SCA",
+    "STAGE_SYNTHESIS",
+    "STAGE_UIO",
+    "Stopwatch",
+    "stopwatch",
+    "StageRecord",
+    "StageTimings",
+]
+
+#: Canonical stage names used in timing records and ``BENCH_perf.json``.
+STAGE_UIO = "uio"
+STAGE_SYNTHESIS = "synthesis"
+STAGE_GENERATION = "generation"
+STAGE_DETECTABILITY = "detectability"
+STAGE_FAULT_SIM = "fault-sim"
+STAGE_SCA = "sca"
+STAGE_BRIDGING = "bridging"
+STAGE_COLLAPSE = "collapse"
+STAGE_ATPG = "atpg"
 
 
 class Stopwatch:
@@ -58,46 +82,29 @@ def stopwatch() -> Iterator[Stopwatch]:
 
 @dataclass(frozen=True)
 class StageRecord:
-    """One timed pipeline stage of one circuit.
-
-    ``cache`` is ``"hit"``/``"miss"`` when the artifact cache was consulted
-    and ``""`` when the stage does not go through the cache at all.
-    """
+    """One timed pipeline stage of one circuit."""
 
     circuit: str
     stage: str
     seconds: float
-    cache: str = ""
 
 
 class StageTimings:
     """Accumulates :class:`StageRecord` entries across circuits and processes.
 
-    The container is picklable (plain lists and ints), so worker processes
-    return their timings in task results and the scheduler merges them.
+    The container is picklable (a plain list), so worker processes return
+    their timings in task results and the scheduler merges them.
     """
 
     def __init__(self) -> None:
         self.records: list[StageRecord] = []
-        self.cache_hits: int = 0
-        self.cache_misses: int = 0
 
     # ------------------------------------------------------------ recording
 
-    def add(self, circuit: str, stage: str, seconds: float, cache: str = "") -> None:
+    def add(self, circuit: str, stage: str, seconds: float) -> None:
         """Record an externally-measured stage (also emitted as a span)."""
-        self._append(circuit, stage, seconds, cache)
-        attrs = {"circuit": circuit}
-        if cache:
-            attrs["cache"] = cache
-        complete_event(stage, seconds, **attrs)
-
-    def _append(self, circuit: str, stage: str, seconds: float, cache: str) -> None:
-        self.records.append(StageRecord(circuit, stage, seconds, cache))
-        if cache == "hit":
-            self.cache_hits += 1
-        elif cache == "miss":
-            self.cache_misses += 1
+        self.records.append(StageRecord(circuit, stage, seconds))
+        complete_event(stage, seconds, circuit=circuit)
 
     @contextmanager
     def stage(self, circuit: str, stage: str) -> Iterator[_SpanContext]:
@@ -105,22 +112,18 @@ class StageTimings:
 
             with timings.stage("lion", "uio") as sp:
                 compute()
-                sp.set(cache="miss")     # optional: tag the record
+                sp.set(states=8)     # optional: attributes of the span
 
         The seconds recorded into ``BENCH_perf.json`` are the span's own
         measurement, so trace and bench can never disagree.
         """
         with trace_span(stage, circuit=circuit) as sp:
             yield sp
-        self._append(
-            circuit, stage, sp.elapsed_s, str(sp.attrs.get("cache", ""))
-        )
+        self.records.append(StageRecord(circuit, stage, sp.elapsed_s))
 
     def merge(self, other: "StageTimings") -> None:
         """Fold another timings object (e.g. from a worker) into this one."""
         self.records.extend(other.records)
-        self.cache_hits += other.cache_hits
-        self.cache_misses += other.cache_misses
 
     # ------------------------------------------------------------ reporting
 
@@ -166,11 +169,7 @@ class StageTimings:
                 }
                 for circuit in self.circuits()
             },
-            "cache": {"hits": self.cache_hits, "misses": self.cache_misses},
         }
 
     def __repr__(self) -> str:
-        return (
-            f"<StageTimings {len(self.records)} records, "
-            f"{self.cache_hits} hits / {self.cache_misses} misses>"
-        )
+        return f"<StageTimings {len(self.records)} records>"

@@ -143,8 +143,10 @@ class Tracer:
         """Append an already-timed span as a child of the current span.
 
         Used for aggregate phases (e.g. the summed transfer-search time of
-        one generation run) and for cache-hit stage records, where the
-        interval was measured elsewhere.
+        one generation run) and for stage records timed by a stopwatch
+        (:meth:`~repro.harness.runtime.StageTimings.add`), where the
+        interval was measured elsewhere, and for zero-second ATPG-cache
+        hits.
         """
         duration_ns = max(0, int(duration_s * 1e9))
         if start_ns is None:

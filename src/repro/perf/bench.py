@@ -1,19 +1,16 @@
 """Perf benchmark harness: ``repro-fsatpg bench`` / ``scripts/bench_perf.py``.
 
-One bench invocation measures three runs over the same circuit set and
+One bench invocation measures two runs over the same circuit set and
 writes the result as ``BENCH_perf.json``:
 
 ``serial_cold``
-    ``jobs=1``, no artifact cache — the baseline the paper-table harness
-    used before the perf engine existed.
+    ``jobs=1`` — the baseline the paper-table harness used before the perf
+    engine existed.
 ``parallel_cold``
-    ``jobs=N`` against a freshly cleared cache directory: measures the
-    parallel speedup and fills the cache.
-``parallel_warm``
-    ``jobs=N`` against the now-warm cache: UIO search, synthesis +
-    verification and static analysis are served as hits (their
-    ``stage_seconds`` collapse to ~0 and ``cache.hits`` counts them);
-    fault simulation and the detectability split it yields are recomputed.
+    ``jobs=N``: measures the parallel speedup.
+
+Grading reads no artifact cache, so there is no warm run: a second sweep
+recomputes exactly what the first did.
 
 After ``serial_cold``, ``OVERHEAD_PAIRS`` pairs of serial runs, one with
 the :mod:`repro.obs` collectors enabled and one without, measure the
@@ -23,9 +20,9 @@ counts), so the cost of turning profiling on — and the near-zero cost of
 leaving it off — is tracked run over run.  The order within a pair
 alternates, and the cold first run is in no pair: a second sweep in one
 process runs warmer than the first, which alone would read as several
-percent.  For the same reason the parallel speedups divide the median wall
+percent.  For the same reason the parallel speedup divides the median wall
 (and per-stage medians) of the pairs' unobserved runs, which also follow
-``serial_cold``, by the parallel walls.
+``serial_cold``, by the parallel wall.
 
 Every run's studies are reduced to a timing-free signature
 (:meth:`~repro.harness.experiments.CircuitStudy.signature`) and compared; any
@@ -48,7 +45,6 @@ from repro.harness.experiments import CircuitStudy
 from repro.harness.runtime import StageTimings, stopwatch
 from repro.obs.log import get_logger, set_verbosity, verbosity_from_flags
 from repro.obs.resources import UsageProbe
-from repro.perf.cache import cache_enabled, default_cache_dir
 from repro.perf.engine import compute_studies
 
 __all__ = ["BENCH_SCHEMA", "default_bench_circuits", "run_bench", "main"]
@@ -65,7 +61,9 @@ __all__ = ["BENCH_SCHEMA", "default_bench_circuits", "run_bench", "main"]
 #: compares — and a ``pool`` utilization block (per-worker busy/idle/task
 #: split) to the parallel runs so ``speedup_parallel_*`` is explainable
 #: from the report alone.
-BENCH_SCHEMA = "repro-fsatpg-bench/5"
+#: /6 drops the warm parallel run and its speedups, the ``cache_dir``
+#: field and every run's ``cache`` block: grading reads no artifact cache.
+BENCH_SCHEMA = "repro-fsatpg-bench/6"
 
 #: Circuits for ``--quick`` (CI smoke): small machines with non-trivial
 #: bridging universes, a few seconds per run.
@@ -230,12 +228,11 @@ def run_bench(
     circuits: Sequence[str] | None = None,
     *,
     jobs: int = 4,
-    cache_root: str | Path | None = None,
     quick: bool = False,
     options: Any = None,
     engine: str | None = None,
 ) -> dict[str, Any]:
-    """Serial-cold vs parallel-cold vs parallel-warm; returns the report.
+    """Serial vs parallel sweep; returns the report.
 
     ``engine`` overrides the fault-sim engine (``auto``/``ppsfp``/
     ``bigint``) for every run; ``None`` keeps whatever ``options`` carries.
@@ -247,11 +244,6 @@ def run_bench(
     options = options or StudyOptions()
     if engine is not None:
         options = replace(options, faultsim=FaultSimConfig(engine=engine))
-    root = (
-        Path(cache_root).expanduser()
-        if cache_root is not None
-        else default_cache_dir() / "bench"
-    )
 
     bench_started = time.perf_counter()
     serial, serial_record = _run(names, 1, options)
@@ -261,25 +253,18 @@ def run_bench(
 
     from repro.perf.pool import get_pool
 
-    with cache_enabled(root) as cache:
-        cache.clear()
-        pool = get_pool(jobs)
-        util_start = pool.utilization() if pool is not None else None
-        parallel_cold, cold_record = _run(names, jobs, options)
-        pool = get_pool(jobs)
-        util_cold = pool.utilization() if pool is not None else None
-        cold_record["pool"] = _pool_delta(util_start, util_cold)
-        parallel_warm, warm_record = _run(names, jobs, options)
-        pool = get_pool(jobs)
-        util_warm = pool.utilization() if pool is not None else None
-        warm_record["pool"] = _pool_delta(util_cold, util_warm)
+    pool = get_pool(jobs)
+    util_start = pool.utilization() if pool is not None else None
+    parallel_cold, cold_record = _run(names, jobs, options)
+    pool = get_pool(jobs)
+    util_cold = pool.utilization() if pool is not None else None
+    cold_record["pool"] = _pool_delta(util_start, util_cold)
 
     divergence = _compare(serial, parallel_cold, "parallel-cold vs serial")
-    divergence += _compare(serial, parallel_warm, "parallel-warm vs serial")
     divergence += overhead_divergence
 
-    # The speedups' serial reference follows serial_cold, like both
-    # parallel runs; serial_cold, the process's first sweep, runs colder.
+    # The speedup's serial reference follows serial_cold, like the
+    # parallel run; serial_cold, the process's first sweep, runs colder.
     serial_wall = observability["disabled_wall_s"]
     serial_stages = observability["disabled_stage_seconds"]
     cold_wall = cold_record["wall_s"]
@@ -295,20 +280,14 @@ def run_bench(
         "generated_at": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
         "circuits": list(names),
         "jobs": jobs,
-        "cache_dir": str(root),
         "options": options_block,
         "runs": {
             "serial_cold": serial_record,
             "parallel_cold": cold_record,
-            "parallel_warm": warm_record,
         },
         "speedup_parallel_cold": serial_wall / cold_wall if cold_wall else 0.0,
-        "speedup_parallel_warm": (
-            serial_wall / warm_record["wall_s"] if warm_record["wall_s"] else 0.0
-        ),
         "stage_speedups": {
             "parallel_cold": _stage_speedups(serial_stages, cold_record),
-            "parallel_warm": _stage_speedups(serial_stages, warm_record),
         },
         "observability": observability,
         "results": results,
@@ -330,8 +309,6 @@ def run_bench(
         stage_seconds=serial_record.get("stage_seconds", {}),
         metrics=metrics_snapshot,
         results=results,
-        cache_hits=warm_record.get("cache", {}).get("hits", 0),
-        cache_misses=warm_record.get("cache", {}).get("misses", 0),
     )
     run_ledger.append_record(record)
     return report
@@ -342,15 +319,8 @@ def _summarize(report: dict[str, Any]) -> str:
         f"bench: {len(report['circuits'])} circuits, jobs={report['jobs']}",
     ]
     for label, record in report["runs"].items():
-        cache = record["cache"]
-        lines.append(
-            f"  {label:<14} {record['wall_s']:8.2f}s  "
-            f"(cache {cache['hits']}h/{cache['misses']}m)"
-        )
-    lines.append(
-        f"  speedup cold {report['speedup_parallel_cold']:.2f}x, "
-        f"warm {report['speedup_parallel_warm']:.2f}x"
-    )
+        lines.append(f"  {label:<14} {record['wall_s']:8.2f}s")
+    lines.append(f"  speedup cold {report['speedup_parallel_cold']:.2f}x")
     cold_stages = report.get("stage_speedups", {}).get("parallel_cold", {})
     if cold_stages:
         lines.append(
@@ -378,16 +348,13 @@ def _summarize(report: dict[str, Any]) -> str:
 def main(argv: Sequence[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="bench_perf",
-        description="Measure serial vs parallel vs warm-cache sweep times "
-        "and write BENCH_perf.json.",
+        description="Measure serial vs parallel sweep times and write "
+        "BENCH_perf.json.",
     )
     parser.add_argument("--circuits", default="",
                         help="comma-separated circuit names")
     parser.add_argument("--jobs", type=int, default=4,
                         help="worker processes for the parallel runs")
-    parser.add_argument("--cache-dir", default=None,
-                        help="cache directory for the cold/warm runs "
-                        "(default: <cache>/bench; cleared before the cold run)")
     parser.add_argument("--quick", action="store_true",
                         help="tiny circuit set for CI smoke runs")
     parser.add_argument("--engine", default=None,
@@ -408,8 +375,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         name.strip() for name in args.circuits.split(",") if name.strip()
     ) or None
     report = run_bench(
-        circuits, jobs=max(1, args.jobs), cache_root=args.cache_dir,
-        quick=args.quick, engine=args.engine,
+        circuits, jobs=max(1, args.jobs), quick=args.quick, engine=args.engine
     )
     text = json.dumps(report, indent=2, sort_keys=False)
     if args.output == "-":

@@ -1,19 +1,21 @@
-"""Content-addressed on-disk cache for expensive pipeline artifacts.
+"""Content-addressed on-disk cache for structural ATPG runs.
 
-Artifacts — UIO tables, synthesized circuits, static analyses, ATPG runs,
-generated fault-simulator source — are keyed by a stable SHA-256 hash of
-*everything that determines them*: the state table (or netlist) contents plus
-every relevant option, plus a per-kind algorithm version.  Changing an
-algorithm means bumping its entry in :data:`ARTIFACT_VERSIONS`, which moves
-every affected artifact to a new key; stale entries are ignored and can be
-swept with ``repro-fsatpg cache clear``.
+An ATPG run (:func:`repro.perf.artifacts.cached_atpg`) is keyed by a stable
+SHA-256 hash of *everything that determines it*: the netlist and state
+table contents, the fault list, every relevant option, plus the kind's
+algorithm version.  Changing the algorithm means bumping its entry in
+:data:`ARTIFACT_VERSIONS`, which moves every affected run to a new key;
+stale entries are ignored and can be swept with ``repro-fsatpg cache
+clear``.  ATPG is the one stage cached: a hit skips seconds of search per
+medium circuit, while everything grading computes (UIO tables, synthesis,
+static analysis) costs less to recompute than to look up.
 
 The cache lives under ``~/.cache/repro-fsatpg`` by default (respecting
 ``XDG_CACHE_HOME``) and can be redirected with the ``REPRO_CACHE_DIR``
-environment variable or the ``--cache-dir`` CLI flag.  Writes are atomic
-(temp file + ``os.replace``), so concurrent worker processes can share one
-cache directory safely; a corrupt or unreadable entry is treated as a miss
-and removed.
+environment variable or ``atpg --cache-dir``.  Writes are atomic
+(temp file + ``os.replace``), so concurrent processes can share one cache
+directory safely; a corrupt or unreadable entry is treated as a miss and
+removed.
 
 Nothing in the library touches the disk unless a cache is *activated*
 (:func:`set_active_cache` / :func:`cache_enabled`); with no active cache
@@ -39,11 +41,9 @@ __all__ = [
     "ARTIFACT_VERSIONS",
     "ArtifactCache",
     "CacheError",
-    "ReplayVerifier",
     "active_cache",
     "artifact_key",
     "cache_enabled",
-    "cache_probe",
     "default_cache_dir",
     "set_active_cache",
     "stable_hash",
@@ -58,9 +58,6 @@ class CacheError(ReproError):
 #: computation changes meaning, so old on-disk entries can never be returned
 #: for the new algorithm.
 ARTIFACT_VERSIONS: dict[str, int] = {
-    "uio": 1,
-    "synthesis": 1,
-    "sca": 1,
     # 2: AtpgRun verdicts carry search-forensics traces (aborted and
     # hardest-N targets); entries stored by version 1 lack them.
     # 3: AtpgRun has no ``algorithm`` field and search events no
@@ -208,14 +205,10 @@ class ArtifactCache:
         self.hits += 1
         counter_add("cache.hit")
         counter_add(f"cache.hit.{kind}")
-        if _PROBE is not None:
-            _PROBE.on_replay(kind, key, value)
         return value
 
     def put(self, kind: str, key: str, value: Any) -> None:
         """Store an artifact atomically (safe under concurrent writers)."""
-        if _PROBE is not None:
-            _PROBE.on_store(kind, key, value)
         path = self._path(kind, key)
         path.parent.mkdir(parents=True, exist_ok=True)
         temp = path.with_suffix(f".tmp.{os.getpid()}")
@@ -312,86 +305,3 @@ def cache_enabled(root: str | Path | None = None) -> Iterator[ArtifactCache]:
         yield cache
     finally:
         set_active_cache(previous)
-
-
-# ------------------------------------------------------------- replay hook
-
-
-class CacheProbe:
-    """Observer of every artifact store and cache-hit replay.
-
-    Subclasses override :meth:`on_store` / :meth:`on_replay`; the active
-    probe (see :func:`cache_probe`) is invoked synchronously from
-    :meth:`ArtifactCache.put` and :meth:`ArtifactCache.get`.  Probes must
-    never mutate the artifact they observe.
-    """
-
-    def on_store(self, kind: str, key: str, value: Any) -> None:
-        """Called before an artifact is written to disk."""
-
-    def on_replay(self, kind: str, key: str, value: Any) -> None:
-        """Called after an artifact was successfully read back (a hit)."""
-
-
-class ReplayVerifier(CacheProbe):
-    """Probe asserting that cache-hit replays equal the stored originals.
-
-    Each replay is compared with the value stored this run: artifacts
-    holding a netlist must match in content (:func:`_content`), anything
-    else must compare equal.
-    Mismatches are collected in :attr:`mismatches`, one line per event, so
-    a fuzzing oracle can fail loudly instead of trusting a corrupted or
-    stale entry; :attr:`replayed` counts the replays per kind.
-    """
-
-    def __init__(self) -> None:
-        self.stored: dict[tuple[str, str], Any] = {}
-        self.replayed: dict[str, int] = {}
-        self.mismatches: list[str] = []
-
-    def on_store(self, kind: str, key: str, value: Any) -> None:
-        self.stored[(kind, key)] = value
-
-    def on_replay(self, kind: str, key: str, value: Any) -> None:
-        self.replayed[kind] = self.replayed.get(kind, 0) + 1
-        if (kind, key) not in self.stored:
-            return  # stored by an earlier process; nothing to compare against
-        original = self.stored[(kind, key)]
-        if type(original) is not type(value) or _content(
-            kind, original
-        ) != _content(kind, value):
-            self.mismatches.append(
-                f"{kind}/{key[:12]}: replayed artifact differs from the "
-                "value stored this run"
-            )
-
-
-def _content(kind: str, artifact: Any) -> Any:
-    """What a replay must reproduce.  A ``Netlist`` has no ``__eq__``, so a
-    synthesized circuit compares by its gates' kinds and fanins, inputs,
-    outputs, encoding and widths, and a static analysis by its payload."""
-    if kind == "sca":
-        return artifact.to_dict()
-    if kind == "synthesis":
-        netlist = artifact.netlist
-        return (
-            tuple((gate.kind, gate.fanins) for gate in netlist.gates),
-            netlist.inputs,
-            netlist.outputs,
-            dataclasses.replace(artifact, netlist=None),  # encoding and widths
-        )
-    return artifact
-
-
-_PROBE: CacheProbe | None = None
-
-
-@contextmanager
-def cache_probe(probe: CacheProbe) -> Iterator[CacheProbe]:
-    """Activate a :class:`CacheProbe` for the duration of a block."""
-    global _PROBE
-    previous, _PROBE = _PROBE, probe
-    try:
-        yield probe
-    finally:
-        _PROBE = previous

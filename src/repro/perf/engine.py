@@ -9,8 +9,7 @@ The engine runs every circuit through three phases:
    stuck-at universe comes from
    :func:`~repro.gatelevel.stuck_at.stuck_at_representatives`, and the
    exhaustive tables decide every fault's detectability, certified
-   untestable faults included.  The artifact cache serves UIO tables and
-   synthesized circuits across runs.
+   untestable faults included.
 2. **Simulate** (one task per fault chunk): every (circuit, fault model)
    universe is cut by :func:`repro.gatelevel.dispatch.fault_chunks` — one
    engine per universe, PPSFP chunks that each fit the table byte budget
@@ -60,7 +59,12 @@ from repro.gatelevel.dispatch import (
     partition_by_mask,
 )
 from repro.harness.experiments import MODELS, CircuitStudy, Split, StudyOptions
-from repro.harness.runtime import StageTimings, stopwatch
+from repro.harness.runtime import (
+    STAGE_DETECTABILITY,
+    STAGE_FAULT_SIM,
+    StageTimings,
+    stopwatch,
+)
 from repro.obs import (
     ObsSnapshot,
     absorb_snapshot,
@@ -69,8 +73,7 @@ from repro.obs import (
 )
 from repro.obs.progress import meter as progress_meter
 from repro.obs.trace import span as trace_span
-from repro.perf.artifacts import STAGE_DETECTABILITY, STAGE_FAULT_SIM, Fault
-from repro.perf.cache import active_cache
+from repro.perf.artifacts import Fault
 from repro.perf.pool import get_pool
 
 if TYPE_CHECKING:
@@ -277,9 +280,7 @@ def _run_phase(
             if progress is not None:
                 progress.update()
     else:
-        cache = active_cache()
-        root = str(cache.root) if cache is not None else None
-        pool.prime(snapshot, cache_root=root, obs_on=is_active())
+        pool.prime(snapshot, obs_on=is_active())
         on_result = None
         if progress is not None:
             on_result = lambda index, result: progress.update()  # noqa: E731
@@ -354,7 +355,7 @@ def compute_studies(
 
     Returns one graded :class:`CircuitStudy` per circuit, keyed and ordered
     by the caller's circuit order.  ``timings``, when given, accumulates
-    every stage record (including worker-side cache hit/miss counts).
+    every stage record, the workers' included.
 
     ``scope="functional"`` stops after test generation (no synthesis, fault
     enumeration, simulation, or selection) — what the functional tables

@@ -12,8 +12,8 @@ This pool inverts that:
   one duplex pipe each) and reused by every later phase and sweep in the
   process; :func:`get_pool` hands out the singleton.
 * **Prime once per phase.**  :meth:`WorkerPool.prime` broadcasts one
-  read-only snapshot (plus the artifact-cache root and whether
-  observability is on) to every worker and waits for acks.  Workers
+  read-only snapshot (plus whether observability is on) to every worker
+  and waits for acks.  Workers
   re-prime cheaply; each prime installs *fresh* obs collectors, because a
   forked worker inherits the parent's tracer state.
 * **Index-only tasks.**  :meth:`WorkerPool.run` sends ``(fn, index)``
@@ -54,7 +54,6 @@ from repro.obs.resources import (
     drain_worker_usage,
     reset_worker_usage,
 )
-from repro.perf.cache import ArtifactCache, set_active_cache
 
 __all__ = ["WorkerPool", "get_pool", "shutdown_pool"]
 
@@ -83,11 +82,10 @@ def _worker_main(conn: Connection) -> None:
         if kind == "stop":
             break
         if kind == "prime":
-            _, cache_root, obs_on, snapshot = message
+            _, obs_on, snapshot = message
             # Each result reports the worker CPU spent since this prime or
             # the previous result.
             reset_worker_usage()
-            set_active_cache(ArtifactCache(cache_root) if cache_root else None)
             # Always reset collectors: the fork inherited the parent's
             # tracer, and a stale one would double-report or leak spans.
             if obs_on:
@@ -157,13 +155,7 @@ class WorkerPool:
 
     # ------------------------------------------------------------ lifecycle
 
-    def prime(
-        self,
-        snapshot: Any,
-        *,
-        cache_root: str | None = None,
-        obs_on: bool = False,
-    ) -> None:
+    def prime(self, snapshot: Any, *, obs_on: bool = False) -> None:
         """Broadcast the read-only snapshot; blocks until every ack.
 
         The parent keeps its own reference so it can finish tasks inline if
@@ -174,7 +166,7 @@ class WorkerPool:
             if not worker.alive:
                 continue
             try:
-                worker.conn.send(("prime", cache_root, obs_on, snapshot))
+                worker.conn.send(("prime", obs_on, snapshot))
             except (OSError, BrokenPipeError):
                 worker.kill()
         for worker in self._workers:

@@ -127,11 +127,12 @@ class ScaAnalysis:
         )
 
     def materialize(self) -> "ScaAnalysis":
-        """Force every lazy pass so the object can be pickled/cached whole.
+        """Force every lazy pass, so the analysis is computed (and timed)
+        in one place and the object can be pickled whole.
 
         ``cached_property`` results live in the instance ``__dict__``, which
-        is exactly what pickle serializes — an artifact-cache entry written
-        after :meth:`materialize` deserializes with all passes precomputed.
+        is exactly what pickle serializes — an object pickled after
+        :meth:`materialize` deserializes with all passes precomputed.
         """
         _ = (
             self.levels,

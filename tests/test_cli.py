@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import argparse
+
 import pytest
 
-from repro.cli import build_parser, main
+from repro.cli import _LIMITS, build_parser, main
 
 
 class TestParser:
@@ -27,6 +29,8 @@ class TestParser:
               "--backtrack-limit", "-1"], "--backtrack-limit"),
             (["explain", "lion", "--fault", "g0.out/sa0",
               "--trace-capacity", "-1"], "--trace-capacity"),
+            (["table5", "--uio-length", "-1"], "--uio-length"),
+            (["generate", "lion", "--uio-length", "-1"], "--uio-length"),
         ],
     )
     def test_negative_search_limits_are_refused(self, argv, option, capsys):
@@ -41,6 +45,60 @@ class TestParser:
             f"repro-fsatpg {argv[0]}: error: argument {option}: "
             "must be >= 0, got -1"
         ]
+
+    @pytest.mark.parametrize(
+        "argv, option, message",
+        [
+            (["table6", "--circuits", "lion", "--max-fanin", "1"],
+             "--max-fanin", "must be 0 (unbounded) or >= 2, got 1"),
+            (["analyze", "lion", "--max-fanin", "-1"],
+             "--max-fanin", "must be 0 (unbounded) or >= 2, got -1"),
+            (["table5", "--transfer-length", "-2"],
+             "--transfer-length", "must be >= 0, got -2"),
+            (["table6", "--bridging-limit", "-3"],
+             "--bridging-limit", "must be >= 0, got -3"),
+            (["table7", "--scan-ratio", "0"],
+             "--scan-ratio", "must be >= 1, got 0"),
+            (["stats", "lion", "--top", "0"], "--top", "must be >= 1, got 0"),
+            (["stats", "lion", "--top", "-2"], "--top", "must be >= 1, got -2"),
+        ],
+    )
+    def test_out_of_range_limits_are_refused(self, argv, option, message, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        errors = [
+            line for line in capsys.readouterr().err.splitlines()
+            if "error:" in line
+        ]
+        assert errors == [f"repro-fsatpg {argv[0]}: error: argument {option}: {message}"]
+
+    def test_boundary_limits_parse(self):
+        args = build_parser().parse_args(
+            ["table6", "--max-fanin", "0", "--uio-length", "0",
+             "--transfer-length", "0", "--scan-ratio", "1",
+             "--bridging-limit", "0"]
+        )
+        assert (args.max_fanin, args.uio_length, args.transfer_length,
+                args.scan_ratio, args.bridging_limit) == (0, 0, 0, 1, 0)
+        assert build_parser().parse_args(["atpg", "lion", "--max-fanin", "2"]).max_fanin == 2
+        assert build_parser().parse_args(["stats", "lion", "--top", "1"]).top == 1
+
+    def test_every_limit_option_shares_one_validator(self):
+        seen = set()
+
+        def walk(parser):
+            for action in parser._actions:
+                if isinstance(action, argparse._SubParsersAction):
+                    for subparser in action.choices.values():
+                        walk(subparser)
+                for flag in action.option_strings:
+                    if flag in _LIMITS:
+                        assert action.type is _LIMITS[flag]["type"], flag
+                        seen.add(flag)
+
+        walk(build_parser())
+        assert seen == set(_LIMITS)
 
     def test_zero_search_limits_parse(self):
         args = build_parser().parse_args(

@@ -8,6 +8,7 @@ tested directly.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import pickle
 
@@ -306,57 +307,24 @@ class TestBrokenImplementationsAreCaught:
 
     def test_cache_replay_catches_corrupt_cache(self, monkeypatch):
         case = small_case()
-
-        def corrupt(table, max_length, node_budget, **kwargs):
-            return UioTable(table.name, max_length, {}, frozenset()), 0.0
-
-        monkeypatch.setattr(oracles_mod, "cached_uio_table", corrupt)
-        with pytest.raises(OracleFailure):
-            get_oracle("cache-replay").run(case)
-
-    def test_cache_replay_replays_every_kind(self, monkeypatch):
-        verifiers = []
-
-        class Recording(oracles_mod.ReplayVerifier):
-            def __init__(self):
-                super().__init__()
-                verifiers.append(self)
-
-        monkeypatch.setattr(oracles_mod, "ReplayVerifier", Recording)
-        get_oracle("cache-replay").run(small_case())
-        (verifier,) = verifiers
-        assert set(verifier.replayed) == {"uio", "synthesis", "sca", "atpg"}
-        assert verifier.mismatches == []
-
-    def test_cache_replay_catches_a_missed_replay(self, monkeypatch):
-        real_get = ArtifactCache.get
-
-        def forgetful(self, kind, key):
-            return None if kind == "sca" else real_get(self, kind, key)
-
-        monkeypatch.setattr(ArtifactCache, "get", forgetful)
-        with pytest.raises(OracleFailure, match=r"replay of \['sca'\]"):
-            get_oracle("cache-replay").run(small_case())
-
-    def test_cache_replay_catches_a_dropped_certificate(self, monkeypatch):
-        # This machine's netlist has untestability certificates.
-        spec = MachineSpec("uio-poor", 2, 1, 1, 3)
-        case = FuzzCase(spec.label(), generate_machine(spec), spec=spec)
         get_oracle("cache-replay").run(case)  # healthy first
         real_put = ArtifactCache.put
 
         def lossy(self, kind, key, value):
             real_put(self, kind, key, value)
-            if kind == "sca":
-                # The entry on disk loses a certificate the probe saw stored.
-                assert value.certificates, "precondition: certificates exist"
-                stored = pickle.loads(pickle.dumps(value))
-                stored.__dict__["certificates"] = stored.certificates[1:]
-                self._path(kind, key).write_bytes(pickle.dumps(stored))
+            # The entry on disk loses a verdict the cold run returned.
+            assert value.verdicts, "precondition: the run has verdicts"
+            stored = dataclasses.replace(value, verdicts=value.verdicts[1:])
+            self._path(kind, key).write_bytes(pickle.dumps(stored))
 
         monkeypatch.setattr(ArtifactCache, "put", lossy)
-        with pytest.raises(OracleFailure, match="sca/"):
+        with pytest.raises(OracleFailure, match="warm ATPG run differs"):
             get_oracle("cache-replay").run(case)
+
+    def test_cache_replay_catches_a_missed_replay(self, monkeypatch):
+        monkeypatch.setattr(ArtifactCache, "get", lambda self, kind, key: None)
+        with pytest.raises(OracleFailure, match="0 hit"):
+            get_oracle("cache-replay").run(small_case())
 
     def test_gate_oracles_skip_oversized_machines(self):
         table = random_dense_table(1, 12, 1, seed=0)
@@ -365,6 +333,8 @@ class TestBrokenImplementationsAreCaught:
             get_oracle("sim-ppsfp-vs-interpreted").run(case)
         with pytest.raises(OracleSkip):
             get_oracle("synthesis-replay").run(case)
+        with pytest.raises(OracleSkip):
+            get_oracle("cache-replay").run(case)
 
     def test_kiss_roundtrip_skips_zero_width(self):
         table = random_dense_table(0, 3, 2, seed=1)

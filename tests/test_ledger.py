@@ -210,15 +210,14 @@ class TestCliLedgering:
     def test_bench_ledgers_itself(self, tmp_path, capsys):
         out = tmp_path / "BENCH.json"
         code = main(["-q", "bench", "--circuits", "lion", "--jobs", "2",
-                     "--cache-dir", str(tmp_path / "cache"),
                      "-o", str(out)])
         assert code == 0
         (record,) = read_ledger()
         assert record["command"] == "bench"
         assert record["results"]["lion"]["tests"] == 9
-        assert record["cache"]["hits"] > 0
+        assert record["cache"] == {"hits": 0, "misses": 0, "hit_rate": 0.0}
         report = json.loads(out.read_text())
-        assert report["schema"] == "repro-fsatpg-bench/5"
+        assert report["schema"] == "repro-fsatpg-bench/6"
         for label, run in report["runs"].items():
             assert run["resources"]["max_rss_kb"] > 0, label
         assert report["runs"]["parallel_cold"].get("pool") is None or (
@@ -387,9 +386,9 @@ class TestRegressionGate:
         baseline = make_baseline(tmp_path)
         # Slow the work *inside* the uio stage span, the way a real
         # regression would: the stage clock must see the extra time.
-        import repro.perf.artifacts as artifacts
+        import repro.harness.experiments as experiments
 
-        real = artifacts.compute_uio_table
+        real = experiments.compute_uio_table
 
         def slow(*args, **kwargs):
             import time
@@ -397,7 +396,7 @@ class TestRegressionGate:
             time.sleep(0.2)
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(artifacts, "compute_uio_table", slow)
+        monkeypatch.setattr(experiments, "compute_uio_table", slow)
         report, code = run_regress(baseline, threshold_pct=25,
                                    min_seconds=0.01)
         assert code == 1

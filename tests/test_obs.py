@@ -460,20 +460,19 @@ class TestStageTimingsSpans:
             timings = StageTimings()
             with timings.stage("lion", "uio") as sp:
                 sum(range(1000))
-                sp.set(cache="miss")
+                sp.set(states=4)
         (record,) = timings.records
         (event,) = session.tracer.events
         assert event.name == "uio"
         assert record.seconds == event.duration_ns / 1e9
-        assert record.cache == "miss" and event.attrs["cache"] == "miss"
-        assert timings.cache_misses == 1
+        assert event.attrs == {"circuit": "lion", "states": 4}
 
     def test_add_emits_equivalent_span(self):
         with obs.observing() as session:
-            StageTimings().add("lion", "uio", 0.0, cache="hit")
+            StageTimings().add("lion", "uio", 0.0)
         (event,) = session.tracer.events
         assert event.name == "uio" and event.duration_ns == 0
-        assert event.attrs == {"circuit": "lion", "cache": "hit"}
+        assert event.attrs == {"circuit": "lion"}
 
     def test_stage_works_without_tracer(self):
         timings = StageTimings()

@@ -1,4 +1,4 @@
-"""Tests for repro.perf: parallel engine, artifact cache, bench harness."""
+"""Tests for repro.perf: parallel engine, ATPG-run cache, bench harness."""
 
 from __future__ import annotations
 
@@ -35,6 +35,7 @@ from repro.perf.cache import (
     stable_hash,
 )
 from repro.perf import engine as engine_module
+from repro.perf.artifacts import cached_atpg
 from repro.perf.bench import OVERHEAD_PAIRS
 from repro.perf.engine import compute_studies
 from repro.perf.pool import WorkerPool, get_pool, shutdown_pool
@@ -84,9 +85,15 @@ class TestStableHash:
             stable_hash(object())
 
     def test_artifact_key_includes_version(self, monkeypatch):
-        key = artifact_key("uio", "x")
-        monkeypatch.setitem(ARTIFACT_VERSIONS, "uio", ARTIFACT_VERSIONS["uio"] + 1)
-        assert artifact_key("uio", "x") != key
+        key = artifact_key("atpg", "x")
+        monkeypatch.setitem(ARTIFACT_VERSIONS, "atpg", ARTIFACT_VERSIONS["atpg"] + 1)
+        assert artifact_key("atpg", "x") != key
+
+    def test_atpg_is_the_only_kind(self):
+        assert set(ARTIFACT_VERSIONS) == {"atpg"}
+        for kind in ("uio", "synthesis", "sca"):
+            with pytest.raises(CacheError):
+                artifact_key(kind, 1)
 
     def test_artifact_key_unknown_kind(self):
         with pytest.raises(CacheError):
@@ -100,15 +107,15 @@ class TestArtifactCache:
     def test_round_trip_and_counters(self, tmp_path):
         cache = ArtifactCache(tmp_path)
         key = stable_hash("payload")
-        assert cache.get("uio", key) is None
-        cache.put("uio", key, {"value": (1, 2, 3)})
-        assert cache.get("uio", key) == {"value": (1, 2, 3)}
+        assert cache.get("atpg", key) is None
+        cache.put("atpg", key, {"value": (1, 2, 3)})
+        assert cache.get("atpg", key) == {"value": (1, 2, 3)}
         assert (cache.hits, cache.misses) == (1, 1)
 
     def test_corrupt_entry_is_a_miss_and_removed(self, tmp_path):
         cache = ArtifactCache(tmp_path)
         key = stable_hash("x")
-        path = cache._path("uio", key)
+        path = cache._path("atpg", key)
         for entry in (
             b"not a pickle",  # UnpicklingError
             b"\x80\xc8",  # protocol 200: ValueError
@@ -116,19 +123,19 @@ class TestArtifactCache:
             b"X\x02\x00\x00\x00\xff\xfe.",  # UnicodeDecodeError
             b"\x95" + b"\xff" * 8,  # FRAME too long: OverflowError
         ):
-            cache.put("uio", key, [1, 2])
+            cache.put("atpg", key, [1, 2])
             path.write_bytes(entry)
-            assert cache.get("uio", key) is None, entry
+            assert cache.get("atpg", key) is None, entry
             assert not path.exists(), entry
         assert (cache.hits, cache.misses) == (0, 5)
 
     def test_info_and_clear(self, tmp_path):
         cache = ArtifactCache(tmp_path)
-        cache.put("uio", stable_hash(1), "a")
-        cache.put("synthesis", stable_hash(2), "b")
+        cache.put("atpg", stable_hash(1), "a")
+        cache.put("atpg", stable_hash(2), "b")
         info = cache.info()
         assert info["entries"] == 2
-        assert info["kinds"]["uio"]["entries"] == 1
+        assert info["kinds"]["atpg"]["entries"] == 2
         assert cache.clear() == 2
         assert cache.info()["entries"] == 0
 
@@ -139,40 +146,46 @@ class TestArtifactCache:
         assert active_cache() is None
 
 
-class TestCachedPipeline:
-    def test_cold_miss_then_warm_hit(self, tmp_path):
-        options = StudyOptions()
-        with cache_enabled(tmp_path) as cache:
-            study = CircuitStudy("lion", options)
-            uio_cold = study.uio_table
-            scan_cold = study.scan_circuit
-            detect_cold = study.stuck_at_detectability
-            misses = cache.misses
-            assert misses > 0 and cache.hits == 0
+def _lion_atpg(**kwargs):
+    study = CircuitStudy("lion", StudyOptions())
+    return cached_atpg(study.scan_circuit, study.table, **kwargs)
 
-            warm = CircuitStudy("lion", options)
-            assert warm.uio_table.sequences == uio_cold.sequences
-            assert warm.uio_table.machine_name == "lion"
-            assert warm.scan_circuit.netlist.n_gates == scan_cold.netlist.n_gates
-            assert warm.stuck_at_detectability == detect_cold
-            assert cache.hits > 0 and cache.misses == misses
+
+class TestCachedPipeline:
+    """ATPG runs go through the cache; grading never touches it."""
+
+    def test_cold_miss_then_warm_hit(self, tmp_path):
+        with cache_enabled(tmp_path) as cache:
+            cold = _lion_atpg()
+            assert (cache.hits, cache.misses) == (0, 1)
+            warm = _lion_atpg()
+            assert (cache.hits, cache.misses) == (1, 1)
+        assert warm == cold
+        assert cache.info()["kinds"]["atpg"]["entries"] == 1
 
     def test_option_change_invalidates(self, tmp_path):
         with cache_enabled(tmp_path) as cache:
-            CircuitStudy("lion", StudyOptions()).scan_circuit
-            misses = cache.misses
-            CircuitStudy("lion", StudyOptions(max_fanin=3)).scan_circuit
-            assert cache.misses > misses  # different options, different key
+            _lion_atpg()
+            _lion_atpg(backtrack_limit=7)  # a different limit, a different key
+            assert (cache.hits, cache.misses) == (0, 2)
 
     def test_version_bump_invalidates(self, tmp_path, monkeypatch):
         with cache_enabled(tmp_path) as cache:
-            CircuitStudy("lion", StudyOptions()).uio_table
+            _lion_atpg()
             monkeypatch.setitem(
-                ARTIFACT_VERSIONS, "uio", ARTIFACT_VERSIONS["uio"] + 1
+                ARTIFACT_VERSIONS, "atpg", ARTIFACT_VERSIONS["atpg"] + 1
             )
-            hits = cache.hits
-            CircuitStudy("lion", StudyOptions()).uio_table
-            assert cache.hits == hits  # old entry ignored under the new version
+            _lion_atpg()
+            assert cache.hits == 0  # old entry ignored under the new version
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_grading_makes_no_lookup_and_stores_nothing(self, tmp_path, jobs):
+        with cache_enabled(tmp_path) as cache:
+            shutdown_pool()  # fork the workers while the cache is active
+            studies = compute_studies(PARALLEL_CIRCUITS, StudyOptions(), jobs=jobs)
+            assert all(study.grades for study in studies.values())
+        info = cache.info()
+        assert (info["entries"], cache.hits, cache.misses) == (0, 0, 0)
 
 
 # -------------------------------------------------------- parallel engine
@@ -365,12 +378,9 @@ class TestDetectabilityFromSimulators:
                     for model in ("stuck_at", "bridging")
                     for fault in study.faults(model)
                 )
-                records = [r for r in timings.records if r.stage == "detectability"]
-                assert records and all(r.cache == "" for r in records)
+                assert any(r.stage == "detectability" for r in timings.records)
                 runs.append(studies)
-            kinds = cache.info()["kinds"]
-        assert "detectability" not in kinds
-        assert set(kinds) == {"uio", "synthesis"}
+        assert (cache.info()["entries"], cache.hits, cache.misses) == (0, 0, 0)
         for studies in runs:
             assert _signatures(studies) == _signatures(uncached)
             for name in names:
@@ -391,33 +401,21 @@ class TestBench:
     def test_bench_report_schema(self, tmp_path):
         from repro.perf.bench import BENCH_SCHEMA, run_bench
 
-        report = run_bench(
-            ("lion",), jobs=2, cache_root=tmp_path / "cache"
-        )
-        assert report["schema"] == BENCH_SCHEMA
+        report = run_bench(("lion",), jobs=2)
+        assert report["schema"] == BENCH_SCHEMA == "repro-fsatpg-bench/6"
         assert report["circuits"] == ["lion"]
         assert report["identical"] is True
         assert report["divergence"] == []
-        assert set(report["runs"]) == {
-            "serial_cold", "parallel_cold", "parallel_warm",
-        }
+        # /6: no warm run, no cache directory, no cache traffic per run.
+        assert set(report["runs"]) == {"serial_cold", "parallel_cold"}
+        assert "cache_dir" not in report
         for record in report["runs"].values():
             assert record["wall_s"] > 0.0
-            assert set(record) >= {
-                "jobs", "wall_s", "stage_seconds", "per_circuit", "cache",
-            }
-        warm = report["runs"]["parallel_warm"]
-        # The warm run must skip UIO search and synthesis entirely; the
-        # detectability split is derived from the fault simulator again.
-        assert warm["cache"]["hits"] > 0
-        assert warm["cache"]["misses"] == 0
-        assert warm["stage_seconds"]["uio"] == 0.0
-        assert warm["stage_seconds"]["synthesis"] == 0.0
+            assert set(record) >= {"jobs", "wall_s", "stage_seconds", "per_circuit"}
+            assert "cache" not in record
         # /4 additions: engine pinned in options, per-stage speedups.
         assert report["options"]["engine"] == "auto"
-        assert set(report["stage_speedups"]) == {
-            "parallel_cold", "parallel_warm",
-        }
+        assert set(report["stage_speedups"]) == {"parallel_cold"}
         serial_stages = report["runs"]["serial_cold"]["stage_seconds"]
         for ratios in report["stage_speedups"].values():
             assert set(ratios) == set(serial_stages)
@@ -490,8 +488,8 @@ class TestBench:
                 return {}
 
         # serial_cold first and slowest, then the pairs (off/on, on/off,
-        # off/on), then parallel_cold and parallel_warm.
-        walls = iter([4.0, 2.0, 2.2, 2.4, 2.6, 1.8, 2.0, 1.0, 0.5])
+        # off/on), then parallel_cold.
+        walls = iter([4.0, 2.0, 2.2, 2.4, 2.6, 1.8, 2.0, 1.0])
 
         def stub_run(circuits, jobs, options):
             wall = next(walls)
@@ -500,30 +498,37 @@ class TestBench:
                 "wall_s": wall,
                 "stage_seconds": {"sca": wall / 2, "fault-sim": wall / 4},
                 "resources": {"cpu_user_s": wall, "cpu_system_s": 0.0},
-                "cache": {"hits": 0, "misses": 0},
             }
 
         monkeypatch.setattr(bench, "_run", stub_run)
-        report = bench.run_bench(("lion",), jobs=1, cache_root=tmp_path / "cache")
+        report = bench.run_bench(("lion",), jobs=1)
         assert report["runs"]["serial_cold"]["wall_s"] == 4.0
         # The unobserved pair runs read 2.0, 2.6 and 1.8 s: median 2.0 s.
         assert report["observability"]["disabled_wall_s"] == 2.0
         assert report["speedup_parallel_cold"] == pytest.approx(2.0)
-        assert report["speedup_parallel_warm"] == pytest.approx(4.0)
         assert report["stage_speedups"] == {
             "parallel_cold": pytest.approx({"sca": 2.0, "fault-sim": 2.0}),
-            "parallel_warm": pytest.approx({"sca": 4.0, "fault-sim": 4.0}),
         }
 
     def test_bench_engine_override_recorded(self, tmp_path):
         from repro.perf.bench import run_bench
 
-        report = run_bench(
-            ("lion",), jobs=2, cache_root=tmp_path / "cache",
-            engine="ppsfp",
-        )
+        report = run_bench(("lion",), jobs=2, engine="ppsfp")
         assert report["options"]["engine"] == "ppsfp"
         assert report["identical"] is True
+
+    def test_regress_accepts_the_committed_baseline(self):
+        """The committed ``BENCH_perf.json`` (schema /5) still gates: the
+        fields ``regress`` reads are the same in /5 and /6."""
+        from pathlib import Path
+
+        from repro.obs.regress import run_regress
+
+        path = Path(__file__).resolve().parents[1] / "BENCH_perf.json"
+        report, code = run_regress(path, threshold_pct=1e9, min_rss_kb=1e12)
+        assert code == 0, report.render()
+        assert report.checked_circuits == len(json.loads(path.read_text())["circuits"])
+        assert not any("schema" in note for note in report.notes)
 
 
 # ------------------------------------------------- adaptive batch sizing
@@ -757,20 +762,22 @@ class TestCli:
         from repro.cli import main
 
         with cache_enabled(tmp_path):
-            CircuitStudy("lion", StudyOptions()).uio_table
+            _lion_atpg()
         assert main(["cache", "info", "--cache-dir", str(tmp_path)]) == 0
-        assert "uio" in capsys.readouterr().out
+        assert "  atpg " in capsys.readouterr().out
         assert main(["cache", "clear", "--cache-dir", str(tmp_path)]) == 0
         assert "removed" in capsys.readouterr().out
         assert ArtifactCache(tmp_path).info()["entries"] == 0
 
     def test_table_with_jobs_and_cache(self, tmp_path, capsys):
+        """Table commands take ``--jobs`` but no cache: only ``atpg`` does."""
         from repro.cli import main
 
-        code = main([
-            "table4", "--circuits", "lion", "--jobs", "2",
-            "--cache-dir", str(tmp_path),
-        ])
-        assert code == 0
+        with pytest.raises(SystemExit) as exit_info:
+            main(["table6", "--circuits", "lion", "--cache-dir", str(tmp_path)])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --cache-dir" in capsys.readouterr().err
+        assert main(["table4", "--circuits", "lion", "--jobs", "2"]) == 0
         assert "lion" in capsys.readouterr().out
-        assert ArtifactCache(tmp_path).info()["entries"] > 0
+        assert main(["atpg", "lion", "--cache-dir", str(tmp_path)]) == 0
+        assert ArtifactCache(tmp_path).info()["kinds"]["atpg"]["entries"] == 1

@@ -598,20 +598,26 @@ def test_split_undetected_rejects_contradictory_certificates():
         split_undetected([fault], {fault}, frozenset({fault}))
 
 
-def test_cached_sca_reports_metrics():
-    from repro.obs.metrics import MetricsRegistry, set_registry
-    from repro.perf.artifacts import cached_sca
+def test_study_sca_reports_metrics():
+    from types import SimpleNamespace
 
+    from repro.harness.experiments import CircuitStudy
+    from repro.obs.metrics import MetricsRegistry, set_registry
+
+    study = CircuitStudy("lion")
+    # No registry netlist has a certificate; seed one that does.
+    study.__dict__["scan_circuit"] = SimpleNamespace(netlist=blocked_netlist())
     registry = MetricsRegistry()
     previous = set_registry(registry)
     try:
-        cached_sca(blocked_netlist())
+        sca = study.sca
         snapshot = registry.snapshot()
-        assert snapshot["sca.faults"]["value"] > 0
-        assert snapshot["sca.certificates"]["value"] > 0
+        assert snapshot["sca.faults"]["value"] == sca.universe.n_faults > 0
+        assert snapshot["sca.certificates"]["value"] == len(sca.certificates) > 0
         assert "sca.collapse_ratio" in snapshot
     finally:
         set_registry(previous)
+    assert [record.stage for record in study.timings.records] == ["sca"]
 
 
 # ----------------------------------------------------- payload validation
