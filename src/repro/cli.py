@@ -103,7 +103,8 @@ def _non_negative_int(text: str) -> int:
 
 
 def _positive_int(text: str) -> int:
-    """``type=`` of ``--scan-ratio`` and ``stats --top``: an int >= 1."""
+    """``type=`` of ``--scan-ratio``, ``--jobs`` and ``stats --top``: an
+    int >= 1."""
     value = _int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
@@ -345,7 +346,7 @@ def _warm(args: argparse.Namespace, circuits: tuple[str, ...],
     stops after test generation for tables that never read gate-level
     artifacts.  Returns the registered studies by circuit name.
     """
-    jobs = getattr(args, "jobs", 1) or 1
+    jobs = getattr(args, "jobs", 1)
     if not circuits:
         return {}
     return experiments.warm_studies(circuits, options, jobs=jobs, scope=scope)
@@ -651,7 +652,7 @@ def _run_observed(args: argparse.Namespace):
 
     number, circuits = _trace_targets(args)
     options = _options_from(args)
-    jobs = getattr(args, "jobs", 1) or 1
+    jobs = getattr(args, "jobs", 1)
     table_text = ""
     # Diagnostic commands opt into tracemalloc-backed per-span peak-memory
     # attribution; ledgered/bench runs keep it off (real overhead).
@@ -912,7 +913,7 @@ def _cmd_regress(args: argparse.Namespace) -> int:
     report, code = run_regress(
         args.baseline,
         circuits=circuits or None,
-        jobs=max(1, args.jobs),
+        jobs=args.jobs,
         threshold_pct=args.threshold,
         min_seconds=args.min_seconds,
         min_rss_kb=args.min_rss_kb,
@@ -1204,7 +1205,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--csv", action="store_true",
                        help="emit CSV instead of the fixed-width table")
         if with_circuit_list:
-            p.add_argument("--jobs", type=int, default=1,
+            p.add_argument("--jobs", type=_positive_int, default=1,
                            help="worker processes for the per-circuit "
                            "pipeline (1 = serial)")
         p.add_argument("--trace-out", default=None, metavar="PATH",
@@ -1358,7 +1359,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     bench.add_argument("--circuits", default="",
                        help="comma-separated circuit names")
-    bench.add_argument("--jobs", type=int, default=4,
+    bench.add_argument("--jobs", type=_positive_int, default=4,
                        help="worker processes for the parallel run")
     bench.add_argument("--engine", default=None, choices=FAULT_SIM_ENGINES,
                        help="fault-sim engine for every bench run")
@@ -1375,7 +1376,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--circuit", default="", metavar="NAMES",
                        help="comma-separated circuits for a tableN target "
                        "(default: lion)")
-        p.add_argument("--jobs", type=int, default=1,
+        p.add_argument("--jobs", type=_positive_int, default=1,
                        help="worker processes; worker spans merge under "
                        "the parent sweep span")
         _add_limits(p, *_GENERATOR_LIMITS, "--max-fanin", "--bridging-limit")
@@ -1476,7 +1477,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="BENCH_perf.json to compare against")
     regress.add_argument("--circuits", default="",
                          help="override the baseline's circuit list")
-    regress.add_argument("--jobs", type=int, default=1,
+    regress.add_argument("--jobs", type=_positive_int, default=1,
                          help="worker processes for the rerun")
     regress.add_argument("--threshold", type=float, default=25.0,
                          metavar="PCT",
@@ -1615,7 +1616,7 @@ def _append_ledger(args: argparse.Namespace, argv: Sequence[str],
         argv=argv,
         circuits=getattr(args, "_ledger_circuits", None)
         or semantics.get("circuits", []),
-        jobs=getattr(args, "jobs", 1) or 1,
+        jobs=getattr(args, "jobs", 1),
         exit_code=exit_code,
         wall_s=wall_s,
         stage_seconds=_stage_seconds_from(session.tracer.events),

@@ -170,7 +170,9 @@ def verify_test_set(table: StateTable, test_set: TestSet) -> CoverageReport:
     otherwise; completeness is a property of the report, not an exception.
     """
     oracle = _UioOracle(table)
-    next_rows = table.next_rows
+    # The checker's own rows, read from the array: it shares no view with
+    # the generator it checks.
+    next_rows = table.next_state.tolist()
     verified: set[tuple[int, int]] = set()
     exercised: set[tuple[int, int]] = set()
     # Partial-mode bookkeeping: states still indistinguishable per transition.
@@ -183,7 +185,7 @@ def verify_test_set(table: StateTable, test_set: TestSet) -> CoverageReport:
             raise GenerationError(
                 f"test {test} carries no segment structure; cannot verify"
             )
-        test.check_consistency(table)
+        test.check_consistency(table, next_rows)
         kinds, states, ends = layout[0::3], layout[1::3], layout[2::3]
         begins = (0, *ends)
         last = len(kinds) - 1

@@ -110,8 +110,12 @@ class _Generator:
         self.incidental: list[tuple[int, int]] = []
         self._uio_of = [uio_table.get(state) for state in range(self.n_states)]
         # ((input,), next_state) per state, deduplicated by next state keeping
-        # the smallest input — O(#successors) length-1 transfer lookup.
+        # the smallest input, and per state a cursor past the successors
+        # found exhausted: untested counts only fall, so an exhausted
+        # successor never regains work and the length-1 transfer lookup
+        # costs O(1) amortised.
         self._succ_options = [_first_inputs(row) for row in self.next_rows]
+        self._succ_cursor = [0] * self.n_states
         self._partial_cache: dict[int, PartialUioSet | None] = {}
         self.partial_used: dict[int, PartialUioSet] = {}
         self.partial_progress: dict[tuple[int, int], set[int]] = {}
@@ -164,10 +168,12 @@ class _Generator:
         if bound == 0:
             return None
         if bound == 1:
-            for path, nxt in self._succ_options[source]:
-                if self.untested_count[nxt] > 0:
-                    return path, nxt
-            return None
+            options, untested_count = self._succ_options[source], self.untested_count
+            cursor = self._succ_cursor[source]
+            while cursor < len(options) and not untested_count[options[cursor][1]]:
+                cursor += 1
+            self._succ_cursor[source] = cursor
+            return options[cursor] if cursor < len(options) else None
         path = find_transfer(self.table, source, self._untested_predicate, bound)
         if path is None or not path:
             return None
@@ -223,6 +229,10 @@ class _Generator:
         The test's inputs and its layout (kind code, start state, end offset
         per segment) grow in two flat lists; no segment is built.
         """
+        next_rows, uio_of, prov = self.next_rows, self._uio_of, self.prov
+        flags, untested_count = self.tested, self.untested_count
+        use_partial = self.config.use_partial_uio
+        credit = self.config.credit_incidental
         inputs: list[int] = []
         layout: list[int] = []
         tested: list[tuple[int, int]] = []
@@ -233,43 +243,46 @@ class _Generator:
             inputs.append(combo)
             layout += (_TRANSITION, state, len(inputs))
             tested.append((state, combo))
-            next_state = self.next_rows[state][combo]
-            uio_seq = self._uio_of[next_state]
+            next_state = next_rows[state][combo]
+            uio_seq = uio_of[next_state]
             if uio_seq is not None:
-                self.mark_tested(state, combo)
+                if not flags[state][combo]:
+                    flags[state][combo] = 1
+                    untested_count[state] -= 1
                 landing = uio_seq.final_state
-                follow = self.first_untested(landing)
                 transfer = None
-                if follow is None:
+                if untested_count[landing]:
+                    follow = flags[landing].find(0)
+                else:
                     transfer = self.find_transfer_step(landing)
-                if follow is None and transfer is None:
-                    if self.prov is not None:
-                        self._decision(
-                            state, combo, "scan_out", "uio-dead-end",
-                            uio_length=uio_seq.length,
-                            test_index=test_index, step=step,
+                    if transfer is None:
+                        if prov is not None:
+                            self._decision(
+                                state, combo, "scan_out", "uio-dead-end",
+                                uio_length=uio_seq.length,
+                                test_index=test_index, step=step,
+                            )
+                        return self._finish(
+                            start_state, inputs, layout, tested, next_state
                         )
-                    return self._finish(
-                        start_state, inputs, layout, tested, next_state
-                    )
                 if uio_seq.inputs:
                     inputs += uio_seq.inputs
                     layout += (_UIO, next_state, len(inputs))
-                    if self.config.credit_incidental:
+                    if credit:
                         self.credit_segment(next_state, uio_seq.inputs)
                 if transfer is not None:
                     path, landing = transfer
                     inputs += path
                     layout += (_TRANSFER, uio_seq.final_state, len(inputs))
-                    if self.config.credit_incidental:
+                    if credit:
                         self.credit_segment(uio_seq.final_state, path)
                     follow = self.first_untested(landing)
+                    if follow is None:
+                        raise GenerationError(
+                            "transfer destination lost its untested transitions"
+                        )  # pragma: no cover
                     self.n_transfer_steps += 1
-                if follow is None:
-                    raise GenerationError(
-                        "transfer destination lost its untested transitions"
-                    )  # pragma: no cover
-                if self.prov is not None:
+                if prov is not None:
                     self._decision(
                         state, combo, "chained", "uio",
                         uio_length=uio_seq.length,
@@ -280,12 +293,12 @@ class _Generator:
                 self.n_chained += 1
                 step += 1
                 continue
-            if self.config.use_partial_uio:
+            if use_partial:
                 next_step = self._try_partial_step(
                     state, combo, next_state, inputs, layout
                 )
                 if next_step is not None:
-                    if self.prov is not None:
+                    if prov is not None:
                         self._decision(
                             state, combo, "chained", "partial-uio",
                             test_index=test_index, step=step,
@@ -295,13 +308,13 @@ class _Generator:
                     step += 1
                     continue
             self.mark_tested(state, combo)  # verified by the final scan-out
-            if self.config.use_partial_uio and self.partial_set(next_state) is not None:
+            if use_partial and self.partial_set(next_state) is not None:
                 reason = "partial-uio-dead-end"
             elif next_state in self.uio.budget_exhausted:
                 reason = "uio-budget-exhausted"
             else:
                 reason = "no-uio"
-            if self.prov is not None:
+            if prov is not None:
                 self._decision(
                     state, combo, "scan_out", reason,
                     test_index=test_index, step=step,

@@ -173,22 +173,45 @@ class ScanTest:
         """Fault-free ``(final_state, outputs)`` of this test on ``table``."""
         return table.run(self.initial_state, self.inputs)
 
-    def check_consistency(self, table: StateTable) -> None:
-        """Validate final state and segment chaining against ``table``."""
+    def check_consistency(
+        self, table: StateTable, rows: Sequence[Sequence[int]] | None = None
+    ) -> None:
+        """Validate segment chaining and the final state against ``table``.
+
+        One walk over the inputs checks each segment's claimed start state,
+        every state and input against the table's ranges (raising the
+        table's own :class:`StateTableError`), and the final state.
+        ``rows`` is ``table.next_state.tolist()``, passed by callers that
+        check many tests and built here otherwise: the checker reads the
+        array, never the memoized views the generator reads.
+        """
+        if rows is None:
+            rows = table.next_state.tolist()
+        n_states, n_inputs = table.n_states, table.n_input_combinations
         state = self.initial_state
         layout, inputs = self.layout, self.inputs
-        ends = layout[2::3]
-        for claimed, start, end in zip(layout[1::3], (0, *ends), ends):
+        # (claimed start state, end) per segment; a test without a layout
+        # is one unclaimed run of all its inputs.
+        segments = (
+            zip(layout[1::3], layout[2::3]) if layout else ((state, len(inputs)),)
+        )
+        start = 0
+        for claimed, end in segments:
             if claimed != state:
                 raise GenerationError(
                     f"segment claims start state {claimed}, machine is in {state}"
                 )
-            state = table.final_state(state, inputs[start:end])
-        final = table.final_state(self.initial_state, self.inputs)
-        if final != self.final_state:
+            if not 0 <= state < n_states:
+                table.step(state, 0)  # raises the table's range error
+            for combo in inputs[start:end]:
+                if not 0 <= combo < n_inputs:
+                    table.step(state, combo)  # raises the table's range error
+                state = rows[state][combo]
+            start = end
+        if state != self.final_state:
             raise GenerationError(
                 f"test records final state {self.final_state}, machine "
-                f"reaches {final}"
+                f"reaches {state}"
             )
 
     def __str__(self) -> str:

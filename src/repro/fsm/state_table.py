@@ -30,9 +30,10 @@ __all__ = ["StateTable", "Transition"]
 
 _View = TypeVar("_View")
 
-#: Slots memoized on first use (the hash and the Python views below).  They
-#: are never pickled (``__reduce__`` rebuilds from the arrays) and take no
-#: part in ``==``/``hash``.
+#: Slots memoized on first use (the hash, the Python views below, and the
+#: UIO search's root classification, which :mod:`repro.uio.search` builds).
+#: They are never pickled (``__reduce__`` rebuilds from the arrays) and take
+#: no part in ``==``/``hash``.
 _MEMO_SLOTS = (
     "_hash",
     "_next_rows",
@@ -40,6 +41,7 @@ _MEMO_SLOTS = (
     "_next_columns",
     "_output_columns",
     "_representatives",
+    "_uio_roots",
 )
 
 
@@ -185,7 +187,9 @@ class StateTable:
 
     # ------------------------------------------------------------------ views
 
-    def _view(self, slot: str, build: Callable[[], _View]) -> _View:
+    def memo(self, slot: str, build: Callable[[], _View]) -> _View:
+        """The value memoized in ``slot`` (one of the memo slots), built by
+        ``build`` on first use."""
         value = getattr(self, slot)
         if value is None:
             value = build()
@@ -195,22 +199,22 @@ class StateTable:
     @property
     def next_rows(self) -> tuple[tuple[int, ...], ...]:
         """``next_state`` as one tuple of Python ints per state (memoized)."""
-        return self._view("_next_rows", lambda: _rows(self.next_state))
+        return self.memo("_next_rows", lambda: _rows(self.next_state))
 
     @property
     def output_rows(self) -> tuple[tuple[int, ...], ...]:
         """``output`` as one tuple of Python ints per state (memoized)."""
-        return self._view("_output_rows", lambda: _rows(self.output))
+        return self.memo("_output_rows", lambda: _rows(self.output))
 
     @property
     def next_columns(self) -> tuple[tuple[int, ...], ...]:
         """``next_state`` as one tuple per input combination, indexed by state."""
-        return self._view("_next_columns", lambda: tuple(zip(*self.next_rows)))
+        return self.memo("_next_columns", lambda: tuple(zip(*self.next_rows)))
 
     @property
     def output_columns(self) -> tuple[tuple[int, ...], ...]:
         """``output`` as one tuple per input combination, indexed by state."""
-        return self._view("_output_columns", lambda: tuple(zip(*self.output_rows)))
+        return self.memo("_output_columns", lambda: tuple(zip(*self.output_rows)))
 
     @property
     def input_representatives(self) -> tuple[int, ...]:
@@ -220,7 +224,7 @@ class StateTable:
         Inputs of one class are interchangeable wherever the machine is
         driven, so searches need expand only the representatives.
         """
-        return self._view("_representatives", self._input_representatives)
+        return self.memo("_representatives", self._input_representatives)
 
     def _input_representatives(self) -> tuple[int, ...]:
         first: dict[tuple[tuple[int, ...], tuple[int, ...]], int] = {}
@@ -341,7 +345,7 @@ class StateTable:
 
     def __hash__(self) -> int:
         # Memoized: hashing serializes both arrays.
-        return self._view(
+        return self.memo(
             "_hash",
             lambda: hash(
                 (

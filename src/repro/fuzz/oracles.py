@@ -254,6 +254,36 @@ def _uio_verify(case: FuzzCase) -> None:
         raise OracleFailure(
             f"states {lost} have a length-1 UIO but none under the longer bound"
         )
+    # Both searches settle their roots from one classification of the
+    # table; re-prove the root verdicts from the responses alone.
+    if table.n_states == 1:
+        return  # the empty sequence is the UIO
+    separating = _separating_inputs(table)
+    for state in range(table.n_states):
+        seq = uio.get(state)
+        separated = state in separating
+        if separated != (seq is not None and seq.length == 1):
+            verdict = (
+                f"input {separating[state]} separates state {state} from "
+                "every other state"
+                if separated
+                else f"no single input separates state {state}"
+            )
+            stored = "no UIO" if seq is None else f"a UIO of length {seq.length}"
+            raise OracleFailure(f"{verdict}, but the search stored {stored}")
+
+
+def _separating_inputs(table: StateTable) -> dict[int, int]:
+    """The first input, over all input combinations, whose one-step
+    response separates each state from every other state, read through
+    :meth:`StateTable.response`."""
+    separating: dict[int, int] = {}
+    for combo in range(table.n_input_combinations):
+        responses = [table.response(state, (combo,)) for state in range(table.n_states)]
+        for state, response in enumerate(responses):
+            if state not in separating and responses.count(response) == 1:
+                separating[state] = combo
+    return separating
 
 
 @_oracle(

@@ -368,6 +368,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser.add_argument("-q", "--quiet", action="store_true",
                         help="errors only (silences the summary)")
     args = parser.parse_args(argv)
+    if args.jobs < 1:
+        parser.error(f"argument --jobs: must be >= 1, got {args.jobs}")
     set_verbosity(verbosity_from_flags(args.verbose, args.quiet))
     log = get_logger("bench")
 
@@ -375,7 +377,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         name.strip() for name in args.circuits.split(",") if name.strip()
     ) or None
     report = run_bench(
-        circuits, jobs=max(1, args.jobs), quick=args.quick, engine=args.engine
+        circuits, jobs=args.jobs, quick=args.quick, engine=args.engine
     )
     text = json.dumps(report, indent=2, sort_keys=False)
     if args.output == "-":

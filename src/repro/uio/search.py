@@ -29,10 +29,23 @@ prefix, and a merged node has no UIO below it.
 Each expansion reads one input's next-state and output columns
 (:attr:`~repro.fsm.state_table.StateTable.next_columns`), Python tuples
 indexed by state, rather than numpy scalars.
+
+The root expansion — the search's first step, ``(s, all other states)`` —
+is read from a classification of every state's root children, built once
+per table and memoized on it next to the input representatives (never
+pickled, no part in ``==``/``hash``).  Under each representative a root
+child is *unique* (no other state shares ``s``'s output: a length-1 UIO),
+*merged* (some other state shares both the output and the next state: the
+merge prune), or *open*.  The root therefore returns at its first unique
+input, counts the merges before it, and builds survivor sets only for the
+open children before it; from depth 2 on, every node is expanded as
+described above.  The returned sequences and the ``uio.search.*`` effort
+counters equal those of expanding the root like any other node.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterator
 
@@ -148,7 +161,6 @@ def find_uio(
     state: int,
     max_length: int,
     node_budget: int = DEFAULT_NODE_BUDGET,
-    representatives: tuple[int, ...] | None = None,
 ) -> UioSequence | None:
     """Shortest UIO of length at most ``max_length`` for ``state``.
 
@@ -156,24 +168,14 @@ def find_uio(
     Raises :class:`SearchBudgetExceeded` when ``node_budget`` node
     expansions were insufficient to settle the question.
     """
-    if not 0 <= state < table.n_states:
+    n_states = table.n_states
+    if not 0 <= state < n_states:
         raise StateTableError(f"state {state} out of range")
     if max_length < 0:
         raise StateTableError("max_length must be non-negative")
-    others = frozenset(t for t in range(table.n_states) if t != state)
-    if not others:
+    if n_states == 1:
         # A single-state machine: the empty sequence vacuously distinguishes.
         return UioSequence(state, (), state)
-    if representatives is None:
-        representatives = table.input_representatives
-    next_columns = table.next_columns
-    output_columns = table.output_columns
-    columns = [
-        (combo, next_columns[combo], output_columns[combo])
-        for combo in representatives
-    ]
-    visited: set[tuple[int, frozenset[int]]] = {(state, others)}
-    frontier: list[tuple[int, frozenset[int], tuple[int, ...]]] = [(state, others, ())]
     # Search-effort accounting stays in plain locals — the obs registry is
     # consulted once per find_uio call (in _report_search), never per node,
     # so disabled-mode overhead is a handful of integer increments.
@@ -181,16 +183,49 @@ def find_uio(
     merge_prunes = 0
     visited_prunes = 0
     try:
-        for _depth in range(max_length):
+        if max_length == 0:
+            return None
+        # The root, expanded from the table's classification of its
+        # children: only the open ones need a survivor set.
+        expanded = 1
+        if expanded > node_budget:
+            raise _exhausted(state, node_budget, expanded)
+        unique, merge_prunes, open_children = _root_children(table)[state]
+        next_columns = table.next_columns
+        output_columns = table.output_columns
+        visited: set[tuple[int, frozenset[int]]] = set()
+        frontier: list[tuple[int, frozenset[int], tuple[int, ...]]] = []
+        if open_children:
+            others = frozenset(range(n_states)) - {state}
+            visited.add((state, others))
+            for combo in open_children:
+                column_next, column_out = next_columns[combo], output_columns[combo]
+                out = column_out[state]
+                node = (
+                    column_next[state],
+                    frozenset(
+                        [column_next[t] for t in others if column_out[t] == out]
+                    ),
+                )
+                if node in visited:
+                    visited_prunes += 1
+                else:
+                    visited.add(node)
+                    frontier.append((*node, (combo,)))
+        if unique is not None:
+            return UioSequence(state, (unique,), table.next_rows[state][unique])
+        if not frontier:
+            return None
+        columns = [
+            (combo, next_columns[combo], output_columns[combo])
+            for combo in table.input_representatives
+        ]
+        for _depth in range(1, max_length):
             next_frontier: list[tuple[int, frozenset[int], tuple[int, ...]]] = []
             for current, candidates, prefix in frontier:
                 expanded += 1
                 if expanded > node_budget:
-                    raise SearchBudgetExceeded(
-                        f"UIO search for state {state} exceeded {node_budget} "
-                        "node expansions",
-                        expanded,
-                    )
+                    raise _exhausted(state, node_budget, expanded)
                 for combo, column_next, column_out in columns:
                     out = column_out[current]
                     survivors = frozenset(
@@ -214,6 +249,73 @@ def find_uio(
         return None
     finally:
         _report_search(expanded, merge_prunes, visited_prunes)
+
+
+def _exhausted(state: int, node_budget: int, expanded: int) -> SearchBudgetExceeded:
+    return SearchBudgetExceeded(
+        f"UIO search for state {state} exceeded {node_budget} node expansions",
+        expanded,
+    )
+
+
+def _root_children(table: StateTable) -> tuple[tuple[int | None, int, tuple[int, ...]], ...]:
+    """The classification of every search root's children, memoized on the
+    table next to its input representatives."""
+    return table.memo("_uio_roots", lambda: _classify_roots(table))
+
+
+def _classify_roots(table: StateTable) -> tuple[tuple[int | None, int, tuple[int, ...]], ...]:
+    """How the root of each state's search expands, for all states at once.
+
+    One ``(unique, merged, open)`` per state, over the input
+    representatives in increasing order:
+
+    * ``unique`` is the first representative under which no other state
+      produces the state's output — a length-1 UIO — or ``None``;
+    * ``merged`` counts the representatives before it under which some
+      other state produces the same output *and* reaches the same next
+      state (the merge prune);
+    * ``open`` lists the other representatives before it, the root's
+      children that need a survivor set.
+
+    Each verdict is a count over one column tuple (``tuple.count``, a C
+    loop).  A state whose whole row another state shares merges under every
+    input, so its columns are not walked.
+    """
+    representatives = table.input_representatives
+    next_columns, output_columns = table.next_columns, table.output_columns
+    rows = list(zip(table.next_rows, table.output_rows))
+    copies = Counter(rows)
+    roots = []
+    for state, row in enumerate(rows):
+        if copies[row] > 1:
+            roots.append((None, len(representatives), ()))
+            continue
+        unique, merged, open_inputs = None, 0, []
+        for combo in representatives:
+            outs = output_columns[combo]
+            out = outs[state]
+            if outs.count(out) == 1:
+                unique = combo
+                break
+            if _merges(state, out, outs, next_columns[combo]):
+                merged += 1
+            else:
+                open_inputs.append(combo)
+        roots.append((unique, merged, tuple(open_inputs)))
+    return tuple(roots)
+
+
+def _merges(state: int, out: int, outs: tuple[int, ...], nexts: tuple[int, ...]) -> bool:
+    """Whether another state produces ``out`` and reaches ``state``'s next
+    state in the column ``(outs, nexts)``."""
+    nxt = nexts[state]
+    index = -1
+    for _ in range(nexts.count(nxt)):
+        index = nexts.index(nxt, index + 1)
+        if index != state and outs[index] == out:
+            return True
+    return False
 
 
 def _report_search(expanded: int, merge_prunes: int, visited_prunes: int) -> None:
@@ -246,14 +348,11 @@ def compute_uio_table(
         "uio.search", machine=table.name, n_states=table.n_states,
         max_length=max_length,
     ) as sp:
-        representatives = table.input_representatives
         sequences: dict[int, UioSequence] = {}
         exhausted: set[int] = set()
         for state in range(table.n_states):
             try:
-                found = find_uio(
-                    table, state, max_length, node_budget, representatives
-                )
+                found = find_uio(table, state, max_length, node_budget)
             except SearchBudgetExceeded:
                 exhausted.add(state)
                 continue

@@ -7,6 +7,7 @@ import argparse
 import pytest
 
 from repro.cli import _LIMITS, build_parser, main
+from repro.perf.bench import main as bench_main
 
 
 class TestParser:
@@ -72,6 +73,28 @@ class TestParser:
             if "error:" in line
         ]
         assert errors == [f"repro-fsatpg {argv[0]}: error: argument {option}: {message}"]
+
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    @pytest.mark.parametrize(
+        "run, argv, prog",
+        [
+            (main, ["table6", "--circuits", "lion"], "repro-fsatpg table6"),
+            (main, ["trace", "table5"], "repro-fsatpg trace"),
+            (main, ["stats", "lion"], "repro-fsatpg stats"),
+            (main, ["bench", "--quick"], "repro-fsatpg bench"),
+            (main, ["regress"], "repro-fsatpg regress"),
+            (bench_main, ["--quick"], "bench_perf"),  # scripts/bench_perf.py
+        ],
+    )
+    def test_jobs_below_one_are_refused(self, run, argv, prog, jobs, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            run([*argv, "--jobs", jobs])
+        assert exit_info.value.code == 2
+        errors = [
+            line for line in capsys.readouterr().err.splitlines()
+            if "error:" in line
+        ]
+        assert errors == [f"{prog}: error: argument --jobs: must be >= 1, got {jobs}"]
 
     def test_boundary_limits_parse(self):
         args = build_parser().parse_args(

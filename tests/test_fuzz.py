@@ -45,6 +45,7 @@ from repro.gatelevel.bridging import BridgeKind, BridgingFault
 from repro.gatelevel.fault_sim import detects as interpreted_detects
 from repro.gatelevel.ppsfp import PpsfpSimulator
 from repro.perf.cache import ArtifactCache
+from repro.uio import search as search_mod
 from repro.uio.search import UioTable
 
 
@@ -155,6 +156,27 @@ class TestBrokenImplementationsAreCaught:
 
         monkeypatch.setattr(oracles_mod, "compute_uio_table", corrupt)
         with pytest.raises(OracleFailure):
+            get_oracle("uio-verify").run(case)
+
+    @pytest.mark.parametrize("corruption", ["drops-length-1-uio", "calls-merged"])
+    def test_uio_verify_reproves_root_verdicts(self, monkeypatch, corruption):
+        # Both searches of the oracle read one root classification, so a
+        # corrupted classification passes its other two checks.
+        case = small_case(seed=0)  # this machine has length-1 UIOs
+        real = search_mod._classify_roots
+
+        def corrupt(table):
+            roots = list(real(table))
+            state = next(s for s, root in enumerate(roots) if root[0] is not None)
+            unique, merged, open_inputs = roots[state]
+            if corruption == "drops-length-1-uio":
+                roots[state] = (None, merged, open_inputs)
+            else:
+                roots[state] = (None, len(table.input_representatives), ())
+            return tuple(roots)
+
+        monkeypatch.setattr(search_mod, "_classify_roots", corrupt)
+        with pytest.raises(OracleFailure, match="separates state .* but the search stored"):
             get_oracle("uio-verify").run(case)
 
     def test_coverage_catches_dropped_test(self, monkeypatch):

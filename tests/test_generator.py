@@ -7,6 +7,7 @@ import hashlib
 import pytest
 
 from repro.benchmarks import circuit_names, load_circuit
+from repro.benchmarks.synthetic import synthetic_machine
 from repro.core.config import GeneratorConfig
 from repro.core.coverage import verify_test_set
 from repro.core.generator import generate_tests
@@ -290,12 +291,79 @@ PINNED_EXTENSIONS = {
         "tav": "307e5a765234e0d8f2838ed48c2cee71cb0d15c85e100b05402a0ff8afac0d78",
         "train11": "2af0c446a767cddae3a36cb7c9379e6e944f40fbb711071d94c9e98792c76b70",
     },
+    "transfer0": {
+        "bbtas": "6a2ad9dad5326336a593408069e1f4a34cb7967af942cd33503a7045d582bc74",
+        "beecount": "06b9a5e4b5a3b868fb19876490055d09855c992bb0c9937e206aa977b192d6e3",
+        "dk14": "063aefa7faa471ef53092d89835fbee31dbe760432d19005b056fa7ffdd20ae2",
+        "dk15": "2daf851f3b677ff9141d21e733c3955944d83b898a18e81c0a62fb3e2ff14299",
+        "dk16": "92619fa00e4e65f6b7557f7660da786a6254e73657cb6bb8a660dc60cb5b1d0b",
+        "dk17": "5e730db47499397efd91266262ee3194b0e5867343e79b9a3fe261f0b81b7dee",
+        "dk27": "7cd2eaef954596c76afb6fd5fa8316473ecc9dc95a6f1182863b8e0110767384",
+        "dk512": "bd35ff2a0c1f3b875085fb668099b9681e4e5de05624b0c33ca9a0c5de682cea",
+        "ex2": "c543496ee7f3b144a386bd7f485056b284e2baa9a5fb4e073d4325f8ad902fe5",
+        "ex3": "16bb553e7c32b4e5250c382262f7fdf8a06b9767d3f685fd1f182da4cb12c8d6",
+        "ex5": "077fcdaa5655146382b616cdeaaec7892298d56cb414bdeabcf9074cc3f629a2",
+        "ex7": "cdf6d417f38b3af94a4729cc08d0db0925fcc3749428ea9a4bd557da1d7b01df",
+        "lion": "db676d0a4035326c73c9764a52390872f6c61571e8e12bb2f6cc37576bfe7cf2",
+        "lion9": "8b3d22ea1b8e164414712b179b3683668343e97c683014fb61a438e73de2488c",
+        "mc": "ba17681fe03fbaaaf053980725407bef9290ff56129afb9bb071317fefc14b71",
+        "shiftreg": "7b698a38729818d74b916a207d9c37296ea2be2e3567a792f7a008ff5c2ce62e",
+        "tav": "414f946dc9c57204c2eeaddac5bee62284caea9c3388bdd2ba7c47adc3ab1c75",
+        "train11": "d685837e6fa46a847d704389a2051e7961fb4c1dff1e3da9bb36e4dee8d8d6f2",
+    },
+    "uio1": {
+        "bbtas": "288656f2ae9c487f6c6c23e1abe36b30df4684df35ee2104ab61ebfc01bb3c45",
+        "beecount": "c0058669131e13004e3444e5e791a894a4aaa168e7266920959f208239f2c606",
+        "dk14": "5fbe8d0c8c7345ecf9fa45c6affdb6c296e20b3c796238e222f3c09d60607e7f",
+        "dk15": "93eaa98f35f95748ca12f293463c89fc2833867af505176c13234aef89d02240",
+        "dk16": "4247eba36c3b7111baa561d610fe4fd0b0a07aa0d9c41966a8e2e4206554212a",
+        "dk17": "35b00f35ab1c2cc8778ff7da3e1bac022c069bf99ec56961abb68d77b20197bd",
+        "dk27": "a1de1b483ba7f60c006775cf6201b594cce95d52b947c3f8a488924ad93d542d",
+        "dk512": "ee0836b7fa9ecbbb051b65e0e2ea17fad94207c06fe1cadefee4bec31de0f2a5",
+        "ex2": "e0dbbb78f5957cdecffa7a0c5fdf12fc0ff389153f64605a0264528a0a73ee9a",
+        "ex3": "345028b67ee1b6413f07e04eafaf6c33d21f44842de43d0b9df345af74c0789d",
+        "ex5": "e3de5c26284afdb2cb194f0369da50840ac40bdbfbb52aa61d1641528564422a",
+        "ex7": "129f608fe3c019da6d313b08787726f1dcc3379b93fcdc87d987abc62b38044c",
+        "lion": "a05ad0182af38efa837dbbde124947bf36696a5cec5ac8449cc76d77b69ff76c",
+        "lion9": "8b78e4ef5e830afb5a4bf4e869427a81e301c8aaad4b1c8aa81e95ac7ee7358d",
+        "mc": "a8de450051ad5e1c1b87975acd8063046eb97d53cfd47dd0b36c07d50d370d66",
+        "shiftreg": "ade7a82b353cce9d05108898b3ab79f0496a573debfd7a9448bdb48b88b52542",
+        "tav": "d45c31693aab3ffda56b89b0eaf36c1bea875188e6e730d51d4685a028e48002",
+        "train11": "130f9a3c3811f33769d7a5eaa70b4e4137ba01ed21aacdea046cf36e40d1661c",
+    },
 }
 
 EXTENSION_CONFIGS = {
     "transfer2": GeneratorConfig(max_transfer_length=2),
     "partial": GeneratorConfig(use_partial_uio=True),
     "incidental": GeneratorConfig(credit_incidental=True),
+    "transfer0": GeneratorConfig(max_transfer_length=0),  # Table 8
+    "uio1": GeneratorConfig(max_uio_length=1),  # Table 9's shortest bound
+}
+
+#: The dimensions of dvram, fetch, log and rie, the machines the
+#: test-generation benchmark runs: (inputs, states, core states, outputs,
+#: cubes per state).  Written out so that the pins below do not move with
+#: the registry.
+HELD_OUT_DIMENSIONS = {
+    "dvram": (8, 64, 50, 8, 10),
+    "fetch": (9, 32, 26, 8, 11),
+    "log": (9, 32, 17, 4, 11),
+    "rie": (9, 32, 29, 6, 11),
+}
+
+#: Digests of the default configuration on two unseen synthetic machines
+#: per dimension, ``heldout-<label>-<copy>``.  Most of their tests are
+#: length-1 tests that end at a UIO landing with no untested successor.
+PINNED_HELDOUT = {
+    "heldout-dvram-0": "156b111ad989b16cf5159b9850f214001c264be1e549cd75ab02312a311ae1a6",
+    "heldout-dvram-1": "c98332747759418f5a84261cd6d0ddaee6eea814c55e62dda1838d08c24609df",
+    "heldout-fetch-0": "9a6ee46f0538c90e87146f006eba3a789d921db3b0e13cc354223648823ec480",
+    "heldout-fetch-1": "6f5e37d0ec8a44e79079b8205e67261d38ae9fba8c523da12ae77c475a1bc56e",
+    "heldout-log-0": "1976f0581ba0d5a5b01ff6090ff1bc50c761d9f94bb90017b9692d870f0bb9cc",
+    "heldout-log-1": "d10edfeef30d77e271d191423fac240e9deaf92fe44f07d3b969eff580578c0e",
+    "heldout-rie-0": "1534e7e47cfaac0b785a621a1a60020bb2deac96b5131b3f19782caf7c4f2ae9",
+    "heldout-rie-1": "b62eff6310b78793bc2bdac3cdb99488a99f2685f540b8603edbf22163d822b5",
 }
 
 
@@ -313,6 +381,12 @@ class TestPinnedGeneration:
     def test_default_config(self, name):
         result = generate_tests(load_circuit(name))
         assert _generation_digest(result) == PINNED_DEFAULT[name]
+
+    @pytest.mark.parametrize("name", sorted(PINNED_HELDOUT))
+    def test_held_out_machines(self, name):
+        label = name.split("-")[1]
+        table = synthetic_machine(name, *HELD_OUT_DIMENSIONS[label]).to_state_table()
+        assert _generation_digest(generate_tests(table)) == PINNED_HELDOUT[name]
 
     @pytest.mark.parametrize("label", sorted(EXTENSION_CONFIGS))
     def test_extension_branches(self, label):

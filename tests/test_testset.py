@@ -17,7 +17,7 @@ from repro.core.testset import (
     TestSet,
     baseline_clock_cycles,
 )
-from repro.errors import GenerationError
+from repro.errors import GenerationError, StateTableError
 
 TRANSITION = KIND_CODES[SegmentKind.TRANSITION]
 UIO = KIND_CODES[SegmentKind.UIO]
@@ -69,6 +69,75 @@ class TestScanTest:
         test = ScanTest(0, (0b01,), 0)
         with pytest.raises(GenerationError):
             test.check_consistency(lion)
+
+
+def _reference_check(test, table):
+    """A two-pass checker: ``StateTable.final_state`` per segment, then
+    once over the whole test."""
+    state = test.initial_state
+    layout, inputs = test.layout, test.inputs
+    ends = layout[2::3]
+    for claimed, start, end in zip(layout[1::3], (0, *ends), ends):
+        if claimed != state:
+            raise GenerationError(
+                f"segment claims start state {claimed}, machine is in {state}"
+            )
+        state = table.final_state(state, inputs[start:end])
+    final = table.final_state(test.initial_state, test.inputs)
+    if final != test.final_state:
+        raise GenerationError(
+            f"test records final state {test.final_state}, machine "
+            f"reaches {final}"
+        )
+
+
+def _outcome(check):
+    try:
+        check()
+    except (GenerationError, StateTableError) as exc:
+        return type(exc), str(exc)
+    return None
+
+
+def _corruptions(test, n_states, n_inputs):
+    """``test`` with one field or entry bad: each start state, input, claim
+    and the final state out of range or wrong."""
+    def remade(initial=test.initial_state, inputs=test.inputs,
+               final=test.final_state, layout=test.layout):
+        return ScanTest(initial, tuple(inputs), final, tuple(layout))
+
+    yield test
+    yield remade(layout=())
+    for initial in (-1, n_states, (test.initial_state + 1) % n_states):
+        yield remade(initial=initial)
+        yield remade(initial=initial, layout=())
+    yield remade(final=(test.final_state + 1) % n_states)
+    for index, combo in enumerate(test.inputs):
+        for bad in (-1, n_inputs, (combo + 1) % n_inputs):
+            inputs = list(test.inputs)
+            inputs[index] = bad
+            yield remade(inputs=inputs)
+    for index in range(1, len(test.layout), 3):
+        for bad in (-1, n_states, (test.layout[index] + 1) % n_states):
+            layout = list(test.layout)
+            layout[index] = bad
+            yield remade(layout=layout)
+
+
+class TestCheckConsistency:
+    """One walk per test raises what the two-pass checker raised."""
+
+    @pytest.mark.parametrize("name", ["lion", "dk27", "bbtas", "shiftreg"])
+    def test_same_error_for_every_corruption(self, name):
+        table = load_circuit(name)
+        rows = table.next_state.tolist()
+        for generated in generate_tests(table).test_set:
+            for test in _corruptions(
+                generated, table.n_states, table.n_input_combinations
+            ):
+                expected = _outcome(lambda: _reference_check(test, table))
+                assert _outcome(lambda: test.check_consistency(table)) == expected
+                assert _outcome(lambda: test.check_consistency(table, rows)) == expected
 
 
 class TestLayout:

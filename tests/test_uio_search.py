@@ -3,16 +3,22 @@
 from __future__ import annotations
 
 import itertools
+import pickle
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.benchmarks import circuit_names, load_circuit
+from repro.benchmarks.synthetic import synthetic_machine
 from repro.errors import SearchBudgetExceeded, StateTableError
 from repro.fsm.builders import StateTableBuilder
 from repro.fsm.state_table import StateTable
 from repro.fuzz.strategies import state_tables
+from repro.obs.metrics import MetricsRegistry, set_registry
 from repro.uio.search import (
+    DEFAULT_NODE_BUDGET,
     UioSequence,
+    UioTable,
     compute_uio_table,
     find_uio,
     input_class_representatives,
@@ -214,3 +220,178 @@ class TestAgainstBruteForce:
         # merges at once, so one expansion settles that no UIO exists.
         table = StateTable(np.zeros((2, 2)), np.zeros((2, 2)), 1, 1)
         assert find_uio(table, 0, 5, node_budget=1) is None
+
+
+# ------------------------------------------------ reference breadth-first search
+
+
+def _reference_search(table: StateTable, state: int, max_length: int, node_budget: int):
+    """A plain breadth-first search: every node, the root included, expands
+    every representative and builds its survivor set.  Returns ``(result,
+    counters)``, where ``result`` is the sequence, ``None``, or
+    ``"budget"`` when the budget ran out."""
+    others = frozenset(t for t in range(table.n_states) if t != state)
+    if not others:
+        return UioSequence(state, (), state), None
+    columns = [
+        (combo, table.next_columns[combo], table.output_columns[combo])
+        for combo in table.input_representatives
+    ]
+    visited = {(state, others)}
+    frontier = [(state, others, ())]
+    expanded = merge_prunes = visited_prunes = 0
+
+    def counters():
+        return expanded, merge_prunes, visited_prunes
+
+    for _depth in range(max_length):
+        next_frontier = []
+        for current, candidates, prefix in frontier:
+            expanded += 1
+            if expanded > node_budget:
+                return "budget", counters()
+            for combo, column_next, column_out in columns:
+                out = column_out[current]
+                survivors = frozenset(
+                    [column_next[t] for t in candidates if column_out[t] == out]
+                )
+                nxt = column_next[current]
+                if not survivors:
+                    return UioSequence(state, prefix + (combo,), nxt), counters()
+                if nxt in survivors:
+                    merge_prunes += 1
+                    continue
+                node = (nxt, survivors)
+                if node not in visited:
+                    visited.add(node)
+                    next_frontier.append((nxt, survivors, prefix + (combo,)))
+                else:
+                    visited_prunes += 1
+        if not next_frontier:
+            return None, counters()
+        frontier = next_frontier
+    return None, counters()
+
+
+def _searched(table: StateTable, state: int, max_length: int, node_budget: int):
+    """``find_uio``'s ``(result, counters)`` in the reference's terms, the
+    counters read from a registry installed for this one search."""
+    registry = MetricsRegistry()
+    previous = set_registry(registry)
+    try:
+        result = find_uio(table, state, max_length, node_budget)
+    except SearchBudgetExceeded as exc:
+        result = "budget"
+        assert exc.nodes_expanded == registry.counter("uio.search.nodes_expanded").value
+    finally:
+        set_registry(previous)
+    if not registry.snapshot():
+        return result, None  # a one-state machine reports no search
+    counters = tuple(
+        registry.counter(f"uio.search.{name}").value
+        for name in ("nodes_expanded", "prunes.merged", "prunes.visited")
+    )
+    per_state = registry.histogram("uio.search.nodes_per_state")
+    assert (per_state.count, per_state.total) == (1, counters[0])
+    return result, counters
+
+
+def _assert_matches_reference(
+    table: StateTable, max_length: int, node_budget: int = DEFAULT_NODE_BUDGET
+) -> None:
+    expected: dict[int, UioSequence] = {}
+    exhausted: set[int] = set()
+    for state in range(table.n_states):
+        reference = _reference_search(table, state, max_length, node_budget)
+        assert _searched(table, state, max_length, node_budget) == reference, state
+        if reference[0] == "budget":
+            exhausted.add(state)
+        elif reference[0] is not None:
+            expected[state] = reference[0]
+    assert compute_uio_table(table, max_length, node_budget) == UioTable(
+        table.name, max_length, expected, frozenset(exhausted)
+    )
+
+
+#: The dimensions of dvram, fetch, log and rie, the machines the
+#: test-generation benchmark runs: (inputs, states, core states, outputs,
+#: cubes per state).
+HELD_OUT_DIMENSIONS = {
+    "dvram": (8, 64, 50, 8, 10),
+    "fetch": (9, 32, 26, 8, 11),
+    "log": (9, 32, 17, 4, 11),
+    "rie": (9, 32, 29, 6, 11),
+}
+
+
+def _plain(table: StateTable) -> StateTable:
+    """An equal table with every memo slot empty."""
+    return StateTable(
+        table.next_state, table.output, table.n_inputs, table.n_outputs,
+        table.state_names, table.name,
+    )
+
+
+class TestAgainstReferenceSearch:
+    """The root expansion read from the table's classification returns the
+    reference search's tables and the same search-effort counters."""
+
+    @pytest.mark.parametrize("name", sorted(circuit_names()))
+    def test_registry_circuit(self, name):
+        table = load_circuit(name)
+        _assert_matches_reference(table, table.n_state_variables)
+
+    @pytest.mark.parametrize("copy", range(2))
+    @pytest.mark.parametrize("label", sorted(HELD_OUT_DIMENSIONS))
+    def test_held_out_machine(self, label, copy):
+        name = f"uio-reference-{label}-{copy}"
+        table = synthetic_machine(name, *HELD_OUT_DIMENSIONS[label]).to_state_table()
+        _assert_matches_reference(table, table.n_state_variables)
+
+    @settings(max_examples=150, deadline=None)
+    @given(state_tables(max_states=7, max_inputs=3), st.integers(0, 4))
+    def test_generated_machines(self, table, max_length):
+        _assert_matches_reference(table, max_length)
+
+    @settings(max_examples=50, deadline=None)
+    @given(state_tables(max_states=7, max_inputs=2), st.integers(0, 3))
+    def test_node_budget_of_one(self, table, max_length):
+        _assert_matches_reference(table, max_length, node_budget=1)
+
+    @pytest.mark.parametrize("max_length", [0, 1])
+    @pytest.mark.parametrize("name", ["lion", "shiftreg", "dk16", "bbara"])
+    def test_short_bounds(self, name, max_length):
+        _assert_matches_reference(load_circuit(name), max_length)
+
+    @pytest.mark.parametrize("node_budget", [0, 1])
+    def test_tiny_budgets_on_a_deep_search(self, shiftreg, node_budget):
+        # shiftreg's UIOs have length 3: budget 0 stops at the root,
+        # budget 1 at the first node of depth 2.
+        _assert_matches_reference(shiftreg, 3, node_budget)
+
+    def test_one_state_machines(self):
+        for table in (
+            StateTable(np.array([[0, 0]]), np.array([[0, 1]]), 1, 1),
+            StateTable(np.array([[0]]), np.array([[0]]), 0, 0),
+        ):
+            for max_length in (0, 1, 3):
+                _assert_matches_reference(table, max_length)
+
+    def test_root_child_equal_to_the_root(self):
+        # Input 0 fixes s0 and swaps s1/s2 with one output: the root's child
+        # is the root itself, a visited prune; input 1 then separates s0.
+        table = StateTable(
+            np.array([[0, 0], [2, 0], [1, 0]]), np.array([[0, 0], [0, 1], [0, 1]]), 1, 1
+        )
+        _assert_matches_reference(table, 3)
+        assert _searched(table, 0, 3, 10) == (UioSequence(0, (1,), 0), (1, 0, 1))
+
+    def test_pickled_table_rebuilds_its_classification(self):
+        table = load_circuit("dk16")
+        compute_uio_table(table)
+        clone = pickle.loads(pickle.dumps(table))
+        assert clone._uio_roots is None
+        assert pickle.dumps(table) == pickle.dumps(_plain(table))
+        assert clone == table and hash(clone) == hash(table)
+        _assert_matches_reference(clone, clone.n_state_variables)
+        assert clone._uio_roots == table._uio_roots
